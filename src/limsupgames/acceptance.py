@@ -383,7 +383,7 @@ def criterion_7(seed: int = DEFAULT_SEED) -> CriterionResult:
                 base.reset()
                 letters = [base.move(None)]
                 for t in range(1, len(tr.rows)):
-                    letters.append(base.move(R.near(tr.rows[t - 1].value)))
+                    letters.append(base.move(R.nearest(tr.rows[t - 1].value)))
                 count += 1
                 if tuple(letters) != tr.letters():
                     problems.append(f"base {i} vs opp {j}: replay diverged")
@@ -396,7 +396,7 @@ def criterion_7(seed: int = DEFAULT_SEED) -> CriterionResult:
                 raw = max(cyc)
                 if R.contains(raw):
                     count += 1
-                    if max(R.near(v) for v in cyc) != raw:
+                    if max(R.nearest(v) for v in cyc) != raw:
                         problems.append(
                             f"base {i} vs opp {j}: rounding moved the limsup")
         return count, problems

@@ -126,10 +126,13 @@ class NodeAutomaton:
             c = k if label == DEFAULT_CLASS else int(label)
             if not (0 <= c <= k):
                 raise ValueError(f"letter class {label!r} out of range")
-            if steps[int(q)][c] is not None:
+            q = int(q)
+            if not (0 <= q < n):
+                raise ValueError(f"transition source state {q} out of range")
+            if steps[q][c] is not None:
                 raise ValueError(f"duplicate transition for state {q} class {label!r}")
-            steps[int(q)][c] = int(dst)
-            outs[int(q)][c] = as_dyadic(str(out))
+            steps[q][c] = int(dst)
+            outs[q][c] = as_dyadic(str(out))
         for q in range(n):
             for c in range(k + 1):
                 if steps[q][c] is None:
@@ -179,28 +182,25 @@ class LassoSummary:
 def lasso_summary(u: NodeAutomaton, x: Branch) -> LassoSummary:
     outputs = []
     q = u.initial
-    for t in range(len(x.stem)):
-        a = x.letter_at(t)
+    for a in x.stem:
         outputs.append(u.output(q, a))
         q = u.step(q, a)
-    seen = {}
-    t = len(x.stem)
-    p = len(x.cycle)
-    while True:
-        key = (q, (t - len(x.stem)) % p)
-        if key in seen:
-            start = seen[key]
-            return LassoSummary(
-                start=start,
-                period=t - start,
-                transient_outputs=tuple(outputs[:start]),
-                cycle_outputs=tuple(outputs[start:]),
-            )
-        seen[key] = t
-        a = x.letter_at(t)
-        outputs.append(u.output(q, a))
-        q = u.step(q, a)
-        t += 1
+    cycle, period = x.cycle, len(x.cycle)
+
+    def step(key):
+        p, i = key
+        return u.step(p, cycle[i]), (i + 1) % period
+
+    # (state, cycle phase) repeats, and from there the labels repeat too
+    orbit, entry = graphs.first_repeat((q, 0), step)
+    outputs.extend(u.output(p, cycle[i]) for p, i in orbit)
+    start = len(x.stem) + entry
+    return LassoSummary(
+        start=start,
+        period=len(orbit) - entry,
+        transient_outputs=tuple(outputs[:start]),
+        cycle_outputs=tuple(outputs[start:]),
+    )
 
 
 def eval_limsup(u: NodeAutomaton, x: Branch) -> Dyadic:
@@ -216,19 +216,6 @@ def allowed_classes(u: NodeAutomaton, tree: TreeSpec) -> tuple:
     if tree.alphabet is None:
         raise ValueError("exact kernels need a full tree (finite alphabet or naturals)")
     return tuple(sorted({u.letter_class(a) for a in tree.alphabet}))
-
-
-def class_representatives(u: NodeAutomaton, tree: TreeSpec) -> tuple:
-    """One concrete tree letter per realizable class, for run reconstruction."""
-    k = u.num_letters
-    if tree.all_naturals:
-        return tuple(range(k)) + (k,)
-    if tree.alphabet is None:
-        raise ValueError("exact kernels need a full tree (finite alphabet or naturals)")
-    reps = {}
-    for a in tree.alphabet:
-        reps.setdefault(u.letter_class(a), a)
-    return tuple(reps[c] for c in sorted(reps))
 
 
 def minmax_value(u: NodeAutomaton, q: int, classes: "Iterable[int] | None" = None) -> ExtValue:

@@ -19,7 +19,7 @@ from .automata import NodeAutomaton, lasso_summary
 from .construction import (ConstructionState, algebra, branch_limsup,
                            minimize_labeling, verify_construction)
 from .corpus import branch_corpus, rng_stream
-from .dyadic import Dyadic, as_dyadic
+from .dyadic import as_dyadic
 from .families import discretize, family_from_automaton
 from .games import (MAX_TRACE_ROUNDS, GameKind, StrategyI, StrategyII,
                     exact_verdict, finite_value_set, gamma, gamma_prime,
@@ -37,12 +37,6 @@ from .trees import (EventuallyPeriodicBranch, TreeSpec, binary_tree, nat_tree,
 
 class ConfigError(ValueError):
     """Configuration or contract violation; maps to exit code 2."""
-
-
-def _dy(v) -> Dyadic:
-    if isinstance(v, str):
-        return Dyadic.parse(v)
-    return as_dyadic(v)
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +81,7 @@ class ExperimentConfig:
         if self.restriction is not None:
             object.__setattr__(self, "restriction", tuple(self.restriction))
             for v in self.restriction:
-                _dy(v)
+                as_dyadic(v)
         for name in ("horizon", "cap", "seed"):
             val = getattr(self, name)
             if not isinstance(val, int) or val < 0:
@@ -173,7 +167,7 @@ def resolve_kind(cfg: ExperimentConfig) -> GameKind:
     if cfg.game == "gamma_prime":
         return gamma_prime(tree)
     return gamma_restricted(
-        finite_value_set([_dy(v) for v in cfg.restriction]), tree)
+        finite_value_set([as_dyadic(v) for v in cfg.restriction]), tree)
 
 
 def resolve_automaton(src: dict) -> NodeAutomaton:
@@ -194,16 +188,6 @@ def resolve_automaton(src: dict) -> NodeAutomaton:
     raise ConfigError("function source needs 'automaton' or 'file'")
 
 
-@dataclass(frozen=True)
-class ConstructedFunction:
-    """Payoff backed by a constructed node labeling, evaluated per branch."""
-
-    state: ConstructionState
-
-    def value_on(self, x: EventuallyPeriodicBranch) -> Dyadic:
-        return branch_limsup(self.state.fam, x)[0]
-
-
 def build_payoff(src: Optional[dict], tree: TreeSpec):
     if src is None:
         raise ConfigError("config has no payoff source")
@@ -219,14 +203,14 @@ def build_payoff(src: Optional[dict], tree: TreeSpec):
     if kind == "indicator":
         return IndicatorPayoff()
     if kind == "pipeline":
-        _, state, _ = build_pipeline(src, tree)
-        return ConstructedFunction(state)
+        fam, _, _ = build_pipeline(src, tree)
+        return lambda x: branch_limsup(fam, x)[0]
     raise ConfigError(f"unknown payoff kind {kind!r}")
 
 
 def _random_letter_fsm(states: int, values, seed: int) -> LetterFSM:
     rng = rng_stream(seed, "random-fsm")
-    thresholds = [_dy(v) for v in values]
+    thresholds = [as_dyadic(v) for v in values]
     width = len(thresholds) + 2
     emits = [rng.randrange(2) for _ in range(states)]
     trans = [[rng.randrange(states) for _ in range(width)]
@@ -237,7 +221,7 @@ def _random_letter_fsm(states: int, values, seed: int) -> LetterFSM:
 def _random_value_fsm(states: int, values, seed: int,
                       pairs: bool) -> ValueFSM:
     rng = rng_stream(seed, "random-fsm")
-    pool = [_dy(v) for v in values]
+    pool = [as_dyadic(v) for v in values]
     if not pool:
         raise ConfigError("random_fsm needs a nonempty value list")
     trans = [[rng.randrange(states) for _ in range(2)] for _ in range(states)]
@@ -278,12 +262,12 @@ def build_strategy_i(desc: Optional[dict], cfg: ExperimentConfig) -> StrategyI:
             raise ConfigError("lift needs 'base' and 'restriction'")
         base = build_strategy_i(desc["base"], cfg)
         return lift_strategy(
-            base, finite_value_set([_dy(v) for v in desc["restriction"]]))
+            base, finite_value_set([as_dyadic(v) for v in desc["restriction"]]))
     if kind == "relabel":
         if "base" not in desc or "mapping" not in desc:
             raise ConfigError("relabel needs 'base' and 'mapping'")
         base = build_strategy_i(desc["base"], cfg)
-        mapping = {_dy(k): _dy(v) for k, v in desc["mapping"].items()}
+        mapping = {as_dyadic(k): as_dyadic(v) for k, v in desc["mapping"].items()}
         try:
             return relabel_strategy(base, mapping)
         except ValueError as e:
@@ -303,8 +287,8 @@ def build_strategy_ii(desc: Optional[dict], cfg: ExperimentConfig) -> StrategyII
         if "value" not in desc:
             raise ConfigError("constant needs a 'value'")
         cov = desc.get("covalue")
-        return ConstantII(_dy(desc["value"]),
-                          None if cov is None else _dy(cov))
+        return ConstantII(as_dyadic(desc["value"]),
+                          None if cov is None else as_dyadic(cov))
     if kind == "pair":
         if "f" not in desc or "g" not in desc:
             raise ConfigError("pair needs 'f' and 'g' descriptors")
@@ -346,14 +330,6 @@ def _emit_trace(trace, cfg: ExperimentConfig, verdict_json=None) -> None:
         _write(cfg.out_dir, "trace.json", _dump({**side, "rows": rows}))
 
 
-def _fault_json(trace) -> Optional[str]:
-    if trace.fault is None:
-        return None
-    return _dump({"fault": {"blame": trace.fault.blame,
-                            "round": trace.fault.round_index,
-                            "detail": trace.fault.detail}})
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -382,9 +358,8 @@ def cmd_play(args) -> int:
     sI = build_strategy_i(cfg.player_i, cfg)
     sII = build_strategy_ii(cfg.player_ii, cfg)
     trace = play(kind, sI, sII, cfg.horizon)
-    fault = _fault_json(trace)
-    if fault is not None:
-        sys.stderr.write(fault)
+    if trace.fault is not None:
+        sys.stderr.write(_dump({"fault": trace.fault.to_json_dict()}))
     summary = trace.sidecar()
     summary["counters_I"] = sI.counters()
     summary["counters_II"] = sII.counters()
@@ -413,7 +388,7 @@ def cmd_verify(args) -> int:
     return 0 if verdict.exact else 1
 
 
-_STAGES = ("from-automaton", "regularize", "discretize", "construct_u")
+_STAGES = ("from-automaton", "discretize", "construct_u")
 
 
 def build_pipeline(pipe: dict, tree: TreeSpec):
@@ -443,8 +418,6 @@ def build_pipeline(pipe: dict, tree: TreeSpec):
         raise ConfigError("pipeline needs a 'source' automaton")
     u = resolve_automaton(pipe["source"])
     fam = family_from_automaton(u, tree)
-    # machine-derived levels are already non-increasing, so the regularize
-    # stage is accepted as a no-op on this path
     if "discretize" in stages:
         fam = discretize(fam)
     try:

@@ -18,6 +18,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .automata import NodeAutomaton, eval_limsup, make_automaton
 from .dyadic import Dyadic, ExtValue, NEG_INF, as_dyadic
 from .families import GridLscFamily, discretize, family_from_kernel
+from .graphs import StabilizationCapError, first_repeat, periodic_start
 from .kernels import ProductKernel, SuffixMaxStairs
 from .trees import EventuallyPeriodicBranch, Prefix, TreeSpec, binary_tree
 
@@ -121,14 +122,6 @@ class _KernelLabeler:
         self.L = 0
         self.labels: List[Dyadic] = []
         self.max_scan = 0
-        self.lasso: Optional[Tuple[int, int]] = None
-        self._seen = {(self._phase(0), self.J): 0}
-
-    def _phase(self, t: int):
-        stem = self.x.stem
-        if t < len(stem):
-            return ("s", t)
-        return ("c", (t - len(stem)) % len(self.x.cycle))
 
     def step(self) -> None:
         a = self.x.letter_at(self.L)
@@ -139,12 +132,6 @@ class _KernelLabeler:
         self.cur_snap = self.stairs.snapshot()
         self.J = self.ker.step(self.J, a)
         self.L += 1
-        if self.lasso is None:
-            key = (self._phase(self.L), self.J)
-            if key in self._seen:
-                self.lasso = (self._seen[key], self.L - self._seen[key])
-            else:
-                self._seen[key] = self.L
         self.labels.append(self._label())
 
     def extend_to(self, horizon: int) -> None:
@@ -152,11 +139,19 @@ class _KernelLabeler:
             self.step()
 
     def run_to_lasso(self, cap: int = 100000) -> Tuple[int, int]:
-        while self.lasso is None:
-            if self.L > cap:
-                raise InconclusiveLassoError("no joint state lasso within cap")
-            self.step()
-        return self.lasso
+        """(start, period) of the first repeat of (branch position, joint state)."""
+        x, ker = self.x, self.ker
+        stem, end = len(x.stem), len(x.stem) + len(x.cycle)
+
+        def step(key):
+            t, J = key
+            return (t + 1 if t + 1 < end else stem, ker.step(J, x.letter_at(t)))
+
+        try:
+            orbit, entry = first_repeat((0, ker.initial), step, cap + 1)
+        except StabilizationCapError:
+            raise InconclusiveLassoError("no joint state lasso within cap") from None
+        return entry, len(orbit) - entry
 
     def _stair_value(self, snap, n: int) -> Dyadic:
         return self.ker.value(
@@ -275,10 +270,7 @@ def periodic_tail_max(values: Sequence[Dyadic], period: int,
     for i in range(lo, n - period):
         if values[i] != values[i + period]:
             return None
-    start = n - period
-    while start > 0 and values[start - 1] == values[start - 1 + period]:
-        start -= 1
-    return (start, max(values[n - period:]))
+    return (periodic_start(values, n - period, period), max(values[n - period:]))
 
 
 def branch_limsup(fam: GridLscFamily, x: EventuallyPeriodicBranch,

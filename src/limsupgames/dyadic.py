@@ -43,10 +43,6 @@ class Dyadic:
             raise ValueError(f"not a dyadic literal: {text!r}")
         return cls(int(m.group(1)), int(m.group(2) or 0))
 
-    @classmethod
-    def from_int(cls, n: int) -> "Dyadic":
-        return cls(n, 0)
-
     def __str__(self) -> str:
         return f"{self.num}/2^{self.exp}"
 
@@ -94,9 +90,6 @@ class Dyadic:
     def __hash__(self) -> int:
         return hash((self.num, self.exp))
 
-    def is_integer(self) -> bool:
-        return self.exp == 0
-
     def ceil_to_grid(self, n: int) -> "Dyadic":
         """Least multiple of 2**-n that is >= self."""
         if n < 0:
@@ -128,11 +121,6 @@ ONE = Dyadic(1)
 def half_pow(k: int) -> Dyadic:
     """2**-k."""
     return Dyadic(1, k)
-
-
-def dyadic_ceil_to_grid(v: "DyadicLike", n: int) -> Dyadic:
-    """Least grid point z * 2**-n with z * 2**-n >= v."""
-    return as_dyadic(v).ceil_to_grid(n)
 
 
 @total_ordering

@@ -19,6 +19,7 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from .automata import NodeAutomaton, eval_limsup
 from .dyadic import Dyadic, as_dyadic
+from .graphs import periodic_start
 from .trees import EventuallyPeriodicBranch, Prefix, TreeSpec, nat_tree
 
 MAX_TRACE_ROUNDS = 10 ** 6
@@ -52,15 +53,6 @@ class FiniteValueSet:
             if d < bestd:
                 best, bestd = cand, d
         return best
-
-    def near(self, v: Dyadic, tolerance=None) -> Dyadic:
-        """Pick a member within distance(v, set) + tolerance of v.
-
-        Returning the exact nearest member satisfies every positive
-        tolerance at once, so the argument only documents the caller's
-        precision budget and is not consulted.
-        """
-        return self.nearest(v)
 
 
 def finite_value_set(values: Iterable) -> FiniteValueSet:
@@ -172,6 +164,10 @@ class FaultRecord:
     round_index: int
     detail: str
 
+    def to_json_dict(self) -> dict:
+        return {"blame": self.blame, "round": self.round_index,
+                "detail": self.detail}
+
 
 @dataclass(frozen=True)
 class RunTrace:
@@ -212,9 +208,7 @@ class RunTrace:
             "rounds": len(self.rows),
             "lasso": None if self.lasso is None else
                 {"start": self.lasso[0], "period": self.lasso[1]},
-            "fault": None if self.fault is None else
-                {"blame": self.fault.blame, "round": self.fault.round_index,
-                 "detail": self.fault.detail},
+            "fault": None if self.fault is None else self.fault.to_json_dict(),
         }
         if verdict_json is not None:
             side["verdict"] = verdict_json
@@ -263,11 +257,8 @@ def play(kind: GameKind, sI: StrategyI, sII: StrategyII, horizon: int,
                 key = None
             if first is not None:
                 period = t - first
-                start = first
-                while start > 0 and rows[start - 1].observable() == \
-                        rows[start - 1 + period].observable():
-                    start -= 1
-                lasso = (start, period)
+                lasso = (periodic_start(rows, first, period, RunRow.observable),
+                         period)
                 if stop_after_lasso is not None:
                     stop_at = t + stop_after_lasso * period
                     if stop_at <= t:
@@ -338,9 +329,7 @@ class Verdict:
             "lasso": None if self.lasso is None else
                 {"start": self.lasso[0], "period": self.lasso[1]},
             "witness": None if self.witness is None else str(self.witness),
-            "fault": None if self.fault is None else
-                {"blame": self.fault.blame, "round": self.fault.round_index,
-                 "detail": self.fault.detail},
+            "fault": None if self.fault is None else self.fault.to_json_dict(),
             "payoff_of_witness":
                 None if self.payoff_of_witness is None else str(self.payoff_of_witness),
             "limsup_value":

@@ -1,4 +1,10 @@
-"""Small weighted-digraph kernels behind the exact infimum computations.
+"""The two searches behind every exact answer in the package.
+
+A deterministic map on a finite set repeats a value, so an orbit is a lasso
+(`first_repeat`); an infimum of future sups is attained on a lasso, so it is
+settled by a cycle search in a threshold-filtered graph (`cycle_reachable`,
+`min_sup_cycle`).  `periodic_start` rolls a detected lasso back to the
+earliest position where the observed sequence is already periodic.
 
 Nodes are arbitrary hashables, edges carry extended dyadic weights, and
 successor lists come from a callback so product constructions never have to
@@ -8,16 +14,67 @@ state sets), so the algorithms favor clarity over asymptotics.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Tuple
+from typing import (Callable, Dict, Hashable, Iterable, List, Optional,
+                    Sequence, Tuple)
 
-from .dyadic import ExtValue, NEG_INF, POS_INF, as_ext
+from .dyadic import ExtValue, POS_INF, as_ext
 
 Node = Hashable
 SuccFn = Callable[[Node], Iterable[Tuple[ExtValue, Node]]]
 
 
 class StabilizationCapError(RuntimeError):
-    """Reachable-set iteration exceeded its declared cap (a construction error)."""
+    """An orbit failed to repeat within its declared cap (a construction error)."""
+
+
+def first_repeat(start: Node, step: Callable[[Node], Node],
+                 cap: Optional[int] = None) -> Tuple[List[Node], int]:
+    """Orbit start, step(start), ... up to its first repeat.
+
+    Returns (orbit, entry): the orbit's distinct values in order, and the
+    index of the value the next step returns again, so orbit[entry:] is the
+    cycle.  With a cap, an orbit that shows no repeat within cap steps
+    raises StabilizationCapError.
+    """
+    seen: Dict[Node, int] = {}
+    orbit: List[Node] = []
+    x = start
+    while x not in seen:
+        seen[x] = len(orbit)
+        orbit.append(x)
+        if cap is not None and len(orbit) > cap:
+            raise StabilizationCapError(f"orbit failed to repeat within {cap} steps")
+        x = step(x)
+    return orbit, seen[x]
+
+
+def cycle_reachable(succ: Callable[[Node], Iterable[Node]], start: Node) -> bool:
+    """Whether a cycle is reachable from start, i.e. an infinite path exists."""
+    # iterative DFS, gray/black marks; an edge back to a gray node closes a cycle
+    color = {start: 1}
+    stack = [(start, iter(succ(start)))]
+    while stack:
+        node, nbrs = stack[-1]
+        for nxt in nbrs:
+            c = color.get(nxt)
+            if c == 1:
+                return True
+            if c is None:
+                color[nxt] = 1
+                stack.append((nxt, iter(succ(nxt))))
+                break
+        else:
+            color[node] = 2
+            stack.pop()
+    return False
+
+
+def periodic_start(seq: Sequence, start: int, period: int,
+                   key: Callable = lambda v: v) -> int:
+    """Least s <= start with key(seq[i]) == key(seq[i + period]) for s <= i < start."""
+    while start > 0 and key(seq[start - 1]) == key(seq[start - 1 + period]):
+        start -= 1
+    return start
 
 
 def _closure(succ: SuccFn, start: Node) -> Dict[Node, List[Tuple[ExtValue, Node]]]:
@@ -35,43 +92,6 @@ def _closure(succ: SuccFn, start: Node) -> Dict[Node, List[Tuple[ExtValue, Node]
     return graph
 
 
-def _has_infinite_path(graph: Dict[Node, List[Tuple[ExtValue, Node]]],
-                       start: Node, theta: ExtValue) -> bool:
-    # infinite path iff a cycle is reachable inside the weight-filtered subgraph
-    reach = set()
-    todo = [start]
-    while todo:
-        q = todo.pop()
-        if q in reach:
-            continue
-        reach.add(q)
-        for w, r in graph[q]:
-            if not theta < w and r not in reach:
-                todo.append(r)
-    color: Dict[Node, int] = {}  # 1 on stack, 2 done
-
-    for root in reach:
-        if color.get(root):
-            continue
-        stack = [(root, iter([r for w, r in graph[root] if not theta < w]))]
-        color[root] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for r in it:
-                if color.get(r) == 1:
-                    return True
-                if not color.get(r):
-                    color[r] = 1
-                    stack.append((r, iter([r2 for w, r2 in graph[r] if not theta < w])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = 2
-                stack.pop()
-    return False
-
-
 def min_sup_cycle(succ: SuccFn, start: Node) -> ExtValue:
     """Minimum over infinite paths from start of the sup of edge weights.
 
@@ -82,36 +102,8 @@ def min_sup_cycle(succ: SuccFn, start: Node) -> ExtValue:
     graph = _closure(succ, start)
     weights = sorted({w for edges in graph.values() for (w, _) in edges})
     for theta in weights:
-        if _has_infinite_path(graph, start, theta):
+        if cycle_reachable(
+                lambda q: [r for w, r in graph[q] if not theta < w], start):
             return theta
     # no infinite path at all: every node eventually dead-ends
     return POS_INF
-
-
-def exact_reach(succ: SuccFn, start: Node, steps: int) -> FrozenSet[Node]:
-    """Nodes reachable from start in exactly `steps` edge traversals."""
-    cur = {start}
-    for _ in range(steps):
-        cur = {r for q in cur for (_, r) in succ(q)}
-    return frozenset(cur)
-
-
-def reach_cycle_entry(succ: SuccFn, start: Node, cap: int) -> int:
-    """First index j where the sequence of exact-reach sets starts repeating.
-
-    The sets evolve deterministically, so the sequence is eventually periodic;
-    returns the index of the first set that is visited twice.  Exceeding cap
-    distinct sets is a construction error.
-    """
-    seen: Dict[FrozenSet[Node], int] = {}
-    cur = frozenset([start])
-    j = 0
-    while True:
-        if cur in seen:
-            return seen[cur]
-        if j > cap:
-            raise StabilizationCapError(
-                f"reachable-set iteration exceeded cap {cap}")
-        seen[cur] = j
-        cur = frozenset({r for q in cur for (_, r) in succ(q)})
-        j += 1

@@ -21,7 +21,7 @@ from typing import Dict, List, Tuple
 
 from .automata import NodeAutomaton, allowed_classes, minmax_value
 from .dyadic import Dyadic, ExtValue, NEG_INF, ext_max
-from .graphs import StabilizationCapError
+from .graphs import cycle_reachable, first_repeat
 from .trees import TreeSpec
 
 MODES = ("max", "sum", "min")
@@ -40,31 +40,6 @@ def joint_letter_representatives(machines, tree: TreeSpec) -> tuple:
         key = tuple(u.letter_class(a) for u in machines)
         reps.setdefault(key, a)
     return tuple(sorted(reps.values()))
-
-
-def _cycle_reachable(succ: Dict, start) -> bool:
-    # iterative DFS, gray/black marks; back edge to a gray node closes a cycle
-    color = {start: 1}
-    stack = [(start, 0)]
-    while stack:
-        node, i = stack.pop()
-        nbrs = succ[node]
-        advanced = False
-        while i < len(nbrs):
-            nxt = nbrs[i]
-            i += 1
-            c = color.get(nxt)
-            if c == 1:
-                return True
-            if c is None:
-                stack.append((node, i))
-                color[nxt] = 1
-                stack.append((nxt, 0))
-                advanced = True
-                break
-        if not advanced:
-            color[node] = 2
-    return False
 
 
 class ProductKernel:
@@ -130,22 +105,10 @@ class ProductKernel:
         return max(parts)
 
     def _feasible(self, start: tuple, thresh: tuple) -> bool:
-        succ: Dict = {}
-        stack = [start]
-        seen = {start}
-        while stack:
-            J = stack.pop()
-            nbrs = []
-            for a in self.reps:
-                os = self.outputs_on(J, a)
-                if all(not t < o for o, t in zip(os, thresh)):
-                    J2 = self.step(J, a)
-                    nbrs.append(J2)
-                    if J2 not in seen:
-                        seen.add(J2)
-                        stack.append(J2)
-            succ[J] = nbrs
-        return _cycle_reachable(succ, start)
+        def succ(J):
+            return [self.step(J, a) for a in self.reps
+                    if all(not t < o for o, t in zip(self.outputs_on(J, a), thresh))]
+        return cycle_reachable(succ, start)
 
     def value(self, J: tuple, fixed: tuple) -> Dyadic:
         """min over continuations from J of the objective; fixed parts folded in."""
@@ -168,27 +131,20 @@ class ProductKernel:
             self._value[key] = got
         return got
 
+    def _reach_tail(self, start, step, score, cap: int) -> Tuple[tuple, int]:
+        # reach sets evolve deterministically, so they cycle within 2**states steps
+        orbit, entry = first_repeat(
+            frozenset([start]),
+            lambda cur: frozenset(step(p, a) for p in cur for a in self.reps), cap)
+        return tuple(min(score(p) for p in cur) for cur in orbit[:entry + 1]), entry
+
     def _machine_tail(self, i: int, q: int) -> Tuple[tuple, int]:
         key = (i, q)
         got = self._mtails.get(key)
         if got is None:
             u = self.machines[i]
-            cur = frozenset([q])
-            seen = {cur: 0}
-            vals = [min(self._minmax(i, p) for p in cur)]
-            cap = 2 ** u.num_states
-            entry = None
-            for j in range(1, cap + 1):
-                cur = frozenset(u.step(p, a) for p in cur for a in self.reps)
-                if cur in seen:
-                    entry = seen[cur]
-                    break
-                seen[cur] = j
-                vals.append(min(self._minmax(i, p) for p in cur))
-            if entry is None:
-                raise StabilizationCapError(
-                    f"machine {i} reach sets failed to cycle within {cap} steps")
-            got = (tuple(vals[:entry + 1]), entry)
+            got = self._reach_tail(q, u.step, lambda p: self._minmax(i, p),
+                                   2 ** u.num_states)
             self._mtails[key] = got
         return got
 
@@ -196,22 +152,8 @@ class ProductKernel:
         got = self._tails.get(J)
         if got is None:
             neg = (NEG_INF,) * self.dims
-            cur = frozenset([J])
-            seen = {cur: 0}
-            vals = [min(self.value(P, neg) for P in cur)]
-            cap = 2 ** self._ground
-            entry = None
-            for j in range(1, cap + 1):
-                cur = frozenset(self.step(P, a) for P in cur for a in self.reps)
-                if cur in seen:
-                    entry = seen[cur]
-                    break
-                seen[cur] = j
-                vals.append(min(self.value(P, neg) for P in cur))
-            if entry is None:
-                raise StabilizationCapError(
-                    f"joint reach sets failed to cycle within {cap} steps")
-            got = (tuple(vals[:entry + 1]), entry)
+            got = self._reach_tail(J, self.step, lambda P: self.value(P, neg),
+                                   2 ** self._ground)
             self._tails[J] = got
         return got
 

@@ -113,10 +113,6 @@ class ValueFSM(StrategyII):
         return self.q
 
 
-def pair_fsm(trans, values, covalues, initial: int = 0) -> ValueFSM:
-    return ValueFSM(trans, values, initial=initial, covalues=covalues)
-
-
 class LetterFSM(StrategyI):
     """Moore letter machine driven by threshold buckets of II's values.
 
@@ -237,11 +233,6 @@ class SpiralEnumeration:
             z = -(pos // 2)
         return Dyadic(z, j)
 
-    def index_of(self, z: int, j: int) -> int:
-        if abs(z) > self._bound(j):
-            raise ValueError("out of range for the level")
-        return self._offset(j) + self._position(z)
-
     @staticmethod
     def _scaled_ceil(v: Dyadic, j: int) -> int:
         # ceil(v * 2^j) via integer shifts
@@ -345,7 +336,7 @@ class LiftedI(StrategyI):
         self.t = 0
 
     def round_value(self, v) -> Dyadic:
-        picked = self.restriction.near(as_dyadic(v))
+        picked = self.restriction.nearest(as_dyadic(v))
         if not self.restriction.contains(picked):
             raise StrategyFault(
                 "I", f"near oracle escaped the answer set: {picked}", self.t)

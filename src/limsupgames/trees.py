@@ -65,9 +65,6 @@ class TreeSpec:
     all_naturals: bool = False
     name: str = "custom"
 
-    def is_full(self) -> bool:
-        return self.alphabet is not None or self.all_naturals
-
 
 def full_tree(letters: Iterable[int]) -> TreeSpec:
     alpha = tuple(sorted(set(int(a) for a in letters)))
@@ -148,11 +145,6 @@ class EventuallyPeriodicBranch:
 
 
 Branch = EventuallyPeriodicBranch
-
-
-def branch_prefix(x: EventuallyPeriodicBranch, t: int) -> Prefix:
-    """The prefix x_0..x_t of the branch (length t + 1)."""
-    return x.prefix(t)
 
 
 def parse_branch(text: str) -> EventuallyPeriodicBranch:

@@ -42,6 +42,21 @@ def test_eval_rejects_missing_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", [-1, 2])
+def test_machines_with_bad_source_states_exit_two(tmp_path, capsys, source):
+    machine = {"states": 2, "initial": 0, "letters": 0,
+               "transitions": [[0, "default", 1, "0/2^0"],
+                               [source, "default", 0, "3/2^0"]]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(machine), encoding="utf-8")
+    assert entry(["eval", str(path), "stem=;cycle=0"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    cfg = play_config(tmp_path, player_ii={"kind": "from_u",
+                                           "automaton": machine})
+    assert entry(["play", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 # --- config -------------------------------------------------------------
 
 
@@ -255,6 +270,8 @@ def test_construct_rejects_bad_pipelines(tmp_path, capsys):
         {"stages": ["from-automaton", "mystery", "construct_u"],
          "source": {"automaton": machine}},
         {"stages": ["from-automaton", "construct_u"]},
+        {"stages": ["from-automaton", "regularize", "construct_u"],
+         "source": {"automaton": machine}},
     ]
     for pipe in cases:
         cfg = write_config(tmp_path, pipeline=pipe)

@@ -185,8 +185,7 @@ def test_finite_value_set_nearest():
     # equidistant points resolve to the smaller member
     assert R.nearest(Dyadic(1, 2)) == Dyadic(0)
     assert R.nearest(Dyadic(3, 1)) == Dyadic(1)
-    assert R.near(Dyadic(-5)) == Dyadic(0)
-    assert R.near(Dyadic(1, 2), tolerance=Dyadic(1, 3)) == Dyadic(0)
+    assert R.nearest(Dyadic(-5)) == Dyadic(0)
     with pytest.raises(ValueError):
         finite_value_set([])
 

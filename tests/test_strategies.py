@@ -159,13 +159,13 @@ def test_lifted_strategy_replays_base_on_rounded_values():
     base.reset()
     letters = [base.move(None)]
     for t in range(1, 30):
-        letters.append(base.move(R.near(tr.rows[t - 1].value)))
+        letters.append(base.move(R.nearest(tr.rows[t - 1].value)))
     assert tuple(letters) == tr.letters()
 
 
 def test_lifted_strategy_faults_when_oracle_escapes():
     class Escaping(FiniteValueSet):
-        def near(self, v, tolerance=None):
+        def nearest(self, v):
             return Dyadic(99)
 
     base = LetterFSM([0], [[0, 0]])
