@@ -10,7 +10,7 @@ from __future__ import annotations
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 from .construction import (ConstructionState, algebra, scan_bound,
                            verify_construction)
@@ -243,9 +243,11 @@ def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
             for k, ev in enumerate(hist):
                 prefix = letters[:ev.round_index]
                 note(ev.m == k, f"piece index not consecutive at event {k}")
-                note(ev.target.first(ev.prefix_len) == prefix[:ev.prefix_len],
-                     "target does not extend the switch prefix")
-                note(any(ev.target.letter_at(t) == 1
+                # the target is the switch prefix followed by the tail
+                note(ev.prefix_len == ev.round_index,
+                     "tail not anchored at the switch round")
+                target = letters[:ev.prefix_len] + ev.tail.first(40)
+                note(any(target[t] == 1
                          for t in range(ev.m + 1, ev.prefix_len + 40)),
                      f"target not disjoint from pieces 0..{ev.m}")
                 if k > 0:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .automata import NodeAutomaton, eval_limsup, make_automaton
-from .dyadic import Dyadic, ExtValue, NEG_INF, as_dyadic
+from .dyadic import Dyadic, ExtValue, NEG_INF
 from .families import GridLscFamily, discretize, family_from_kernel
 from .graphs import StabilizationCapError, first_repeat, periodic_start
 from .kernels import ProductKernel, SuffixMaxStairs

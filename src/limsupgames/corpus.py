@@ -7,7 +7,7 @@ import hashlib
 import itertools
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .automata import NodeAutomaton, eval_limsup, make_automaton
 from .dyadic import Dyadic

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .automata import NodeAutomaton
-from .dyadic import Dyadic, ExtValue, NEG_INF, ext_max
+from .dyadic import Dyadic, ExtValue, NEG_INF
 from .kernels import ProductKernel
 from .trees import Prefix, TreeSpec, binary_tree
 

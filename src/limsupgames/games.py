@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Optional, Tuple, Union
 
 from .automata import NodeAutomaton, eval_limsup
 from .dyadic import Dyadic, as_dyadic
 from .graphs import periodic_start
-from .trees import EventuallyPeriodicBranch, Prefix, TreeSpec, nat_tree
+from .trees import EventuallyPeriodicBranch, TreeSpec, nat_tree
 
 MAX_TRACE_ROUNDS = 10 ** 6
 
@@ -234,7 +233,9 @@ def play(kind: GameKind, sI: StrategyI, sII: StrategyII, horizon: int,
     announcement); the first repeat fixes the lasso, whose start is then
     rolled back as far as the observed rows stay periodic.  By default the
     run continues to the horizon; stop_after_lasso=k cuts it k periods past
-    the detection point instead.
+    the detection point instead.  The tree is asked only whether the new
+    letter may follow the letters so far (TreeSpec.admits), which full
+    trees answer without reading the prefix.
     """
     horizon = min(horizon, MAX_TRACE_ROUNDS)
     sI.reset()
@@ -242,7 +243,7 @@ def play(kind: GameKind, sI: StrategyI, sII: StrategyII, horizon: int,
     rows = []
     seen: Dict[object, int] = {}
     last = None
-    prefix: Prefix = ()
+    letters = []
     lasso = None
     fault = None
     stop_at = horizon
@@ -269,9 +270,9 @@ def play(kind: GameKind, sI: StrategyI, sII: StrategyII, horizon: int,
             letter = sI.move(last)
             if not isinstance(letter, int) or isinstance(letter, bool) or letter < 0:
                 raise StrategyFault("I", f"letter {letter!r} is not a natural", t)
-            if not kind.tree.contains(prefix + (letter,)):
+            if not kind.tree.admits(letters, letter):
                 raise StrategyFault("I", f"letter {letter} leaves the tree", t)
-            prefix = prefix + (letter,)
+            letters.append(letter)
             raw = sII.move(letter)
             v, w = _coerce_answer(kind, raw, t)
             if kind.restriction is not None and not kind.restriction.contains(v):

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Tuple
 
-from .automata import NodeAutomaton, allowed_classes, minmax_value
+from .automata import allowed_classes, minmax_value
 from .dyadic import Dyadic, ExtValue, NEG_INF, ext_max
 from .graphs import cycle_reachable, first_repeat
 from .trees import TreeSpec

@@ -5,13 +5,14 @@ meager-dense switcher and the two-sided oscillator)."""
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Hashable, List, Optional, Sequence
 
 from .automata import NodeAutomaton
 from .dyadic import Dyadic, as_dyadic, half_pow
 from .games import FiniteValueSet, StrategyFault, StrategyI, StrategyII
-from .trees import EventuallyPeriodicBranch, Prefix, TreeSpec, binary_tree
+from .trees import (EventuallyPeriodicBranch, Prefix, PrefixView, TreeSpec,
+                    binary_tree)
 
 
 class AutomatonResponder(StrategyII):
@@ -449,18 +450,20 @@ class MeagerDenseInstance:
     """Inputs for the switching attack against a value r approached through
     a countable union of closed nowhere-covering pieces.
 
-    s_disjoint(s, m) must answer whether the cylinder at s misses piece m;
-    pick_y(s, m) extends s to a branch outside pieces 0..m.  prefix_digest
-    compresses the prefix to exactly the information future queries need;
-    the default keeps the whole prefix, which is always sound but prevents
-    run-state lassos.
+    s_disjoint(s, m) must answer whether the cylinder at s misses piece m.
+    pick_y(s, m) returns only the continuation after s: the branch of
+    letters from position len(s) on, chosen so that s followed by it lies
+    outside pieces 0..m.  prefix_digest compresses the prefix to exactly the
+    information future queries need; the default keeps the whole prefix,
+    which is always sound but prevents run-state lassos.  Callbacks receive
+    the prefix as a read-only sequence.
     """
 
     tree: TreeSpec
     r: Dyadic
-    s_disjoint: Callable[[Prefix, int], bool]
-    pick_y: Callable[[Prefix, int], EventuallyPeriodicBranch]
-    prefix_digest: Optional[Callable[[Prefix, int], Hashable]] = None
+    s_disjoint: Callable[[Sequence[int], int], bool]
+    pick_y: Callable[[Sequence[int], int], EventuallyPeriodicBranch]
+    prefix_digest: Optional[Callable[[Sequence[int], int], Hashable]] = None
     label: str = "meager-dense"
 
 
@@ -468,13 +471,13 @@ def eventually_zero_instance() -> MeagerDenseInstance:
     """Pieces S_m = branches with no 1 past position m; their union is the
     eventually-zero set, dense but meager in the binary branch space."""
 
-    def s_disjoint(s: Prefix, m: int) -> bool:
+    def s_disjoint(s: Sequence[int], m: int) -> bool:
         return any(s[i] == 1 for i in range(m + 1, len(s)))
 
-    def pick_y(s: Prefix, m: int) -> EventuallyPeriodicBranch:
-        one_at = max(len(s), m + 1)
-        stem = tuple(s) + (0,) * (one_at - len(s)) + (1,)
-        return EventuallyPeriodicBranch(stem, (0,))
+    def pick_y(s: Sequence[int], m: int) -> EventuallyPeriodicBranch:
+        # zeros up to position m + 1 (if s stops short of it), a 1, then 0^w
+        return EventuallyPeriodicBranch((0,) * max(0, m + 1 - len(s)) + (1,),
+                                        (0,))
 
     return MeagerDenseInstance(binary_tree(), Dyadic(1), s_disjoint, pick_y,
                                prefix_digest=lambda s, m: s_disjoint(s, m),
@@ -483,10 +486,13 @@ def eventually_zero_instance() -> MeagerDenseInstance:
 
 @dataclass(frozen=True)
 class SwitchEvent:
+    """A retarget: the new target is the first prefix_len played letters
+    followed by tail."""
+
     round_index: int
     m: int
     prefix_len: int
-    target: EventuallyPeriodicBranch
+    tail: EventuallyPeriodicBranch
 
 
 class MeagerDenseI(StrategyI):
@@ -494,9 +500,12 @@ class MeagerDenseI(StrategyI):
     value crowds r while the prefix already escapes piece m, then bump m
     and retarget.
 
-    The piece index can grow forever, so the strategy declares unbounded
-    state; stalled runs still lasso in play because the state key keeps
-    only the digest of the prefix.
+    A target is the prefix at the switch followed by the tail pick_y
+    returns, so it extends the prefix by construction; the strategy keeps
+    only (offset, tail) and reads letters at pos - offset, so a round costs
+    the same at any depth.  The piece index can grow forever, so the
+    strategy declares unbounded state; stalled runs still lasso in play
+    because the state key keeps only the digest of the prefix.
     """
 
     finite_state = False
@@ -507,20 +516,18 @@ class MeagerDenseI(StrategyI):
 
     def reset(self) -> None:
         self.m = 0
-        self.prefix: Prefix = ()
-        self.target: Optional[EventuallyPeriodicBranch] = None
+        self.prefix: List[int] = []
+        self.view = PrefixView(self.prefix)
+        self.offset = 0
+        self.tail: Optional[EventuallyPeriodicBranch] = None
         self.switches = 0
         self.t = 0
         self.history: List[SwitchEvent] = []
 
     def _retarget(self) -> None:
-        target = self.instance.pick_y(self.prefix, self.m)
-        if target.first(len(self.prefix)) != tuple(self.prefix):
-            raise StrategyFault(
-                "I", f"picked branch does not extend the prefix at m={self.m}",
-                self.t)
-        self.target = target
-        self.history.append(SwitchEvent(self.t, self.m, len(self.prefix), target))
+        self.offset = len(self.prefix)
+        self.tail = self.instance.pick_y(self.view, self.m)
+        self.history.append(SwitchEvent(self.t, self.m, self.offset, self.tail))
 
     def move(self, last) -> int:
         inst = self.instance
@@ -529,20 +536,20 @@ class MeagerDenseI(StrategyI):
         else:
             v = last[0] if isinstance(last, tuple) else last
             threshold = inst.r - half_pow(self.m)
-            if threshold < v and inst.s_disjoint(self.prefix, self.m):
+            if threshold < v and inst.s_disjoint(self.view, self.m):
                 self.m += 1
                 self.switches += 1
                 self._retarget()
-        letter = self.target.letter_at(len(self.prefix))
-        self.prefix = self.prefix + (letter,)
+        letter = self.tail.letter_at(len(self.prefix) - self.offset)
+        self.prefix.append(letter)
         self.t += 1
         return letter
 
     def state_key(self):
-        pos = len(self.prefix)
         digest = self.instance.prefix_digest
-        dig = self.prefix if digest is None else digest(self.prefix, self.m)
-        tkey = None if self.target is None else self.target.suffix_key(pos)
+        dig = tuple(self.prefix) if digest is None else digest(self.view, self.m)
+        tkey = None if self.tail is None else \
+            self.tail.suffix_key(len(self.prefix) - self.offset)
         return (self.m, tkey, dig)
 
     def counters(self) -> Dict[str, int]:
@@ -558,27 +565,28 @@ class OscillationInstance:
     """Inputs for the two-sided attack on a set whose closure keeps both a
     value-sup and a value-inf witness above every node.
 
-    pick_high(s) / pick_low(s) extend s to branches with payoff sup_f and
-    inf_f; both must append prefix-independent tails so the strategy's
-    state stays finite.
+    pick_high(s) / pick_low(s) return only the continuation after s (the
+    branch of letters from position len(s) on) that makes s followed by it
+    a branch with payoff sup_f, respectively inf_f.  Both must draw their
+    tails from a finite set so the strategy's state stays finite.
     """
 
     tree: TreeSpec
     sup_f: Dyadic
     inf_f: Dyadic
     epsilon: Dyadic
-    pick_high: Callable[[Prefix], EventuallyPeriodicBranch]
-    pick_low: Callable[[Prefix], EventuallyPeriodicBranch]
+    pick_high: Callable[[Sequence[int]], EventuallyPeriodicBranch]
+    pick_low: Callable[[Sequence[int]], EventuallyPeriodicBranch]
     payoff: object
     label: str = "oscillation"
 
 
 def indicator_oscillation_instance() -> OscillationInstance:
-    def pick_high(s: Prefix) -> EventuallyPeriodicBranch:
-        return EventuallyPeriodicBranch(tuple(s), (0,))
+    def pick_high(s: Sequence[int]) -> EventuallyPeriodicBranch:
+        return EventuallyPeriodicBranch((), (0,))
 
-    def pick_low(s: Prefix) -> EventuallyPeriodicBranch:
-        return EventuallyPeriodicBranch(tuple(s), (0, 1))
+    def pick_low(s: Sequence[int]) -> EventuallyPeriodicBranch:
+        return EventuallyPeriodicBranch((), (0, 1))
 
     return OscillationInstance(binary_tree(), Dyadic(1), Dyadic(0),
                                Dyadic(1, 3), pick_high, pick_low,
@@ -590,9 +598,10 @@ class OscillationI(StrategyI):
     until the first coordinate crowds sup_f, then a payoff-inf branch until
     the second coordinate crowds inf_f, and repeat.
 
-    Retargets extend the current prefix, so the strategy's future depends
-    only on the phase parity and the target's tail pattern: the state key
-    space is finite even though the phase counter is not.
+    A target is the current prefix followed by the picked tail, so it
+    extends the prefix by construction, and the strategy's future depends
+    only on the phase parity and the tail's remaining letters: the state
+    key space is finite even though the phase counter is not.
     """
 
     finite_state = True
@@ -603,20 +612,18 @@ class OscillationI(StrategyI):
 
     def reset(self) -> None:
         self.phase = 0
-        self.prefix: Prefix = ()
-        self.target: Optional[EventuallyPeriodicBranch] = None
+        self.prefix: List[int] = []
+        self.view = PrefixView(self.prefix)
+        self.offset = 0
+        self.tail: Optional[EventuallyPeriodicBranch] = None
         self.t = 0
         self.trigger_rounds: List[int] = []
 
     def _retarget(self) -> None:
         inst = self.instance
         pick = inst.pick_high if self.phase % 2 == 0 else inst.pick_low
-        target = pick(self.prefix)
-        if target.first(len(self.prefix)) != tuple(self.prefix):
-            raise StrategyFault(
-                "I", f"picked branch does not extend the prefix in phase {self.phase}",
-                self.t)
-        self.target = target
+        self.offset = len(self.prefix)
+        self.tail = pick(self.view)
 
     def _triggered(self, last) -> bool:
         if not isinstance(last, tuple):
@@ -637,14 +644,14 @@ class OscillationI(StrategyI):
             self.phase += 1
             self.trigger_rounds.append(self.t)
             self._retarget()
-        letter = self.target.letter_at(len(self.prefix))
-        self.prefix = self.prefix + (letter,)
+        letter = self.tail.letter_at(len(self.prefix) - self.offset)
+        self.prefix.append(letter)
         self.t += 1
         return letter
 
     def state_key(self):
-        tkey = None if self.target is None else \
-            self.target.suffix_key(len(self.prefix))
+        tkey = None if self.tail is None else \
+            self.tail.suffix_key(len(self.prefix) - self.offset)
         return (self.phase % 2, tkey)
 
     def counters(self) -> Dict[str, int]:

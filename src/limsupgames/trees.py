@@ -7,8 +7,8 @@ exactly are the eventually periodic ones, stored as stem + repeating cycle.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
 
 Letter = int
 Prefix = tuple  # tuple[int, ...]
@@ -47,6 +47,29 @@ def parse_prefix(text: str) -> Prefix:
     return tuple(out)
 
 
+class PrefixView(Sequence):
+    """Read-only view of a letter list that its owner grows in place.
+
+    Lets a strategy hand its running prefix to callbacks each round without
+    copying it; slices come back as tuples.
+    """
+
+    __slots__ = ("_letters",)
+
+    def __init__(self, letters: list):
+        self._letters = letters
+
+    def __len__(self) -> int:
+        return len(self._letters)
+
+    def __getitem__(self, i):
+        got = self._letters[i]
+        return tuple(got) if isinstance(i, slice) else got
+
+    def __iter__(self):
+        return iter(self._letters)
+
+
 @dataclass(frozen=True)
 class TreeSpec:
     """A pruned tree given by a membership test and a child witness.
@@ -64,6 +87,19 @@ class TreeSpec:
     alphabet: "tuple[int, ...] | None" = None
     all_naturals: bool = False
     name: str = "custom"
+
+    def admits(self, prefix: Sequence[int], letter: Letter) -> bool:
+        """Whether prefix + (letter,) is a node, given that prefix is one.
+
+        Full trees answer from the letter alone, so growing a branch costs
+        O(1) per letter there; any other tree asks `contains` about the
+        whole extended prefix.
+        """
+        if self.alphabet is not None:
+            return letter in self.alphabet
+        if self.all_naturals:
+            return isinstance(letter, int) and letter >= 0
+        return self.contains(tuple(prefix) + (letter,))
 
 
 def full_tree(letters: Iterable[int]) -> TreeSpec:
@@ -170,9 +206,10 @@ def checked_branch(tree: TreeSpec, stem: Sequence[int], cycle: Sequence[int],
     x = EventuallyPeriodicBranch(tuple(stem), tuple(cycle))
     if depth is None:
         depth = len(x.stem) + 2 * len(x.cycle)
-    p: Prefix = ()
+    p = []
     for t in range(depth):
-        p = p + (x.letter_at(t),)
-        if not tree.contains(p):
-            raise IllegalBranchError(p)
+        a = x.letter_at(t)
+        if not tree.admits(p, a):
+            raise IllegalBranchError(tuple(p) + (a,))
+        p.append(a)
     return x

@@ -1,13 +1,16 @@
 """Game loop semantics: rounds, faults, lassos, trace certificates."""
 
+import time
+
 import pytest
 
-from limsupgames.corpus import automaton_corpus, rng_stream
+from limsupgames.cli import _random_letter_fsm
+from limsupgames.corpus import automaton_corpus, random_automaton, rng_stream
 from limsupgames.dyadic import Dyadic, as_dyadic
-from limsupgames.games import (CertificateMismatchError, FiniteValueSet,
-                                Outcome, RunTrace, check_win, exact_verdict,
-                                finite_value_set, gamma, gamma_prime,
-                                gamma_restricted, play)
+from limsupgames.games import (MAX_TRACE_ROUNDS, CertificateMismatchError,
+                                FiniteValueSet, Outcome, RunTrace, check_win,
+                                exact_verdict, finite_value_set, gamma,
+                                gamma_prime, gamma_restricted, play)
 from limsupgames.strategies import (ConstantII, CopycatI, LetterFSM, ValueFSM,
                                      copycat_strategy, strategy_ii_from_u,
                                      u_from_strategy_ii)
@@ -195,3 +198,21 @@ def test_kind_validation():
     assert gamma_restricted(R).restriction is R
     assert not gamma(binary_tree()).uses_pairs
     assert gamma_prime(binary_tree()).uses_pairs
+
+
+# a million binary-tree rounds take about 6 s on a 2-core host; a round
+# that grew with the prefix would take hours
+MILLION_ROUND_BUDGET_S = 60.0
+
+
+def test_play_reaches_the_round_cap_in_linear_time():
+    u = random_automaton(rng_stream(5, "million"), 3, 2, 2)
+    sI = _random_letter_fsm(3, [Dyadic(-1, 1), Dyadic(1, 2)], 24)
+    t0 = time.perf_counter()
+    tr = play(BIN, sI, strategy_ii_from_u(u), MAX_TRACE_ROUNDS)
+    elapsed = time.perf_counter() - t0
+    assert len(tr.rows) == MAX_TRACE_ROUNDS == 10 ** 6
+    assert tr.fault is None and tr.lasso == (2, 4)
+    # check_win re-checks that the rows repeat from the lasso start on
+    assert check_win(tr, u).outcome is Outcome.WIN_II
+    assert elapsed < MILLION_ROUND_BUDGET_S, f"{elapsed:.1f} s"

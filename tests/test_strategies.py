@@ -1,9 +1,14 @@
 """Strategy zoo: copycats, spiral enumeration, lifting, relabeling, and the
 two attack strategies, each against hand-checked traces."""
 
+import copy
+import random
+
 import pytest
 
-from limsupgames.corpus import baire_pair_fixtures, branch_corpus, certify_pair
+from limsupgames.corpus import (automaton_corpus, baire_pair_fixtures,
+                                branch_corpus, certify_pair, letter_fsm_corpus,
+                                pair_fsm_corpus, value_fsm_corpus)
 from limsupgames.dyadic import Dyadic, half_pow
 from limsupgames.games import (FiniteValueSet, Outcome, StrategyFault,
                                 check_win, exact_verdict, finite_value_set,
@@ -225,3 +230,99 @@ def test_pair_responder_announces_two_sided_certificates():
     assert all(r.value == r.covalue for r in tr.rows)
     v = check_win(tr, fx.u_f)
     assert v.outcome is Outcome.WIN_II
+
+
+# --- state keys decide the future ---------------------------------------
+#
+# Exact verdicts trust a finite_state strategy's state_key: two copies that
+# report equal keys must move alike on equal inputs from then on.
+
+
+def _equal_key_copies(make, inputs, opening, seed, runs=30, length=24,
+                      limit=40):
+    """Pairs of fresh copies driven by random inputs of different lengths
+    to equal state keys."""
+    rng = random.Random(seed)
+    first = {}
+    found = []
+    for _ in range(runs):
+        stream = opening + [rng.choice(inputs) for _ in range(length)]
+        s = make()
+        for i, x in enumerate(stream, 1):
+            s.move(x)
+            p = first.setdefault(s.state_key(), stream[:i])
+            if len(p) != i and len(found) < limit:
+                found.append((p, stream[:i]))
+    pairs = []
+    for p, q in found:
+        a, b = make(), make()
+        for x in p:
+            a.move(x)
+        for x in q:
+            b.move(x)
+        assert a.state_key() == b.state_key()
+        pairs.append((a, b))
+    return pairs
+
+
+def _assert_same_future(a, b, inputs, rng, rounds=50):
+    for _ in range(rounds):
+        x = rng.choice(inputs)
+        assert a.move(x) == b.move(x)
+        assert a.state_key() == b.state_key()
+
+
+def _fresh(proto):
+    def make():
+        s = copy.deepcopy(proto)
+        s.reset()
+        return s
+    return make
+
+
+PAIR_INPUTS = [(Dyadic(1), Dyadic(0)), (Dyadic(1), Dyadic(1)),
+               (Dyadic(0), Dyadic(0)), (Dyadic(0), Dyadic(1)),
+               (Dyadic(1, 1), Dyadic(1, 1))]
+QUARTERS = [Dyadic(k, 2) for k in range(-9, 10)]
+
+
+def test_oscillation_state_key_decides_the_future():
+    pairs = _equal_key_copies(
+        lambda: strategy_i_oscillation(indicator_oscillation_instance()),
+        PAIR_INPUTS, [None], seed=5)
+    # equal keys met at different rounds, in different phases, and at
+    # different positions inside the current tail
+    assert any(a.phase != b.phase for a, b in pairs)
+    assert any(a.t - a.offset != b.t - b.offset for a, b in pairs)
+    rng = random.Random(6)
+    for a, b in pairs:
+        _assert_same_future(a, b, PAIR_INPUTS, rng)
+
+
+def _responders(seed):
+    us = automaton_corpus(seed, 8, max_states=4)
+    return [strategy_ii_from_u(u) for u in us]
+
+
+def _pair_responders(seed):
+    us = automaton_corpus(seed, 8, max_states=3)
+    return [pair_strategies(strategy_ii_from_u(f), strategy_ii_from_u(g))
+            for f, g in zip(us[::2], us[1::2])]
+
+
+@pytest.mark.parametrize("protos, inputs, opening", [
+    (letter_fsm_corpus(7, 8, max_states=4), QUARTERS, [None]),
+    (value_fsm_corpus(7, 6, max_states=4) + pair_fsm_corpus(7, 3),
+     [0, 1, 2], []),
+    (_responders(7), [0, 1], []),
+    (_pair_responders(7), [0, 1], []),
+], ids=["LetterFSM", "ValueFSM", "AutomatonResponder", "PairResponder"])
+def test_finite_state_keys_decide_the_future(protos, inputs, opening):
+    rng = random.Random(8)
+    checked = 0
+    for i, proto in enumerate(protos):
+        assert proto.finite_state
+        for a, b in _equal_key_copies(_fresh(proto), inputs, opening, seed=i):
+            _assert_same_future(a, b, inputs, rng)
+            checked += 1
+    assert checked >= 10 * len(protos)

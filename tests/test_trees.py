@@ -1,12 +1,20 @@
 """Prefix helpers, tree membership, eventually periodic branches."""
 
-import pytest
+import dataclasses
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from limsupgames.dyadic import Dyadic
+from limsupgames.games import gamma, play
+from limsupgames.strategies import ConstantII, LetterFSM
 from limsupgames.trees import (EMPTY_PREFIX, EventuallyPeriodicBranch,
-                               IllegalBranchError, binary_tree, checked_branch,
-                               format_prefix, full_tree, is_proper_prefix,
-                               nat_tree, parse_branch, parse_prefix,
-                               prefix_extend, prefix_parent)
+                               IllegalBranchError, PrefixView, TreeSpec,
+                               binary_tree, checked_branch, format_prefix,
+                               full_tree, is_proper_prefix, nat_tree,
+                               parse_branch, parse_prefix, prefix_extend,
+                               prefix_parent)
 
 
 def test_prefix_helpers():
@@ -85,3 +93,71 @@ def test_checked_branch():
         checked_branch(b, (0, 2), (1,))
     with pytest.raises(IllegalBranchError):
         checked_branch(b, (), (3,))
+
+
+# --- one-letter membership steps ------------------------------------------
+
+
+@given(st.sets(st.integers(0, 20), min_size=1, max_size=5), st.data())
+def test_admits_matches_contains_on_full_trees(alphabet, data):
+    tree = full_tree(alphabet)
+    p = data.draw(st.lists(st.sampled_from(sorted(alphabet)), max_size=8))
+    a = data.draw(st.integers(-2, 22))
+    want = tree.contains(tuple(p) + (a,))
+    assert tree.admits(p, a) == want
+    assert tree.admits(tuple(p), a) == want
+
+
+@given(st.lists(st.integers(0, 10 ** 6), max_size=8),
+       st.one_of(st.integers(-5, 10 ** 6), st.just("1"), st.just(1.0)))
+def test_admits_matches_contains_on_the_nat_tree(p, a):
+    tree = nat_tree()
+    assert tree.admits(p, a) == tree.contains(tuple(p) + (a,))
+
+
+def _no_double_one(s):
+    return all(a in (0, 1) for a in s) and \
+        all(not (x == 1 and y == 1) for x, y in zip(s, s[1:]))
+
+
+# the binary tree without two consecutive ones: neither alphabet nor
+# all_naturals is set, so admits has to ask contains
+FIBONACCI = TreeSpec(contains=_no_double_one, child_witness=lambda s: 0,
+                     name="no-11")
+
+
+@given(st.lists(st.integers(0, 1), max_size=10), st.integers(0, 2))
+def test_admits_matches_contains_on_a_custom_tree(raw, a):
+    p = []
+    for b in raw:
+        p.append(0 if p and p[-1] == 1 else b)
+    assert FIBONACCI.contains(tuple(p))
+    assert FIBONACCI.admits(p, a) == FIBONACCI.contains(tuple(p) + (a,))
+
+
+def _refuse(s):
+    raise AssertionError(f"contains asked about a prefix of length {len(s)}")
+
+
+def test_play_on_a_full_tree_never_calls_contains():
+    tree = dataclasses.replace(binary_tree(), contains=_refuse)
+    alternate = LetterFSM([0, 1], [[1, 1], [0, 0]])
+    tr = play(gamma(tree), alternate, ConstantII(Dyadic(0)), 1000)
+    assert tr.fault is None and len(tr.rows) == 1000
+    assert tr.letters()[:4] == (1, 0, 1, 0)
+    tr = play(gamma(tree), LetterFSM([2], [[0, 0]]), ConstantII(Dyadic(0)), 10)
+    assert tr.fault is not None and tr.fault.blame == "I"
+    checked_branch(tree, (0, 1), (1, 0))
+    with pytest.raises(IllegalBranchError) as err:
+        checked_branch(tree, (0, 1), (2,))
+    assert err.value.prefix == (0, 1, 2)
+
+
+def test_prefix_view_reads_through_and_stays_read_only():
+    letters = [0, 1]
+    view = PrefixView(letters)
+    letters.append(1)
+    assert len(view) == 3 and view[-1] == 1 and list(view) == [0, 1, 1]
+    assert view[1:] == (1, 1)
+    with pytest.raises(TypeError):
+        view[0] = 1
