@@ -19,7 +19,7 @@ from .automata import NodeAutomaton, lasso_summary
 from .construction import (ConstructionState, algebra, branch_limsup,
                            minimize_labeling, verify_construction)
 from .corpus import branch_corpus, rng_stream
-from .dyadic import as_dyadic
+from .dyadic import Dyadic, as_dyadic
 from .families import discretize, family_from_automaton
 from .games import (MAX_TRACE_ROUNDS, GameKind, StrategyI, StrategyII,
                     exact_verdict, finite_value_set, gamma, gamma_prime,
@@ -37,6 +37,19 @@ from .trees import (EventuallyPeriodicBranch, TreeSpec, binary_tree, nat_tree,
 
 class ConfigError(ValueError):
     """Configuration or contract violation; maps to exit code 2."""
+
+
+def _dyadic(v, what: str) -> Dyadic:
+    try:
+        return as_dyadic(v)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{what}: {e}") from None
+
+
+def _dyadics(values, what: str) -> list:
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{what} must be a list of dyadic values")
+    return [_dyadic(v, what) for v in values]
 
 
 # ---------------------------------------------------------------------------
@@ -79,9 +92,12 @@ class ExperimentConfig:
         if (self.game == "gamma_restricted") != (self.restriction is not None):
             raise ConfigError("restriction goes with gamma_restricted, only")
         if self.restriction is not None:
+            _dyadics(self.restriction, "restriction")
             object.__setattr__(self, "restriction", tuple(self.restriction))
-            for v in self.restriction:
-                as_dyadic(v)
+        for name in ("payoff", "pipeline"):
+            val = getattr(self, name)
+            if val is not None and not isinstance(val, dict):
+                raise ConfigError(f"{name} must be a JSON object")
         for name in ("horizon", "cap", "seed"):
             val = getattr(self, name)
             if not isinstance(val, int) or val < 0:
@@ -124,10 +140,7 @@ class ExperimentConfig:
         unknown = sorted(set(data) - known)
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        kwargs = dict(data)
-        if kwargs.get("restriction") is not None:
-            kwargs["restriction"] = tuple(kwargs["restriction"])
-        return cls(**kwargs)
+        return cls(**data)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -167,7 +180,7 @@ def resolve_kind(cfg: ExperimentConfig) -> GameKind:
     if cfg.game == "gamma_prime":
         return gamma_prime(tree)
     return gamma_restricted(
-        finite_value_set([as_dyadic(v) for v in cfg.restriction]), tree)
+        finite_value_set(_dyadics(cfg.restriction, "restriction")), tree)
 
 
 def resolve_automaton(src: dict) -> NodeAutomaton:
@@ -210,7 +223,7 @@ def build_payoff(src: Optional[dict], tree: TreeSpec):
 
 def _random_letter_fsm(states: int, values, seed: int) -> LetterFSM:
     rng = rng_stream(seed, "random-fsm")
-    thresholds = [as_dyadic(v) for v in values]
+    thresholds = list(values)
     width = len(thresholds) + 2
     emits = [rng.randrange(2) for _ in range(states)]
     trans = [[rng.randrange(states) for _ in range(width)]
@@ -221,7 +234,7 @@ def _random_letter_fsm(states: int, values, seed: int) -> LetterFSM:
 def _random_value_fsm(states: int, values, seed: int,
                       pairs: bool) -> ValueFSM:
     rng = rng_stream(seed, "random-fsm")
-    pool = [as_dyadic(v) for v in values]
+    pool = list(values)
     if not pool:
         raise ConfigError("random_fsm needs a nonempty value list")
     trans = [[rng.randrange(states) for _ in range(2)] for _ in range(states)]
@@ -242,11 +255,11 @@ def _fsm_params(desc: dict):
         ) from None
     if states < 1:
         raise ConfigError("random_fsm needs at least one state")
-    return states, values, seed
+    return states, _dyadics(values, "random_fsm values"), seed
 
 
 def build_strategy_i(desc: Optional[dict], cfg: ExperimentConfig) -> StrategyI:
-    if not desc or "kind" not in desc:
+    if not isinstance(desc, dict) or "kind" not in desc:
         raise ConfigError("player_i needs a strategy descriptor with a 'kind'")
     kind = desc["kind"]
     if kind == "copycat":
@@ -262,12 +275,15 @@ def build_strategy_i(desc: Optional[dict], cfg: ExperimentConfig) -> StrategyI:
             raise ConfigError("lift needs 'base' and 'restriction'")
         base = build_strategy_i(desc["base"], cfg)
         return lift_strategy(
-            base, finite_value_set([as_dyadic(v) for v in desc["restriction"]]))
+            base, finite_value_set(_dyadics(desc["restriction"], "lift restriction")))
     if kind == "relabel":
         if "base" not in desc or "mapping" not in desc:
             raise ConfigError("relabel needs 'base' and 'mapping'")
         base = build_strategy_i(desc["base"], cfg)
-        mapping = {as_dyadic(k): as_dyadic(v) for k, v in desc["mapping"].items()}
+        if not isinstance(desc["mapping"], dict):
+            raise ConfigError("relabel mapping must be an object")
+        mapping = {_dyadic(k, "relabel mapping"): _dyadic(v, "relabel mapping")
+                   for k, v in desc["mapping"].items()}
         try:
             return relabel_strategy(base, mapping)
         except ValueError as e:
@@ -278,7 +294,7 @@ def build_strategy_i(desc: Optional[dict], cfg: ExperimentConfig) -> StrategyI:
 
 
 def build_strategy_ii(desc: Optional[dict], cfg: ExperimentConfig) -> StrategyII:
-    if not desc or "kind" not in desc:
+    if not isinstance(desc, dict) or "kind" not in desc:
         raise ConfigError("player_ii needs a strategy descriptor with a 'kind'")
     kind = desc["kind"]
     if kind == "from_u":
@@ -287,8 +303,8 @@ def build_strategy_ii(desc: Optional[dict], cfg: ExperimentConfig) -> StrategyII
         if "value" not in desc:
             raise ConfigError("constant needs a 'value'")
         cov = desc.get("covalue")
-        return ConstantII(as_dyadic(desc["value"]),
-                          None if cov is None else as_dyadic(cov))
+        return ConstantII(_dyadic(desc["value"], "constant value"),
+                          None if cov is None else _dyadic(cov, "constant covalue"))
     if kind == "pair":
         if "f" not in desc or "g" not in desc:
             raise ConfigError("pair needs 'f' and 'g' descriptors")
@@ -404,6 +420,8 @@ def build_pipeline(pipe: dict, tree: TreeSpec):
             raise ConfigError(str(e)) from None
         return af.family, af.state, af.expected_on
     stages = pipe.get("stages") or []
+    if not isinstance(stages, list):
+        raise ConfigError("pipeline stages must be a list")
     if not stages:
         raise ConfigError("empty pipeline: declare 'stages' or an algebra 'op'")
     unknown = [s for s in stages if s not in _STAGES]
@@ -435,6 +453,9 @@ def _declared_corpus(pipe: dict, tree: TreeSpec):
         except (KeyError, TypeError, ValueError):
             raise ConfigError(
                 "branch_corpus needs integer max_stem and max_cycle") from None
+        if ms < 0 or mc < 1:
+            raise ConfigError("branch_corpus needs max_stem >= 0 and "
+                              "max_cycle >= 1 (else the corpus is empty)")
         alphabet = tree.alphabet if tree.alphabet is not None else (0, 1)
         return branch_corpus(ms, mc, alphabet)
     # default: every stem to depth 3 with each single-letter cycle

@@ -6,12 +6,16 @@ caught between the parent's and the child's infimum at some level (the
 per-level part); empty threshold sets fall back to -length.  The limsup of
 the constructed labels along any branch recovers the family's limit
 function, which verify_construction checks exactly on eventually periodic
-branches.  The sum/min/max algebra runs the same construction over joint
+branches.  Kernel-backed families get the same labels from segment_label,
+which reads a few staircase segments instead of every level; construct_u
+stays the path for kernel-less families and the reference it is tested
+against.  The sum/min/max algebra runs the same construction over joint
 kernels.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -19,7 +23,7 @@ from .automata import NodeAutomaton, eval_limsup, make_automaton
 from .dyadic import Dyadic, ExtValue, NEG_INF
 from .families import GridLscFamily, discretize, family_from_kernel
 from .graphs import StabilizationCapError, first_repeat, periodic_start
-from .kernels import ProductKernel, SuffixMaxStairs
+from .kernels import ProductKernel, stair_vector, stairs_append
 from .trees import EventuallyPeriodicBranch, Prefix, TreeSpec, binary_tree
 
 ALGEBRA_OPS = ("sum", "min", "max")
@@ -76,19 +80,95 @@ def construct_u(fam: GridLscFamily, s: Prefix) -> Dyadic:
     return best.require_finite()
 
 
+def segment_label(ker: ProductKernel, discretized: bool, L: int,
+                  J: tuple, J_prev: tuple, cur_snap: tuple,
+                  prev_snap: tuple) -> Tuple[Dyadic, int]:
+    """(label, scan bound) of a prefix of length L >= 1 of a kernel family.
+
+    J and cur_snap are the joint state and output staircase after the
+    prefix, J_prev and prev_snap after its parent.  Level n at a prefix is
+    a stair value below its length and a tail value past it; below L - 1
+    both the prefix's and the parent's levels only change where a staircase
+    segment starts, so only the segment starts are read there.  Levels past
+    the grid exponent need no rounding.  The scan bound equals scan_bound,
+    and like construct_u this raises AssertionError when a level read
+    exceeds the level read before it.
+    """
+    E = ker.grid_exponent
+    M = max(L + ker.tail_entry(J), L - 1 + ker.tail_entry(J_prev))
+    lo = 0
+    if discretized:
+        M = max(M, E)
+        lo = E
+    if L - 2 < lo:
+        levels = range(M + 1)
+    else:
+        starts = {lo}
+        for snap in (cur_snap, prev_snap):
+            for segs in snap:
+                for start, _v in segs:
+                    if lo < start <= L - 2:
+                        starts.add(start)
+        levels = itertools.chain(range(lo), sorted(starts), range(L - 1, M + 1))
+    best = ker.tail_limit(J)
+    last = None
+    for n in levels:
+        a = ker.value(J, stair_vector(cur_snap, n)) if n < L \
+            else ker.tail_value(J, n - L)
+        p = ker.value(J_prev, stair_vector(prev_snap, n)) if n < L - 1 \
+            else ker.tail_value(J_prev, n - L + 1)
+        if n < lo:
+            a = a.ceil_to_grid(n)
+            p = p.ceil_to_grid(n)
+        if last is not None and last < a:
+            raise AssertionError(
+                f"levels not non-increasing at level {n} of a length-{L} prefix")
+        last = a
+        if p < a and best < a:
+            best = a
+    return best, M
+
+
 class ConstructionState:
-    """Per-prefix cache around construct_u, with audit counters."""
+    """Per-prefix label cache, with audit counters.
+
+    Kernel-backed families label each prefix with segment_label from a
+    per-prefix (joint state, staircase) memo, each entry one step past its
+    parent's; the root and kernel-less families go through construct_u.
+    """
 
     def __init__(self, fam: GridLscFamily):
         self.fam = fam
         self.cache: Dict[Prefix, Dyadic] = {}
         self.max_scan = 0
+        ker = fam.kernel
+        self._runs = None if ker is None else {(): (ker.initial, ((),) * ker.dims)}
+
+    def _run(self, s: Prefix) -> tuple:
+        k = len(s)
+        while s[:k] not in self._runs:
+            k -= 1
+        J, snap = self._runs[s[:k]]
+        ker = self.fam.kernel
+        for i in range(k, len(s)):
+            a = s[i]
+            snap = stairs_append(snap, i, ker.outputs_on(J, a))
+            J = ker.step(J, a)
+            self._runs[s[:i + 1]] = (J, snap)
+        return J, snap
 
     def u(self, s: Prefix) -> Dyadic:
         got = self.cache.get(s)
         if got is None:
-            self.max_scan = max(self.max_scan, scan_bound(self.fam, s))
-            got = construct_u(self.fam, s)
+            if self._runs is None or not s:
+                M = scan_bound(self.fam, s)
+                got = construct_u(self.fam, s)
+            else:
+                J_prev, prev_snap = self._run(s[:-1])
+                J, cur_snap = self._run(s)
+                got, M = segment_label(self.fam.kernel, self.fam.discretized,
+                                       len(s), J, J_prev, cur_snap, prev_snap)
+            self.max_scan = max(self.max_scan, M)
             self.cache[s] = got
         return got
 
@@ -102,37 +182,33 @@ class _KernelLabeler:
 
     Keeps the joint run state, the per-dimension suffix-max staircases of the
     emitted outputs, and the memoized tail tables; each label costs a few
-    segment lookups instead of a fresh level scan.  labels[k] is the label of
-    the prefix of length k+1.
+    segment lookups (segment_label) instead of a fresh level scan.
+    labels[k] is the label of the prefix of length k+1.
     """
 
     def __init__(self, fam: GridLscFamily, x: EventuallyPeriodicBranch):
         if fam.kernel is None:
             raise ValueError("kernel-backed family required")
-        self.fam = fam
         self.ker = fam.kernel
         self.x = x
         self.disc = fam.discretized
-        self.E = self.ker.grid_exponent
-        self.stairs = SuffixMaxStairs(self.ker.dims)
         self.J = self.ker.initial
-        self.J_prev = None
-        self.cur_snap = self.stairs.snapshot()
-        self.prev_snap = None
+        self.cur_snap = ((),) * self.ker.dims
         self.L = 0
         self.labels: List[Dyadic] = []
         self.max_scan = 0
 
     def step(self) -> None:
         a = self.x.letter_at(self.L)
-        outs = self.ker.outputs_on(self.J, a)
-        self.J_prev = self.J
-        self.prev_snap = self.cur_snap
-        self.stairs.append(outs)
-        self.cur_snap = self.stairs.snapshot()
-        self.J = self.ker.step(self.J, a)
+        J_prev, prev_snap = self.J, self.cur_snap
+        self.cur_snap = stairs_append(prev_snap, self.L,
+                                      self.ker.outputs_on(J_prev, a))
+        self.J = self.ker.step(J_prev, a)
         self.L += 1
-        self.labels.append(self._label())
+        label, M = segment_label(self.ker, self.disc, self.L, self.J, J_prev,
+                                 self.cur_snap, prev_snap)
+        self.max_scan = max(self.max_scan, M)
+        self.labels.append(label)
 
     def extend_to(self, horizon: int) -> None:
         while self.L < horizon:
@@ -152,68 +228,6 @@ class _KernelLabeler:
         except StabilizationCapError:
             raise InconclusiveLassoError("no joint state lasso within cap") from None
         return entry, len(orbit) - entry
-
-    def _stair_value(self, snap, n: int) -> Dyadic:
-        return self.ker.value(
-            self.J if snap is self.cur_snap else self.J_prev,
-            SuffixMaxStairs.vector_at(snap, n))
-
-    def _raw(self, n: int) -> Dyadic:
-        if n <= self.L - 1:
-            return self._stair_value(self.cur_snap, n)
-        return self.ker.tail_value(self.J, n - self.L)
-
-    def _praw(self, n: int) -> Dyadic:
-        if n <= self.L - 2:
-            return self._stair_value(self.prev_snap, n)
-        return self.ker.tail_value(self.J_prev, n - (self.L - 1))
-
-    def _label(self) -> Dyadic:
-        L = self.L
-        ker = self.ker
-        disc = self.disc
-        stab = max(L + ker.tail_entry(self.J),
-                   L - 1 + ker.tail_entry(self.J_prev))
-        M = max(stab, self.E) if disc else stab
-        self.max_scan = max(self.max_scan, M)
-        best = ker.tail_limit(self.J)
-        if L < self.E + 2 or L < 2:
-            for n in range(M + 1):
-                a = self._raw(n)
-                p = self._praw(n)
-                if disc:
-                    a = a.ceil_to_grid(n)
-                    p = p.ceil_to_grid(n)
-                if p < a and best < a:
-                    best = a
-            return best
-        lo = self.E if disc else 0
-        for n in range(lo):
-            a = self._raw(n).ceil_to_grid(n)
-            p = self._praw(n).ceil_to_grid(n)
-            if p < a and best < a:
-                best = a
-        bounds = {lo}
-        for snap in (self.cur_snap, self.prev_snap):
-            for dimsegs in snap:
-                for start, _v in dimsegs:
-                    if lo < start <= L - 2:
-                        bounds.add(start)
-        for b in sorted(bounds):
-            a = self._stair_value(self.cur_snap, b)
-            p = self._stair_value(self.prev_snap, b)
-            if p < a and best < a:
-                best = a
-        a = self._stair_value(self.cur_snap, L - 1)
-        p = ker.tail_value(self.J_prev, 0)
-        if p < a and best < a:
-            best = a
-        for j in range(M - L + 1):
-            a = ker.tail_value(self.J, j)
-            p = ker.tail_value(self.J_prev, j + 1)
-            if p < a and best < a:
-                best = a
-        return best
 
 
 class _OracleLabeler:

@@ -146,7 +146,7 @@ class StrategyII:
         return {}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunRow:
     t: int
     letter: int

@@ -9,15 +9,15 @@ and answers the two questions every node-infimum oracle reduces to:
                     level index contribute nothing)
 
 Both are exact: future sups are attained on lassos, so a finite threshold
-search over the declared output grids settles them.  SuffixMaxStairs keeps
+search over the declared output grids settles them.  stairs_append keeps
 the prefix-determined parts (suffix maxima of emitted outputs) in segment
-form for the incremental labeler.
+form for the incremental labelers.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from .automata import allowed_classes, minmax_value
 from .dyadic import Dyadic, ExtValue, NEG_INF, ext_max
@@ -178,45 +178,39 @@ class ProductKernel:
         return self.tail_value(J, self.tail_entry(J))
 
 
-class SuffixMaxStairs:
-    """Per-dimension suffix maxima of an output stream, kept as segments.
+def stairs_append(snap: tuple, pos: int, values: tuple) -> tuple:
+    """The staircase snapshot after the outputs `values` land at position pos.
 
-    After L appends, at(d, n) is max over positions p in [n, L-1] of the
-    d-th output at p.  Segments (start_n, value) have strictly decreasing
-    values; appends are amortized O(1) via a monotone stack.
+    A snapshot holds, per dimension, the suffix maxima of the outputs at
+    positions 0 .. pos-1 as segments (start_n, value) with strictly
+    decreasing values: the suffix max over [n, pos-1] is the value of the
+    last segment starting at or before n.  One append pops the segments the
+    new output dominates (a monotone stack) and returns a new snapshot, so
+    a parent's snapshot stays valid for all of its children.
     """
+    out = []
+    for segs, v in zip(snap, values):
+        k = len(segs)
+        start = pos
+        while k and not v < segs[k - 1][1]:
+            k -= 1
+            start = segs[k][0]
+        out.append(segs[:k] + ((start, v),))
+    return tuple(out)
 
-    def __init__(self, dims: int):
-        self.dims = dims
-        self.length = 0
-        self._segs: List[List[tuple]] = [[] for _ in range(dims)]
 
-    def append(self, values: tuple) -> None:
-        pos = self.length
-        for d in range(self.dims):
-            segs = self._segs[d]
-            v = values[d]
-            start = pos
-            while segs and not v < segs[-1][1]:
-                start = segs.pop()[0]
-            segs.append((start, v))
-        self.length += 1
+def _stair_at(segs: tuple, n: int) -> Dyadic:
+    # caller guarantees 0 <= n < the snapshot's length
+    lo, hi = 0, len(segs) - 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if segs[mid][0] <= n:
+            lo = mid
+        else:
+            hi = mid - 1
+    return segs[lo][1]
 
-    def snapshot(self) -> tuple:
-        return tuple(tuple(segs) for segs in self._segs)
 
-    @staticmethod
-    def value_at(snap_dim: tuple, n: int) -> Dyadic:
-        # caller guarantees 0 <= n < length of the snapshot
-        lo, hi = 0, len(snap_dim) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if snap_dim[mid][0] <= n:
-                lo = mid
-            else:
-                hi = mid - 1
-        return snap_dim[lo][1]
-
-    @staticmethod
-    def vector_at(snap: tuple, n: int) -> tuple:
-        return tuple(ExtValue.finite(SuffixMaxStairs.value_at(dim, n)) for dim in snap)
+def stair_vector(snap: tuple, n: int) -> tuple:
+    """Per-dimension suffix max of the outputs from position n on, as fixed parts."""
+    return tuple(ExtValue.finite(_stair_at(segs, n)) for segs in snap)

@@ -279,6 +279,67 @@ def test_construct_rejects_bad_pipelines(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("corpus", [{"max_stem": 1, "max_cycle": 0},
+                                    {"max_stem": -1, "max_cycle": 2}])
+def test_construct_rejects_empty_branch_corpus(tmp_path, capsys, corpus):
+    # an empty corpus would certify "equal on all 0 corpus branches"
+    cfg = write_config(tmp_path, pipeline={
+        "stages": ["from-automaton", "construct_u"],
+        "source": {"automaton": letter_output_automaton().to_json_dict()},
+        "branch_corpus": corpus})
+    assert entry(["construct", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+
+
+_FSM_I = {"kind": "random_fsm", "states": 1, "values": [], "seed": 9}
+_CONST_II = {"kind": "constant", "value": "1/2^1"}
+_COPYCAT = {"kind": "copycat"}
+
+
+@pytest.mark.parametrize("command, config", [
+    ("play", {"player_ii": {"kind": "constant", "value": "1/2^x"}}),
+    ("play", {"player_ii": {"kind": "constant", "value": 1.5}}),
+    ("play", {"game": "gamma_prime",
+              "player_ii": {**_CONST_II, "covalue": "zz"}}),
+    ("play", {"game": "gamma_restricted", "restriction": ["0/2^0", 0.5]}),
+    ("play", {"game": "gamma_restricted", "restriction": 5}),
+    ("play", {"player_i": {"kind": "lift", "base": _COPYCAT,
+                           "restriction": ["q"]}}),
+    ("play", {"player_i": {"kind": "relabel", "base": _COPYCAT,
+                           "mapping": {"0/2^0": 2.5}}}),
+    ("play", {"player_i": {"kind": "relabel", "base": _COPYCAT,
+                           "mapping": ["0/2^0"]}}),
+    ("play", {"player_i": {**_FSM_I, "values": ["x"]}}),
+    ("play", {"player_ii": {**_FSM_I, "values": [None]}}),
+    ("play", {"player_ii": {**_FSM_I, "values": "1/2^1"}}),
+    ("play", {"player_i": ["kind"]}),
+    ("play", {"player_i": {"kind": "lift", "base": ["kind"],
+                           "restriction": ["0/2^0"]}}),
+    ("play", {"player_ii": {"kind": "pair", "f": ["kind"], "g": _CONST_II}}),
+    ("play", {"payoff": ["kind"]}),
+    ("construct", {"pipeline": ["x"]}),
+    ("construct", {"pipeline": {"stages": "from-automaton,construct_u"}}),
+    ("construct", {"pipeline": {"stages": {"from-automaton": 1,
+                                           "construct_u": 2}}}),
+], ids=["constant-literal", "constant-float", "covalue", "restriction-float",
+        "restriction-not-list", "lift-restriction", "relabel-value",
+        "relabel-not-object", "fsm-i-values", "fsm-ii-values",
+        "fsm-values-not-list", "player-not-object", "lift-base-not-object",
+        "pair-f-not-object", "payoff-not-object", "pipeline-not-object",
+        "stages-string", "stages-object"])
+def test_malformed_config_values_exit_two(tmp_path, capsys, command, config):
+    data = {"player_i": _FSM_I, "player_ii": _CONST_II, "horizon": 10,
+            **config}
+    if "pipeline" in data and isinstance(data["pipeline"], dict):
+        data["pipeline"]["source"] = {
+            "automaton": letter_output_automaton().to_json_dict()}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert entry([command, "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 # --- suite --------------------------------------------------------------
 
 

@@ -73,12 +73,35 @@ def test_fast_labeler_matches_generic_scan():
              parse_branch("stem=0;cycle=1,1,0")]
     for u in machines:
         fam = discretize(family_from_automaton(u, TREE))
-        state = ConstructionState(fam)
         for x in walks:
             labels = branch_labels(fam, x, 24)
             # labels[k] belongs to the prefix of length k + 1
             for k, lab in enumerate(labels):
-                assert lab == state.u(x.first(k + 1)), (u, x, k)
+                assert lab == construct_u(fam, x.first(k + 1)), (u, x, k)
+
+
+def _kernel_families():
+    for u in automaton_corpus(26, 6, max_states=3, span=4, max_exp=2):
+        raw = family_from_automaton(u, TREE)
+        yield raw
+        yield discretize(raw)
+    # joint families are the ones whose labels depend on staircase
+    # segments inside the prefix
+    machines = automaton_corpus(27, 4, max_states=3, span=3, max_exp=2)
+    for u1, u2 in zip(machines[::2], machines[1::2]):
+        for op in ("sum", "min", "max"):
+            yield algebra(u1, u2, op, TREE).family
+
+
+def test_construction_state_matches_generic_scan():
+    # the per-prefix segment labels against the level scan, and the same
+    # audited scan bound
+    prefixes = prefixes_to(7)
+    for fam in _kernel_families():
+        state = ConstructionState(fam)
+        for s in prefixes:
+            assert state.u(s) == construct_u(fam, s), (fam.label, s)
+        assert state.max_scan == max(scan_bound(fam, s) for s in prefixes)
 
 
 def test_empty_threshold_set_labels_by_depth():

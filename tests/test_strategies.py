@@ -310,13 +310,37 @@ def _pair_responders(seed):
             for f, g in zip(us[::2], us[1::2])]
 
 
+EIGHTHS = [Dyadic(k, 3) for k in range(-9, 10)]
+
+
+def _lifted(seed):
+    # answers rounded into a coarser set than the inputs, so distinct
+    # inputs reach the base as the same letter
+    R = finite_value_set([Dyadic(k, 1) for k in range(-4, 5)])
+    return [lift_strategy(s, R)
+            for s in letter_fsm_corpus(seed, 4, max_states=4)]
+
+
+def _relabeled(seed):
+    # the base hears quarters while II announces eighths
+    mapping = {q: e for q, e in zip(QUARTERS, EIGHTHS)}
+    return [relabel_strategy(s, mapping)
+            for s in letter_fsm_corpus(seed, 4, max_states=4)]
+
+
 @pytest.mark.parametrize("protos, inputs, opening", [
     (letter_fsm_corpus(7, 8, max_states=4), QUARTERS, [None]),
     (value_fsm_corpus(7, 6, max_states=4) + pair_fsm_corpus(7, 3),
      [0, 1, 2], []),
     (_responders(7), [0, 1], []),
     (_pair_responders(7), [0, 1], []),
-], ids=["LetterFSM", "ValueFSM", "AutomatonResponder", "PairResponder"])
+    ([ConstantII(Dyadic(1, 1)), ConstantII(Dyadic(0), Dyadic(1))],
+     [0, 1, 2], []),
+    ([copycat_strategy()], [Dyadic(n) for n in range(4)], [None]),
+    (_lifted(9), QUARTERS, [None]),
+    (_relabeled(9), EIGHTHS, [None]),
+], ids=["LetterFSM", "ValueFSM", "AutomatonResponder", "PairResponder",
+        "ConstantII", "CopycatI", "LiftedI", "RelabeledI"])
 def test_finite_state_keys_decide_the_future(protos, inputs, opening):
     rng = random.Random(8)
     checked = 0
