@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .automata import NodeAutomaton, eval_limsup, make_automaton
-from .dyadic import Dyadic, ExtValue, NEG_INF
+from .dyadic import Dyadic, ExtValue, NEG_INF, as_ext
 from .families import GridLscFamily, discretize, family_from_kernel
 from .graphs import StabilizationCapError, first_repeat, periodic_start
 from .kernels import ProductKernel, stair_vector, stairs_append
@@ -92,7 +93,8 @@ def segment_label(ker: ProductKernel, discretized: bool, L: int,
     segment starts, so only the segment starts are read there.  Levels past
     the grid exponent need no rounding.  The scan bound equals scan_bound,
     and like construct_u this raises AssertionError when a level read
-    exceeds the level read before it.
+    exceeds the level read before it.  Levels are read as the kernel's grid
+    ints; the label becomes a Dyadic on return.
     """
     E = ker.grid_exponent
     M = max(L + ker.tail_entry(J), L - 1 + ker.tail_entry(J_prev))
@@ -118,15 +120,17 @@ def segment_label(ker: ProductKernel, discretized: bool, L: int,
         p = ker.value(J_prev, stair_vector(prev_snap, n)) if n < L - 1 \
             else ker.tail_value(J_prev, n - L + 1)
         if n < lo:
-            a = a.ceil_to_grid(n)
-            p = p.ceil_to_grid(n)
+            # round up to the 2**-n grid: n < E, so the shift is positive
+            shift = E - n
+            a = -((-a) >> shift) << shift
+            p = -((-p) >> shift) << shift
         if last is not None and last < a:
             raise AssertionError(
                 f"levels not non-increasing at level {n} of a length-{L} prefix")
         last = a
         if p < a and best < a:
             best = a
-    return best, M
+    return ker.from_grid(best), M
 
 
 class ConstructionState:
@@ -452,12 +456,27 @@ def joint_minmax(u1: NodeAutomaton, u2: NodeAutomaton, objective: str,
 
     Enumerates feasible output-threshold pairs via cycle reachability in the
     filtered product; exact because future sups are attained on lassos.
+    Fixed parts may lie off the machines' grid: they enter the kernel as
+    exact Fraction grid values, which compare and add exactly with its ints.
     """
     if objective not in ("sum", "max"):
         raise ValueError("objective must be 'sum' or 'max'")
     ker = ProductKernel([u1, u2], tree if tree is not None else binary_tree(),
                         objective)
-    return ExtValue.finite(ker.value((q1, q2), (fixed1, fixed2)))
+    E = ker.grid_exponent
+
+    def exact(f: ExtValue, floor: int):
+        f = as_ext(f)
+        if f == NEG_INF:
+            return floor
+        d = f.require_finite()
+        return Fraction(d.num << E, 1 << d.exp)
+
+    v = Fraction(ker.value((q1, q2), (exact(fixed1, ker.floor[0]),
+                                      exact(fixed2, ker.floor[1]))))
+    # the denominator is a power of two: v / 2**E is dyadic
+    return ExtValue.finite(
+        Dyadic(v.numerator, E + v.denominator.bit_length() - 1))
 
 
 def apply_op(op: str, a: Dyadic, b: Dyadic) -> Dyadic:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from functools import total_ordering
 from typing import Iterable, Union
 
-_DYADIC_RE = re.compile(r"^(-?\d+)(?:/2\^(\d+))?$")
+# ASCII digits only: \d and int() also accept other scripts' digits
+_DYADIC_RE = re.compile(r"(-?[0-9]+)(?:/2\^([0-9]+))?")
 
 
 @total_ordering
@@ -38,7 +39,7 @@ class Dyadic:
 
     @classmethod
     def parse(cls, text: str) -> "Dyadic":
-        m = _DYADIC_RE.match(text.strip())
+        m = _DYADIC_RE.fullmatch(text.strip())
         if m is None:
             raise ValueError(f"not a dyadic literal: {text!r}")
         return cls(int(m.group(1)), int(m.group(2) or 0))

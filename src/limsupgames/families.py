@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .automata import NodeAutomaton
-from .dyadic import Dyadic, ExtValue, NEG_INF
+from .dyadic import Dyadic, ExtValue
 from .kernels import ProductKernel
 from .trees import Prefix, TreeSpec, binary_tree
 
@@ -69,17 +69,16 @@ def family_from_kernel(ker: ProductKernel, label: str) -> GridLscFamily:
             if n >= len(s):
                 v = ker.tail_value(J, n - len(s))
             else:
-                fixed = tuple(
-                    ExtValue.finite(max(vec[d] for vec in outs[n:]))
-                    for d in range(ker.dims))
+                fixed = tuple(max(vec[d] for vec in outs[n:])
+                              for d in range(ker.dims))
                 v = ker.value(J, fixed)
-            got = ExtValue.finite(v)
+            got = ExtValue.finite(ker.from_grid(v))
             memo[key] = got
         return got
 
     def inf_all(s: Prefix) -> ExtValue:
         J, _ = _walk(s)
-        return ExtValue.finite(ker.tail_limit(J))
+        return ExtValue.finite(ker.from_grid(ker.tail_limit(J)))
 
     def stabilization_index(s: Prefix) -> int:
         J, _ = _walk(s)
@@ -176,20 +175,12 @@ def regularize_nonincreasing(levels: Sequence[LscLevel],
         got = memo.get(key)
         if got is None:
             ker = _kernel(n)
-            J = ker.run(s)
-            if s:
-                fixed = []
-                for u in ker.machines:
-                    q = u.initial
-                    best = None
-                    for a in s:
-                        o = u.output(q, a)
-                        q = u.step(q, a)
-                        best = o if best is None or best < o else best
-                    fixed.append(ExtValue.finite(best))
-                got = ExtValue.finite(ker.value(J, tuple(fixed)))
-            else:
-                got = ExtValue.finite(ker.value(J, (NEG_INF,) * ker.dims))
+            # per-machine max output along s; the floor at the root
+            J, fixed = ker.initial, ker.floor
+            for a in s:
+                fixed = tuple(max(f, o) for f, o in zip(fixed, ker.outputs_on(J, a)))
+                J = ker.step(J, a)
+            got = ExtValue.finite(ker.from_grid(ker.value(J, fixed)))
             memo[key] = got
         return got
 
@@ -210,16 +201,3 @@ def constant_family(c: Dyadic, tree: Optional[TreeSpec] = None) -> GridLscFamily
                          lambda s: 0, tree, grid_settle=c.exp,
                          label=f"const:{c}")
 
-
-def unbounded_drop_family(tree: Optional[TreeSpec] = None) -> GridLscFamily:
-    """Synthetic fixture: level n identically -n, so inf_all is -infinity.
-
-    Every non-root threshold interval is empty and the persistent set is
-    empty too, which drives the constructed labeling to its -length fallback
-    on every nonempty prefix.  Index 0 is a sound scan bound: levels only
-    sink as n grows, and no strict parent/child gap ever appears.
-    """
-    tree = tree if tree is not None else binary_tree()
-    return GridLscFamily(lambda n, s: ExtValue.finite(Dyadic(-n)),
-                         lambda s: NEG_INF, lambda n: 0, lambda s: 0,
-                         tree, grid_settle=0, label="drop")

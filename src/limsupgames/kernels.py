@@ -12,6 +12,13 @@ Both are exact: future sups are attained on lassos, so a finite threshold
 search over the declared output grids settles them.  stairs_append keeps
 the prefix-determined parts (suffix maxima of emitted outputs) in segment
 form for the incremental labelers.
+
+Every output of the machines lies on one grid 2**-E, E = grid_exponent, so
+the kernel works in plain ints on that grid: an int v stands for v / 2**E.
+Outputs are converted once, when the kernel is built; callers convert back
+with from_grid at the API edge, so Dyadic arithmetic never runs per label.
+An empty fixed part is the machine's least output (its floor), which no
+threshold falls below.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import itertools
 from typing import Dict, Tuple
 
 from .automata import allowed_classes, minmax_value
-from .dyadic import Dyadic, ExtValue, NEG_INF, ext_max
+from .dyadic import Dyadic
 from .graphs import cycle_reachable, first_repeat
 from .trees import TreeSpec
 
@@ -48,6 +55,7 @@ class ProductKernel:
     mode "max"/"sum" couple the machines through one shared branch (joint
     reachability); mode "min" is separable, each machine minimizing over its
     own branch.  A single machine behaves identically under every mode.
+    Values in and out are ints on the 2**-grid_exponent grid.
     """
 
     def __init__(self, machines, tree: TreeSpec, mode: str = "max"):
@@ -66,58 +74,66 @@ class ProductKernel:
         self._ground = 1
         for u in self.machines:
             self._ground *= u.num_states
-        self._mm: Dict[Tuple[int, int], Dyadic] = {}
+        self._mm: Dict[Tuple[int, int], int] = {}
         self._value: Dict = {}
         self._tails: Dict = {}
         self._mtails: Dict = {}
-        self._outs = tuple(
-            tuple(sorted({u.output(q, a) for q in range(u.num_states) for a in self.reps}))
+        # per machine, state and letter class: the output as a grid int
+        self._tables = tuple(
+            tuple(tuple(self.to_grid(o) for o in row) for row in u.outputs)
             for u in self.machines)
+        self.floor = tuple(min(min(row) for row in tab) for tab in self._tables)
+        self._outs = tuple(
+            tuple(sorted({tab[q][u.letter_class(a)]
+                          for q in range(u.num_states) for a in self.reps}))
+            for u, tab in zip(self.machines, self._tables))
+
+    def to_grid(self, d: Dyadic) -> int:
+        """d as an int on the kernel's grid; a value off the grid raises."""
+        shift = self.grid_exponent - d.exp
+        if shift < 0:
+            raise ValueError(f"{d} is off the 2^-{self.grid_exponent} grid")
+        return d.num << shift
+
+    def from_grid(self, v: int) -> Dyadic:
+        return Dyadic(v, self.grid_exponent)
 
     def step(self, J: tuple, a: int) -> tuple:
         return tuple(u.step(q, a) for u, q in zip(self.machines, J))
 
     def outputs_on(self, J: tuple, a: int) -> tuple:
-        return tuple(u.output(q, a) for u, q in zip(self.machines, J))
+        return tuple(tab[q][u.letter_class(a)]
+                     for u, tab, q in zip(self.machines, self._tables, J))
 
-    def run(self, s) -> tuple:
-        J = self.initial
-        for a in s:
-            J = self.step(J, a)
-        return J
-
-    def _minmax(self, i: int, q: int) -> Dyadic:
+    def _minmax(self, i: int, q: int) -> int:
         key = (i, q)
         if key not in self._mm:
             u = self.machines[i]
             v = minmax_value(u, q, allowed_classes(u, self.tree))
-            self._mm[key] = v.require_finite()
+            self._mm[key] = self.to_grid(v.require_finite())
         return self._mm[key]
 
-    def _combine(self, fixed: tuple, thresh: tuple) -> Dyadic:
-        parts = [ext_max([f, ExtValue.finite(a)]).require_finite()
-                 for f, a in zip(fixed, thresh)]
-        if self.mode == "sum":
-            total = parts[0]
-            for p in parts[1:]:
-                total = total + p
-            return total
-        return max(parts)
+    def _combine(self, fixed: tuple, thresh: tuple):
+        parts = [f if t < f else t for f, t in zip(fixed, thresh)]
+        return sum(parts) if self.mode == "sum" else max(parts)
 
     def _feasible(self, start: tuple, thresh: tuple) -> bool:
         def succ(J):
             return [self.step(J, a) for a in self.reps
-                    if all(not t < o for o, t in zip(self.outputs_on(J, a), thresh))]
+                    if all(o <= t for o, t in zip(self.outputs_on(J, a), thresh))]
         return cycle_reachable(succ, start)
 
-    def value(self, J: tuple, fixed: tuple) -> Dyadic:
-        """min over continuations from J of the objective; fixed parts folded in."""
+    def value(self, J: tuple, fixed: tuple):
+        """min over continuations from J of the objective; fixed parts folded in.
+
+        Fixed parts are grid values (ints, or exact Fractions for parts off
+        the grid); the floor stands for an empty part.
+        """
         if self.mode == "min":
-            return min(
-                ext_max([f, ExtValue.finite(self._minmax(i, q))]).require_finite()
-                for i, (f, q) in enumerate(zip(fixed, J)))
+            return min(max(f, self._minmax(i, q))
+                       for i, (f, q) in enumerate(zip(fixed, J)))
         if self.dims == 1:
-            return ext_max([fixed[0], ExtValue.finite(self._minmax(0, J[0]))]).require_finite()
+            return max(fixed[0], self._minmax(0, J[0]))
         key = (J, fixed)
         got = self._value.get(key)
         if got is None:
@@ -151,8 +167,7 @@ class ProductKernel:
     def _joint_tail(self, J: tuple) -> Tuple[tuple, int]:
         got = self._tails.get(J)
         if got is None:
-            neg = (NEG_INF,) * self.dims
-            got = self._reach_tail(J, self.step, lambda P: self.value(P, neg),
+            got = self._reach_tail(J, self.step, lambda P: self.value(P, self.floor),
                                    2 ** self._ground)
             self._tails[J] = got
         return got
@@ -162,7 +177,7 @@ class ProductKernel:
             return max(self._machine_tail(i, q)[1] for i, q in enumerate(J))
         return self._joint_tail(J)[1]
 
-    def tail_value(self, J: tuple, j: int) -> Dyadic:
+    def tail_value(self, J: tuple, j: int) -> int:
         """min over continuations with the first j steps unscored; constant past tail_entry."""
         if self.mode == "min" and self.dims > 1:
             return min(self._tail_pick(*self._machine_tail(i, q), j)
@@ -171,10 +186,10 @@ class ProductKernel:
         return self._tail_pick(vals, entry, j)
 
     @staticmethod
-    def _tail_pick(vals: tuple, entry: int, j: int) -> Dyadic:
+    def _tail_pick(vals: tuple, entry: int, j: int) -> int:
         return vals[j] if j <= entry else vals[entry]
 
-    def tail_limit(self, J: tuple) -> Dyadic:
+    def tail_limit(self, J: tuple) -> int:
         return self.tail_value(J, self.tail_entry(J))
 
 
@@ -199,7 +214,7 @@ def stairs_append(snap: tuple, pos: int, values: tuple) -> tuple:
     return tuple(out)
 
 
-def _stair_at(segs: tuple, n: int) -> Dyadic:
+def _stair_at(segs: tuple, n: int) -> int:
     # caller guarantees 0 <= n < the snapshot's length
     lo, hi = 0, len(segs) - 1
     while lo < hi:
@@ -213,4 +228,4 @@ def _stair_at(segs: tuple, n: int) -> Dyadic:
 
 def stair_vector(snap: tuple, n: int) -> tuple:
     """Per-dimension suffix max of the outputs from position n on, as fixed parts."""
-    return tuple(ExtValue.finite(_stair_at(segs, n)) for segs in snap)
+    return tuple(_stair_at(segs, n) for segs in snap)

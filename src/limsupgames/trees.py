@@ -7,6 +7,7 @@ exactly are the eventually periodic ones, stored as stem + repeating cycle.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
@@ -14,6 +15,8 @@ Letter = int
 Prefix = tuple  # tuple[int, ...]
 
 EMPTY_PREFIX: Prefix = ()
+
+_LETTER_RE = re.compile(r"[0-9]+")
 
 
 def prefix_extend(s: Prefix, a: Letter) -> Prefix:
@@ -35,15 +38,17 @@ def format_prefix(s: Prefix) -> str:
 
 
 def parse_prefix(text: str) -> Prefix:
+    """Comma-separated letters, each ASCII decimal digits only (no sign,
+    underscore or other script's digits, all of which int() accepts)."""
     text = text.strip()
     if not text:
         return ()
     out = []
     for part in text.split(","):
-        n = int(part)
-        if n < 0:
-            raise ValueError(f"letters are naturals, got {n}")
-        out.append(n)
+        part = part.strip()
+        if not _LETTER_RE.fullmatch(part):
+            raise ValueError(f"letters are naturals in ASCII digits, got {part!r}")
+        out.append(int(part))
     return tuple(out)
 
 
@@ -189,7 +194,10 @@ def parse_branch(text: str) -> EventuallyPeriodicBranch:
         if "=" not in chunk:
             raise ValueError(f"bad branch descriptor chunk {chunk!r}")
         k, v = chunk.split("=", 1)
-        parts[k.strip()] = v.strip()
+        k = k.strip()
+        if k in parts:
+            raise ValueError(f"duplicate {k}= in branch descriptor {text!r}")
+        parts[k] = v.strip()
     if set(parts) != {"stem", "cycle"}:
         raise ValueError(f"branch descriptor needs stem= and cycle=, got {text!r}")
     return EventuallyPeriodicBranch(parse_prefix(parts["stem"]), parse_prefix(parts["cycle"]))

@@ -1,8 +1,12 @@
 """Command line surface: exit codes, stdout contracts, emitted files."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from limsupgames.acceptance import CriterionResult
 from limsupgames.cli import ConfigError, ExperimentConfig, entry
@@ -40,6 +44,21 @@ def test_eval_rejects_bad_branch(tmp_path, capsys):
 def test_eval_rejects_missing_file(tmp_path, capsys):
     assert entry(["eval", str(tmp_path / "no.json"), "stem=;cycle=0"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.text(alphabet="stemcycl=;,01+-_ \u0661", max_size=24))
+def test_eval_branch_text_exits_zero_or_two(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "letter-eval.json"
+    if not path.exists():
+        letter_output_automaton().save(str(path))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        # "--" keeps a text that starts with "-" from reading as an option
+        rc = entry(["eval", str(path), "--", text])
+    assert rc in (0, 2)
+    if rc == 2:
+        assert err.getvalue().startswith("error:")
 
 
 @pytest.mark.parametrize("source", [-1, 2])

@@ -1,6 +1,8 @@
 """Node labeling construction: threshold scans, fast labeler, branch
 limsups, the three-operation algebra, and machine minimization."""
 
+import itertools
+
 import pytest
 
 from limsupgames.automata import eval_limsup, lasso_summary
@@ -12,11 +14,11 @@ from limsupgames.construction import (ConstructionState, InconclusiveLassoError,
                                        verify_construction)
 from limsupgames.corpus import (automaton_corpus, branch_corpus,
                                  constant_automaton, letter_output_automaton,
-                                 rng_stream)
-from limsupgames.dyadic import NEG_INF, Dyadic, ext_max
+                                 random_automaton, rng_stream)
+from limsupgames.dyadic import NEG_INF, Dyadic, ExtValue, ext_max
 from limsupgames.families import (constant_family, discretize,
-                                   family_from_automaton,
-                                   unbounded_drop_family)
+                                   family_from_automaton)
+from limsupgames.kernels import ProductKernel
 from limsupgames.trees import EventuallyPeriodicBranch, binary_tree, parse_branch
 
 TREE = binary_tree()
@@ -104,8 +106,8 @@ def test_construction_state_matches_generic_scan():
         assert state.max_scan == max(scan_bound(fam, s) for s in prefixes)
 
 
-def test_empty_threshold_set_labels_by_depth():
-    fam = unbounded_drop_family(TREE)
+def test_empty_threshold_set_labels_by_depth(drop_family):
+    fam = drop_family
     for s in [(), (0,), (1, 0), (0, 1, 1, 0)]:
         assert construct_u(fam, s) == Dyadic(-len(s))
 
@@ -201,6 +203,88 @@ def test_joint_minmax_constant_machines():
         joint_minmax(u1, u2, "min", 0, 0, tree=TREE)
 
 
+def test_joint_minmax_exact_off_the_grid():
+    # both machines live on the 2^-1 grid; the fixed parts do not
+    u1 = constant_automaton(Dyadic(1))
+    u2 = constant_automaton(Dyadic(3, 1))
+    got = joint_minmax(u1, u2, "sum", 0, 0, fixed1=ExtValue.finite(Dyadic(41, 5)),
+                       tree=TREE)
+    assert got.require_finite() == Dyadic(89, 5)
+    got = joint_minmax(u1, u2, "max", 0, 0, fixed1=ExtValue.finite(Dyadic(41, 4)),
+                       tree=TREE)
+    assert got.require_finite() == Dyadic(41, 4)
+
+
+def lasso_tops(ker, J):
+    """Per-machine max outputs of every letter lasso from J with stem and
+    cycle up to the product's state count."""
+    size = 1
+    for u in ker.machines:
+        size *= u.num_states
+    words = [w for k in range(size + 1)
+             for w in itertools.product(ker.reps, repeat=k)]
+    tops = set()
+    for stem in words:
+        for cycle in words[1:]:
+            top = []
+            for u, q in zip(ker.machines, J):
+                seen = []
+                for a in stem:
+                    seen.append(u.output(q, a))
+                    q = u.step(q, a)
+                # the state at each pass's start follows a map on at most
+                # size states, so size passes meet every start it ever takes
+                for a in cycle * size:
+                    seen.append(u.output(q, a))
+                    q = u.step(q, a)
+                top.append(max(seen))
+            tops.add(tuple(top))
+    return tops
+
+
+def brute_value(mode, tops, fixed):
+    """min over lassos of the objective of max(fixed_i, top_i), in Dyadic
+    arithmetic; None in fixed stands for no fixed part."""
+    best = None
+    for top in tops:
+        parts = [t if f is None else max(f, t) for f, t in zip(fixed, top)]
+        if mode == "sum":
+            v = parts[0] + parts[1]
+        else:
+            v = max(parts) if mode == "max" else min(parts)
+        best = v if best is None or v < best else best
+    return best
+
+
+@pytest.mark.parametrize("mode", ["sum", "max", "min"])
+def test_kernel_value_matches_brute_lassos(mode):
+    # an oracle apart from the kernel: enumerate lassos, add and compare in
+    # Dyadic arithmetic, and convert the kernel's grid ints back to compare
+    rng = rng_stream(28, "kernel-oracle")
+    machines = [u for u in (random_automaton(rng, 2, span=3, max_exp=2)
+                            for _ in range(40)) if u.num_states == 2]
+    for u1, u2 in zip(machines[:5], machines[5:10]):
+        ker = ProductKernel([u1, u2], TREE, mode)
+        outs = sorted({o for u in (u1, u2) for row in u.outputs for o in row})
+        for J in itertools.product(range(2), range(2)):
+            tops = lasso_tops(ker, J)
+            cases = [(None, None), (outs[0], None), (None, outs[-1]),
+                     (rng.choice(outs), rng.choice(outs))]
+            for fixed in cases:
+                grid = tuple(ker.floor[i] if f is None else ker.to_grid(f)
+                             for i, f in enumerate(fixed))
+                got = ker.from_grid(ker.value(J, grid))
+                assert got == brute_value(mode, tops, fixed), \
+                    (mode, u1, u2, J, fixed)
+
+
+def test_kernel_grid_rejects_off_grid_values():
+    ker = ProductKernel([constant_automaton(Dyadic(3, 1))], TREE)
+    assert ker.to_grid(Dyadic(5, 1)) == 5 and ker.to_grid(Dyadic(2)) == 4
+    with pytest.raises(ValueError):
+        ker.to_grid(Dyadic(1, 2))
+
+
 def test_verify_summary_wording():
     fam = constant_family(Dyadic(0), TREE)
     report = verify_construction(fam, BRANCHES, target_fn=lambda x: Dyadic(0))
@@ -219,7 +303,7 @@ def test_minimize_letter_labeling():
         assert max(cert.cycle_outputs) == branch_limsup(fam, x)[0]
 
 
-def test_minimize_refuses_depth_grading():
+def test_minimize_refuses_depth_grading(drop_family):
     # labels keep dropping with depth, so no finite machine reproduces them
-    state = ConstructionState(unbounded_drop_family(TREE))
+    state = ConstructionState(drop_family)
     assert minimize_labeling(state, TREE, max_states=8) is None

@@ -34,6 +34,12 @@ def test_parse_str_round_trip(d):
     assert Dyadic.parse(str(d)) == d
 
 
+@pytest.mark.parametrize("text", ["\u0661", "1/2^\u0662", "+1", "1_0", "1\n2"])
+def test_parse_accepts_ascii_digits_only(text):
+    with pytest.raises(ValueError):
+        Dyadic.parse(text)
+
+
 @given(dyadics, dyadics)
 def test_arithmetic_matches_fractions(a, b):
     assert frac(a + b) == frac(a) + frac(b)

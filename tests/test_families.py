@@ -8,8 +8,7 @@ from limsupgames.corpus import constant_automaton, random_automaton, rng_stream
 from limsupgames.dyadic import Dyadic, half_pow
 from limsupgames.families import (LscLevel, constant_family, discretize,
                                   family_from_automaton,
-                                  regularize_nonincreasing,
-                                  unbounded_drop_family)
+                                  regularize_nonincreasing)
 from limsupgames.trees import EventuallyPeriodicBranch, binary_tree
 
 TREE = binary_tree()
@@ -140,8 +139,8 @@ def test_constant_family():
         assert fam.node_inf(5, s).require_finite() == c
 
 
-def test_unbounded_drop_family():
-    fam = unbounded_drop_family(TREE)
+def test_unbounded_drop_family(drop_family):
+    fam = drop_family
     s = (0, 1, 0)
     vals = [fam.node_inf(n, s) for n in range(6)]
     assert all(a >= b for a, b in zip(vals, vals[1:]))

@@ -37,6 +37,37 @@ def test_prefix_text_round_trip():
         parse_prefix("a,b")
 
 
+@pytest.mark.parametrize("text", [
+    "stem=1_0;cycle=0",        # int() reads this as 10
+    "stem=+1;cycle=0",
+    "stem=\u0661;cycle=0",     # an Arabic-Indic digit one
+    "stem=;cycle=\uff11",      # a fullwidth digit one
+    "cycle=1;stem=0;cycle=0",  # a repeated key used to keep the last
+    "stem=0;stem=0;cycle=1",
+])
+def test_branch_text_rejects_aliases(text):
+    with pytest.raises(ValueError):
+        parse_branch(text)
+
+
+BRANCH_TOKENS = ["stem", "cycle", "=", ";", ",", " ", "0", "1", "7", "42",
+                 "+", "-", "_", "\u0661", "\uff11", "x", "\n"]
+
+
+@given(st.lists(st.sampled_from(BRANCH_TOKENS), max_size=14))
+def test_branch_text_parses_exactly_or_raises(tokens):
+    text = "".join(tokens)
+    try:
+        x = parse_branch(text)
+    except ValueError:
+        return
+    assert parse_branch(str(x)) == x
+    # a text that parses names each key once and spells letters in ASCII
+    # digits, so no other spelling aliases the same branch
+    assert text.count("stem") == 1 and text.count("cycle") == 1
+    assert set(text) <= set("stemcycl=;,0123456789 \n")
+
+
 def test_tree_membership():
     b = binary_tree()
     assert b.contains((0, 1, 1))
