@@ -6,13 +6,11 @@ from .automata import (NodeAutomaton, eval_limsup, lasso_summary,
 from .cli import ExperimentConfig, entry
 from .construction import (ALGEBRA_OPS, AlgebraFunction, ConstructionReport,
                            ConstructionState, InconclusiveLassoError, algebra,
-                           branch_limsup, construct_u, joint_minmax,
-                           minimize_labeling, node_labeling, rn_sup,
-                           rstar_sup, verify_construction)
+                           branch_limsup, construct_u, minimize_labeling,
+                           verify_construction)
 from .dyadic import NEG_INF, POS_INF, Dyadic, ExtValue, as_dyadic, half_pow
-from .families import (GridLscFamily, LscLevel, constant_family, discretize,
-                       family_from_automaton, family_from_kernel,
-                       regularize_nonincreasing)
+from .families import (GridLscFamily, discretize, family_from_automaton,
+                       family_from_kernel)
 from .games import (FiniteValueSet, GameKind, Outcome, RunTrace, StrategyFault,
                     StrategyI, StrategyII, Verdict, check_win, exact_verdict,
                     finite_value_set, gamma, gamma_prime, gamma_restricted,
@@ -30,18 +28,17 @@ __all__ = [
     "ALGEBRA_OPS", "AlgebraFunction", "ConstructionReport",
     "ConstructionState", "Dyadic", "EventuallyPeriodicBranch",
     "ExperimentConfig", "ExtValue", "FiniteValueSet", "GameKind",
-    "GridLscFamily", "InconclusiveLassoError", "LscLevel", "NEG_INF",
+    "GridLscFamily", "InconclusiveLassoError", "NEG_INF",
     "NodeAutomaton", "Outcome", "POS_INF", "RunTrace", "StrategyFault",
     "StrategyI", "StrategyII", "TreeSpec", "Verdict", "algebra",
     "approx_copycat", "as_dyadic", "binary_tree", "branch_limsup",
-    "check_win", "constant_family", "construct_u", "copycat_strategy",
-    "discretize", "entry", "eval_limsup", "exact_verdict",
-    "family_from_automaton", "family_from_kernel", "finite_value_set",
-    "full_tree", "gamma", "gamma_prime", "gamma_restricted", "half_pow",
-    "joint_minmax", "lasso_summary", "lift_strategy", "make_automaton",
-    "minimize_labeling", "minmax_value", "nat_tree", "node_labeling",
-    "pair_strategies", "parse_branch", "play", "regularize_nonincreasing",
-    "relabel_strategy", "rn_sup", "rstar_sup", "strategy_i_meager_dense",
-    "strategy_i_oscillation", "strategy_ii_from_u", "u_from_strategy_ii",
-    "verify_construction",
+    "check_win", "construct_u", "copycat_strategy", "discretize",
+    "entry", "eval_limsup", "exact_verdict", "family_from_automaton",
+    "family_from_kernel", "finite_value_set", "full_tree", "gamma",
+    "gamma_prime", "gamma_restricted", "half_pow", "lasso_summary",
+    "lift_strategy", "make_automaton", "minimize_labeling",
+    "minmax_value", "nat_tree", "pair_strategies", "parse_branch",
+    "play", "relabel_strategy", "strategy_i_meager_dense",
+    "strategy_i_oscillation", "strategy_ii_from_u",
+    "u_from_strategy_ii", "verify_construction",
 ]

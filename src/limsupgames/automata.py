@@ -14,10 +14,17 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import graphs
-from .dyadic import Dyadic, ExtValue, as_dyadic
+from .dyadic import POS_INF, Dyadic, ExtValue, as_dyadic
 from .trees import Branch, Prefix, TreeSpec
 
 DEFAULT_CLASS = "default"
+
+
+def _json_int(v, what: str) -> int:
+    # JSON integers only: a bool or a float would alias a state or a class
+    if type(v) is not int:
+        raise ValueError(f"{what} must be an integer, got {v!r}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -115,29 +122,28 @@ class NodeAutomaton:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "NodeAutomaton":
-        n = int(data["states"])
-        k = int(data["letters"])
+        n = _json_int(data["states"], "states")
+        k = _json_int(data["letters"], "letters")
         if n < 1 or k < 0:
             raise ValueError("bad state or letter count")
+        rows = data["transitions"]
+        if not isinstance(rows, list) or len(rows) != n * (k + 1):
+            raise ValueError(f"need a list of {n * (k + 1)} transitions")
         steps = [[None] * (k + 1) for _ in range(n)]
         outs = [[None] * (k + 1) for _ in range(n)]
-        for row in data["transitions"]:
+        for row in rows:
             q, label, dst, out = row
-            c = k if label == DEFAULT_CLASS else int(label)
+            c = k if label == DEFAULT_CLASS else _json_int(label, "letter class")
             if not (0 <= c <= k):
                 raise ValueError(f"letter class {label!r} out of range")
-            q = int(q)
+            q = _json_int(q, "transition source state")
             if not (0 <= q < n):
                 raise ValueError(f"transition source state {q} out of range")
             if steps[q][c] is not None:
                 raise ValueError(f"duplicate transition for state {q} class {label!r}")
-            steps[q][c] = int(dst)
+            steps[q][c] = _json_int(dst, "transition destination")
             outs[q][c] = as_dyadic(str(out))
-        for q in range(n):
-            for c in range(k + 1):
-                if steps[q][c] is None:
-                    raise ValueError(f"missing transition for state {q} class {c}")
-        return cls(int(data["initial"]),
+        return cls(_json_int(data["initial"], "initial state"),
                    tuple(tuple(r) for r in steps),
                    tuple(tuple(r) for r in outs))
 
@@ -149,7 +155,11 @@ class NodeAutomaton:
     @classmethod
     def load(cls, path) -> "NodeAutomaton":
         with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
+            try:
+                data = json.load(fh)
+            except RecursionError:
+                raise ValueError("machine JSON is nested too deeply") from None
+        return cls.from_json_dict(data)
 
 
 def make_automaton(initial: int, steps: Sequence[Sequence[int]],
@@ -227,7 +237,8 @@ def minmax_value(u: NodeAutomaton, q: int, classes: "Iterable[int] | None" = Non
     """
     cls = tuple(classes) if classes is not None else tuple(range(u.num_letters + 1))
 
-    def succ(p):
-        return [(ExtValue.finite(u.outputs[p][c]), u.steps[p][c]) for c in cls]
+    def succ_under(theta, p):
+        return [u.steps[p][c] for c in cls if not theta < u.outputs[p][c]]
 
-    return graphs.min_sup_cycle(succ, q)
+    got = graphs.min_sup_cycle(u.declared_outputs(), succ_under, q)
+    return POS_INF if got is None else ExtValue.finite(got)

@@ -46,6 +46,13 @@ def _dyadic(v, what: str) -> Dyadic:
         raise ConfigError(f"{what}: {e}") from None
 
 
+def _int(v, what: str, least: int = 0) -> int:
+    # JSON integers only: a bool or a float would alias an integer
+    if type(v) is not int or v < least:
+        raise ConfigError(f"{what} must be an integer >= {least}, got {v!r}")
+    return v
+
+
 def _dyadics(values, what: str) -> list:
     if not isinstance(values, (list, tuple)):
         raise ConfigError(f"{what} must be a list of dyadic values")
@@ -99,9 +106,9 @@ class ExperimentConfig:
             if val is not None and not isinstance(val, dict):
                 raise ConfigError(f"{name} must be a JSON object")
         for name in ("horizon", "cap", "seed"):
-            val = getattr(self, name)
-            if not isinstance(val, int) or val < 0:
-                raise ConfigError(f"{name} must be a nonnegative integer")
+            _int(getattr(self, name), name)
+        if self.out_dir is not None and not isinstance(self.out_dir, str):
+            raise ConfigError(f"out_dir must be a string, got {self.out_dir!r}")
         # the engine hard-caps every trace; declaring more is a config error,
         # never a silent truncation
         if self.horizon > MAX_TRACE_ROUNDS or self.cap > MAX_TRACE_ROUNDS:
@@ -132,7 +139,7 @@ class ExperimentConfig:
     def parse(cls, text: str) -> "ExperimentConfig":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, RecursionError) as e:
             raise ConfigError(f"config is not valid JSON: {e}") from None
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
@@ -194,8 +201,7 @@ def resolve_automaton(src: dict) -> NodeAutomaton:
     if "file" in src:
         try:
             return NodeAutomaton.load(src["file"])
-        except (OSError, KeyError, TypeError, ValueError,
-                json.JSONDecodeError) as e:
+        except (OSError, KeyError, TypeError, ValueError) as e:
             raise ConfigError(
                 f"cannot load automaton {src['file']}: {e}") from None
     raise ConfigError("function source needs 'automaton' or 'file'")
@@ -245,17 +251,10 @@ def _random_value_fsm(states: int, values, seed: int,
 
 
 def _fsm_params(desc: dict):
-    try:
-        states = int(desc["states"])
-        values = desc["values"]
-        seed = int(desc["seed"])
-    except (KeyError, TypeError, ValueError):
-        raise ConfigError(
-            "random_fsm needs integer 'states', list 'values', integer 'seed'"
-        ) from None
-    if states < 1:
-        raise ConfigError("random_fsm needs at least one state")
-    return states, _dyadics(values, "random_fsm values"), seed
+    # a missing key reads as None, which both checks reject
+    return (_int(desc.get("states"), "random_fsm states", 1),
+            _dyadics(desc.get("values"), "random_fsm values"),
+            _int(desc.get("seed"), "random_fsm seed"))
 
 
 def build_strategy_i(desc: Optional[dict], cfg: ExperimentConfig) -> StrategyI:
@@ -265,7 +264,9 @@ def build_strategy_i(desc: Optional[dict], cfg: ExperimentConfig) -> StrategyI:
     if kind == "copycat":
         return copycat_strategy()
     if kind == "approx_copycat":
-        return approx_copycat(search_cap=desc.get("cap"))
+        cap = desc.get("cap")
+        return approx_copycat(
+            search_cap=None if cap is None else _int(cap, "approx_copycat cap"))
     if kind == "meager_dense":
         return strategy_i_meager_dense(eventually_zero_instance())
     if kind == "oscillation":
@@ -352,8 +353,7 @@ def _emit_trace(trace, cfg: ExperimentConfig, verdict_json=None) -> None:
 def cmd_eval(args) -> int:
     try:
         u = NodeAutomaton.load(args.automaton)
-    except (OSError, KeyError, TypeError, ValueError,
-            json.JSONDecodeError) as e:
+    except (OSError, KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"malformed automaton file: {e}") from None
     try:
         x = parse_branch(args.branch)
@@ -448,14 +448,13 @@ def build_pipeline(pipe: dict, tree: TreeSpec):
 def _declared_corpus(pipe: dict, tree: TreeSpec):
     decl = pipe.get("branch_corpus")
     if decl is not None:
+        # max_cycle 0 would leave the corpus empty
         try:
-            ms, mc = int(decl["max_stem"]), int(decl["max_cycle"])
-        except (KeyError, TypeError, ValueError):
+            ms = _int(decl["max_stem"], "branch_corpus max_stem")
+            mc = _int(decl["max_cycle"], "branch_corpus max_cycle", 1)
+        except (KeyError, TypeError):
             raise ConfigError(
                 "branch_corpus needs integer max_stem and max_cycle") from None
-        if ms < 0 or mc < 1:
-            raise ConfigError("branch_corpus needs max_stem >= 0 and "
-                              "max_cycle >= 1 (else the corpus is empty)")
         alphabet = tree.alphabet if tree.alphabet is not None else (0, 1)
         return branch_corpus(ms, mc, alphabet)
     # default: every stem to depth 3 with each single-letter cycle

@@ -6,9 +6,9 @@ caught between the parent's and the child's infimum at some level (the
 per-level part); empty threshold sets fall back to -length.  The limsup of
 the constructed labels along any branch recovers the family's limit
 function, which verify_construction checks exactly on eventually periodic
-branches.  Kernel-backed families get the same labels from segment_label,
-which reads a few staircase segments instead of every level; construct_u
-stays the path for kernel-less families and the reference it is tested
+branches.  Every family is kernel-backed and gets its labels from
+segment_label, which reads a few staircase segments instead of every level;
+construct_u is the generic level scan that those labels are checked
 against.  The sum/min/max algebra runs the same construction over joint
 kernels.
 """
@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .automata import NodeAutomaton, eval_limsup, make_automaton
-from .dyadic import Dyadic, ExtValue, NEG_INF, as_ext
+from .dyadic import Dyadic, NEG_INF
 from .families import GridLscFamily, discretize, family_from_kernel
 from .graphs import StabilizationCapError, first_repeat, periodic_start
 from .kernels import ProductKernel, stair_vector, stairs_append
@@ -32,24 +31,6 @@ ALGEBRA_OPS = ("sum", "min", "max")
 
 class InconclusiveLassoError(RuntimeError):
     """Constructed labels along a branch refused to settle into a cycle."""
-
-
-def rstar_sup(fam: GridLscFamily, s: Prefix) -> ExtValue:
-    """sup of the persistent threshold set: r qualifies iff r stays below
-    node_inf(n, s) for every n, so the sup is the infimum over all levels."""
-    return fam.inf_all(s)
-
-
-def rn_sup(fam: GridLscFamily, n: int, s: Prefix) -> Optional[ExtValue]:
-    """sup of the level-n threshold interval, or None when it is empty.
-
-    The interval is [node_inf(n, parent), node_inf(n, s)) with the parent
-    bound dropped at the root; cylinder monotonicity makes the parent the
-    binding proper initial segment.
-    """
-    a = fam.node_inf(n, s)
-    p = fam.node_inf(n, s[:-1]) if s else NEG_INF
-    return a if p < a else None
 
 
 def scan_bound(fam: GridLscFamily, s: Prefix) -> int:
@@ -65,7 +46,7 @@ def construct_u(fam: GridLscFamily, s: Prefix) -> Dyadic:
     Levels past the scan bound repeat the emptiness status and sup they had
     at the bound, so the finite scan is exhaustive.
     """
-    best = rstar_sup(fam, s)
+    best = fam.inf_all(s)
     prev = None
     for n in range(scan_bound(fam, s) + 1):
         a = fam.node_inf(n, s)
@@ -136,17 +117,18 @@ def segment_label(ker: ProductKernel, discretized: bool, L: int,
 class ConstructionState:
     """Per-prefix label cache, with audit counters.
 
-    Kernel-backed families label each prefix with segment_label from a
-    per-prefix (joint state, staircase) memo, each entry one step past its
-    parent's; the root and kernel-less families go through construct_u.
+    Each nonempty prefix is labeled by segment_label from a per-prefix
+    (joint state, staircase) memo, each entry one step past its parent's.
+    The root has no parent, so each level's threshold interval reaches up
+    to that level's infimum, and level 0's infimum, the largest, is the
+    root's label.
     """
 
     def __init__(self, fam: GridLscFamily):
         self.fam = fam
         self.cache: Dict[Prefix, Dyadic] = {}
         self.max_scan = 0
-        ker = fam.kernel
-        self._runs = None if ker is None else {(): (ker.initial, ((),) * ker.dims)}
+        self._runs = {(): (fam.kernel.initial, ((),) * fam.kernel.dims)}
 
     def _run(self, s: Prefix) -> tuple:
         k = len(s)
@@ -164,9 +146,9 @@ class ConstructionState:
     def u(self, s: Prefix) -> Dyadic:
         got = self.cache.get(s)
         if got is None:
-            if self._runs is None or not s:
+            if not s:
                 M = scan_bound(self.fam, s)
-                got = construct_u(self.fam, s)
+                got = self.fam.node_inf(0, s).require_finite()
             else:
                 J_prev, prev_snap = self._run(s[:-1])
                 J, cur_snap = self._run(s)
@@ -175,10 +157,6 @@ class ConstructionState:
             self.max_scan = max(self.max_scan, M)
             self.cache[s] = got
         return got
-
-
-def node_labeling(fam: GridLscFamily) -> ConstructionState:
-    return ConstructionState(fam)
 
 
 class _KernelLabeler:
@@ -191,8 +169,6 @@ class _KernelLabeler:
     """
 
     def __init__(self, fam: GridLscFamily, x: EventuallyPeriodicBranch):
-        if fam.kernel is None:
-            raise ValueError("kernel-backed family required")
         self.ker = fam.kernel
         self.x = x
         self.disc = fam.discretized
@@ -234,42 +210,9 @@ class _KernelLabeler:
         return entry, len(orbit) - entry
 
 
-class _OracleLabeler:
-    """Fallback for kernel-less families: construct_u on every prefix."""
-
-    def __init__(self, fam: GridLscFamily, x: EventuallyPeriodicBranch):
-        self.state = ConstructionState(fam)
-        self.x = x
-        self.L = 0
-        self.prefix: Prefix = ()
-        self.labels: List[Dyadic] = []
-
-    def step(self) -> None:
-        self.prefix = self.prefix + (self.x.letter_at(self.L),)
-        self.L += 1
-        self.labels.append(self.state.u(self.prefix))
-
-    def extend_to(self, horizon: int) -> None:
-        while self.L < horizon:
-            self.step()
-
-    def run_to_lasso(self, cap: int = 0) -> Tuple[int, int]:
-        return (len(self.x.stem), len(self.x.cycle))
-
-    @property
-    def max_scan(self) -> int:
-        return self.state.max_scan
-
-
-def make_labeler(fam: GridLscFamily, x: EventuallyPeriodicBranch):
-    if fam.kernel is not None:
-        return _KernelLabeler(fam, x)
-    return _OracleLabeler(fam, x)
-
-
 def branch_labels(fam: GridLscFamily, x: EventuallyPeriodicBranch,
                   horizon: int) -> Tuple[Dyadic, ...]:
-    lab = make_labeler(fam, x)
+    lab = _KernelLabeler(fam, x)
     lab.extend_to(horizon)
     return tuple(lab.labels)
 
@@ -299,7 +242,7 @@ def branch_limsup(fam: GridLscFamily, x: EventuallyPeriodicBranch,
     period of the label sequence; the horizon escalates until three periods
     agree, and exhaustion raises InconclusiveLassoError.
     """
-    lab = make_labeler(fam, x)
+    lab = _KernelLabeler(fam, x)
     t0, p = lab.run_to_lasso(cap)
     horizon = max(t0 + 4 * p + 16, 6 * p, 32)
     while True:
@@ -360,7 +303,7 @@ def verify_construction(fam: GridLscFamily,
     against the source function; inconclusive lassos are flagged, not failed.
     """
     if target_fn is None:
-        if fam.kernel is None or fam.kernel.dims != 1:
+        if fam.kernel.dims != 1:
             raise ValueError("verify_construction needs an automaton-derived "
                              "family or an explicit target_fn")
         src = fam.kernel.machines[0]
@@ -445,38 +388,6 @@ def minimize_labeling(state: ConstructionState, tree: TreeSpec,
                 nxt.append((child, machine.step(q, a)))
         layer = nxt
     return machine
-
-
-def joint_minmax(u1: NodeAutomaton, u2: NodeAutomaton, objective: str,
-                 q1: int, q2: int,
-                 fixed1: ExtValue = NEG_INF, fixed2: ExtValue = NEG_INF,
-                 tree: Optional[TreeSpec] = None) -> ExtValue:
-    """min over joint continuations from (q1, q2) of
-    objective(max(fixed1, future sup of u1), max(fixed2, future sup of u2)).
-
-    Enumerates feasible output-threshold pairs via cycle reachability in the
-    filtered product; exact because future sups are attained on lassos.
-    Fixed parts may lie off the machines' grid: they enter the kernel as
-    exact Fraction grid values, which compare and add exactly with its ints.
-    """
-    if objective not in ("sum", "max"):
-        raise ValueError("objective must be 'sum' or 'max'")
-    ker = ProductKernel([u1, u2], tree if tree is not None else binary_tree(),
-                        objective)
-    E = ker.grid_exponent
-
-    def exact(f: ExtValue, floor: int):
-        f = as_ext(f)
-        if f == NEG_INF:
-            return floor
-        d = f.require_finite()
-        return Fraction(d.num << E, 1 << d.exp)
-
-    v = Fraction(ker.value((q1, q2), (exact(fixed1, ker.floor[0]),
-                                      exact(fixed2, ker.floor[1]))))
-    # the denominator is a power of two: v / 2**E is dyadic
-    return ExtValue.finite(
-        Dyadic(v.numerator, E + v.denominator.bit_length() - 1))
 
 
 def apply_op(op: str, a: Dyadic, b: Dyadic) -> Dyadic:

@@ -8,40 +8,34 @@ attained, grid-valued minimum for the automaton-derived families built here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .automata import NodeAutomaton
-from .dyadic import Dyadic, ExtValue
+from .dyadic import ExtValue
 from .kernels import ProductKernel
 from .trees import Prefix, TreeSpec, binary_tree
 
 
 @dataclass(frozen=True)
 class GridLscFamily:
-    """Oracle presentation of a non-increasing sequence of lsc functions.
+    """Oracle presentation of a non-increasing sequence of lsc functions
+    over a kernel.
 
     Invariants relied on everywhere: node_inf(n, s) <= node_inf(n, s + (a,))
     (shrinking cylinders), node_inf(n+1, s) <= node_inf(n, s) (non-increasing
-    levels), finite values of level n lie on the 2^{-grid_exponent(n)} grid,
-    and inf_all(s) is the exact infimum over n.
+    levels), finite values lie on the kernel's grid (and level n on the
+    2^-n grid once discretized), and inf_all(s) is the exact infimum over n.
 
     stabilization_index(s) bounds the level scans of the threshold
     construction: for n past the index, node_inf(n, s) stays at or below the
     scanned values and the per-level threshold intervals repeat the status
-    they had at the index (constant families past their reach stabilization;
-    empty or dominated for the synthetic fixtures).
-
-    grid_settle is the least n0 such that grid_exponent(m) <= m for all
-    m >= n0, i.e. the point past which per-level grid rounding is a no-op.
+    they had at the index.
     """
 
     node_inf: Callable[[int, Prefix], ExtValue]
     inf_all: Callable[[Prefix], ExtValue]
-    grid_exponent: Callable[[int], int]
     stabilization_index: Callable[[Prefix], int]
-    tree: TreeSpec
-    grid_settle: int = 0
-    kernel: Optional[ProductKernel] = field(default=None, compare=False)
+    kernel: ProductKernel = field(compare=False)
     discretized: bool = False
     label: str = "family"
 
@@ -84,9 +78,8 @@ def family_from_kernel(ker: ProductKernel, label: str) -> GridLscFamily:
         J, _ = _walk(s)
         return len(s) + ker.tail_entry(J)
 
-    E = ker.grid_exponent
-    return GridLscFamily(node_inf, inf_all, lambda n: E, stabilization_index,
-                         ker.tree, grid_settle=E, kernel=ker, label=label)
+    return GridLscFamily(node_inf, inf_all, stabilization_index, ker,
+                         label=label)
 
 
 def family_from_automaton(u: NodeAutomaton, tree: Optional[TreeSpec] = None) -> GridLscFamily:
@@ -106,7 +99,7 @@ def discretize(fam: GridLscFamily) -> GridLscFamily:
 
     Infima are attained, so the rounded node_inf is the rounding of the
     original; inf_all is unchanged because rounding is a no-op once n passes
-    both the stabilization index and grid_settle.
+    both the stabilization index and the kernel's grid exponent.
     """
     if fam.discretized:
         return fam
@@ -114,90 +107,11 @@ def discretize(fam: GridLscFamily) -> GridLscFamily:
     def node_inf(n: int, s: Prefix) -> ExtValue:
         return fam.node_inf(n, s).ceil_to_grid(n)
 
-    settle = fam.grid_settle
+    settle = fam.kernel.grid_exponent
 
     def stabilization_index(s: Prefix) -> int:
         return max(fam.stabilization_index(s), settle)
 
-    def grid_exponent(n: int) -> int:
-        return min(n, fam.grid_exponent(n))
-
-    return GridLscFamily(node_inf, fam.inf_all, grid_exponent,
-                         stabilization_index, fam.tree, grid_settle=0,
-                         kernel=fam.kernel, discretized=True,
+    return GridLscFamily(node_inf, fam.inf_all, stabilization_index,
+                         fam.kernel, discretized=True,
                          label=fam.label + "+grid")
-
-
-@dataclass(frozen=True)
-class LscLevel:
-    """A single lsc function: the everywhere-sup of an automaton's outputs.
-
-    g(x) = sup of u's outputs along x (all positions); its node infimum at s
-    is max(suffix max over the whole prefix, minmax continuation).
-    """
-
-    u: NodeAutomaton
-
-
-def regularize_nonincreasing(levels: Sequence[LscLevel],
-                             tree: Optional[TreeSpec] = None,
-                             tail_rule: Optional[int] = None) -> GridLscFamily:
-    """Tail suprema of a finite level list: level n = pointwise max of levels
-    m >= n, with levels past the end repeating levels[tail_rule] (default the
-    last).  Node infima of pointwise maxes are joint threshold searches over
-    the product of the involved machines.
-    """
-    if not levels:
-        raise ValueError("regularize_nonincreasing needs at least one level")
-    tree = tree if tree is not None else binary_tree()
-    N = len(levels) - 1
-    if tail_rule is None:
-        tail_rule = N
-    if not (0 <= tail_rule <= N):
-        raise ValueError(f"tail_rule {tail_rule} out of range")
-
-    machines = tuple(lv.u for lv in levels)
-    kernels = {}
-
-    def _kernel(n: int) -> ProductKernel:
-        idx = tuple(sorted(set(range(min(n, N), N + 1)) | {tail_rule})) if n <= N \
-            else (tail_rule,)
-        got = kernels.get(idx)
-        if got is None:
-            got = ProductKernel([machines[i] for i in idx], tree, "max")
-            kernels[idx] = got
-        return got
-
-    memo = {}
-
-    def node_inf(n: int, s: Prefix) -> ExtValue:
-        key = (min(n, N + 1), s)
-        got = memo.get(key)
-        if got is None:
-            ker = _kernel(n)
-            # per-machine max output along s; the floor at the root
-            J, fixed = ker.initial, ker.floor
-            for a in s:
-                fixed = tuple(max(f, o) for f, o in zip(fixed, ker.outputs_on(J, a)))
-                J = ker.step(J, a)
-            got = ExtValue.finite(ker.from_grid(ker.value(J, fixed)))
-            memo[key] = got
-        return got
-
-    def inf_all(s: Prefix) -> ExtValue:
-        return node_inf(N + 1, s)
-
-    E = max(o.exp for u in machines for row in u.outputs for o in row)
-    return GridLscFamily(node_inf, inf_all, lambda n: E,
-                         lambda s: N + 1, tree, grid_settle=E,
-                         label="regularized")
-
-
-def constant_family(c: Dyadic, tree: Optional[TreeSpec] = None) -> GridLscFamily:
-    """Every level identically c."""
-    tree = tree if tree is not None else binary_tree()
-    v = ExtValue.finite(c)
-    return GridLscFamily(lambda n, s: v, lambda s: v, lambda n: c.exp,
-                         lambda s: 0, tree, grid_settle=c.exp,
-                         label=f"const:{c}")
-

@@ -6,10 +6,10 @@ settled by a cycle search in a threshold-filtered graph (`cycle_reachable`,
 `min_sup_cycle`).  `periodic_start` rolls a detected lasso back to the
 earliest position where the observed sequence is already periodic.
 
-Nodes are arbitrary hashables, edges carry extended dyadic weights, and
-successor lists come from a callback so product constructions never have to
-materialize anything up front.  Sizes here are tiny (products of machine
-state sets), so the algorithms favor clarity over asymptotics.
+Nodes are arbitrary hashables and successor lists come from a callback, so
+product constructions never have to materialize anything up front.  Sizes
+here are tiny (products of machine state sets), so the algorithms favor
+clarity over asymptotics.
 """
 
 from __future__ import annotations
@@ -17,10 +17,7 @@ from __future__ import annotations
 from typing import (Callable, Dict, Hashable, Iterable, List, Optional,
                     Sequence, Tuple)
 
-from .dyadic import ExtValue, POS_INF, as_ext
-
 Node = Hashable
-SuccFn = Callable[[Node], Iterable[Tuple[ExtValue, Node]]]
 
 
 class StabilizationCapError(RuntimeError):
@@ -77,33 +74,18 @@ def periodic_start(seq: Sequence, start: int, period: int,
     return start
 
 
-def _closure(succ: SuccFn, start: Node) -> Dict[Node, List[Tuple[ExtValue, Node]]]:
-    graph: Dict[Node, List[Tuple[ExtValue, Node]]] = {}
-    todo = [start]
-    while todo:
-        q = todo.pop()
-        if q in graph:
-            continue
-        edges = [(as_ext(w), r) for (w, r) in succ(q)]
-        graph[q] = edges
-        for _, r in edges:
-            if r not in graph:
-                todo.append(r)
-    return graph
+def min_sup_cycle(thresholds: Iterable,
+                  succ_under: Callable[[object, Node], Iterable[Node]],
+                  start: Node):
+    """The first threshold, in the given order, whose filtered graph has an
+    infinite path from start; None when no threshold admits one.
 
-
-def min_sup_cycle(succ: SuccFn, start: Node) -> ExtValue:
-    """Minimum over infinite paths from start of the sup of edge weights.
-
-    Computed as the least threshold theta (among edge weights seen from
-    start) whose filtered subgraph still has an infinite path; the optimum
-    is attained by a lasso staying under theta.
+    succ_under(theta, q) lists the successors of q along edges allowed under
+    theta.  With thresholds in increasing objective order this is the least
+    objective over infinite paths: future sups are attained on lassos, so
+    the optimum is a threshold under which a reachable cycle survives.
     """
-    graph = _closure(succ, start)
-    weights = sorted({w for edges in graph.values() for (w, _) in edges})
-    for theta in weights:
-        if cycle_reachable(
-                lambda q: [r for w, r in graph[q] if not theta < w], start):
+    for theta in thresholds:
+        if cycle_reachable(lambda q: succ_under(theta, q), start):
             return theta
-    # no infinite path at all: every node eventually dead-ends
-    return POS_INF
+    return None

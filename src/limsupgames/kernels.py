@@ -28,7 +28,7 @@ from typing import Dict, Tuple
 
 from .automata import allowed_classes, minmax_value
 from .dyadic import Dyadic
-from .graphs import cycle_reachable, first_repeat
+from .graphs import first_repeat, min_sup_cycle
 from .trees import TreeSpec
 
 MODES = ("max", "sum", "min")
@@ -117,17 +117,14 @@ class ProductKernel:
         parts = [f if t < f else t for f, t in zip(fixed, thresh)]
         return sum(parts) if self.mode == "sum" else max(parts)
 
-    def _feasible(self, start: tuple, thresh: tuple) -> bool:
-        def succ(J):
-            return [self.step(J, a) for a in self.reps
-                    if all(o <= t for o, t in zip(self.outputs_on(J, a), thresh))]
-        return cycle_reachable(succ, start)
+    def _succ_under(self, thresh: tuple, J: tuple) -> list:
+        return [self.step(J, a) for a in self.reps
+                if all(o <= t for o, t in zip(self.outputs_on(J, a), thresh))]
 
-    def value(self, J: tuple, fixed: tuple):
+    def value(self, J: tuple, fixed: tuple) -> int:
         """min over continuations from J of the objective; fixed parts folded in.
 
-        Fixed parts are grid values (ints, or exact Fractions for parts off
-        the grid); the floor stands for an empty part.
+        Fixed parts are grid ints; the floor stands for an empty part.
         """
         if self.mode == "min":
             return min(max(f, self._minmax(i, q))
@@ -139,11 +136,8 @@ class ProductKernel:
         if got is None:
             cands = sorted(itertools.product(*self._outs),
                            key=lambda tup: self._combine(fixed, tup))
-            for tup in cands:
-                if self._feasible(J, tup):
-                    got = self._combine(fixed, tup)
-                    break
-            assert got is not None  # total machines always admit a run
+            # total machines always admit a run, so some candidate is feasible
+            got = self._combine(fixed, min_sup_cycle(cands, self._succ_under, J))
             self._value[key] = got
         return got
 

@@ -76,6 +76,43 @@ def test_machines_with_bad_source_states_exit_two(tmp_path, capsys, source):
     assert capsys.readouterr().err.startswith("error:")
 
 
+_MACHINE = {"states": 2, "initial": 0, "letters": 1,
+            "transitions": [[0, 0, 1, "0/2^0"], [0, "default", 0, "1/2^0"],
+                            [1, 0, 0, "1/2^1"], [1, "default", 1, "0/2^0"]]}
+# (row, column) of the transition entries under test
+_CELLS = {"source": (2, 0), "label": (0, 1), "destination": (0, 2)}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("states", 2.9), ("letters", True), ("initial", 0.0), ("source", True),
+    ("destination", 1.7), ("label", False)],
+    ids=["states", "letters", "initial", "source", "destination", "label"])
+def test_machine_json_requires_strict_integers(tmp_path, capsys, field, value):
+    # each value would alias a nearby integer: 2.9 states as 2, label false
+    # as class 0
+    machine = json.loads(json.dumps(_MACHINE))
+    if field in _CELLS:
+        row, col = _CELLS[field]
+        machine["transitions"][row][col] = value
+    else:
+        machine[field] = value
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(machine), encoding="utf-8")
+    assert entry(["eval", str(path), "stem=;cycle=0"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_deeply_nested_json_exits_two(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000, encoding="utf-8")
+    cfg = play_config(tmp_path, player_ii={"kind": "from_u", "file": str(deep)})
+    for argv in (["eval", str(deep), "stem=;cycle=0"],
+                 ["play", "--config", str(deep)],
+                 ["play", "--config", cfg]):
+        assert entry(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error:")
+
+
 # --- config -------------------------------------------------------------
 
 
@@ -341,12 +378,22 @@ _COPYCAT = {"kind": "copycat"}
     ("construct", {"pipeline": {"stages": "from-automaton,construct_u"}}),
     ("construct", {"pipeline": {"stages": {"from-automaton": 1,
                                            "construct_u": 2}}}),
+    ("play", {"out_dir": 5}),
+    ("play", {"tree": "nat",
+              "player_i": {"kind": "approx_copycat", "cap": "x"}}),
+    ("play", {"cap": False}),
+    ("play", {"player_i": {**_FSM_I, "states": 2.5}}),
+    ("construct", {"pipeline": {"stages": ["from-automaton", "construct_u"],
+                                "branch_corpus": {"max_stem": 1.9,
+                                                  "max_cycle": 1}}}),
 ], ids=["constant-literal", "constant-float", "covalue", "restriction-float",
         "restriction-not-list", "lift-restriction", "relabel-value",
         "relabel-not-object", "fsm-i-values", "fsm-ii-values",
         "fsm-values-not-list", "player-not-object", "lift-base-not-object",
         "pair-f-not-object", "payoff-not-object", "pipeline-not-object",
-        "stages-string", "stages-object"])
+        "stages-string", "stages-object", "out-dir-not-string",
+        "approx-cap-not-int", "cap-bool", "fsm-states-float",
+        "corpus-stem-float"])
 def test_malformed_config_values_exit_two(tmp_path, capsys, command, config):
     data = {"player_i": _FSM_I, "player_ii": _CONST_II, "horizon": 10,
             **config}

@@ -2,22 +2,21 @@
 limsups, the three-operation algebra, and machine minimization."""
 
 import itertools
+from types import SimpleNamespace
 
 import pytest
 
 from limsupgames.automata import eval_limsup, lasso_summary
 from limsupgames.construction import (ConstructionState, InconclusiveLassoError,
                                        algebra, branch_labels, branch_limsup,
-                                       construct_u, joint_minmax,
-                                       minimize_labeling, periodic_tail_max,
-                                       rn_sup, rstar_sup, scan_bound,
+                                       construct_u, minimize_labeling,
+                                       periodic_tail_max, scan_bound,
                                        verify_construction)
 from limsupgames.corpus import (automaton_corpus, branch_corpus,
                                  constant_automaton, letter_output_automaton,
                                  random_automaton, rng_stream)
-from limsupgames.dyadic import NEG_INF, Dyadic, ExtValue, ext_max
-from limsupgames.families import (constant_family, discretize,
-                                   family_from_automaton)
+from limsupgames.dyadic import Dyadic
+from limsupgames.families import discretize, family_from_automaton
 from limsupgames.kernels import ProductKernel
 from limsupgames.trees import EventuallyPeriodicBranch, binary_tree, parse_branch
 
@@ -112,9 +111,13 @@ def test_empty_threshold_set_labels_by_depth(drop_family):
         assert construct_u(fam, s) == Dyadic(-len(s))
 
 
+def constant_family(c):
+    return family_from_automaton(constant_automaton(c), TREE)
+
+
 def test_constant_family_construction():
     c = Dyadic(5, 3)
-    fam = constant_family(c, TREE)
+    fam = constant_family(c)
     report = verify_construction(fam, BRANCHES, target_fn=lambda x: c)
     assert report.all_equal and report.inconclusive_count == 0
     for row in report.rows:
@@ -126,12 +129,16 @@ def test_constant_family_construction():
 
 def test_rstar_and_level_sups_on_constant():
     c = Dyadic(-1, 1)
-    fam = constant_family(c, TREE)
-    assert rstar_sup(fam, (0, 1)).require_finite() == c
+    fam = constant_family(c)
+    # the persistent threshold set's sup is the infimum over all levels
+    assert fam.inf_all((0, 1)).require_finite() == c
     # away from the root the level intervals are empty: parent and child
-    # infima coincide
-    assert rn_sup(fam, 0, (0,)) is None
-    assert rn_sup(fam, 0, ()).require_finite() == c
+    # infima coincide; at the root the interval reaches up to c
+    assert fam.node_inf(0, (0,)) == fam.node_inf(0, ())
+    assert fam.node_inf(0, ()).require_finite() == c
+    state = ConstructionState(fam)
+    for s in [(), (0,), (0, 1)]:
+        assert state.u(s) == construct_u(fam, s) == c
 
 
 def test_periodic_tail_max():
@@ -186,33 +193,6 @@ def test_algebra_rejects_unknown_op():
     with pytest.raises(ValueError):
         algebra(letter_output_automaton(), constant_automaton(Dyadic(0)),
                 "quotient", TREE)
-
-
-def test_joint_minmax_constant_machines():
-    u1 = constant_automaton(Dyadic(1))
-    u2 = constant_automaton(Dyadic(3, 1))
-    got = joint_minmax(u1, u2, "sum", 0, 0, tree=TREE)
-    assert got.require_finite() == Dyadic(5, 1)
-    got = joint_minmax(u1, u2, "max", 0, 0, tree=TREE)
-    assert got.require_finite() == Dyadic(3, 1)
-    # a fixed floor already above both future sups dominates
-    got = joint_minmax(u1, u2, "max", 0, 0,
-                       fixed1=ext_max([Dyadic(7)]), fixed2=NEG_INF, tree=TREE)
-    assert got.require_finite() == Dyadic(7)
-    with pytest.raises(ValueError):
-        joint_minmax(u1, u2, "min", 0, 0, tree=TREE)
-
-
-def test_joint_minmax_exact_off_the_grid():
-    # both machines live on the 2^-1 grid; the fixed parts do not
-    u1 = constant_automaton(Dyadic(1))
-    u2 = constant_automaton(Dyadic(3, 1))
-    got = joint_minmax(u1, u2, "sum", 0, 0, fixed1=ExtValue.finite(Dyadic(41, 5)),
-                       tree=TREE)
-    assert got.require_finite() == Dyadic(89, 5)
-    got = joint_minmax(u1, u2, "max", 0, 0, fixed1=ExtValue.finite(Dyadic(41, 4)),
-                       tree=TREE)
-    assert got.require_finite() == Dyadic(41, 4)
 
 
 def lasso_tops(ker, J):
@@ -286,7 +266,7 @@ def test_kernel_grid_rejects_off_grid_values():
 
 
 def test_verify_summary_wording():
-    fam = constant_family(Dyadic(0), TREE)
+    fam = constant_family(Dyadic(0))
     report = verify_construction(fam, BRANCHES, target_fn=lambda x: Dyadic(0))
     n = len(BRANCHES)
     assert report.summary() == \
@@ -305,5 +285,5 @@ def test_minimize_letter_labeling():
 
 def test_minimize_refuses_depth_grading(drop_family):
     # labels keep dropping with depth, so no finite machine reproduces them
-    state = ConstructionState(drop_family)
+    state = SimpleNamespace(u=lambda s: construct_u(drop_family, s))
     assert minimize_labeling(state, TREE, max_states=8) is None

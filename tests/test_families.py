@@ -1,14 +1,10 @@
-"""Level families: node infima vs brute branch sweeps, discretization,
-regularization."""
+"""Level families: node infima vs brute branch sweeps, discretization."""
 
 import itertools
 
-from limsupgames.automata import eval_limsup
 from limsupgames.corpus import constant_automaton, random_automaton, rng_stream
 from limsupgames.dyadic import Dyadic, half_pow
-from limsupgames.families import (LscLevel, constant_family, discretize,
-                                  family_from_automaton,
-                                  regularize_nonincreasing)
+from limsupgames.families import discretize, family_from_automaton
 from limsupgames.trees import EventuallyPeriodicBranch, binary_tree
 
 TREE = binary_tree()
@@ -97,50 +93,9 @@ def test_discretize_idempotent():
     assert discretize(fam) is fam
 
 
-def test_regularize_is_tail_max_of_levels():
-    rng = rng_stream(15, "families-reg")
-    machines = [random_automaton(rng, 2) for _ in range(3)]
-    levels = [LscLevel(u) for u in machines]
-    fam = regularize_nonincreasing(levels, TREE)
-    for s in [(), (0,), (1, 0)]:
-        for n in range(len(machines)):
-            # level n infimum is the cylinder infimum of max over levels >= n,
-            # which a brute sweep of long extensions approximates exactly for
-            # these machine sizes
-            best = None
-            for ext_stem, cyc in EXTENSIONS:
-                x = EventuallyPeriodicBranch(s + ext_stem, cyc)
-                val = max(
-                    max(eval_limsup(m, x),
-                        _path_sup(m, x, len(s + ext_stem) + 6))
-                    for m in machines[n:])
-                if best is None or val < best:
-                    best = val
-            assert fam.node_inf(n, s).require_finite() == best, (n, s)
-        vals = [fam.node_inf(n, s) for n in range(len(machines) + 4)]
-        assert all(a >= b for a, b in zip(vals, vals[1:]))
-
-
-def _path_sup(u, x, horizon):
-    q = u.initial
-    out = []
-    for t in range(horizon):
-        a = x.letter_at(t)
-        out.append(u.output(q, a))
-        q = u.step(q, a)
-    return max(out)
-
-
 def test_constant_family():
     c = Dyadic(-3, 2)
-    fam = constant_family(c, TREE)
+    fam = family_from_automaton(constant_automaton(c), TREE)
     for s in [(), (0, 1)]:
         assert fam.inf_all(s).require_finite() == c
         assert fam.node_inf(5, s).require_finite() == c
-
-
-def test_unbounded_drop_family(drop_family):
-    fam = drop_family
-    s = (0, 1, 0)
-    vals = [fam.node_inf(n, s) for n in range(6)]
-    assert all(a >= b for a, b in zip(vals, vals[1:]))
