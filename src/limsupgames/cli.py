@@ -21,9 +21,9 @@ from .construction import (ConstructionState, algebra, branch_limsup,
 from .corpus import branch_corpus, rng_stream
 from .dyadic import Dyadic, as_dyadic
 from .families import discretize, family_from_automaton
-from .games import (MAX_TRACE_ROUNDS, GameKind, StrategyI, StrategyII,
-                    exact_verdict, finite_value_set, gamma, gamma_prime,
-                    gamma_restricted, play)
+from .games import (MAX_TRACE_ROUNDS, FiniteValueSet, GameKind, StrategyI,
+                    StrategyII, exact_verdict, finite_value_set, gamma,
+                    gamma_prime, gamma_restricted, play)
 from .strategies import (ConstantII, IndicatorPayoff, LetterFSM, ValueFSM,
                          approx_copycat, copycat_strategy,
                          eventually_zero_instance,
@@ -57,6 +57,14 @@ def _dyadics(values, what: str) -> list:
     if not isinstance(values, (list, tuple)):
         raise ConfigError(f"{what} must be a list of dyadic values")
     return [_dyadic(v, what) for v in values]
+
+
+def _value_set(values, what: str) -> FiniteValueSet:
+    ds = _dyadics(values, what)
+    try:
+        return finite_value_set(ds)
+    except ValueError as e:
+        raise ConfigError(f"{what}: {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +194,7 @@ def resolve_kind(cfg: ExperimentConfig) -> GameKind:
         return gamma(tree)
     if cfg.game == "gamma_prime":
         return gamma_prime(tree)
-    return gamma_restricted(
-        finite_value_set(_dyadics(cfg.restriction, "restriction")), tree)
+    return gamma_restricted(_value_set(cfg.restriction, "restriction"), tree)
 
 
 def resolve_automaton(src: dict) -> NodeAutomaton:
@@ -276,7 +283,7 @@ def build_strategy_i(desc: Optional[dict], cfg: ExperimentConfig) -> StrategyI:
             raise ConfigError("lift needs 'base' and 'restriction'")
         base = build_strategy_i(desc["base"], cfg)
         return lift_strategy(
-            base, finite_value_set(_dyadics(desc["restriction"], "lift restriction")))
+            base, _value_set(desc["restriction"], "lift restriction"))
     if kind == "relabel":
         if "base" not in desc or "mapping" not in desc:
             raise ConfigError("relabel needs 'base' and 'mapping'")
@@ -355,6 +362,10 @@ def cmd_eval(args) -> int:
         u = NodeAutomaton.load(args.automaton)
     except (OSError, KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"malformed automaton file: {e}") from None
+    if not isinstance(args.branch, str):
+        # argparse drops "--" tokens, so the text "--" after a "--" arrives
+        # as an empty list
+        raise ConfigError("bad branch descriptor: no branch text")
     try:
         x = parse_branch(args.branch)
     except ValueError as e:

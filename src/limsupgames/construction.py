@@ -6,31 +6,31 @@ caught between the parent's and the child's infimum at some level (the
 per-level part); empty threshold sets fall back to -length.  The limsup of
 the constructed labels along any branch recovers the family's limit
 function, which verify_construction checks exactly on eventually periodic
-branches.  Every family is kernel-backed and gets its labels from
-segment_label, which reads a few staircase segments instead of every level;
-construct_u is the generic level scan that those labels are checked
-against.  The sum/min/max algebra runs the same construction over joint
-kernels.
+branches.  Every family is kernel-backed, and its labeling is a finite
+transducer (LabelTransducer): a prefix's label is one memoized move from
+its parent's (joint state, staircase summary), so a branch limsup is the
+largest label on the cycle of an exact lasso.  construct_u is the generic
+level scan that those labels are checked against.  The sum/min/max algebra
+runs the same construction over joint kernels.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .automata import NodeAutomaton, eval_limsup, make_automaton
 from .dyadic import Dyadic, NEG_INF
 from .families import GridLscFamily, discretize, family_from_kernel
-from .graphs import StabilizationCapError, first_repeat, periodic_start
-from .kernels import ProductKernel, stair_vector, stairs_append
+from .graphs import StabilizationCapError, first_repeat
+from .kernels import ProductKernel
 from .trees import EventuallyPeriodicBranch, Prefix, TreeSpec, binary_tree
 
 ALGEBRA_OPS = ("sum", "min", "max")
 
 
 class InconclusiveLassoError(RuntimeError):
-    """Constructed labels along a branch refused to settle into a cycle."""
+    """The labels along a branch showed no lasso within the cap."""
 
 
 def scan_bound(fam: GridLscFamily, s: Prefix) -> int:
@@ -62,202 +62,223 @@ def construct_u(fam: GridLscFamily, s: Prefix) -> Dyadic:
     return best.require_finite()
 
 
-def segment_label(ker: ProductKernel, discretized: bool, L: int,
-                  J: tuple, J_prev: tuple, cur_snap: tuple,
-                  prev_snap: tuple) -> Tuple[Dyadic, int]:
-    """(label, scan bound) of a prefix of length L >= 1 of a kernel family.
+def segment_label(ker: ProductKernel, E: int, J: tuple, S: tuple,
+                  a: int) -> Tuple[Dyadic, tuple, tuple]:
+    """(label, J', S'): one step of the label transducer of a kernel family.
 
-    J and cur_snap are the joint state and output staircase after the
-    prefix, J_prev and prev_snap after its parent.  Level n at a prefix is
-    a stair value below its length and a tail value past it; below L - 1
-    both the prefix's and the parent's levels only change where a staircase
-    segment starts, so only the segment starts are read there.  Levels past
-    the grid exponent need no rounding.  The scan bound equals scan_bound,
-    and like construct_u this raises AssertionError when a level read
-    exceeds the level read before it.  Levels are read as the kernel's grid
-    ints; the label becomes a Dyadic on return.
+    (J, S) is the state after a prefix of length L: J the joint kernel
+    state, S the staircase summary.  The stair vector at level n < L holds,
+    per dimension, the max of the grid outputs at positions n .. L-1.  S
+    holds the stair vectors at levels below E exactly (E is the grid
+    exponent on a discretized family and 0 otherwise), then the distinct
+    stair vectors at levels E .. L-1 in level order.  Levels from E on are
+    not rounded, so each depends on its stair vector only, and the label, a
+    max over levels, on the distinct vectors only; a prefix no longer than
+    E keeps every vector, so len(S) is its length.  Hence the k-th level
+    read is rounded exactly when k < E.
+
+    The label is that of the child along letter a, with (J', S') its state.
+    Below L both the child's and the parent's levels are stair values; at
+    L the child's is its last output and the parent's a tail value; past L
+    both are tail values, which settle within tail_entry steps, so the scan
+    stops there.  Like construct_u this raises AssertionError when a level
+    read exceeds the level read before it.  Levels are read as the kernel's
+    grid ints; the label becomes a Dyadic on return.
     """
-    E = ker.grid_exponent
-    M = max(L + ker.tail_entry(J), L - 1 + ker.tail_entry(J_prev))
-    lo = 0
-    if discretized:
-        M = max(M, E)
-        lo = E
-    if L - 2 < lo:
-        levels = range(M + 1)
-    else:
-        starts = {lo}
-        for snap in (cur_snap, prev_snap):
-            for segs in snap:
-                for start, _v in segs:
-                    if lo < start <= L - 2:
-                        starts.add(start)
-        levels = itertools.chain(range(lo), sorted(starts), range(L - 1, M + 1))
-    best = ker.tail_limit(J)
+    o = ker.outputs_on(J, a)
+    J2 = ker.step(J, a)
+    vecs = [tuple(w if v < w else v for v, w in zip(d, o)) for d in S]
+    vecs.append(o)
+    tail = []
+    for v in vecs[E:]:
+        if not tail or tail[-1] != v:
+            tail.append(v)
+    S2 = tuple(vecs[:E]) + tuple(tail)
+    jmax = max(1 + ker.tail_entry(J2), ker.tail_entry(J), E - len(S))
+
+    def levels():
+        for v, d in zip(vecs, S):
+            yield ker.value(J2, v), ker.value(J, d)
+        yield ker.value(J2, o), ker.tail_value(J, 0)
+        for j in range(1, jmax + 1):
+            yield ker.tail_value(J2, j - 1), ker.tail_value(J, j)
+
+    best = ker.tail_limit(J2)
     last = None
-    for n in levels:
-        a = ker.value(J, stair_vector(cur_snap, n)) if n < L \
-            else ker.tail_value(J, n - L)
-        p = ker.value(J_prev, stair_vector(prev_snap, n)) if n < L - 1 \
-            else ker.tail_value(J_prev, n - L + 1)
-        if n < lo:
-            # round up to the 2**-n grid: n < E, so the shift is positive
-            shift = E - n
-            a = -((-a) >> shift) << shift
-            p = -((-p) >> shift) << shift
-        if last is not None and last < a:
-            raise AssertionError(
-                f"levels not non-increasing at level {n} of a length-{L} prefix")
-        last = a
-        if p < a and best < a:
-            best = a
-    return ker.from_grid(best), M
+    for k, (cur, par) in enumerate(levels()):
+        if k < E:
+            # round up to the 2**-k grid: k < E, so the shift is positive
+            shift = E - k
+            cur = -((-cur) >> shift) << shift
+            par = -((-par) >> shift) << shift
+        if last is not None and last < cur:
+            raise AssertionError(f"levels not non-increasing at level read {k}")
+        last = cur
+        if par < cur and best < cur:
+            best = cur
+    return ker.from_grid(best), J2, S2
+
+
+class LabelTransducer:
+    """The constructed labeling of a kernel family as a finite transducer.
+
+    States are the (J, S) pairs of segment_label, numbered in the order
+    they are met; state 0 is the root's.  move(q, a) is memoized, so
+    segment_label runs once per (state, letter), and every branch walk and
+    construction state over the family shares the table.  The reachable
+    states are finitely many: J ranges over the product states and S over
+    a bounded number of decreasing chains of output vectors.  exponent is
+    segment_label's E: the level from which on levels are not rounded.
+    """
+
+    def __init__(self, ker: ProductKernel, discretized: bool):
+        self.ker = ker
+        self.exponent = ker.grid_exponent if discretized else 0
+        self.states: List[tuple] = [(ker.initial, ())]
+        self._ids = {self.states[0]: 0}
+        self._moves: Dict[Tuple[int, int], Tuple[Dyadic, int]] = {}
+
+    def move(self, q: int, a: int) -> Tuple[Dyadic, int]:
+        """(label of the child along a, its state) from state q."""
+        got = self._moves.get((q, a))
+        if got is None:
+            J, S = self.states[q]
+            label, J2, S2 = segment_label(self.ker, self.exponent, J, S, a)
+            r = self._ids.get((J2, S2))
+            if r is None:
+                r = self._ids[(J2, S2)] = len(self.states)
+                self.states.append((J2, S2))
+            got = self._moves[(q, a)] = (label, r)
+        return got
+
+
+def transducer(fam: GridLscFamily) -> LabelTransducer:
+    """The family's label transducer, kept on its kernel.
+
+    Raw and discretized families share a kernel but not their labels, so
+    the kernel keeps one transducer per discretized flag.
+    """
+    ker = fam.kernel
+    got = ker.transducers.get(fam.discretized)
+    if got is None:
+        got = ker.transducers[fam.discretized] = LabelTransducer(
+            ker, fam.discretized)
+    return got
 
 
 class ConstructionState:
     """Per-prefix label cache, with audit counters.
 
-    Each nonempty prefix is labeled by segment_label from a per-prefix
-    (joint state, staircase) memo, each entry one step past its parent's.
-    The root has no parent, so each level's threshold interval reaches up
-    to that level's infimum, and level 0's infimum, the largest, is the
-    root's label.
+    Each nonempty prefix is labeled by one move of the family's label
+    transducer from its parent's state; the per-prefix states are kept, so
+    a prefix costs one move past its parent.  The root has no parent, so
+    each level's threshold interval reaches up to that level's infimum, and
+    level 0's infimum, the largest, is the root's label.
     """
 
     def __init__(self, fam: GridLscFamily):
         self.fam = fam
         self.cache: Dict[Prefix, Dyadic] = {}
         self.max_scan = 0
-        self._runs = {(): (fam.kernel.initial, ((),) * fam.kernel.dims)}
+        self._tr = transducer(fam)
+        self._runs: Dict[Prefix, int] = {(): 0}
 
-    def _run(self, s: Prefix) -> tuple:
+    def _run(self, s: Prefix) -> int:
         k = len(s)
         while s[:k] not in self._runs:
             k -= 1
-        J, snap = self._runs[s[:k]]
-        ker = self.fam.kernel
+        q = self._runs[s[:k]]
         for i in range(k, len(s)):
-            a = s[i]
-            snap = stairs_append(snap, i, ker.outputs_on(J, a))
-            J = ker.step(J, a)
-            self._runs[s[:i + 1]] = (J, snap)
-        return J, snap
+            q = self._tr.move(q, s[i])[1]
+            self._runs[s[:i + 1]] = q
+        return q
 
     def u(self, s: Prefix) -> Dyadic:
         got = self.cache.get(s)
         if got is None:
+            fam = self.fam
             if not s:
-                M = scan_bound(self.fam, s)
-                got = self.fam.node_inf(0, s).require_finite()
+                M = scan_bound(fam, s)
+                got = fam.node_inf(0, s).require_finite()
             else:
-                J_prev, prev_snap = self._run(s[:-1])
-                J, cur_snap = self._run(s)
-                got, M = segment_label(self.fam.kernel, self.fam.discretized,
-                                       len(s), J, J_prev, cur_snap, prev_snap)
+                q = self._run(s[:-1])
+                got, r = self._tr.move(q, s[-1])
+                self._runs[s] = r
+                # scan_bound(fam, s), read off the two joint states
+                tr, L = self._tr, len(s)
+                M = max(L + tr.ker.tail_entry(tr.states[r][0]),
+                        L - 1 + tr.ker.tail_entry(tr.states[q][0]),
+                        tr.exponent)
             self.max_scan = max(self.max_scan, M)
             self.cache[s] = got
         return got
 
 
-class _KernelLabeler:
-    """Walks a branch once, labeling every prefix of the kernel-backed family.
-
-    Keeps the joint run state, the per-dimension suffix-max staircases of the
-    emitted outputs, and the memoized tail tables; each label costs a few
-    segment lookups (segment_label) instead of a fresh level scan.
-    labels[k] is the label of the prefix of length k+1.
-    """
-
-    def __init__(self, fam: GridLscFamily, x: EventuallyPeriodicBranch):
-        self.ker = fam.kernel
-        self.x = x
-        self.disc = fam.discretized
-        self.J = self.ker.initial
-        self.cur_snap = ((),) * self.ker.dims
-        self.L = 0
-        self.labels: List[Dyadic] = []
-        self.max_scan = 0
-
-    def step(self) -> None:
-        a = self.x.letter_at(self.L)
-        J_prev, prev_snap = self.J, self.cur_snap
-        self.cur_snap = stairs_append(prev_snap, self.L,
-                                      self.ker.outputs_on(J_prev, a))
-        self.J = self.ker.step(J_prev, a)
-        self.L += 1
-        label, M = segment_label(self.ker, self.disc, self.L, self.J, J_prev,
-                                 self.cur_snap, prev_snap)
-        self.max_scan = max(self.max_scan, M)
-        self.labels.append(label)
-
-    def extend_to(self, horizon: int) -> None:
-        while self.L < horizon:
-            self.step()
-
-    def run_to_lasso(self, cap: int = 100000) -> Tuple[int, int]:
-        """(start, period) of the first repeat of (branch position, joint state)."""
-        x, ker = self.x, self.ker
-        stem, end = len(x.stem), len(x.stem) + len(x.cycle)
-
-        def step(key):
-            t, J = key
-            return (t + 1 if t + 1 < end else stem, ker.step(J, x.letter_at(t)))
-
-        try:
-            orbit, entry = first_repeat((0, ker.initial), step, cap + 1)
-        except StabilizationCapError:
-            raise InconclusiveLassoError("no joint state lasso within cap") from None
-        return entry, len(orbit) - entry
-
-
 def branch_labels(fam: GridLscFamily, x: EventuallyPeriodicBranch,
                   horizon: int) -> Tuple[Dyadic, ...]:
-    lab = _KernelLabeler(fam, x)
-    lab.extend_to(horizon)
-    return tuple(lab.labels)
-
-
-def periodic_tail_max(values: Sequence[Dyadic], period: int,
-                      repeats: int = 3) -> Optional[Tuple[int, Dyadic]]:
-    """Max over one period of a certified periodic tail, or None.
-
-    Requires the last `repeats` periods to agree entrywise, then rolls the
-    periodic start back as far as the values allow and reports (start, max).
-    """
-    n = len(values)
-    if period < 1 or n < repeats * period:
-        return None
-    lo = n - repeats * period
-    for i in range(lo, n - period):
-        if values[i] != values[i + period]:
-            return None
-    return (periodic_start(values, n - period, period), max(values[n - period:]))
+    """Labels of the prefixes of x of lengths 1 .. horizon."""
+    tr = transducer(fam)
+    q = 0
+    out = []
+    for t in range(horizon):
+        label, q = tr.move(q, x.letter_at(t))
+        out.append(label)
+    return tuple(out)
 
 
 def branch_limsup(fam: GridLscFamily, x: EventuallyPeriodicBranch,
                   cap: int = 4096) -> Tuple[Dyadic, dict]:
     """Exact limsup of the constructed labels along x, with audit info.
 
-    The joint (kernel state, branch phase) lasso period is an eventual
-    period of the label sequence; the horizon escalates until three periods
-    agree, and exhaustion raises InconclusiveLassoError.
+    The label of each prefix is a move of the family's label transducer, so
+    the orbit of (branch phase, transducer state) is a lasso, the labels are
+    periodic from its entry on, and the limsup is the largest label on its
+    cycle.  An orbit that shows no repeat within cap + 1 steps raises
+    InconclusiveLassoError.
+
+    The audit info reports the (branch phase, joint state) lasso start and
+    period, and max_scan, the largest scan bound (scan_bound) over the
+    prefixes of lengths 1 .. horizon, horizon = max(t0 + 4p + 16, 6p, 32)
+    capped at cap; it is read off the joint orbit without labeling.  That
+    horizon fixes the prefixes behind construct's reported max level scan,
+    so it stays as it is although the limsup no longer needs it.
     """
-    lab = _KernelLabeler(fam, x)
-    t0, p = lab.run_to_lasso(cap)
-    horizon = max(t0 + 4 * p + 16, 6 * p, 32)
-    while True:
-        horizon = min(horizon, cap)
-        lab.extend_to(horizon)
-        got = periodic_tail_max(lab.labels, p, repeats=3)
-        if got is not None:
-            start, value = got
-            info = {"lasso_start": t0, "period": p, "tail_start": start,
-                    "horizon": horizon, "max_scan": lab.max_scan}
-            return value, info
-        if horizon >= cap:
-            raise InconclusiveLassoError(
-                f"labels along {x} show no period-{p} tail within {cap}")
-        horizon = min(cap, horizon * 2)
+    ker = fam.kernel
+    tr = transducer(fam)
+    stem, end = len(x.stem), len(x.stem) + len(x.cycle)
+
+    def phase(t: int) -> int:
+        return t + 1 if t + 1 < end else stem
+
+    labels: List[Dyadic] = []
+
+    def move(key):
+        t, q = key
+        label, r = tr.move(q, x.letter_at(t))
+        labels.append(label)
+        return phase(t), r
+
+    try:
+        orbit, t0 = first_repeat(
+            (0, ker.initial),
+            lambda key: (phase(key[0]), ker.step(key[1], x.letter_at(key[0]))),
+            cap + 1)
+        _, entry = first_repeat((0, 0), move, cap + 1)
+    except StabilizationCapError:
+        raise InconclusiveLassoError(
+            f"no lasso along {x} within {cap} steps") from None
+    p = len(orbit) - t0
+    horizon = min(max(t0 + 4 * p + 16, 6 * p, 32), cap)
+    # a prefix's scan bound is max(L + tail_entry(J_L), L - 1 +
+    # tail_entry(J_{L-1}), exponent), so the bounds up to the horizon peak
+    # at the last length each orbit position takes
+    max_scan = tr.exponent
+    for i, (_, J) in enumerate(orbit):
+        L = i if i < t0 else i + p * ((horizon - i) // p)
+        max_scan = max(max_scan, L + ker.tail_entry(J))
+    info = {"lasso_start": t0, "period": p, "horizon": horizon,
+            "max_scan": max_scan}
+    return max(labels[entry:]), info
 
 
 @dataclass(frozen=True)

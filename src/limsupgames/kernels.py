@@ -9,9 +9,7 @@ and answers the two questions every node-infimum oracle reduces to:
                     level index contribute nothing)
 
 Both are exact: future sups are attained on lassos, so a finite threshold
-search over the declared output grids settles them.  stairs_append keeps
-the prefix-determined parts (suffix maxima of emitted outputs) in segment
-form for the incremental labelers.
+search over the declared output grids settles them.
 
 Every output of the machines lies on one grid 2**-E, E = grid_exponent, so
 the kernel works in plain ints on that grid: an int v stands for v / 2**E.
@@ -78,6 +76,9 @@ class ProductKernel:
         self._value: Dict = {}
         self._tails: Dict = {}
         self._mtails: Dict = {}
+        # the label transducers of the families over this kernel, one per
+        # discretized flag; construction.transducer fills it
+        self.transducers: Dict[bool, object] = {}
         # per machine, state and letter class: the output as a grid int
         self._tables = tuple(
             tuple(tuple(self.to_grid(o) for o in row) for row in u.outputs)
@@ -185,41 +186,3 @@ class ProductKernel:
 
     def tail_limit(self, J: tuple) -> int:
         return self.tail_value(J, self.tail_entry(J))
-
-
-def stairs_append(snap: tuple, pos: int, values: tuple) -> tuple:
-    """The staircase snapshot after the outputs `values` land at position pos.
-
-    A snapshot holds, per dimension, the suffix maxima of the outputs at
-    positions 0 .. pos-1 as segments (start_n, value) with strictly
-    decreasing values: the suffix max over [n, pos-1] is the value of the
-    last segment starting at or before n.  One append pops the segments the
-    new output dominates (a monotone stack) and returns a new snapshot, so
-    a parent's snapshot stays valid for all of its children.
-    """
-    out = []
-    for segs, v in zip(snap, values):
-        k = len(segs)
-        start = pos
-        while k and not v < segs[k - 1][1]:
-            k -= 1
-            start = segs[k][0]
-        out.append(segs[:k] + ((start, v),))
-    return tuple(out)
-
-
-def _stair_at(segs: tuple, n: int) -> int:
-    # caller guarantees 0 <= n < the snapshot's length
-    lo, hi = 0, len(segs) - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if segs[mid][0] <= n:
-            lo = mid
-        else:
-            hi = mid - 1
-    return segs[lo][1]
-
-
-def stair_vector(snap: tuple, n: int) -> tuple:
-    """Per-dimension suffix max of the outputs from position n on, as fixed parts."""
-    return tuple(_stair_at(segs, n) for segs in snap)

@@ -5,7 +5,7 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from limsupgames.acceptance import CriterionResult
@@ -48,6 +48,7 @@ def test_eval_rejects_missing_file(tmp_path, capsys):
 
 @settings(max_examples=60, deadline=None)
 @given(st.text(alphabet="stemcycl=;,01+-_ \u0661", max_size=24))
+@example(text="--")
 def test_eval_branch_text_exits_zero_or_two(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "letter-eval.json"
     if not path.exists():
@@ -362,6 +363,9 @@ _COPYCAT = {"kind": "copycat"}
     ("play", {"game": "gamma_restricted", "restriction": 5}),
     ("play", {"player_i": {"kind": "lift", "base": _COPYCAT,
                            "restriction": ["q"]}}),
+    ("play", {"player_i": {"kind": "lift", "base": _COPYCAT,
+                           "restriction": []}}),
+    ("play", {"game": "gamma_restricted", "restriction": []}),
     ("play", {"player_i": {"kind": "relabel", "base": _COPYCAT,
                            "mapping": {"0/2^0": 2.5}}}),
     ("play", {"player_i": {"kind": "relabel", "base": _COPYCAT,
@@ -387,7 +391,8 @@ _COPYCAT = {"kind": "copycat"}
                                 "branch_corpus": {"max_stem": 1.9,
                                                   "max_cycle": 1}}}),
 ], ids=["constant-literal", "constant-float", "covalue", "restriction-float",
-        "restriction-not-list", "lift-restriction", "relabel-value",
+        "restriction-not-list", "lift-restriction", "lift-restriction-empty",
+        "restriction-empty", "relabel-value",
         "relabel-not-object", "fsm-i-values", "fsm-ii-values",
         "fsm-values-not-list", "player-not-object", "lift-base-not-object",
         "pair-f-not-object", "payoff-not-object", "pipeline-not-object",

@@ -1,16 +1,18 @@
-"""Node labeling construction: threshold scans, fast labeler, branch
-limsups, the three-operation algebra, and machine minimization."""
+"""Node labeling construction: threshold scans, the label transducer,
+branch limsups, the three-operation algebra, and machine minimization."""
 
 import itertools
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from limsupgames.automata import eval_limsup, lasso_summary
+from limsupgames.automata import eval_limsup, lasso_summary, make_automaton
 from limsupgames.construction import (ConstructionState, InconclusiveLassoError,
-                                       algebra, branch_labels, branch_limsup,
-                                       construct_u, minimize_labeling,
-                                       periodic_tail_max, scan_bound,
+                                       algebra, apply_op, branch_labels,
+                                       branch_limsup, construct_u,
+                                       minimize_labeling, scan_bound,
                                        verify_construction)
 from limsupgames.corpus import (automaton_corpus, branch_corpus,
                                  constant_automaton, letter_output_automaton,
@@ -94,6 +96,53 @@ def _kernel_families():
             yield algebra(u1, u2, op, TREE).family
 
 
+# stems and cycles longer than the grid exponent (at most 2 here) plus one,
+# so the walks leave the short-prefix regime of the staircase summary
+LONG_WALKS = [parse_branch("stem=0,1,1,0,1;cycle=1,0,0"),
+              parse_branch("stem=1,1,1,0;cycle=0,1,1,0,1"),
+              parse_branch("stem=;cycle=0,0,1,0")]
+
+
+def test_transducer_labels_match_generic_scan_to_40():
+    # raw and discretized families of one kernel are labeled in turn in
+    # one process, so a memo shared across the flag would show here
+    first = {}
+    differ = False
+    for fam in _kernel_families():
+        for x in LONG_WALKS:
+            labels = branch_labels(fam, x, 40)
+            for k, lab in enumerate(labels):
+                assert lab == construct_u(fam, x.first(k + 1)), \
+                    (fam.label, x, k)
+            differ |= first.setdefault((fam.kernel, x), labels) != labels
+            # the audited scan bound, read off the joint orbit, is the
+            # largest scan bound over the prefixes out to the horizon
+            _, info = branch_limsup(fam, x)
+            assert info["max_scan"] == max(
+                scan_bound(fam, x.first(n))
+                for n in range(1, info["horizon"] + 1)), (fam.label, x)
+    assert differ
+
+
+@st.composite
+def small_machines(draw):
+    n = draw(st.integers(1, 3))
+    steps = [[draw(st.integers(0, n - 1)) for _ in range(2)] for _ in range(n)]
+    outs = [[Dyadic(draw(st.integers(-8, 8)), draw(st.integers(0, 2)))
+             for _ in range(2)] for _ in range(n)]
+    return make_automaton(0, steps, outs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_machines(), small_machines(), st.sampled_from(["sum", "min", "max"]),
+       st.lists(st.integers(0, 1), max_size=8),
+       st.lists(st.integers(0, 1), min_size=1, max_size=6))
+def test_branch_limsup_is_op_of_limsups(u1, u2, op, stem, cycle):
+    x = EventuallyPeriodicBranch(tuple(stem), tuple(cycle))
+    value, _ = branch_limsup(algebra(u1, u2, op, TREE).family, x)
+    assert value == apply_op(op, eval_limsup(u1, x), eval_limsup(u2, x))
+
+
 def test_construction_state_matches_generic_scan():
     # the per-prefix segment labels against the level scan, and the same
     # audited scan bound
@@ -139,16 +188,6 @@ def test_rstar_and_level_sups_on_constant():
     state = ConstructionState(fam)
     for s in [(), (0,), (0, 1)]:
         assert state.u(s) == construct_u(fam, s) == c
-
-
-def test_periodic_tail_max():
-    one, two = Dyadic(1), Dyadic(2)
-    vals = [two, one, two, one, two, one, two]
-    assert periodic_tail_max(vals, 2) == (0, two)
-    assert periodic_tail_max([one, two, two, two, two], 1) == (1, two)
-    assert periodic_tail_max([one, two, one, two], 2) is None  # too short
-    assert periodic_tail_max([one, one, two, one, two, one], 2) is None
-    assert periodic_tail_max(vals, 0) is None
 
 
 def test_branch_limsup_matches_machine():

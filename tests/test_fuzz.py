@@ -5,7 +5,7 @@ import contextlib
 import io
 import json
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from limsupgames.automata import NodeAutomaton
@@ -149,6 +149,10 @@ def config_dicts(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(config_dicts(), st.sampled_from(["play", "verify"]))
+@example({"tree": "nat", "horizon": 5,
+          "player_i": {"kind": "lift", "base": {"kind": "copycat"},
+                       "restriction": []},
+          "player_ii": {"kind": "constant", "value": "1/2^1"}}, "play")
 def test_fuzzed_config_json_loads_or_exits_two(tmp_path_factory, data, command):
     text = json.dumps(data)
     try:
