@@ -449,11 +449,7 @@ def build_pipeline(pipe: dict, tree: TreeSpec):
     fam = family_from_automaton(u, tree)
     if "discretize" in stages:
         fam = discretize(fam)
-    try:
-        state = ConstructionState(fam)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
-    return fam, state, None
+    return fam, ConstructionState(fam), None
 
 
 def _declared_corpus(pipe: dict, tree: TreeSpec):
@@ -486,16 +482,8 @@ def cmd_construct(args) -> int:
     fam, state, target = build_pipeline(cfg.pipeline, tree)
     corpus = _declared_corpus(cfg.pipeline, tree)
     report = verify_construction(fam, corpus, target_fn=target)
-    machine = minimize_labeling(state, tree)
-    if machine is not None:
-        function_json = {"automaton": machine.to_json_dict()}
-        note = f"minimized to {machine.num_states} state(s)"
-    else:
-        function_json = {"oracle": {"pipeline": cfg.pipeline,
-                                    "tree": cfg.tree},
-                         "note": "no finite realization found; evaluate "
-                                 "through eval/play against this pipeline"}
-        note = "exported as an oracle handle"
+    machine = minimize_labeling(state)
+    function_json = {"automaton": machine.to_json_dict()}
     report_json = {
         "label": report.label,
         "summary": report.summary(),
@@ -512,7 +500,7 @@ def cmd_construct(args) -> int:
         _write(cfg.out_dir, "function.json", _dump(function_json))
         _write(cfg.out_dir, "report.json", _dump(report_json))
     print(report.summary())
-    print(note)
+    print(f"minimized to {machine.num_states} state(s)")
     for r in report.rows:
         if r.inconclusive:
             print(f"inconclusive at branch {r.branch}: labels did not settle",

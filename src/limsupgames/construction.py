@@ -9,9 +9,10 @@ function, which verify_construction checks exactly on eventually periodic
 branches.  Every family is kernel-backed, and its labeling is a finite
 transducer (LabelTransducer): a prefix's label is one memoized move from
 its parent's (joint state, staircase summary), so a branch limsup is the
-largest label on the cycle of an exact lasso.  construct_u is the generic
-level scan that those labels are checked against.  The sum/min/max algebra
-runs the same construction over joint kernels.
+largest label on the cycle of an exact lasso, and minimize_labeling
+refines the reachable transducer into its minimal machine.  construct_u is
+the generic level scan that those labels are checked against.  The
+sum/min/max algebra runs the same construction over joint kernels.
 """
 
 from __future__ import annotations
@@ -167,7 +168,7 @@ def transducer(fam: GridLscFamily) -> LabelTransducer:
 
 
 class ConstructionState:
-    """Per-prefix label cache, with audit counters.
+    """Per-prefix label cache.
 
     Each nonempty prefix is labeled by one move of the family's label
     transducer from its parent's state; the per-prefix states are kept, so
@@ -179,7 +180,6 @@ class ConstructionState:
     def __init__(self, fam: GridLscFamily):
         self.fam = fam
         self.cache: Dict[Prefix, Dyadic] = {}
-        self.max_scan = 0
         self._tr = transducer(fam)
         self._runs: Dict[Prefix, int] = {(): 0}
 
@@ -196,20 +196,10 @@ class ConstructionState:
     def u(self, s: Prefix) -> Dyadic:
         got = self.cache.get(s)
         if got is None:
-            fam = self.fam
             if not s:
-                M = scan_bound(fam, s)
-                got = fam.node_inf(0, s).require_finite()
+                got = self.fam.node_inf(0, s).require_finite()
             else:
-                q = self._run(s[:-1])
-                got, r = self._tr.move(q, s[-1])
-                self._runs[s] = r
-                # scan_bound(fam, s), read off the two joint states
-                tr, L = self._tr, len(s)
-                M = max(L + tr.ker.tail_entry(tr.states[r][0]),
-                        L - 1 + tr.ker.tail_entry(tr.states[q][0]),
-                        tr.exponent)
-            self.max_scan = max(self.max_scan, M)
+                got, self._runs[s] = self._tr.move(self._run(s[:-1]), s[-1])
             self.cache[s] = got
         return got
 
@@ -347,68 +337,56 @@ def verify_construction(fam: GridLscFamily,
     return ConstructionReport(tuple(rows), fam.label, worst)
 
 
-def minimize_labeling(state: ConstructionState, tree: TreeSpec,
-                      probe_depth: int = 3, close_depth: int = 8,
-                      verify_depth: int = 11,
-                      max_states: int = 64) -> Optional[NodeAutomaton]:
-    """Try to fold a constructed labeling into a finite machine.
+def minimize_labeling(state: ConstructionState) -> NodeAutomaton:
+    """The minimal machine of a constructed labeling.
 
-    Prefixes are grouped by the labels of all their extensions out to
-    probe_depth; when the grouping closes under extension within
-    close_depth and the induced machine reproduces every label out to
-    verify_depth, the machine is returned.  Anything else, including
-    non-contiguous alphabets, yields None and the labeling stays an oracle.
+    The labeling is the family's label transducer, so its reachable states
+    are explored from the root with the memoized move.  The letters are the
+    tree's alphabet 0..k-1, or on the naturals tree 0..K with K the largest
+    machine letter count, the last letter standing for the default class.
+    Moore refinement then splits the states, first by their rows of labels
+    and then by the blocks of their successors, until no block splits; the
+    blocks are numbered in breadth-first order from the root's, letters in
+    order.  A tree alphabet other than 0..k-1 raises ValueError.
     """
-    letters = tree.alphabet
-    if letters is None or letters != tuple(range(len(letters))):
-        return None
-    probes: List[Prefix] = []
-    frontier: List[Prefix] = [()]
-    for _ in range(probe_depth):
-        frontier = [w + (a,) for w in frontier for a in letters]
-        probes.extend(frontier)
-
-    def signature(s: Prefix):
-        return tuple(state.u(s + w) for w in probes)
-
-    class_of = {signature(()): 0}
-    reps: List[Prefix] = [()]
+    tr = transducer(state.fam)
+    tree = tr.ker.tree
+    if tree.all_naturals:
+        letters = range(max(u.num_letters for u in tr.ker.machines) + 1)
+    else:
+        letters = tree.alphabet
+        if letters != tuple(range(len(letters))):
+            raise ValueError(f"cannot minimize over the alphabet {letters}: "
+                             "machine letters are 0..k-1")
+    moves: Dict[int, List[Tuple[Dyadic, int]]] = {}
+    todo = [0]
+    while todo:
+        q = todo.pop()
+        if q not in moves:
+            moves[q] = [tr.move(q, a) for a in letters]
+            todo.extend(r for _, r in moves[q])
+    sig = {q: tuple(label for label, _ in row) for q, row in moves.items()}
+    count = 0
+    while True:
+        ids: dict = {}
+        block = {q: ids.setdefault(key, len(ids)) for q, key in sig.items()}
+        if len(ids) == count:
+            break
+        count = len(ids)
+        sig = {q: (block[q],) + tuple(block[r] for _, r in row)
+               for q, row in moves.items()}
+    number = {block[0]: 0}
+    reps = [0]
     steps: List[List[int]] = []
     outs: List[List[Dyadic]] = []
-    i = 0
-    while i < len(reps):
-        s = reps[i]
-        if len(s) > close_depth:
-            return None
-        row_step = []
-        row_out = []
-        for a in letters:
-            child = s + (a,)
-            sg = signature(child)
-            j = class_of.get(sg)
-            if j is None:
-                j = len(reps)
-                if j >= max_states:
-                    return None
-                class_of[sg] = j
-                reps.append(child)
-            row_step.append(j)
-            row_out.append(state.u(child))
-        steps.append(row_step)
-        outs.append(row_out)
-        i += 1
-    machine = make_automaton(0, steps, outs)
-    layer = [((), 0)]
-    for _ in range(verify_depth):
-        nxt = []
-        for s, q in layer:
-            for a in letters:
-                child = s + (a,)
-                if machine.output(q, a) != state.u(child):
-                    return None
-                nxt.append((child, machine.step(q, a)))
-        layer = nxt
-    return machine
+    for q in reps:
+        for _, r in moves[q]:
+            if block[r] not in number:
+                number[block[r]] = len(reps)
+                reps.append(r)
+        steps.append([number[block[r]] for _, r in moves[q]])
+        outs.append([label for label, _ in moves[q]])
+    return make_automaton(0, steps, outs)
 
 
 def apply_op(op: str, a: Dyadic, b: Dyadic) -> Dyadic:

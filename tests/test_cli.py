@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from limsupgames.acceptance import CriterionResult
+from limsupgames.automata import NodeAutomaton
 from limsupgames.cli import ConfigError, ExperimentConfig, entry
 from limsupgames.corpus import constant_automaton, letter_output_automaton
 from limsupgames.dyadic import Dyadic
@@ -283,6 +284,20 @@ def test_construct_default_corpus_and_minimization(tmp_path, capsys):
     report = json.loads((out_dir / "report.json").read_text())
     assert len(report["rows"]) == 30
     assert all(r["equal"] for r in report["rows"])
+
+
+def test_construct_on_naturals_writes_machine(tmp_path, capsys):
+    cfg = write_config(tmp_path, tree="nat", pipeline={
+        "stages": ["from-automaton", "discretize", "construct_u"],
+        "source": {"automaton": letter_output_automaton().to_json_dict()}})
+    out_dir = tmp_path / "n"
+    assert entry(["construct", "--config", cfg, "--out", str(out_dir)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1].startswith("minimized to ")
+    function = json.loads((out_dir / "function.json").read_text())
+    assert list(function) == ["automaton"]
+    machine = NodeAutomaton.from_json_dict(function["automaton"])
+    assert out[1] == f"minimized to {machine.num_states} state(s)"
 
 
 def test_construct_algebra_pipeline(tmp_path, capsys):

@@ -2,7 +2,6 @@
 branch limsups, the three-operation algebra, and machine minimization."""
 
 import itertools
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +19,8 @@ from limsupgames.corpus import (automaton_corpus, branch_corpus,
 from limsupgames.dyadic import Dyadic
 from limsupgames.families import discretize, family_from_automaton
 from limsupgames.kernels import ProductKernel
-from limsupgames.trees import EventuallyPeriodicBranch, binary_tree, parse_branch
+from limsupgames.trees import (EventuallyPeriodicBranch, binary_tree, full_tree,
+                               nat_tree, parse_branch)
 
 TREE = binary_tree()
 BRANCHES = branch_corpus(2, 2)
@@ -144,14 +144,12 @@ def test_branch_limsup_is_op_of_limsups(u1, u2, op, stem, cycle):
 
 
 def test_construction_state_matches_generic_scan():
-    # the per-prefix segment labels against the level scan, and the same
-    # audited scan bound
+    # the per-prefix segment labels against the level scan
     prefixes = prefixes_to(7)
     for fam in _kernel_families():
         state = ConstructionState(fam)
         for s in prefixes:
             assert state.u(s) == construct_u(fam, s), (fam.label, s)
-        assert state.max_scan == max(scan_bound(fam, s) for s in prefixes)
 
 
 def test_empty_threshold_set_labels_by_depth(drop_family):
@@ -314,15 +312,85 @@ def test_verify_summary_wording():
 
 def test_minimize_letter_labeling():
     fam = discretize(family_from_automaton(letter_output_automaton(), TREE))
-    state = ConstructionState(fam)
-    machine = minimize_labeling(state, TREE)
-    assert machine is not None and machine.num_states == 1
+    machine = minimize_labeling(ConstructionState(fam))
+    assert machine.num_states == 1
     for x in branch_corpus(3, 3):
         cert = lasso_summary(machine, x)
         assert max(cert.cycle_outputs) == branch_limsup(fam, x)[0]
 
 
-def test_minimize_refuses_depth_grading(drop_family):
-    # labels keep dropping with depth, so no finite machine reproduces them
-    state = SimpleNamespace(u=lambda s: construct_u(drop_family, s))
-    assert minimize_labeling(state, TREE, max_states=8) is None
+def _minimize_cases():
+    """(id, family, letters, depth): raw, discretized and sum/min/max
+    families on the binary tree, to depth 12; then two on the naturals
+    tree, shallower, over letters past every machine's declared ones.  The
+    seed is one whose discretized, sum, min and max labelings need more
+    than one round of refinement by successor blocks."""
+    u = automaton_corpus(34, 6, max_states=3, span=4, max_exp=2)
+    yield "raw", family_from_automaton(u[3], TREE), (0, 1), 12
+    yield "discretized", discretize(family_from_automaton(u[3], TREE)), \
+        (0, 1), 12
+    for op in ("sum", "min", "max"):
+        yield op, algebra(u[2], u[3], op, TREE).family, (0, 1), 12
+    nat = nat_tree()
+    yield "nat", discretize(family_from_automaton(u[3], nat)), range(4), 5
+    yield "nat-min", algebra(u[2], u[3], "min", nat).family, range(4), 5
+
+
+MINIMIZE_CASES = [pytest.param(*case[1:], id=case[0])
+                  for case in _minimize_cases()]
+
+
+@pytest.mark.parametrize("fam, letters, depth", MINIMIZE_CASES)
+def test_minimized_machine_matches_generic_scan(fam, letters, depth):
+    machine = minimize_labeling(ConstructionState(fam))
+    layer = [((), machine.initial)]
+    for _ in range(depth):
+        nxt = []
+        for s, q in layer:
+            for a in letters:
+                child = s + (a,)
+                assert machine.output(q, a) == construct_u(fam, child), \
+                    (fam.label, child)
+                nxt.append((child, machine.step(q, a)))
+        layer = nxt
+
+
+def distinguishable(machine, p, q):
+    """Whether some word labels differently from p and from q: a search of
+    the pairs of states that one word reaches from (p, q)."""
+    classes = range(machine.num_letters + 1)
+    seen = {(p, q)}
+    todo = [(p, q)]
+    while todo:
+        p, q = todo.pop()
+        for c in classes:
+            if machine.outputs[p][c] != machine.outputs[q][c]:
+                return True
+            pair = (machine.steps[p][c], machine.steps[q][c])
+            if pair not in seen:
+                seen.add(pair)
+                todo.append(pair)
+    return False
+
+
+@pytest.mark.parametrize("fam, letters, depth", MINIMIZE_CASES)
+def test_minimized_machine_is_minimal(fam, letters, depth):
+    # every state is reachable and no two states are equivalent
+    machine = minimize_labeling(ConstructionState(fam))
+    n = machine.num_states
+    reached = {machine.initial}
+    todo = [machine.initial]
+    while todo:
+        for r in machine.steps[todo.pop()]:
+            if r not in reached:
+                reached.add(r)
+                todo.append(r)
+    assert len(reached) == n
+    for p, q in itertools.combinations(range(n), 2):
+        assert distinguishable(machine, p, q), (fam.label, p, q)
+
+
+def test_minimize_rejects_non_contiguous_alphabet():
+    fam = family_from_automaton(letter_output_automaton(), full_tree((0, 2)))
+    with pytest.raises(ValueError):
+        minimize_labeling(ConstructionState(fam))
