@@ -10,7 +10,7 @@ exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from . import graphs
@@ -41,6 +41,7 @@ class NodeAutomaton:
     initial: int
     steps: tuple
     outputs: tuple
+    default_class: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.steps)
@@ -62,6 +63,8 @@ class NodeAutomaton:
                     raise ValueError(f"output at ({q},{c}) is not a Dyadic")
         if not (0 <= self.initial < n):
             raise ValueError(f"bad initial state {self.initial}")
+        # k, the default class's column (and the explicit letter count)
+        object.__setattr__(self, "default_class", width - 1)
 
     @property
     def num_states(self) -> int:
@@ -70,17 +73,19 @@ class NodeAutomaton:
     @property
     def num_letters(self) -> int:
         """Count of explicit letters (the default class comes on top)."""
-        return len(self.steps[0]) - 1
+        return self.default_class
 
     def letter_class(self, a: int) -> int:
-        k = self.num_letters
+        k = self.default_class
         return a if a < k else k
 
     def step(self, q: int, a: int) -> int:
-        return self.steps[q][self.letter_class(a)]
+        k = self.default_class
+        return self.steps[q][a if a < k else k]
 
     def output(self, q: int, a: int) -> Dyadic:
-        return self.outputs[q][self.letter_class(a)]
+        k = self.default_class
+        return self.outputs[q][a if a < k else k]
 
     def run(self, s: Prefix) -> int:
         q = self.initial

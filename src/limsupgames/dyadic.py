@@ -17,8 +17,7 @@ from typing import Iterable, Union
 _DYADIC_RE = re.compile(r"(-?[0-9]+)(?:/2\^([0-9]+))?")
 
 
-@total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Dyadic:
     """z / 2**e in normal form: e == 0 or z odd."""
 
@@ -26,16 +25,18 @@ class Dyadic:
     exp: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.num, int) or not isinstance(self.exp, int):
-            raise TypeError("dyadic parts must be ints")
-        if self.exp < 0:
-            raise ValueError(f"negative exponent {self.exp}")
         num, exp = self.num, self.exp
-        while exp > 0 and num % 2 == 0:
-            num //= 2
-            exp -= 1
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "exp", exp)
+        # exact ints only: a bool would print as True/2^0, which no parser reads
+        if type(num) is not int or type(exp) is not int:
+            raise TypeError("dyadic parts must be ints, not "
+                            f"{type(num).__name__}/{type(exp).__name__}")
+        if exp < 0:
+            raise ValueError(f"negative exponent {exp}")
+        if exp and not num & 1:
+            # strip the trailing zero bits of num, at most exp of them
+            shift = min((num & -num).bit_length() - 1, exp) if num else exp
+            object.__setattr__(self, "num", num >> shift)
+            object.__setattr__(self, "exp", exp - shift)
 
     @classmethod
     def parse(cls, text: str) -> "Dyadic":
@@ -58,12 +59,18 @@ class Dyadic:
         return self.num != 0
 
     def __add__(self, other: "DyadicLike") -> "Dyadic":
-        o = as_dyadic(other)
-        e = max(self.exp, o.exp)
-        return Dyadic((self.num << (e - self.exp)) + (o.num << (e - o.exp)), e)
+        o = other if type(other) is Dyadic else as_dyadic(other)
+        a, b = self.exp, o.exp
+        if a >= b:
+            return Dyadic(self.num + (o.num << (a - b)), a)
+        return Dyadic((self.num << (b - a)) + o.num, b)
 
     def __sub__(self, other: "DyadicLike") -> "Dyadic":
-        return self + (-as_dyadic(other))
+        o = other if type(other) is Dyadic else as_dyadic(other)
+        a, b = self.exp, o.exp
+        if a >= b:
+            return Dyadic(self.num - (o.num << (a - b)), a)
+        return Dyadic((self.num << (b - a)) - o.num, b)
 
     def __neg__(self) -> "Dyadic":
         return Dyadic(-self.num, self.exp)
@@ -75,18 +82,44 @@ class Dyadic:
     def __abs__(self) -> "Dyadic":
         return Dyadic(abs(self.num), self.exp)
 
+    # Order against a Dyadic or an int (never a bool): compare z1 * 2^e2
+    # with z2 * 2^e1.  All four are spelled out because max, min and sort
+    # call them once per element.
+
     def __lt__(self, other: "DyadicLike") -> bool:
-        if not isinstance(other, (Dyadic, int)):
-            return NotImplemented
-        o = as_dyadic(other)
-        return (self.num << o.exp) < (o.num << self.exp)
+        if type(other) is Dyadic:
+            return (self.num << other.exp) < (other.num << self.exp)
+        if type(other) is int:
+            return self.num < (other << self.exp)
+        return NotImplemented
+
+    def __le__(self, other: "DyadicLike") -> bool:
+        if type(other) is Dyadic:
+            return (self.num << other.exp) <= (other.num << self.exp)
+        if type(other) is int:
+            return self.num <= (other << self.exp)
+        return NotImplemented
+
+    def __gt__(self, other: "DyadicLike") -> bool:
+        if type(other) is Dyadic:
+            return (self.num << other.exp) > (other.num << self.exp)
+        if type(other) is int:
+            return self.num > (other << self.exp)
+        return NotImplemented
+
+    def __ge__(self, other: "DyadicLike") -> bool:
+        if type(other) is Dyadic:
+            return (self.num << other.exp) >= (other.num << self.exp)
+        if type(other) is int:
+            return self.num >= (other << self.exp)
+        return NotImplemented
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = Dyadic(other, 0)
-        if not isinstance(other, Dyadic):
-            return NotImplemented
-        return self.num == other.num and self.exp == other.exp
+        if type(other) is Dyadic:
+            return self.num == other.num and self.exp == other.exp
+        if type(other) is int:
+            return self.exp == 0 and self.num == other
+        return NotImplemented
 
     def __hash__(self) -> int:
         return hash((self.num, self.exp))
@@ -108,7 +141,7 @@ DyadicLike = Union[Dyadic, int]
 def as_dyadic(v: "DyadicLike | str") -> Dyadic:
     if isinstance(v, Dyadic):
         return v
-    if isinstance(v, int):
+    if type(v) is int:
         return Dyadic(v, 0)
     if isinstance(v, str):
         return Dyadic.parse(v)
@@ -163,7 +196,7 @@ class ExtValue:
         return ExtValue.finite(self.value.ceil_to_grid(n))
 
     def __lt__(self, other: "ExtValue") -> bool:
-        if not isinstance(other, (ExtValue, Dyadic, int)):
+        if not isinstance(other, (ExtValue, Dyadic)) and type(other) is not int:
             return NotImplemented
         o = as_ext(other)
         if self.tag != o.tag:
@@ -174,8 +207,8 @@ class ExtValue:
         return self.value < o.value
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (Dyadic, int)):
-            other = ExtValue.finite(as_dyadic(other))
+        if isinstance(other, Dyadic) or type(other) is int:
+            other = ExtValue.finite(other)
         if not isinstance(other, ExtValue):
             return NotImplemented
         return self.tag == other.tag and self.value == other.value

@@ -10,10 +10,9 @@ with window diagnostics.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import Dict, Iterable, Optional, Tuple, Union
 
 from .automata import NodeAutomaton, eval_limsup
@@ -146,15 +145,47 @@ class StrategyII:
         return {}
 
 
-@dataclass(frozen=True, slots=True)
 class RunRow:
-    t: int
-    letter: int
-    value: Dyadic
-    covalue: Optional[Dyadic] = None
+    """Round t: the letter I played, II's value and, in the pair game, II's
+    covalue (else None).
+
+    Immutable: each field is a read-only property over a slot that only
+    __init__ writes.  play builds one row a round, and plain slot stores cost
+    a fraction of a frozen dataclass's object.__setattr__ calls; a row stays
+    at 64 B.  Rows compare, hash and print like a frozen dataclass.
+    """
+
+    __slots__ = ("_t", "_letter", "_value", "_covalue")
+
+    def __init__(self, t: int, letter: int, value: Dyadic,
+                 covalue: Optional[Dyadic] = None):
+        self._t = t
+        self._letter = letter
+        self._value = value
+        self._covalue = covalue
+
+    t = property(attrgetter("_t"))
+    letter = property(attrgetter("_letter"))
+    value = property(attrgetter("_value"))
+    covalue = property(attrgetter("_covalue"))
 
     def observable(self):
-        return (self.letter, self.value, self.covalue)
+        return (self._letter, self._value, self._covalue)
+
+    def _fields(self):
+        return (self._t, self._letter, self._value, self._covalue)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (f"RunRow(t={self._t!r}, letter={self._letter!r}, "
+                f"value={self._value!r}, covalue={self._covalue!r})")
 
 
 @dataclass(frozen=True)
@@ -193,13 +224,12 @@ class RunTrace:
                                         letters[start:start + period])
 
     def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["t", "x_t", "v_t", "w_t"])
-        for r in self.rows:
-            w.writerow([r.t, r.letter, str(r.value),
-                        "" if r.covalue is None else str(r.covalue)])
-        return buf.getvalue()
+        # no field can hold a comma, quote or newline, so none is quoted
+        lines = ["t,x_t,v_t,w_t\n"]
+        lines += [f"{r._t},{r._letter},{r._value},"
+                  f"{'' if r._covalue is None else r._covalue}\n"
+                  for r in self.rows]
+        return "".join(lines)
 
     def sidecar(self, verdict_json=None) -> dict:
         side = {
@@ -212,6 +242,12 @@ class RunTrace:
         if verdict_json is not None:
             side["verdict"] = verdict_json
         return side
+
+
+def _is_natural(letter) -> bool:
+    # a bool is an int to isinstance, but never a letter
+    return isinstance(letter, int) and not isinstance(letter, bool) \
+        and letter >= 0
 
 
 def _coerce_answer(kind: GameKind, raw, t: int):
@@ -237,21 +273,26 @@ def play(kind: GameKind, sI: StrategyI, sII: StrategyII, horizon: int,
     letter may follow the letters so far (TreeSpec.admits), which full
     trees answer without reading the prefix.
     """
-    horizon = min(horizon, MAX_TRACE_ROUNDS)
     sI.reset()
     sII.reset()
+    # per-game invariants, looked up once instead of once a round
+    pairs = kind.uses_pairs
+    allowed = kind.restriction
+    admits = kind.tree.admits
+    move_i, move_ii = sI.move, sII.move
+    key_i, key_ii = sI.state_key, sII.state_key
     rows = []
     seen: Dict[object, int] = {}
     last = None
     letters = []
     lasso = None
     fault = None
-    stop_at = horizon
+    stop_at = min(horizon, MAX_TRACE_ROUNDS)
     t = 0
-    while t < min(stop_at, horizon):
+    while t < stop_at:
         if lasso is None:
             try:
-                key = (sI.state_key(), sII.state_key(), last)
+                key = (key_i(), key_ii(), last)
                 first = seen.get(key)
             except TypeError:
                 first = None
@@ -261,21 +302,25 @@ def play(kind: GameKind, sI: StrategyI, sII: StrategyII, horizon: int,
                 lasso = (periodic_start(rows, first, period, RunRow.observable),
                          period)
                 if stop_after_lasso is not None:
-                    stop_at = t + stop_after_lasso * period
+                    stop_at = min(stop_at, t + stop_after_lasso * period)
                     if stop_at <= t:
                         break
             elif key is not None:
                 seen[key] = t
         try:
-            letter = sI.move(last)
-            if not isinstance(letter, int) or isinstance(letter, bool) or letter < 0:
+            letter = move_i(last)
+            if (type(letter) is not int or letter < 0) \
+                    and not _is_natural(letter):
                 raise StrategyFault("I", f"letter {letter!r} is not a natural", t)
-            if not kind.tree.admits(letters, letter):
+            if not admits(letters, letter):
                 raise StrategyFault("I", f"letter {letter} leaves the tree", t)
             letters.append(letter)
-            raw = sII.move(letter)
-            v, w = _coerce_answer(kind, raw, t)
-            if kind.restriction is not None and not kind.restriction.contains(v):
+            raw = move_ii(letter)
+            if type(raw) is Dyadic and not pairs:
+                v, w = raw, None
+            else:
+                v, w = _coerce_answer(kind, raw, t)
+            if allowed is not None and not allowed.contains(v):
                 raise StrategyFault("II", f"value {v} outside the allowed set", t)
         except StrategyFault as exc:
             fault = FaultRecord(exc.blame, t, exc.detail)

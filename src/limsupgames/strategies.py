@@ -472,7 +472,7 @@ def eventually_zero_instance() -> MeagerDenseInstance:
     eventually-zero set, dense but meager in the binary branch space."""
 
     def s_disjoint(s: Sequence[int], m: int) -> bool:
-        return any(s[i] == 1 for i in range(m + 1, len(s)))
+        return 1 in s[m + 1:]
 
     def pick_y(s: Sequence[int], m: int) -> EventuallyPeriodicBranch:
         # zeros up to position m + 1 (if s stops short of it), a 1, then 0^w
@@ -493,6 +493,11 @@ class SwitchEvent:
     m: int
     prefix_len: int
     tail: EventuallyPeriodicBranch
+
+
+def _minus_half_pow(r: Dyadic, m: int) -> Dyadic:
+    """r - 2^-m, in one construction."""
+    return Dyadic((r.num << m) - (1 << r.exp), r.exp + m)
 
 
 class MeagerDenseI(StrategyI):
@@ -520,6 +525,7 @@ class MeagerDenseI(StrategyI):
         self.view = PrefixView(self.prefix)
         self.offset = 0
         self.tail: Optional[EventuallyPeriodicBranch] = None
+        self.threshold = _minus_half_pow(self.instance.r, 0)
         self.switches = 0
         self.t = 0
         self.history: List[SwitchEvent] = []
@@ -535,10 +541,10 @@ class MeagerDenseI(StrategyI):
             self._retarget()
         else:
             v = last[0] if isinstance(last, tuple) else last
-            threshold = inst.r - half_pow(self.m)
-            if threshold < v and inst.s_disjoint(self.view, self.m):
+            if self.threshold < v and inst.s_disjoint(self.view, self.m):
                 self.m += 1
                 self.switches += 1
+                self.threshold = _minus_half_pow(inst.r, self.m)
                 self._retarget()
         letter = self.tail.letter_at(len(self.prefix) - self.offset)
         self.prefix.append(letter)
@@ -608,6 +614,11 @@ class OscillationI(StrategyI):
 
     def __init__(self, instance: OscillationInstance):
         self.instance = instance
+        # a coordinate crowds its target when it lies strictly inside
+        # (target - epsilon, target + epsilon)
+        eps = instance.epsilon
+        self.windows = ((instance.sup_f - eps, instance.sup_f + eps),
+                        (instance.inf_f - eps, instance.inf_f + eps))
         self.reset()
 
     def reset(self) -> None:
@@ -629,13 +640,9 @@ class OscillationI(StrategyI):
         if not isinstance(last, tuple):
             raise StrategyFault("II", "oscillation attack needs value pairs",
                                 self.t)
-        v, w = last
-        inst = self.instance
-        if self.phase % 2 == 0:
-            gap = inst.sup_f - v if v < inst.sup_f else v - inst.sup_f
-        else:
-            gap = inst.inf_f - w if w < inst.inf_f else w - inst.inf_f
-        return gap < inst.epsilon
+        side = self.phase % 2
+        lo, hi = self.windows[side]
+        return lo < last[side] < hi
 
     def move(self, last) -> int:
         if last is None:

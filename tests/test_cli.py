@@ -405,6 +405,11 @@ _COPYCAT = {"kind": "copycat"}
     ("construct", {"pipeline": {"stages": ["from-automaton", "construct_u"],
                                 "branch_corpus": {"max_stem": 1.9,
                                                   "max_cycle": 1}}}),
+    ("play", {"player_ii": {"kind": "constant", "value": True}}),
+    ("play", {"player_ii": {**_FSM_I, "values": ["1/2^1", False]}}),
+    ("play", {"game": "gamma_restricted", "restriction": ["0/2^0", True]}),
+    ("play", {"player_i": {"kind": "relabel", "base": _COPYCAT,
+                           "mapping": {"0/2^0": False}}}),
 ], ids=["constant-literal", "constant-float", "covalue", "restriction-float",
         "restriction-not-list", "lift-restriction", "lift-restriction-empty",
         "restriction-empty", "relabel-value",
@@ -413,7 +418,8 @@ _COPYCAT = {"kind": "copycat"}
         "pair-f-not-object", "payoff-not-object", "pipeline-not-object",
         "stages-string", "stages-object", "out-dir-not-string",
         "approx-cap-not-int", "cap-bool", "fsm-states-float",
-        "corpus-stem-float"])
+        "corpus-stem-float", "constant-bool", "fsm-values-bool",
+        "restriction-bool", "relabel-bool"])
 def test_malformed_config_values_exit_two(tmp_path, capsys, command, config):
     data = {"player_i": _FSM_I, "player_ii": _CONST_II, "horizon": 10,
             **config}

@@ -78,6 +78,78 @@ def test_as_dyadic_coercions():
         as_dyadic(0.5)
 
 
+@pytest.mark.parametrize("bad", [True, False])
+def test_bools_are_not_dyadics(bad):
+    # True would print as True/2^0, which parse cannot read back
+    with pytest.raises(TypeError):
+        as_dyadic(bad)
+    with pytest.raises(TypeError):
+        Dyadic(bad)
+    with pytest.raises(TypeError):
+        Dyadic(1, bad)
+    assert Dyadic(int(bad)) != bad
+
+
+def normal(d: Dyadic) -> bool:
+    return d.exp >= 0 and (d.exp == 0 or d.num % 2 == 1)
+
+
+@given(dyadics, dyadics)
+def test_comparisons_match_fractions(a, b):
+    fa, fb = frac(a), frac(b)
+    assert (a < b, a <= b, a > b, a >= b, a == b, a != b) == \
+        (fa < fb, fa <= fb, fa > fb, fa >= fb, fa == fb, fa != fb)
+
+
+@given(dyadics, st.integers(-5000, 5000))
+def test_comparisons_with_an_int_on_either_side(a, n):
+    fa = frac(a)
+    assert (a < n, a <= n, a > n, a >= n, a == n) == \
+        (fa < n, fa <= n, fa > n, fa >= n, fa == n)
+    assert (n < a, n <= a, n > a, n >= a, n == a) == \
+        (n < fa, n <= fa, n > fa, n >= fa, n == fa)
+
+
+@given(st.integers(-4000, 4000), st.integers(0, 10), st.integers(0, 6))
+def test_equal_values_hash_alike(num, exp, k):
+    # the same value written with k extra factors of two
+    a, b = Dyadic(num, exp), Dyadic(num << k, exp + k)
+    assert a == b and hash(a) == hash(b)
+    assert (a.num, a.exp) == (b.num, b.exp)
+
+
+@given(dyadics, dyadics)
+def test_arithmetic_results_are_normal(a, b):
+    for d in (a + b, a - b, a * b, -a, abs(a), a + 3, a - 3, a * 4):
+        assert normal(d), d
+
+
+@given(st.integers(-4000, 4000), st.integers(0, 10))
+def test_construction_normalizes(num, exp):
+    d = Dyadic(num, exp)
+    assert normal(d)
+    assert frac(d) == Fraction(num, 1 << exp)
+
+
+@given(st.lists(dyadics, min_size=1, max_size=8))
+def test_max_min_sorted_match_fractions(values):
+    fracs = [frac(v) for v in values]
+    assert frac(max(values)) == max(fracs)
+    assert frac(min(values)) == min(fracs)
+    assert [frac(v) for v in sorted(values)] == sorted(fracs)
+    assert [frac(v) for v in sorted(values, reverse=True)] == \
+        sorted(fracs, reverse=True)
+
+
+def test_order_against_other_types_is_refused():
+    with pytest.raises(TypeError):
+        Dyadic(1) < 0.5
+    with pytest.raises(TypeError):
+        Dyadic(1) <= "1"
+    assert Dyadic(1) != "1/2^0"
+    assert ExtValue.finite(Dyadic(1)) > Dyadic(1, 1)
+
+
 def test_extended_line_ordering():
     mid = ExtValue.finite(Dyadic(1, 1))
     assert NEG_INF < mid < POS_INF

@@ -1,6 +1,9 @@
 """Game loop semantics: rounds, faults, lassos, trace certificates."""
 
+import dataclasses
 import time
+import tracemalloc
+from typing import Optional
 
 import pytest
 
@@ -8,7 +11,8 @@ from limsupgames.cli import _random_letter_fsm
 from limsupgames.corpus import automaton_corpus, random_automaton, rng_stream
 from limsupgames.dyadic import Dyadic, as_dyadic
 from limsupgames.games import (MAX_TRACE_ROUNDS, CertificateMismatchError,
-                                FiniteValueSet, Outcome, RunTrace, check_win,
+                                FiniteValueSet, Outcome, RunRow, RunTrace,
+                                check_win,
                                 exact_verdict, finite_value_set, gamma,
                                 gamma_prime, gamma_restricted, play)
 from limsupgames.strategies import (ConstantII, CopycatI, LetterFSM, ValueFSM,
@@ -128,6 +132,56 @@ def test_witness_branch():
     assert tr.witness_branch() == EventuallyPeriodicBranch((), (0,))
     with pytest.raises(ValueError):
         RunTrace(BIN, (), None, None).witness_branch()
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class FrozenRow:
+    """The frozen dataclass RunRow replaced, as the memory yardstick."""
+
+    t: int
+    letter: int
+    value: Dyadic
+    covalue: Optional[Dyadic] = None
+
+
+def test_run_rows_are_immutable_values():
+    row = RunRow(3, 1, Dyadic(1, 1))
+    assert (row.t, row.letter, row.value, row.covalue) == \
+        (3, 1, Dyadic(1, 1), None)
+    assert row.observable() == (1, Dyadic(1, 1), None)
+    for name in ("t", "letter", "value", "covalue"):
+        with pytest.raises(AttributeError):
+            setattr(row, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(row, name)
+    with pytest.raises(AttributeError):
+        row.extra = 0
+    twin = RunRow(3, 1, Dyadic(2, 2), None)
+    assert row == twin and hash(row) == hash(twin)
+    assert row != RunRow(3, 1, Dyadic(1, 1), Dyadic(0))
+    assert row != (3, 1, Dyadic(1, 1), None)
+    assert repr(row) == \
+        "RunRow(t=3, letter=1, value=Dyadic(1, 1), covalue=None)"
+
+
+def bytes_per_row(make, n=10 ** 5) -> int:
+    """Bytes a list of n rows holds, per row, rounded to a whole byte (the
+    rounding absorbs a few bytes of unrelated allocations)."""
+    value, covalue = Dyadic(1, 1), Dyadic(-3, 2)
+    tracemalloc.start()
+    try:
+        rows = [make(t, t & 1, value, covalue if t & 2 else None)
+                for t in range(n)]
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == n
+    return round(size / n)
+
+
+def test_run_rows_are_no_larger_than_a_frozen_dataclass():
+    # a 10^6-round trace holds 10^6 rows, so a row may not grow
+    assert bytes_per_row(RunRow) <= bytes_per_row(FrozenRow)
 
 
 def test_csv_golden():

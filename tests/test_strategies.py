@@ -5,6 +5,8 @@ import copy
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from limsupgames.corpus import (automaton_corpus, baire_pair_fixtures,
                                 branch_corpus, certify_pair, letter_fsm_corpus,
@@ -22,7 +24,7 @@ from limsupgames.strategies import (ConstantII, IndicatorPayoff, LetterFSM,
                                      relabel_strategy, strategy_i_meager_dense,
                                      strategy_i_oscillation,
                                      strategy_ii_from_u)
-from limsupgames.trees import binary_tree, nat_tree
+from limsupgames.trees import PrefixView, binary_tree, nat_tree
 
 BIN = gamma(binary_tree())
 NAT = gamma(nat_tree())
@@ -56,6 +58,16 @@ def test_meager_dense_never_settles_at_the_target_value():
     tr = play(BIN, md, ConstantII(Dyadic(1)), 64)
     assert tr.fault is None and tr.lasso is None
     assert md.counters()["m"] >= 10
+
+
+@given(st.lists(st.integers(0, 1), max_size=40), st.integers(0, 45))
+def test_s_disjoint_matches_the_positionwise_scan(s, m):
+    # the cylinder at s misses piece m iff some letter past position m is 1;
+    # m may lie at or past the end of s, where nothing is scanned
+    s_disjoint = eventually_zero_instance().s_disjoint
+    want = any(s[i] == 1 for i in range(m + 1, len(s)))
+    for prefix in (s, tuple(s), PrefixView(list(s))):
+        assert s_disjoint(prefix, m) is want
 
 
 # --- oscillation attack -------------------------------------------------
