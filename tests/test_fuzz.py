@@ -40,8 +40,9 @@ def machine_dicts(draw):
             i = draw(st.integers(0, len(rows) - 1))
             if where == "row":
                 rows[i] = draw(JSON)
-            elif isinstance(rows[i], list):
-                rows[i][draw(st.integers(0, 3))] = draw(JSON)
+            elif isinstance(rows[i], list) and rows[i]:
+                # an earlier "row" mutation may have left a shorter list
+                rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(JSON)
         else:
             data[where] = draw(JSON)
     return data
