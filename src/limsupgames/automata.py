@@ -41,7 +41,8 @@ class NodeAutomaton:
     initial: int
     steps: tuple
     outputs: tuple
-    default_class: int = field(init=False, repr=False, compare=False)
+    # count of explicit letters k, which is also the default class's column
+    num_letters: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.steps)
@@ -63,28 +64,22 @@ class NodeAutomaton:
                     raise ValueError(f"output at ({q},{c}) is not a Dyadic")
         if not (0 <= self.initial < n):
             raise ValueError(f"bad initial state {self.initial}")
-        # k, the default class's column (and the explicit letter count)
-        object.__setattr__(self, "default_class", width - 1)
+        object.__setattr__(self, "num_letters", width - 1)
 
     @property
     def num_states(self) -> int:
         return len(self.steps)
 
-    @property
-    def num_letters(self) -> int:
-        """Count of explicit letters (the default class comes on top)."""
-        return self.default_class
-
     def letter_class(self, a: int) -> int:
-        k = self.default_class
+        k = self.num_letters
         return a if a < k else k
 
     def step(self, q: int, a: int) -> int:
-        k = self.default_class
+        k = self.num_letters
         return self.steps[q][a if a < k else k]
 
     def output(self, q: int, a: int) -> Dyadic:
-        k = self.default_class
+        k = self.num_letters
         return self.outputs[q][a if a < k else k]
 
     def run(self, s: Prefix) -> int:

@@ -244,12 +244,6 @@ class RunTrace:
         return side
 
 
-def _is_natural(letter) -> bool:
-    # a bool is an int to isinstance, but never a letter
-    return isinstance(letter, int) and not isinstance(letter, bool) \
-        and letter >= 0
-
-
 def _coerce_answer(kind: GameKind, raw, t: int):
     if kind.uses_pairs:
         if (not isinstance(raw, tuple)) or len(raw) != 2:
@@ -309,8 +303,8 @@ def play(kind: GameKind, sI: StrategyI, sII: StrategyII, horizon: int,
                 seen[key] = t
         try:
             letter = move_i(last)
-            if (type(letter) is not int or letter < 0) \
-                    and not _is_natural(letter):
+            # exact ints only: a bool or another int subclass is no letter
+            if type(letter) is not int or letter < 0:
                 raise StrategyFault("I", f"letter {letter!r} is not a natural", t)
             if not admits(letters, letter):
                 raise StrategyFault("I", f"letter {letter} leaves the tree", t)

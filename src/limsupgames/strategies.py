@@ -495,11 +495,6 @@ class SwitchEvent:
     tail: EventuallyPeriodicBranch
 
 
-def _minus_half_pow(r: Dyadic, m: int) -> Dyadic:
-    """r - 2^-m, in one construction."""
-    return Dyadic((r.num << m) - (1 << r.exp), r.exp + m)
-
-
 class MeagerDenseI(StrategyI):
     """Switching attacker: follow a branch outside pieces 0..m until II's
     value crowds r while the prefix already escapes piece m, then bump m
@@ -525,7 +520,7 @@ class MeagerDenseI(StrategyI):
         self.view = PrefixView(self.prefix)
         self.offset = 0
         self.tail: Optional[EventuallyPeriodicBranch] = None
-        self.threshold = _minus_half_pow(self.instance.r, 0)
+        self.threshold = self.instance.r - half_pow(0)
         self.switches = 0
         self.t = 0
         self.history: List[SwitchEvent] = []
@@ -544,7 +539,7 @@ class MeagerDenseI(StrategyI):
             if self.threshold < v and inst.s_disjoint(self.view, self.m):
                 self.m += 1
                 self.switches += 1
-                self.threshold = _minus_half_pow(inst.r, self.m)
+                self.threshold = inst.r - half_pow(self.m)
                 self._retarget()
         letter = self.tail.letter_at(len(self.prefix) - self.offset)
         self.prefix.append(letter)

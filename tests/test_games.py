@@ -14,7 +14,8 @@ from limsupgames.games import (MAX_TRACE_ROUNDS, CertificateMismatchError,
                                 FiniteValueSet, Outcome, RunRow, RunTrace,
                                 check_win,
                                 exact_verdict, finite_value_set, gamma,
-                                gamma_prime, gamma_restricted, play)
+                                gamma_prime, gamma_restricted, play,
+                                StrategyI)
 from limsupgames.strategies import (ConstantII, CopycatI, LetterFSM, ValueFSM,
                                      copycat_strategy, strategy_ii_from_u,
                                      u_from_strategy_ii)
@@ -81,6 +82,34 @@ def test_letter_leaving_tree_faults_player_i():
     assert tr.fault.blame == "I" and tr.fault.round_index == 0
     assert "leaves the tree" in tr.fault.detail
     assert tr.rows == ()
+
+
+class _Letters(StrategyI):
+    """Plays the given letters in order, whatever II announces."""
+
+    def __init__(self, letters):
+        self.letters = letters
+        self.t = 0
+
+    def reset(self) -> None:
+        self.t = 0
+
+    def move(self, last_value):
+        self.t += 1
+        return self.letters[self.t - 1]
+
+
+class _MyInt(int):
+    pass
+
+
+@pytest.mark.parametrize("bad", [-1, True, False, 1.0, "1", None, _MyInt(1)])
+def test_letter_that_is_no_natural_faults_player_i(bad):
+    tr = play(NAT, _Letters([2, bad]), ConstantII(Dyadic(0)), 6)
+    assert tr.fault is not None
+    assert tr.fault.blame == "I" and tr.fault.round_index == 1
+    assert tr.fault.detail == f"letter {bad!r} is not a natural"
+    assert [r.letter for r in tr.rows] == [2]
 
 
 def test_answer_shape_faults_player_ii():
