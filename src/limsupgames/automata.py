@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, Tuple
 
 from . import graphs
 from .dyadic import POS_INF, Dyadic, ExtValue, as_dyadic
@@ -189,33 +189,42 @@ class LassoSummary:
         return max(self.cycle_outputs)
 
 
+def _cycle_lasso(u: NodeAutomaton, q: int, cycle: tuple) -> Tuple[list, int]:
+    """Outputs along the (state, cycle phase) lasso of the run from q over
+    cycle^omega, and the index where its cycle starts."""
+    k = u.num_letters
+    cls = [a if a < k else k for a in cycle]
+    steps, period = u.steps, len(cls)
+
+    def step(key):
+        p, i = key
+        return steps[p][cls[i]], (i + 1) % period
+
+    # (state, cycle phase) repeats, and from there the labels repeat too
+    orbit, entry = graphs.first_repeat((q, 0), step)
+    return [u.outputs[p][cls[i]] for p, i in orbit], entry
+
+
 def lasso_summary(u: NodeAutomaton, x: Branch) -> LassoSummary:
     outputs = []
     q = u.initial
     for a in x.stem:
         outputs.append(u.output(q, a))
         q = u.step(q, a)
-    cycle, period = x.cycle, len(x.cycle)
-
-    def step(key):
-        p, i = key
-        return u.step(p, cycle[i]), (i + 1) % period
-
-    # (state, cycle phase) repeats, and from there the labels repeat too
-    orbit, entry = graphs.first_repeat((q, 0), step)
-    outputs.extend(u.output(p, cycle[i]) for p, i in orbit)
+    cyc, entry = _cycle_lasso(u, q, x.cycle)
     start = len(x.stem) + entry
     return LassoSummary(
         start=start,
-        period=len(orbit) - entry,
-        transient_outputs=tuple(outputs[:start]),
-        cycle_outputs=tuple(outputs[start:]),
+        period=len(cyc) - entry,
+        transient_outputs=tuple(outputs) + tuple(cyc[:entry]),
+        cycle_outputs=tuple(cyc[entry:]),
     )
 
 
 def eval_limsup(u: NodeAutomaton, x: Branch) -> Dyadic:
     """limsup of the node labels along the branch, exactly."""
-    return lasso_summary(u, x).limsup
+    cyc, entry = _cycle_lasso(u, u.run(x.stem), x.cycle)
+    return max(cyc[entry:])
 
 
 def allowed_classes(u: NodeAutomaton, tree: TreeSpec) -> tuple:

@@ -229,34 +229,34 @@ def branch_limsup(fam: GridLscFamily, x: EventuallyPeriodicBranch,
     The audit info reports the (branch phase, joint state) lasso start and
     period, and max_scan, the largest scan bound (scan_bound) over the
     prefixes of lengths 1 .. horizon, horizon = max(t0 + 4p + 16, 6p, 32)
-    capped at cap; it is read off the joint orbit without labeling.  That
-    horizon fixes the prefixes behind construct's reported max level scan,
-    so it stays as it is although the limsup no longer needs it.
+    capped at cap.  The joint state is the first part of the transducer
+    state and steps deterministically, so the joint lasso is read off the
+    projection of the one walk.  That horizon fixes the prefixes behind
+    construct's reported max level scan, so it stays as it is although the
+    limsup no longer needs it.
     """
     ker = fam.kernel
     tr = transducer(fam)
-    stem, end = len(x.stem), len(x.stem) + len(x.cycle)
-
-    def phase(t: int) -> int:
-        return t + 1 if t + 1 < end else stem
-
+    letters = x.stem + x.cycle
+    stem, end = len(x.stem), len(letters)
+    move = tr.move
     labels: List[Dyadic] = []
 
-    def move(key):
+    def step(key):
         t, q = key
-        label, r = tr.move(q, x.letter_at(t))
+        label, r = move(q, letters[t])
         labels.append(label)
-        return phase(t), r
+        t += 1
+        return (t if t < end else stem), r
 
     try:
-        orbit, t0 = first_repeat(
-            (0, ker.initial),
-            lambda key: (phase(key[0]), ker.step(key[1], x.letter_at(key[0]))),
-            cap + 1)
-        _, entry = first_repeat((0, 0), move, cap + 1)
+        walk, entry = first_repeat((0, 0), step, cap + 1)
     except StabilizationCapError:
         raise InconclusiveLassoError(
             f"no lasso along {x} within {cap} steps") from None
+    proj = [(t, tr.states[q][0]) for t, q in walk]
+    proj.append(proj[entry])
+    orbit, t0 = first_repeat(proj[0], dict(zip(proj, proj[1:])).__getitem__)
     p = len(orbit) - t0
     horizon = min(max(t0 + 4 * p + 16, 6 * p, 32), cap)
     # a prefix's scan bound is max(L + tail_entry(J_L), L - 1 +

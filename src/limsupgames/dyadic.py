@@ -122,7 +122,8 @@ class Dyadic:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.num, self.exp))
+        # an integral value equals its int, so it hashes as that int
+        return hash(self.num if not self.exp else (self.num, self.exp))
 
     def ceil_to_grid(self, n: int) -> "Dyadic":
         """Least multiple of 2**-n that is >= self."""
@@ -214,7 +215,8 @@ class ExtValue:
         return self.tag == other.tag and self.value == other.value
 
     def __hash__(self) -> int:
-        return hash((self.tag, self.value))
+        # a finite value equals its Dyadic, so it hashes as that Dyadic
+        return hash(self.value if self.tag == 0 else (self.tag, None))
 
     def __str__(self) -> str:
         if self.tag == -1:

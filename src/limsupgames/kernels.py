@@ -162,26 +162,25 @@ class ProductKernel:
     def _joint_tail(self, J: tuple) -> Tuple[tuple, int]:
         got = self._tails.get(J)
         if got is None:
-            got = self._reach_tail(J, self.step, lambda P: self.value(P, self.floor),
-                                   2 ** self._ground)
+            if self.mode == "min" and self.dims > 1:
+                # separable: the pointwise min of the machines' own tables
+                tails = [self._machine_tail(i, q) for i, q in enumerate(J)]
+                entry = max(e for _, e in tails)
+                got = (tuple(min(v[min(j, e)] for v, e in tails)
+                             for j in range(entry + 1)), entry)
+            else:
+                got = self._reach_tail(J, self.step,
+                                       lambda P: self.value(P, self.floor),
+                                       2 ** self._ground)
             self._tails[J] = got
         return got
 
     def tail_entry(self, J: tuple) -> int:
-        if self.mode == "min" and self.dims > 1:
-            return max(self._machine_tail(i, q)[1] for i, q in enumerate(J))
         return self._joint_tail(J)[1]
 
     def tail_value(self, J: tuple, j: int) -> int:
         """min over continuations with the first j steps unscored; constant past tail_entry."""
-        if self.mode == "min" and self.dims > 1:
-            return min(self._tail_pick(*self._machine_tail(i, q), j)
-                       for i, q in enumerate(J))
         vals, entry = self._joint_tail(J)
-        return self._tail_pick(vals, entry, j)
-
-    @staticmethod
-    def _tail_pick(vals: tuple, entry: int, j: int) -> int:
         return vals[j] if j <= entry else vals[entry]
 
     def tail_limit(self, J: tuple) -> int:

@@ -11,6 +11,9 @@ from limsupgames.dyadic import Dyadic
 from limsupgames.trees import EventuallyPeriodicBranch
 
 BRANCHES = branch_corpus(3, 3)
+# naturals-tree branches: the corpus machines read every letter >= 1 as
+# their default class
+NAT_BRANCHES = branch_corpus(2, 2, alphabet=(0, 2, 7))
 
 
 def brute_limsup(u: NodeAutomaton, x: EventuallyPeriodicBranch) -> Dyadic:
@@ -77,7 +80,7 @@ def test_eval_limsup_against_brute():
     rng = rng_stream(7, "limsup-brute")
     for _ in range(25):
         u = random_automaton(rng, 4)
-        for x in BRANCHES[::5]:
+        for x in BRANCHES[::5] + NAT_BRANCHES[::5]:
             assert eval_limsup(u, x) == brute_limsup(u, x)
 
 
@@ -102,7 +105,7 @@ def test_lasso_summary_consistency():
     rng = rng_stream(5, "summary")
     for _ in range(10):
         u = random_automaton(rng, 4)
-        for x in BRANCHES[::7]:
+        for x in BRANCHES[::7] + NAT_BRANCHES[::7]:
             cert = lasso_summary(u, x)
             assert max(cert.cycle_outputs) == eval_limsup(u, x)
             # replaying the machine reproduces transient then cycle outputs

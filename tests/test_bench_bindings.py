@@ -3,16 +3,21 @@
 perfbench/run.py imports every package layer and perfbench/tracer.py wraps
 functions, methods and result keys by name.  This loads the package the way
 the benchmark does, installs every instrument and puts everything back.
+
+The benchmark's self-test also runs here, so a package change that breaks a
+workload oracle, a metric or the digest fails the tests, not the benchmark.
 """
 
 import importlib.util
 import os
+import subprocess
 import sys
 
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUN = os.path.join(ROOT, "perfbench", "run.py")
+SELFTEST = os.path.join(ROOT, "perfbench", "selftest.py")
 
 
 @pytest.fixture
@@ -47,3 +52,12 @@ def test_tracer_binds_every_package_name(isolated_imports):
     finally:
         patch.restore()
     assert (M.graphs.min_sup_cycle, M.kernels.ProductKernel.value) == raw
+
+
+def test_benchmark_selftest_passes():
+    # every workload's oracles, metrics and digest on tiny inputs, in a
+    # process of its own as the benchmark runs them
+    done = subprocess.run([sys.executable, SELFTEST], cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.rstrip().endswith("selftest passed")

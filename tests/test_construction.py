@@ -12,12 +12,13 @@ from limsupgames.construction import (ConstructionState, InconclusiveLassoError,
                                        algebra, apply_op, branch_labels,
                                        branch_limsup, construct_u,
                                        minimize_labeling, scan_bound,
-                                       verify_construction)
+                                       transducer, verify_construction)
 from limsupgames.corpus import (automaton_corpus, branch_corpus,
                                  constant_automaton, letter_output_automaton,
                                  random_automaton, rng_stream)
 from limsupgames.dyadic import Dyadic
-from limsupgames.families import discretize, family_from_automaton
+from limsupgames.families import (discretize, family_from_automaton,
+                                  family_from_kernel)
 from limsupgames.kernels import ProductKernel
 from limsupgames.trees import (EventuallyPeriodicBranch, binary_tree, full_tree,
                                nat_tree, parse_branch)
@@ -202,6 +203,89 @@ def test_branch_limsup_cap_raises():
     fam = discretize(family_from_automaton(u, TREE))
     with pytest.raises(InconclusiveLassoError):
         branch_limsup(fam, parse_branch("stem=0,1,0,1,1;cycle=1,0"), cap=3)
+
+
+def joint_orbit_info(fam, x, cap=4096):
+    """branch_limsup's audit info from a walk of its own: the (branch
+    phase, joint kernel state) orbit stepped with the kernel, and the
+    largest scan bound over the prefixes out to the horizon."""
+    ker = fam.kernel
+    end = len(x.stem) + len(x.cycle)
+    seen = {}
+    t, J = 0, ker.initial
+    while (t, J) not in seen:
+        seen[(t, J)] = len(seen)
+        J = ker.step(J, x.letter_at(t))
+        t = t + 1 if t + 1 < end else len(x.stem)
+    t0 = seen[(t, J)]
+    p = len(seen) - t0
+    horizon = min(max(t0 + 4 * p + 16, 6 * p, 32), cap)
+    return {"lasso_start": t0, "period": p, "horizon": horizon,
+            "max_scan": max(scan_bound(fam, x.first(n))
+                            for n in range(1, horizon + 1))}
+
+
+def _audit_cases():
+    """Raw and discretized sum/min/max families on the binary and naturals
+    trees, each with branches over its tree's letters; the naturals
+    branches use letters past every machine's declared ones."""
+    machines = automaton_corpus(27, 4, max_states=3, span=3, max_exp=2)
+    trees = [(TREE, BRANCHES + LONG_WALKS),
+             (nat_tree(), branch_corpus(1, 2, alphabet=(0, 1, 4)))]
+    for tree, branches in trees:
+        for u1, u2 in zip(machines[::2], machines[1::2]):
+            for op in ("sum", "min", "max"):
+                raw = family_from_kernel(ProductKernel([u1, u2], tree, op),
+                                         label=op)
+                for fam in (raw, discretize(raw)):
+                    yield fam, branches
+
+
+def test_branch_limsup_audit_info_matches_joint_orbit():
+    for fam, branches in _audit_cases():
+        for x in branches:
+            _, info = branch_limsup(fam, x)
+            assert info == joint_orbit_info(fam, x), (fam.label, x)
+
+
+def test_branch_limsup_cap_boundary():
+    # the (branch phase, transducer state) walk has n keys: a cap of n - 1
+    # admits it and a cap of n - 2 does not
+    fam = discretize(family_from_automaton(letter_output_automaton(), TREE))
+    x = parse_branch("stem=0,1,0,1,1;cycle=1,0")
+    tr = transducer(fam)
+    end = len(x.stem) + len(x.cycle)
+    seen = set()
+    t, q = 0, 0
+    while (t, q) not in seen:
+        seen.add((t, q))
+        q = tr.move(q, x.letter_at(t))[1]
+        t = t + 1 if t + 1 < end else len(x.stem)
+    n = len(seen)
+    assert branch_limsup(fam, x, cap=n - 1)[0] == eval_limsup(
+        letter_output_automaton(), x)
+    with pytest.raises(InconclusiveLassoError):
+        branch_limsup(fam, x, cap=n - 2)
+
+
+def test_min_kernel_tails_are_per_machine():
+    # a two-machine min kernel against one single-machine kernel per
+    # factor: tail values are the min of theirs, entries the max
+    rng = rng_stream(29, "min-tails")
+    machines = [random_automaton(rng, 3, span=3, max_exp=2) for _ in range(12)]
+    for tree in (TREE, nat_tree()):
+        for u1, u2 in zip(machines[::2], machines[1::2]):
+            ker = ProductKernel([u1, u2], tree, "min")
+            ones = [ProductKernel([u], tree, "min") for u in (u1, u2)]
+            for J in itertools.product(range(u1.num_states),
+                                       range(u2.num_states)):
+                entry = ker.tail_entry(J)
+                assert entry == max(k.tail_entry((q,))
+                                    for k, q in zip(ones, J))
+                for j in range(entry + 4):
+                    assert ker.from_grid(ker.tail_value(J, j)) == min(
+                        k.from_grid(k.tail_value((q,), j))
+                        for k, q in zip(ones, J)), (u1, u2, J, j)
 
 
 def test_algebra_letter_plus_constant():

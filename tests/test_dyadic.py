@@ -116,6 +116,12 @@ def test_equal_values_hash_alike(num, exp, k):
     a, b = Dyadic(num, exp), Dyadic(num << k, exp + k)
     assert a == b and hash(a) == hash(b)
     assert (a.num, a.exp) == (b.num, b.exp)
+    # a finite ExtValue equals its Dyadic, and an integral one its int, so
+    # each works as a key for the others
+    keys = [ExtValue.finite(b)] + ([a.num] if a.exp == 0 else [])
+    for key in keys:
+        assert {a: 0}.get(key) == 0 and {key: 0}.get(b) == 0
+        assert hash(key) == hash(a)
 
 
 @given(dyadics, dyadics)
