@@ -15,7 +15,7 @@ from typing import Iterable, Sequence, Tuple
 
 from . import graphs
 from .dyadic import POS_INF, Dyadic, ExtValue, as_dyadic
-from .trees import Branch, Prefix, TreeSpec
+from .trees import Branch, Prefix
 
 DEFAULT_CLASS = "default"
 
@@ -227,22 +227,12 @@ def eval_limsup(u: NodeAutomaton, x: Branch) -> Dyadic:
     return max(cyc[entry:])
 
 
-def allowed_classes(u: NodeAutomaton, tree: TreeSpec) -> tuple:
-    """Letter classes realizable by the tree's letters (full trees only)."""
-    k = u.num_letters
-    if tree.all_naturals:
-        return tuple(range(k + 1))
-    if tree.alphabet is None:
-        raise ValueError("exact kernels need a full tree (finite alphabet or naturals)")
-    return tuple(sorted({u.letter_class(a) for a in tree.alphabet}))
-
-
 def minmax_value(u: NodeAutomaton, q: int, classes: "Iterable[int] | None" = None) -> ExtValue:
     """min over infinite runs from q of the max output visited.
 
     `classes` restricts the usable letter classes (defaults to all); runs are
-    automaton runs, so pair this with allowed_classes when an ambient tree
-    matters.
+    automaton runs, so pass the classes an ambient tree's letters realize
+    when the tree matters.
     """
     cls = tuple(classes) if classes is not None else tuple(range(u.num_letters + 1))
 

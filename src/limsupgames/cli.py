@@ -11,13 +11,14 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional, Tuple
 
 from .acceptance import DEFAULT_SEED, run_all
 from .automata import NodeAutomaton, lasso_summary
-from .construction import (ConstructionState, algebra, branch_limsup,
-                           minimize_labeling, verify_construction)
+from .construction import (AlgebraFunction, ConstructionState, algebra,
+                           branch_limsup, minimize_labeling,
+                           verify_construction)
 from .corpus import branch_corpus, rng_stream
 from .dyadic import Dyadic, as_dyadic
 from .families import discretize, family_from_automaton
@@ -124,21 +125,7 @@ class ExperimentConfig:
                 f"horizon and cap are limited to {MAX_TRACE_ROUNDS} rounds")
 
     def to_json_dict(self) -> dict:
-        return {
-            "game": self.game,
-            "tree": self.tree,
-            "restriction":
-                None if self.restriction is None else list(self.restriction),
-            "payoff": self.payoff,
-            "pipeline": self.pipeline,
-            "player_i": self.player_i,
-            "player_ii": self.player_ii,
-            "horizon": self.horizon,
-            "cap": self.cap,
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-            "trace_format": self.trace_format,
-        }
+        return asdict(self)
 
     def serialize(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
@@ -166,18 +153,14 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {e}") from None
 
 
+# command-line flag -> the config field it overrides
+_OVERRIDES = {"seed": "seed", "horizon": "horizon", "cap": "cap",
+              "out": "out_dir", "trace": "trace_format"}
+
+
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    changes = {}
-    if getattr(args, "seed", None) is not None:
-        changes["seed"] = args.seed
-    if getattr(args, "horizon", None) is not None:
-        changes["horizon"] = args.horizon
-    if getattr(args, "cap", None) is not None:
-        changes["cap"] = args.cap
-    if getattr(args, "out", None) is not None:
-        changes["out_dir"] = args.out
-    if getattr(args, "trace", None) is not None:
-        changes["trace_format"] = args.trace
+    changes = {field: getattr(args, flag) for flag, field in _OVERRIDES.items()
+               if getattr(args, flag, None) is not None}
     return replace(cfg, **changes) if changes else cfg
 
 
@@ -214,6 +197,17 @@ def resolve_automaton(src: dict) -> NodeAutomaton:
     raise ConfigError("function source needs 'automaton' or 'file'")
 
 
+def resolve_algebra(src: dict, tree: TreeSpec, what: str) -> AlgebraFunction:
+    for key in ("op", "left", "right"):
+        if key not in src:
+            raise ConfigError(f"{what} needs {key!r}")
+    u1, u2 = resolve_automaton(src["left"]), resolve_automaton(src["right"])
+    try:
+        return algebra(u1, u2, src["op"], tree)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
+
+
 def build_payoff(src: Optional[dict], tree: TreeSpec):
     if src is None:
         raise ConfigError("config has no payoff source")
@@ -221,11 +215,7 @@ def build_payoff(src: Optional[dict], tree: TreeSpec):
     if kind == "automaton":
         return resolve_automaton(src)
     if kind == "algebra":
-        for key in ("op", "left", "right"):
-            if key not in src:
-                raise ConfigError(f"algebra source needs {key!r}")
-        return algebra(resolve_automaton(src["left"]),
-                       resolve_automaton(src["right"]), src["op"], tree)
+        return resolve_algebra(src, tree, "algebra source")
     if kind == "indicator":
         return IndicatorPayoff()
     if kind == "pipeline":
@@ -421,14 +411,7 @@ _STAGES = ("from-automaton", "discretize", "construct_u")
 def build_pipeline(pipe: dict, tree: TreeSpec):
     """Resolve a pipeline spec to (family, construction state, target fn)."""
     if "op" in pipe:
-        for key in ("left", "right"):
-            if key not in pipe:
-                raise ConfigError(f"algebra pipeline needs {key!r}")
-        try:
-            af = algebra(resolve_automaton(pipe["left"]),
-                         resolve_automaton(pipe["right"]), pipe["op"], tree)
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
+        af = resolve_algebra(pipe, tree, "algebra pipeline")
         return af.family, af.state, af.expected_on
     stages = pipe.get("stages") or []
     if not isinstance(stages, list):

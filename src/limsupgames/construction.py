@@ -204,18 +204,6 @@ class ConstructionState:
         return got
 
 
-def branch_labels(fam: GridLscFamily, x: EventuallyPeriodicBranch,
-                  horizon: int) -> Tuple[Dyadic, ...]:
-    """Labels of the prefixes of x of lengths 1 .. horizon."""
-    tr = transducer(fam)
-    q = 0
-    out = []
-    for t in range(horizon):
-        label, q = tr.move(q, x.letter_at(t))
-        out.append(label)
-    return tuple(out)
-
-
 def branch_limsup(fam: GridLscFamily, x: EventuallyPeriodicBranch,
                   cap: int = 4096) -> Tuple[Dyadic, dict]:
     """Exact limsup of the constructed labels along x, with audit info.
@@ -278,8 +266,6 @@ class BranchCheck:
     got: Optional[Dyadic]
     equal: bool
     inconclusive: bool
-    period: Optional[int]
-    horizon: int
 
 
 @dataclass(frozen=True)
@@ -308,8 +294,7 @@ class ConstructionReport:
 
 def verify_construction(fam: GridLscFamily,
                         branches: Sequence[EventuallyPeriodicBranch],
-                        target_fn: Optional[Callable] = None,
-                        cap: int = 4096) -> ConstructionReport:
+                        target_fn: Optional[Callable] = None) -> ConstructionReport:
     """Exact per-branch comparison of the constructed labeling's limsup
     against the source function; inconclusive lassos are flagged, not failed.
     """
@@ -327,13 +312,12 @@ def verify_construction(fam: GridLscFamily,
     for x in branches:
         expected = target_fn(x)
         try:
-            got, info = branch_limsup(fam, x, cap=cap)
+            got, info = branch_limsup(fam, x)
         except InconclusiveLassoError:
-            rows.append(BranchCheck(x, expected, None, False, True, None, cap))
+            rows.append(BranchCheck(x, expected, None, False, True))
             continue
         worst = max(worst, info["max_scan"])
-        rows.append(BranchCheck(x, expected, got, got == expected, False,
-                                info["period"], info["horizon"]))
+        rows.append(BranchCheck(x, expected, got, got == expected, False))
     return ConstructionReport(tuple(rows), fam.label, worst)
 
 
@@ -411,8 +395,8 @@ class AlgebraFunction:
     def u(self, s: Prefix) -> Dyadic:
         return self.state.u(s)
 
-    def value_on(self, x: EventuallyPeriodicBranch, cap: int = 4096) -> Dyadic:
-        return branch_limsup(self.family, x, cap=cap)[0]
+    def value_on(self, x: EventuallyPeriodicBranch) -> Dyadic:
+        return branch_limsup(self.family, x)[0]
 
     def expected_on(self, x: EventuallyPeriodicBranch) -> Dyadic:
         f1 = eval_limsup(self.factors[0], x)

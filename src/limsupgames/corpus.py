@@ -21,15 +21,6 @@ def rng_stream(seed: int, name: str) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def letter_output_automaton() -> NodeAutomaton:
-    """One state, output equals the letter just consumed."""
-    return make_automaton(0, [[0, 0]], [[0, 1]])
-
-
-def constant_automaton(value) -> NodeAutomaton:
-    return make_automaton(0, [[0, 0]], [[value, value]])
-
-
 def random_dyadic(rng: random.Random, span: int = 4, max_exp: int = 2) -> Dyadic:
     exp = rng.randint(0, max_exp)
     return Dyadic(rng.randint(-(span << exp), span << exp), exp)

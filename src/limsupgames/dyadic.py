@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import total_ordering
-from typing import Iterable, Union
+from typing import Union
 
 # ASCII digits only: \d and int() also accept other scripts' digits
 _DYADIC_RE = re.compile(r"(-?[0-9]+)(?:/2\^([0-9]+))?")
@@ -149,10 +149,6 @@ def as_dyadic(v: "DyadicLike | str") -> Dyadic:
     raise TypeError(f"cannot interpret {v!r} as a dyadic")
 
 
-ZERO = Dyadic(0)
-ONE = Dyadic(1)
-
-
 def half_pow(k: int) -> Dyadic:
     """2**-k."""
     return Dyadic(1, k)
@@ -238,22 +234,3 @@ def as_ext(v: "ExtValue | DyadicLike") -> ExtValue:
         return v
     return ExtValue.finite(as_dyadic(v))
 
-
-def ext_min(values: Iterable["ExtValue | DyadicLike"]) -> ExtValue:
-    """Minimum, POS_INF on empty input (the neutral element)."""
-    best = POS_INF
-    for v in values:
-        e = as_ext(v)
-        if e < best:
-            best = e
-    return best
-
-
-def ext_max(values: Iterable["ExtValue | DyadicLike"]) -> ExtValue:
-    """Maximum, NEG_INF on empty input."""
-    best = NEG_INF
-    for v in values:
-        e = as_ext(v)
-        if best < e:
-            best = e
-    return best

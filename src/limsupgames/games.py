@@ -104,19 +104,17 @@ class CertificateMismatchError(Exception):
     """A trace contradicts its own lasso certificate."""
 
 
-class StrategyI:
-    """Letter player.  move sees II's previous announcement (None in round 0).
-
-    finite_state means state_key ranges over a finite set and fully
-    determines future behavior; only then do lassos yield exact verdicts.
-    """
+class Strategy:
+    """A player.  finite_state means state_key ranges over a finite set and
+    fully determines future behavior; only then do lassos yield exact
+    verdicts."""
 
     finite_state = False
 
     def reset(self) -> None:
         pass
 
-    def move(self, last_value):
+    def move(self, seen):
         raise NotImplementedError
 
     def state_key(self):
@@ -126,23 +124,13 @@ class StrategyI:
         return {}
 
 
-class StrategyII:
+class StrategyI(Strategy):
+    """Letter player.  move sees II's previous announcement (None in round 0)."""
+
+
+class StrategyII(Strategy):
     """Value player.  move sees the letter just played and answers a dyadic
     value, or a (value, covalue) pair in the two-sided variant."""
-
-    finite_state = False
-
-    def reset(self) -> None:
-        pass
-
-    def move(self, letter: int):
-        raise NotImplementedError
-
-    def state_key(self):
-        return None
-
-    def counters(self) -> Dict[str, int]:
-        return {}
 
 
 class RunRow:

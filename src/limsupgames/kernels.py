@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Tuple
 
-from .automata import allowed_classes, minmax_value
+from .automata import minmax_value
 from .dyadic import Dyadic
 from .graphs import first_repeat, min_sup_cycle
 from .trees import TreeSpec
@@ -109,8 +109,10 @@ class ProductKernel:
     def _minmax(self, i: int, q: int) -> int:
         key = (i, q)
         if key not in self._mm:
+            # the tree's letters realize the classes its representatives do
             u = self.machines[i]
-            v = minmax_value(u, q, allowed_classes(u, self.tree))
+            classes = sorted({u.letter_class(a) for a in self.reps})
+            v = minmax_value(u, q, classes)
             self._mm[key] = self.to_grid(v.require_finite())
         return self._mm[key]
 

@@ -453,17 +453,16 @@ class MeagerDenseInstance:
     s_disjoint(s, m) must answer whether the cylinder at s misses piece m.
     pick_y(s, m) returns only the continuation after s: the branch of
     letters from position len(s) on, chosen so that s followed by it lies
-    outside pieces 0..m.  prefix_digest compresses the prefix to exactly the
-    information future queries need; the default keeps the whole prefix,
-    which is always sound but prevents run-state lassos.  Callbacks receive
-    the prefix as a read-only sequence.
+    outside pieces 0..m.  prefix_digest(s, m) compresses the prefix to
+    exactly the information future queries need, so stalled runs can
+    lasso.  Callbacks receive the prefix as a read-only sequence.
     """
 
     tree: TreeSpec
     r: Dyadic
     s_disjoint: Callable[[Sequence[int], int], bool]
     pick_y: Callable[[Sequence[int], int], EventuallyPeriodicBranch]
-    prefix_digest: Optional[Callable[[Sequence[int], int], Hashable]] = None
+    prefix_digest: Callable[[Sequence[int], int], Hashable]
     label: str = "meager-dense"
 
 
@@ -480,8 +479,7 @@ def eventually_zero_instance() -> MeagerDenseInstance:
                                         (0,))
 
     return MeagerDenseInstance(binary_tree(), Dyadic(1), s_disjoint, pick_y,
-                               prefix_digest=lambda s, m: s_disjoint(s, m),
-                               label="eventually-zero")
+                               prefix_digest=s_disjoint, label="eventually-zero")
 
 
 @dataclass(frozen=True)
@@ -547,11 +545,9 @@ class MeagerDenseI(StrategyI):
         return letter
 
     def state_key(self):
-        digest = self.instance.prefix_digest
-        dig = tuple(self.prefix) if digest is None else digest(self.view, self.m)
         tkey = None if self.tail is None else \
             self.tail.suffix_key(len(self.prefix) - self.offset)
-        return (self.m, tkey, dig)
+        return (self.m, tkey, self.instance.prefix_digest(self.view, self.m))
 
     def counters(self) -> Dict[str, int]:
         return {"m": self.m, "switches": self.switches, "round": self.t}

@@ -14,23 +14,7 @@ from dataclasses import dataclass
 Letter = int
 Prefix = tuple  # tuple[int, ...]
 
-EMPTY_PREFIX: Prefix = ()
-
 _LETTER_RE = re.compile(r"[0-9]+")
-
-
-def prefix_extend(s: Prefix, a: Letter) -> Prefix:
-    return s + (a,)
-
-
-def prefix_parent(s: Prefix) -> Prefix:
-    if not s:
-        raise ValueError("the empty prefix has no parent")
-    return s[:-1]
-
-
-def is_proper_prefix(s: Prefix, t: Prefix) -> bool:
-    return len(s) < len(t) and t[: len(s)] == s
 
 
 def format_prefix(s: Prefix) -> str:
@@ -77,18 +61,15 @@ class PrefixView(Sequence):
 
 @dataclass(frozen=True)
 class TreeSpec:
-    """A pruned tree given by a membership test and a child witness.
+    """A pruned tree given by a membership test.
 
-    `contains` decides whether a prefix is a node of the tree.  For members,
-    `child_witness` names one letter whose extension stays inside (this is
-    what makes the tree pruned without enumerating children).  `alphabet`
+    `contains` decides whether a prefix is a node of the tree.  `alphabet`
     is set when the tree is the full tree over that finite letter set, and
     `all_naturals` when it is the full tree over all of N; the exact family
     kernels require one of the two, the game engine needs neither.
     """
 
     contains: Callable[[Prefix], bool]
-    child_witness: Callable[[Prefix], Letter]
     alphabet: "tuple[int, ...] | None" = None
     all_naturals: bool = False
     name: str = "custom"
@@ -112,10 +93,8 @@ def full_tree(letters: Iterable[int]) -> TreeSpec:
     if not alpha or any(a < 0 for a in alpha):
         raise ValueError("need a nonempty set of natural letters")
     allowed = frozenset(alpha)
-    first = alpha[0]
     return TreeSpec(
         contains=lambda s: all(a in allowed for a in s),
-        child_witness=lambda s: first,
         alphabet=alpha,
         name="full:" + ",".join(str(a) for a in alpha),
     )
@@ -129,18 +108,9 @@ def nat_tree() -> TreeSpec:
     """The full tree over all naturals (used by copycat-style games)."""
     return TreeSpec(
         contains=lambda s: all(isinstance(a, int) and a >= 0 for a in s),
-        child_witness=lambda s: 0,
         all_naturals=True,
         name="nat",
     )
-
-
-class IllegalBranchError(ValueError):
-    """A branch left the ambient tree; carries the offending prefix."""
-
-    def __init__(self, prefix: Prefix):
-        super().__init__(f"branch leaves the tree at prefix [{format_prefix(prefix)}]")
-        self.prefix = prefix
 
 
 @dataclass(frozen=True)
@@ -161,10 +131,6 @@ class EventuallyPeriodicBranch:
         if t < len(self.stem):
             return self.stem[t]
         return self.cycle[(t - len(self.stem)) % len(self.cycle)]
-
-    def prefix(self, t: int) -> Prefix:
-        """Letters x_0..x_t (length t + 1)."""
-        return tuple(self.letter_at(i) for i in range(t + 1))
 
     def first(self, n: int) -> Prefix:
         """The first n letters."""
@@ -202,22 +168,3 @@ def parse_branch(text: str) -> EventuallyPeriodicBranch:
         raise ValueError(f"branch descriptor needs stem= and cycle=, got {text!r}")
     return EventuallyPeriodicBranch(parse_prefix(parts["stem"]), parse_prefix(parts["cycle"]))
 
-
-def checked_branch(tree: TreeSpec, stem: Sequence[int], cycle: Sequence[int],
-                   depth: "int | None" = None) -> EventuallyPeriodicBranch:
-    """Build a branch, rejecting one whose prefixes leave the tree.
-
-    Prefixes are checked through the stem plus two full cycles by default;
-    for full trees that covers every letter the branch will ever use, so the
-    check is exhaustive there.  The first offending prefix is reported.
-    """
-    x = EventuallyPeriodicBranch(tuple(stem), tuple(cycle))
-    if depth is None:
-        depth = len(x.stem) + 2 * len(x.cycle)
-    p = []
-    for t in range(depth):
-        a = x.letter_at(t)
-        if not tree.admits(p, a):
-            raise IllegalBranchError(tuple(p) + (a,))
-        p.append(a)
-    return x

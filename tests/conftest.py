@@ -1,10 +1,32 @@
-"""Shared test fixtures."""
+"""Shared test fixtures and the small machines many tests build."""
 
 from types import SimpleNamespace
 
 import pytest
 
+from limsupgames.automata import NodeAutomaton, make_automaton
+from limsupgames.construction import transducer
 from limsupgames.dyadic import NEG_INF, Dyadic, ExtValue
+
+
+def letter_output_automaton() -> NodeAutomaton:
+    """One state, output equals the letter just consumed."""
+    return make_automaton(0, [[0, 0]], [[0, 1]])
+
+
+def constant_automaton(value) -> NodeAutomaton:
+    return make_automaton(0, [[0, 0]], [[value, value]])
+
+
+def branch_labels(fam, x, horizon: int) -> tuple:
+    """Labels of the prefixes of x of lengths 1 .. horizon."""
+    tr = transducer(fam)
+    q = 0
+    out = []
+    for t in range(horizon):
+        label, q = tr.move(q, x.letter_at(t))
+        out.append(label)
+    return tuple(out)
 
 
 @pytest.fixture

@@ -2,11 +2,10 @@
 
 import pytest
 
+from conftest import constant_automaton, letter_output_automaton
 from limsupgames.automata import (NodeAutomaton, eval_limsup, lasso_summary,
                                   make_automaton, minmax_value)
-from limsupgames.corpus import (branch_corpus, constant_automaton,
-                                letter_output_automaton, random_automaton,
-                                rng_stream)
+from limsupgames.corpus import branch_corpus, random_automaton, rng_stream
 from limsupgames.dyadic import Dyadic
 from limsupgames.trees import EventuallyPeriodicBranch
 

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import constant_automaton, letter_output_automaton
 from limsupgames.acceptance import CriterionResult
 from limsupgames.automata import NodeAutomaton
 from limsupgames.cli import ConfigError, ExperimentConfig, entry
-from limsupgames.corpus import constant_automaton, letter_output_automaton
 from limsupgames.dyadic import Dyadic
 
 
@@ -132,6 +132,73 @@ def test_config_round_trips():
     ]
     for cfg in samples:
         assert ExperimentConfig.parse(cfg.serialize()) == cfg
+
+
+def test_config_bytes_are_pinned():
+    # every field set, so a change in how fields are serialized shows here
+    cfg = ExperimentConfig(
+        game="gamma_restricted", tree="nat", restriction=("0/2^0", "1/2^1"),
+        payoff={"kind": "algebra", "op": "max", "left": {"file": "a.json"},
+                "right": {"file": "b.json"}},
+        pipeline={"stages": ["from-automaton", "construct_u"],
+                  "source": {"file": "a.json"},
+                  "branch_corpus": {"max_stem": 1, "max_cycle": 2}},
+        player_i={"kind": "lift", "base": {"kind": "copycat"},
+                  "restriction": ["0/2^0"]},
+        player_ii={"kind": "constant", "value": "1/2^1", "covalue": "0/2^0"},
+        horizon=7, cap=9, seed=3, out_dir="runs/x", trace_format="json")
+    assert cfg.serialize() == """\
+{
+  "cap": 9,
+  "game": "gamma_restricted",
+  "horizon": 7,
+  "out_dir": "runs/x",
+  "payoff": {
+    "kind": "algebra",
+    "left": {
+      "file": "a.json"
+    },
+    "op": "max",
+    "right": {
+      "file": "b.json"
+    }
+  },
+  "pipeline": {
+    "branch_corpus": {
+      "max_cycle": 2,
+      "max_stem": 1
+    },
+    "source": {
+      "file": "a.json"
+    },
+    "stages": [
+      "from-automaton",
+      "construct_u"
+    ]
+  },
+  "player_i": {
+    "base": {
+      "kind": "copycat"
+    },
+    "kind": "lift",
+    "restriction": [
+      "0/2^0"
+    ]
+  },
+  "player_ii": {
+    "covalue": "0/2^0",
+    "kind": "constant",
+    "value": "1/2^1"
+  },
+  "restriction": [
+    "0/2^0",
+    "1/2^1"
+  ],
+  "seed": 3,
+  "trace_format": "json",
+  "tree": "nat"
+}
+"""
 
 
 def test_config_rejects_unknown_keys():
@@ -410,6 +477,10 @@ _COPYCAT = {"kind": "copycat"}
     ("play", {"game": "gamma_restricted", "restriction": ["0/2^0", True]}),
     ("play", {"player_i": {"kind": "relabel", "base": _COPYCAT,
                            "mapping": {"0/2^0": False}}}),
+    ("verify", {"payoff": {
+        "kind": "algebra", "op": "mul",
+        "left": {"automaton": letter_output_automaton().to_json_dict()},
+        "right": {"automaton": letter_output_automaton().to_json_dict()}}}),
 ], ids=["constant-literal", "constant-float", "covalue", "restriction-float",
         "restriction-not-list", "lift-restriction", "lift-restriction-empty",
         "restriction-empty", "relabel-value",
@@ -419,7 +490,7 @@ _COPYCAT = {"kind": "copycat"}
         "stages-string", "stages-object", "out-dir-not-string",
         "approx-cap-not-int", "cap-bool", "fsm-states-float",
         "corpus-stem-float", "constant-bool", "fsm-values-bool",
-        "restriction-bool", "relabel-bool"])
+        "restriction-bool", "relabel-bool", "payoff-algebra-op"])
 def test_malformed_config_values_exit_two(tmp_path, capsys, command, config):
     data = {"player_i": _FSM_I, "player_ii": _CONST_II, "horizon": 10,
             **config}

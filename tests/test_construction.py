@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import branch_labels, constant_automaton, letter_output_automaton
 from limsupgames.automata import eval_limsup, lasso_summary, make_automaton
 from limsupgames.construction import (ConstructionState, InconclusiveLassoError,
-                                       algebra, apply_op, branch_labels,
-                                       branch_limsup, construct_u,
-                                       minimize_labeling, scan_bound,
-                                       transducer, verify_construction)
+                                       algebra, apply_op, branch_limsup,
+                                       construct_u, minimize_labeling,
+                                       scan_bound, transducer,
+                                       verify_construction)
 from limsupgames.corpus import (automaton_corpus, branch_corpus,
-                                 constant_automaton, letter_output_automaton,
                                  random_automaton, rng_stream)
 from limsupgames.dyadic import Dyadic
 from limsupgames.families import (discretize, family_from_automaton,
@@ -286,6 +286,28 @@ def test_min_kernel_tails_are_per_machine():
                     assert ker.from_grid(ker.tail_value(J, j)) == min(
                         k.from_grid(k.tail_value((q,), j))
                         for k, q in zip(ones, J)), (u1, u2, J, j)
+
+
+def allowed_classes(u, tree):
+    # the letter classes the tree's letters realize, as the kernel once
+    # computed them apart from its joint letter representatives
+    k = u.num_letters
+    if tree.all_naturals:
+        return tuple(range(k + 1))
+    return tuple(sorted({u.letter_class(a) for a in tree.alphabet}))
+
+
+def test_kernel_letter_classes_cover_the_tree():
+    # machines with 0..3 explicit letters, alone, in pairs and in triples
+    machines = [make_automaton(0, [[0] * (k + 1)], [[k] * (k + 1)])
+                for k in range(4)]
+    for tree in (TREE, nat_tree(), full_tree((0, 2))):
+        for dims in (1, 2, 3):
+            for group in itertools.product(machines, repeat=dims):
+                ker = ProductKernel(group, tree)
+                for u in group:
+                    assert {u.letter_class(a) for a in ker.reps} == \
+                        set(allowed_classes(u, tree)), (tree.name, group)
 
 
 def test_algebra_letter_plus_constant():

@@ -2,7 +2,8 @@
 
 import itertools
 
-from limsupgames.corpus import constant_automaton, random_automaton, rng_stream
+from conftest import constant_automaton
+from limsupgames.corpus import random_automaton, rng_stream
 from limsupgames.dyadic import Dyadic, half_pow
 from limsupgames.families import discretize, family_from_automaton
 from limsupgames.trees import EventuallyPeriodicBranch, binary_tree

@@ -1,11 +1,14 @@
-"""Every name a package module imports is read somewhere in that module."""
+"""Every name a package module imports is read somewhere in that module,
+and every name a package module defines is read somewhere."""
 
 import ast
 import pathlib
+import re
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "limsupgames"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "limsupgames"
 
 
 def annotations(tree: ast.Module):
@@ -54,3 +57,33 @@ def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     unused = sorted(set(imported_names(tree)) - read_names(tree))
     assert not unused, f"{path.name} imports but never reads {unused}"
+
+
+def defined_names(tree: ast.Module) -> list:
+    """Module-level defs, classes and assigned names, dunders aside."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            out.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            out += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [n for n in out if not (n.startswith("__") and n.endswith("__"))]
+
+
+def test_every_defined_name_is_read():
+    # read by some package module (as a name or an attribute), listed in
+    # __all__, or named by the benchmark, which binds package names by text
+    read = set()
+    defined = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read |= read_names(tree)
+        read |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        defined += [f"{path.stem}.{n}" for n in defined_names(tree)]
+    for path in (ROOT / "perfbench").glob("*.py"):
+        read |= set(re.findall(r"\w+", path.read_text(encoding="utf-8")))
+    dead = [d for d in defined if d.split(".", 1)[1] not in read]
+    assert not dead, f"defined but never read: {dead}"

@@ -1,4 +1,4 @@
-"""Prefix helpers, tree membership, eventually periodic branches."""
+"""Prefix text, tree membership, eventually periodic branches."""
 
 import dataclasses
 
@@ -9,23 +9,9 @@ from hypothesis import strategies as st
 from limsupgames.dyadic import Dyadic
 from limsupgames.games import gamma, play
 from limsupgames.strategies import ConstantII, LetterFSM
-from limsupgames.trees import (EMPTY_PREFIX, EventuallyPeriodicBranch,
-                               IllegalBranchError, PrefixView, TreeSpec,
-                               binary_tree, checked_branch, format_prefix,
-                               full_tree, is_proper_prefix, nat_tree,
-                               parse_branch, parse_prefix, prefix_extend,
-                               prefix_parent)
-
-
-def test_prefix_helpers():
-    assert prefix_extend((), 3) == (3,)
-    assert prefix_parent((1, 2)) == (1,)
-    with pytest.raises(ValueError):
-        prefix_parent(EMPTY_PREFIX)
-    assert is_proper_prefix((), (0,))
-    assert is_proper_prefix((1,), (1, 0))
-    assert not is_proper_prefix((1,), (1,))
-    assert not is_proper_prefix((1,), (0, 1))
+from limsupgames.trees import (EventuallyPeriodicBranch, PrefixView, TreeSpec,
+                               binary_tree, format_prefix, full_tree, nat_tree,
+                               parse_branch, parse_prefix)
 
 
 def test_prefix_text_round_trip():
@@ -85,8 +71,6 @@ def test_tree_membership():
 def test_branch_expansion():
     x = EventuallyPeriodicBranch((0,), (1, 0))
     assert x.first(6) == (0, 1, 0, 1, 0, 1)
-    # prefix(t) runs through position t inclusive
-    assert x.prefix(3) == (0, 1, 0, 1)
     assert [x.letter_at(t) for t in range(5)] == [0, 1, 0, 1, 0]
     with pytest.raises(ValueError):
         EventuallyPeriodicBranch((), ())
@@ -116,16 +100,6 @@ def test_parse_branch():
             parse_branch(bad)
 
 
-def test_checked_branch():
-    b = binary_tree()
-    x = checked_branch(b, (0,), (1,))
-    assert x.cycle == (1,)
-    with pytest.raises(IllegalBranchError):
-        checked_branch(b, (0, 2), (1,))
-    with pytest.raises(IllegalBranchError):
-        checked_branch(b, (), (3,))
-
-
 # --- one-letter membership steps ------------------------------------------
 
 
@@ -153,8 +127,7 @@ def _no_double_one(s):
 
 # the binary tree without two consecutive ones: neither alphabet nor
 # all_naturals is set, so admits has to ask contains
-FIBONACCI = TreeSpec(contains=_no_double_one, child_witness=lambda s: 0,
-                     name="no-11")
+FIBONACCI = TreeSpec(contains=_no_double_one, name="no-11")
 
 
 @given(st.lists(st.integers(0, 1), max_size=10), st.integers(0, 2))
@@ -178,10 +151,6 @@ def test_play_on_a_full_tree_never_calls_contains():
     assert tr.letters()[:4] == (1, 0, 1, 0)
     tr = play(gamma(tree), LetterFSM([2], [[0, 0]]), ConstantII(Dyadic(0)), 10)
     assert tr.fault is not None and tr.fault.blame == "I"
-    checked_branch(tree, (0, 1), (1, 0))
-    with pytest.raises(IllegalBranchError) as err:
-        checked_branch(tree, (0, 1), (2,))
-    assert err.value.prefix == (0, 1, 2)
 
 
 def test_prefix_view_reads_through_and_stays_read_only():
