@@ -3,7 +3,6 @@ strategies, and lasso-certified verdicts."""
 
 from .automata import (NodeAutomaton, eval_limsup, lasso_summary,
                        make_automaton, minmax_value)
-from .cli import ExperimentConfig, entry
 from .construction import (ALGEBRA_OPS, AlgebraFunction, ConstructionReport,
                            ConstructionState, InconclusiveLassoError, algebra,
                            branch_limsup, construct_u, minimize_labeling,
@@ -23,6 +22,15 @@ from .trees import (EventuallyPeriodicBranch, TreeSpec, binary_tree,
                     full_tree, nat_tree, parse_branch)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # lazy, so `python -m limsupgames.cli` finds no cli in sys.modules yet
+    if name in ("ExperimentConfig", "entry"):
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ALGEBRA_OPS", "AlgebraFunction", "ConstructionReport",

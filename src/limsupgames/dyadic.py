@@ -154,6 +154,13 @@ def half_pow(k: int) -> Dyadic:
     return Dyadic(1, k)
 
 
+def crowd_depth(r: Dyadic, v: Dyadic) -> "int | float":
+    """Largest m with r - 2**-m < v, inf when v >= r: gap = r - v = z / 2**e
+    is below 2**-m iff z < 2**(e - m), that is m <= e - z.bit_length()."""
+    gap = r - v
+    return float("inf") if gap.num <= 0 else gap.exp - gap.num.bit_length()
+
+
 @total_ordering
 @dataclass(frozen=True)
 class ExtValue:

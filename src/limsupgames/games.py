@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from operator import attrgetter
 from typing import Dict, Iterable, Optional, Tuple, Union
 
@@ -197,12 +198,6 @@ class RunTrace:
     def letters(self) -> Tuple[int, ...]:
         return tuple(r.letter for r in self.rows)
 
-    def values(self) -> Tuple[Dyadic, ...]:
-        return tuple(r.value for r in self.rows)
-
-    def covalues(self) -> Tuple[Optional[Dyadic], ...]:
-        return tuple(r.covalue for r in self.rows)
-
     def witness_branch(self) -> EventuallyPeriodicBranch:
         if self.lasso is None:
             raise ValueError("no lasso, no witness branch")
@@ -212,10 +207,12 @@ class RunTrace:
                                         letters[start:start + period])
 
     def to_csv_text(self) -> str:
-        # no field can hold a comma, quote or newline, so none is quoted
+        # no field can hold a comma, quote or newline, so none is quoted;
+        # a trace repeats few values, so each is formatted once
+        text = lru_cache(maxsize=None)(str)
         lines = ["t,x_t,v_t,w_t\n"]
-        lines += [f"{r._t},{r._letter},{r._value},"
-                  f"{'' if r._covalue is None else r._covalue}\n"
+        lines += [f"{r._t},{r._letter},{text(r._value)},"
+                  f"{'' if r._covalue is None else text(r._covalue)}\n"
                   for r in self.rows]
         return "".join(lines)
 
@@ -274,12 +271,10 @@ def play(kind: GameKind, sI: StrategyI, sII: StrategyII, horizon: int,
     while t < stop_at:
         if lasso is None:
             try:
-                key = (key_i(), key_ii(), last)
-                first = seen.get(key)
+                first = seen.setdefault((key_i(), key_ii(), last), t)
             except TypeError:
-                first = None
-                key = None
-            if first is not None:
+                first = t  # an unhashable key neither closes nor opens a lasso
+            if first != t:
                 period = t - first
                 lasso = (periodic_start(rows, first, period, RunRow.observable),
                          period)
@@ -287,8 +282,6 @@ def play(kind: GameKind, sI: StrategyI, sII: StrategyII, horizon: int,
                     stop_at = min(stop_at, t + stop_after_lasso * period)
                     if stop_at <= t:
                         break
-            elif key is not None:
-                seen[key] = t
         try:
             letter = move_i(last)
             # exact ints only: a bool or another int subclass is no letter
@@ -300,6 +293,9 @@ def play(kind: GameKind, sI: StrategyI, sII: StrategyII, horizon: int,
             raw = move_ii(letter)
             if type(raw) is Dyadic and not pairs:
                 v, w = raw, None
+            elif pairs and type(raw) is tuple and len(raw) == 2 \
+                    and type(raw[0]) is Dyadic and type(raw[1]) is Dyadic:
+                v, w = raw
             else:
                 v, w = _coerce_answer(kind, raw, t)
             if allowed is not None and not allowed.contains(v):

@@ -6,10 +6,12 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, List, Optional, Sequence
+from functools import lru_cache
+from typing import (Callable, Dict, Hashable, List, NamedTuple, Optional,
+                    Sequence)
 
 from .automata import NodeAutomaton
-from .dyadic import Dyadic, as_dyadic, half_pow
+from .dyadic import Dyadic, as_dyadic, crowd_depth, half_pow
 from .games import FiniteValueSet, StrategyFault, StrategyI, StrategyII
 from .trees import (EventuallyPeriodicBranch, Prefix, PrefixView, TreeSpec,
                     binary_tree)
@@ -453,9 +455,11 @@ class MeagerDenseInstance:
     s_disjoint(s, m) must answer whether the cylinder at s misses piece m.
     pick_y(s, m) returns only the continuation after s: the branch of
     letters from position len(s) on, chosen so that s followed by it lies
-    outside pieces 0..m.  prefix_digest(s, m) compresses the prefix to
-    exactly the information future queries need, so stalled runs can
-    lasso.  Callbacks receive the prefix as a read-only sequence.
+    outside pieces 0..m; branches are immutable, so it may hand back one
+    shared tail for every prefix that needs the same continuation.
+    prefix_digest(s, m) compresses the prefix to exactly the information
+    future queries need, so stalled runs can lasso.  Callbacks receive the
+    prefix as a read-only sequence.
     """
 
     tree: TreeSpec
@@ -473,17 +477,17 @@ def eventually_zero_instance() -> MeagerDenseInstance:
     def s_disjoint(s: Sequence[int], m: int) -> bool:
         return 1 in s[m + 1:]
 
-    def pick_y(s: Sequence[int], m: int) -> EventuallyPeriodicBranch:
-        # zeros up to position m + 1 (if s stops short of it), a 1, then 0^w
-        return EventuallyPeriodicBranch((0,) * max(0, m + 1 - len(s)) + (1,),
-                                        (0,))
+    @lru_cache(maxsize=None)
+    def tail(zeros: int) -> EventuallyPeriodicBranch:
+        return EventuallyPeriodicBranch((0,) * zeros + (1,), (0,))
 
-    return MeagerDenseInstance(binary_tree(), Dyadic(1), s_disjoint, pick_y,
+    # pick_y: zeros up to position m + 1 (if s stops short of it), a 1, 0^w
+    return MeagerDenseInstance(binary_tree(), Dyadic(1), s_disjoint,
+                               lambda s, m: tail(max(0, m + 1 - len(s))),
                                prefix_digest=s_disjoint, label="eventually-zero")
 
 
-@dataclass(frozen=True)
-class SwitchEvent:
+class SwitchEvent(NamedTuple):
     """A retarget: the new target is the first prefix_len played letters
     followed by tail."""
 
@@ -500,9 +504,10 @@ class MeagerDenseI(StrategyI):
 
     A target is the prefix at the switch followed by the tail pick_y
     returns, so it extends the prefix by construction; the strategy keeps
-    only (offset, tail) and reads letters at pos - offset, so a round costs
-    the same at any depth.  The piece index can grow forever, so the
-    strategy declares unbounded state; stalled runs still lasso in play
+    only (offset, tail) and reads letters at pos - offset; it tests
+    r - 2^-m < v as m <= crowd_depth(r, v), kept per announced value, so a
+    round costs the same at any depth.  The piece index can grow forever, so
+    the strategy declares unbounded state; stalled runs still lasso in play
     because the state key keeps only the digest of the prefix.
     """
 
@@ -510,6 +515,7 @@ class MeagerDenseI(StrategyI):
 
     def __init__(self, instance: MeagerDenseInstance):
         self.instance = instance
+        self.depths: Dict[Dyadic, float] = {}
         self.reset()
 
     def reset(self) -> None:
@@ -518,7 +524,6 @@ class MeagerDenseI(StrategyI):
         self.view = PrefixView(self.prefix)
         self.offset = 0
         self.tail: Optional[EventuallyPeriodicBranch] = None
-        self.threshold = self.instance.r - half_pow(0)
         self.switches = 0
         self.t = 0
         self.history: List[SwitchEvent] = []
@@ -534,10 +539,12 @@ class MeagerDenseI(StrategyI):
             self._retarget()
         else:
             v = last[0] if isinstance(last, tuple) else last
-            if self.threshold < v and inst.s_disjoint(self.view, self.m):
+            depth = self.depths.get(v)
+            if depth is None:
+                depth = self.depths[v] = crowd_depth(inst.r, v)
+            if self.m <= depth and inst.s_disjoint(self.view, self.m):
                 self.m += 1
                 self.switches += 1
-                self.threshold = inst.r - half_pow(self.m)
                 self._retarget()
         letter = self.tail.letter_at(len(self.prefix) - self.offset)
         self.prefix.append(letter)
@@ -565,7 +572,8 @@ class OscillationInstance:
     pick_high(s) / pick_low(s) return only the continuation after s (the
     branch of letters from position len(s) on) that makes s followed by it
     a branch with payoff sup_f, respectively inf_f.  Both must draw their
-    tails from a finite set so the strategy's state stays finite.
+    tails from a finite set so the strategy's state stays finite; branches
+    are immutable, so a pick may return the same shared tail every time.
     """
 
     tree: TreeSpec
@@ -579,14 +587,10 @@ class OscillationInstance:
 
 
 def indicator_oscillation_instance() -> OscillationInstance:
-    def pick_high(s: Sequence[int]) -> EventuallyPeriodicBranch:
-        return EventuallyPeriodicBranch((), (0,))
-
-    def pick_low(s: Sequence[int]) -> EventuallyPeriodicBranch:
-        return EventuallyPeriodicBranch((), (0, 1))
-
+    high = EventuallyPeriodicBranch((), (0,))
+    low = EventuallyPeriodicBranch((), (0, 1))
     return OscillationInstance(binary_tree(), Dyadic(1), Dyadic(0),
-                               Dyadic(1, 3), pick_high, pick_low,
+                               Dyadic(1, 3), lambda s: high, lambda s: low,
                                IndicatorPayoff(), label="indicator-oscillation")
 
 

@@ -3,6 +3,10 @@
 import contextlib
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -35,6 +39,29 @@ def test_eval_prints_value_then_certificate(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "1/2^0"
     assert out[1] == "lasso: start=0 period=2 cycle_outputs=[0/2^0, 1/2^0]"
+
+
+def test_module_run_of_the_cli_warns_nothing(tmp_path):
+    # the package resolves entry lazily, so runpy finds no stale cli module
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run(
+        [sys.executable, "-W", "always", "-m", "limsupgames.cli", "eval",
+         letter_file(tmp_path), "stem=;cycle=0,1"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "RuntimeWarning" not in done.stderr
+    assert done.stdout.splitlines()[0] == "1/2^0"
+
+
+def test_package_resolves_cli_names_on_use():
+    import limsupgames
+    from limsupgames import ExperimentConfig as Config, entry as run
+    assert run is entry and Config is ExperimentConfig
+    with pytest.raises(AttributeError):
+        limsupgames.no_such_name
 
 
 def test_eval_rejects_bad_branch(tmp_path, capsys):

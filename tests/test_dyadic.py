@@ -7,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from limsupgames.dyadic import (NEG_INF, POS_INF, Dyadic, ExtValue, as_dyadic,
-                                half_pow)
+                                crowd_depth, half_pow)
+from limsupgames.strategies import eventually_zero_instance
 
 dyadics = st.builds(Dyadic, st.integers(-4000, 4000), st.integers(0, 10))
 
@@ -172,3 +173,40 @@ def test_ext_extremes_agree_with_finite(values):
     exts = [ExtValue.finite(v) for v in values]
     assert max(exts).require_finite() == max(values)
     assert min(exts).require_finite() == min(values)
+
+
+def _near(r: Dyadic):
+    """Values within 2^-k of r, k up to 64, on grids up to 64 bits finer."""
+    def build(k, finer, z):
+        return r - Dyadic(z % ((2 << finer) + 1) - (1 << finer), k + finer)
+    return st.builds(build, st.integers(0, 64), st.integers(0, 64),
+                     st.integers(0, 1 << 66))
+
+
+R = eventually_zero_instance().r
+crowding_values = st.one_of(
+    st.builds(Dyadic, st.integers(-(1 << 70), -1), st.integers(0, 70)),
+    st.builds(lambda d: R + d, st.builds(Dyadic, st.integers(0, 1 << 70),
+                                         st.integers(0, 70))),
+    _near(R))
+
+
+@given(crowding_values, st.integers(0, 300))
+def test_crowd_depth_matches_the_dyadic_threshold(v, m):
+    # the attacker's test r - 2^-m < v, as one integer comparison
+    assert (m <= crowd_depth(R, v)) == (R - half_pow(m) < v)
+
+
+@given(dyadics, dyadics, st.integers(0, 40))
+def test_crowd_depth_at_any_target(r, v, m):
+    assert (m <= crowd_depth(r, v)) == (r - half_pow(m) < v)
+
+
+def test_crowd_depth_at_the_boundaries():
+    # v = r - 2^-k crowds r exactly at the depths m < k
+    for k in range(70):
+        for r in (R, Dyadic(-5, 3)):
+            assert crowd_depth(r, r - half_pow(k)) == k - 1
+            assert crowd_depth(r, r - half_pow(k) + half_pow(k + 1)) == k
+            assert crowd_depth(r, r - half_pow(k + 2) * 3) == k
+    assert crowd_depth(R, R) == crowd_depth(R, R + 1) == float("inf")

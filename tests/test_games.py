@@ -17,8 +17,8 @@ from limsupgames.games import (MAX_TRACE_ROUNDS, CertificateMismatchError,
                                 gamma_prime, gamma_restricted, play,
                                 StrategyI)
 from limsupgames.strategies import (ConstantII, CopycatI, LetterFSM, ValueFSM,
-                                     copycat_strategy, strategy_ii_from_u,
-                                     u_from_strategy_ii)
+                                     copycat_strategy, pair_strategies,
+                                     strategy_ii_from_u, u_from_strategy_ii)
 from limsupgames.trees import EventuallyPeriodicBranch, binary_tree, nat_tree
 
 BIN = gamma(binary_tree())
@@ -226,6 +226,31 @@ def test_csv_golden():
         "t,x_t,v_t,w_t\n"
         "0,0,1/2^0,-1/2^0\n"
         "1,0,1/2^0,-1/2^0\n")
+
+
+def csv_oracle(tr: RunTrace) -> str:
+    # row-by-row formatting, one str() per field
+    return "t,x_t,v_t,w_t\n" + "".join(
+        f"{r.t},{r.letter},{r.value},{'' if r.covalue is None else r.covalue}\n"
+        for r in tr.rows)
+
+
+def test_pair_csv_matches_row_by_row_formatting():
+    pair = gamma_prime(binary_tree())
+    alternate = LetterFSM([0, 1], [[1, 1], [0, 0]])
+    sf = ValueFSM([[0, 1], [1, 0]], [Dyadic(1, 1), Dyadic(-3, 2)])
+    sg = ValueFSM([[1, 1], [0, 0]], [Dyadic(5, 3), Dyadic(0)])
+    # the responder negates the covalue, so equal covalues are fresh objects
+    fresh = play(pair, alternate, pair_strategies(sf, sg), 40)
+    assert fresh.rows[0].covalue == fresh.rows[2].covalue
+    assert fresh.rows[0].covalue is not fresh.rows[2].covalue
+    shared = play(pair, alternate, ConstantII(Dyadic(7, 2), Dyadic(-1, 5)), 40)
+    assert shared.rows[0].covalue is shared.rows[1].covalue
+    for tr in (fresh, shared):
+        assert tr.fault is None and len(tr.rows) == 40
+        assert tr.to_csv_text() == csv_oracle(tr)
+    assert fresh.to_csv_text().startswith(
+        "t,x_t,v_t,w_t\n0,1,-3/2^2,0/2^0\n1,0,-3/2^2,-5/2^3\n")
 
 
 def test_pair_game_verdict_needs_both_limits():

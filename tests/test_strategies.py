@@ -24,7 +24,8 @@ from limsupgames.strategies import (ConstantII, IndicatorPayoff, LetterFSM,
                                      relabel_strategy, strategy_i_meager_dense,
                                      strategy_i_oscillation,
                                      strategy_ii_from_u)
-from limsupgames.trees import PrefixView, binary_tree, nat_tree
+from limsupgames.trees import (EventuallyPeriodicBranch, PrefixView,
+                               binary_tree, nat_tree)
 
 BIN = gamma(binary_tree())
 NAT = gamma(nat_tree())
@@ -58,6 +59,32 @@ def test_meager_dense_never_settles_at_the_target_value():
     tr = play(BIN, md, ConstantII(Dyadic(1)), 64)
     assert tr.fault is None and tr.lasso is None
     assert md.counters()["m"] >= 10
+
+
+def test_meager_dense_long_divergent_run_matches_the_dyadic_replay():
+    # replay the switching rule with the threshold r - 2^-m as a Dyadic and
+    # a freshly built tail per switch, fed the values the run announced
+    inst = eventually_zero_instance()
+    md = strategy_i_meager_dense(inst)
+    tr = play(BIN, md, ConstantII(1), 5000)
+    assert tr.fault is None and tr.lasso is None
+    letters, m, events = [], 0, []
+    for t in range(5000):
+        if t == 0 or (inst.r - half_pow(m) < tr.rows[t - 1].value
+                      and inst.s_disjoint(letters, m)):
+            if t > 0:
+                m += 1
+            offset = len(letters)
+            tail = EventuallyPeriodicBranch(
+                (0,) * max(0, m + 1 - offset) + (1,), (0,))
+            events.append((t, m, offset, tail))
+        letters.append(tail.letter_at(len(letters) - offset))
+    assert tr.letters() == tuple(letters)
+    assert [(e.round_index, e.m, e.prefix_len) for e in md.history] == \
+        [e[:3] for e in events]
+    assert md.history[-1].m > 4000
+    for ev, want in list(zip(md.history, events))[::97]:
+        assert ev.tail.first(40) == want[3].first(40)
 
 
 @given(st.lists(st.integers(0, 1), max_size=40), st.integers(0, 45))
