@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 from .acceptance import DEFAULT_SEED, run_all
 from .automata import NodeAutomaton, lasso_summary
 from .construction import (AlgebraFunction, ConstructionState, algebra,
-                           branch_limsup, minimize_labeling,
+                           limsup_along, minimize_labeling,
                            verify_construction)
 from .corpus import branch_corpus, rng_stream
 from .dyadic import Dyadic, as_dyadic
@@ -220,7 +220,7 @@ def build_payoff(src: Optional[dict], tree: TreeSpec):
         return IndicatorPayoff()
     if kind == "pipeline":
         fam, _, _ = build_pipeline(src, tree)
-        return lambda x: branch_limsup(fam, x)[0]
+        return lambda x: limsup_along(fam, x)
     raise ConfigError(f"unknown payoff kind {kind!r}")
 
 

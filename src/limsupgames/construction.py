@@ -204,27 +204,13 @@ class ConstructionState:
         return got
 
 
-def branch_limsup(fam: GridLscFamily, x: EventuallyPeriodicBranch,
-                  cap: int = 4096) -> Tuple[Dyadic, dict]:
-    """Exact limsup of the constructed labels along x, with audit info.
-
-    The label of each prefix is a move of the family's label transducer, so
-    the orbit of (branch phase, transducer state) is a lasso, the labels are
-    periodic from its entry on, and the limsup is the largest label on its
-    cycle.  An orbit that shows no repeat within cap + 1 steps raises
-    InconclusiveLassoError.
-
-    The audit info reports the (branch phase, joint state) lasso start and
-    period, and max_scan, the largest scan bound (scan_bound) over the
-    prefixes of lengths 1 .. horizon, horizon = max(t0 + 4p + 16, 6p, 32)
-    capped at cap.  The joint state is the first part of the transducer
-    state and steps deterministically, so the joint lasso is read off the
-    projection of the one walk.  That horizon fixes the prefixes behind
-    construct's reported max level scan, so it stays as it is although the
-    limsup no longer needs it.
+def _label_lasso(tr: LabelTransducer, x: EventuallyPeriodicBranch,
+                 cap: int) -> Tuple[List[tuple], int, List[Dyadic]]:
+    """(walk, entry, labels): the (branch phase, transducer state) orbit
+    along x, a lasso whose cycle starts at entry, and the label of each
+    step, periodic from entry on.  An orbit that shows no repeat within
+    cap + 1 steps raises InconclusiveLassoError.
     """
-    ker = fam.kernel
-    tr = transducer(fam)
     letters = x.stem + x.cycle
     stem, end = len(x.stem), len(letters)
     move = tr.move
@@ -242,6 +228,34 @@ def branch_limsup(fam: GridLscFamily, x: EventuallyPeriodicBranch,
     except StabilizationCapError:
         raise InconclusiveLassoError(
             f"no lasso along {x} within {cap} steps") from None
+    return walk, entry, labels
+
+
+def limsup_along(fam: GridLscFamily, x: EventuallyPeriodicBranch,
+                 cap: int = 4096) -> Dyadic:
+    """Exact limsup of the constructed labels along x, the largest label on
+    the cycle of _label_lasso's walk; branch_limsup without the audit."""
+    _, entry, labels = _label_lasso(transducer(fam), x, cap)
+    return max(labels[entry:])
+
+
+def branch_limsup(fam: GridLscFamily, x: EventuallyPeriodicBranch,
+                  cap: int = 4096) -> Tuple[Dyadic, dict]:
+    """Exact limsup of the constructed labels along x, with audit info.
+
+    The value is limsup_along's, read off the same walk (_label_lasso).
+    The audit info reports the (branch phase, joint state) lasso start and
+    period, and max_scan, the largest scan bound (scan_bound) over the
+    prefixes of lengths 1 .. horizon, horizon = max(t0 + 4p + 16, 6p, 32)
+    capped at cap.  The joint state is the first part of the transducer
+    state and steps deterministically, so the joint lasso is read off the
+    projection of the one walk.  Only construct's reported max level scan
+    reads the audit (through verify_construction), and that horizon fixes
+    the prefixes behind it; callers that need the value alone call
+    limsup_along.
+    """
+    tr = transducer(fam)
+    walk, entry, labels = _label_lasso(tr, x, cap)
     proj = [(t, tr.states[q][0]) for t, q in walk]
     proj.append(proj[entry])
     orbit, t0 = first_repeat(proj[0], dict(zip(proj, proj[1:])).__getitem__)
@@ -253,7 +267,7 @@ def branch_limsup(fam: GridLscFamily, x: EventuallyPeriodicBranch,
     max_scan = tr.exponent
     for i, (_, J) in enumerate(orbit):
         L = i if i < t0 else i + p * ((horizon - i) // p)
-        max_scan = max(max_scan, L + ker.tail_entry(J))
+        max_scan = max(max_scan, L + tr.ker.tail_entry(J))
     info = {"lasso_start": t0, "period": p, "horizon": horizon,
             "max_scan": max_scan}
     return max(labels[entry:]), info
@@ -396,7 +410,7 @@ class AlgebraFunction:
         return self.state.u(s)
 
     def value_on(self, x: EventuallyPeriodicBranch) -> Dyadic:
-        return branch_limsup(self.family, x)[0]
+        return limsup_along(self.family, x)
 
     def expected_on(self, x: EventuallyPeriodicBranch) -> Dyadic:
         f1 = eval_limsup(self.factors[0], x)

@@ -85,24 +85,32 @@ def pair_fsm_corpus(seed: int, count: int, max_states: int = 3) -> List[ValueFSM
             for _ in range(count)]
 
 
+def canonical_form(stem: tuple, cycle: tuple) -> Tuple[tuple, tuple]:
+    """The shortest (stem, cycle) of the branch stem + cycle^omega: one key
+    per branch.  The cycle is cut to its primitive root, then the stem's
+    trailing letters that the cycle repeats are rolled into it."""
+    n = len(cycle)
+    d = next(d for d in range(1, n + 1)
+             if n % d == 0 and cycle == cycle[:d] * (n // d))
+    cycle = cycle[:d]
+    while stem and stem[-1] == cycle[-1]:
+        stem, cycle = stem[:-1], cycle[-1:] + cycle[:-1]
+    return stem, cycle
+
+
 def branch_corpus(max_stem: int = 3, max_cycle: int = 3,
                   alphabet: Sequence[int] = (0, 1)
                   ) -> List[EventuallyPeriodicBranch]:
-    """Every stem up to max_stem and cycle up to max_cycle, deduplicated.
-
-    Two descriptions of the same branch agree on their first 16 letters
-    whenever stems and cycles are this short, so the expansion key is an
-    exact dedupe.
-    """
+    """Every stem up to max_stem and cycle up to max_cycle, one description
+    per branch: the first met, keyed by canonical_form."""
     seen = {}
     for ls in range(max_stem + 1):
         for stem in itertools.product(alphabet, repeat=ls):
             for lc in range(1, max_cycle + 1):
                 for cyc in itertools.product(alphabet, repeat=lc):
-                    x = EventuallyPeriodicBranch(stem, cyc)
-                    key = x.first(16)
+                    key = canonical_form(stem, cyc)
                     if key not in seen:
-                        seen[key] = x
+                        seen[key] = EventuallyPeriodicBranch(stem, cyc)
     return list(seen.values())
 
 

@@ -345,6 +345,26 @@ def test_verify_win_ii_exit_zero(tmp_path, capsys):
     assert on_disk == verdict
 
 
+@pytest.mark.parametrize("stages", [
+    ["from-automaton", "construct_u"],
+    ["from-automaton", "discretize", "construct_u"]])
+def test_verify_pipeline_payoff_matches_its_machine(tmp_path, capsys, stages):
+    # a stage pipeline over u as the payoff reads the same limsups as u
+    machine = letter_output_automaton().to_json_dict()
+    verdicts = []
+    for name, payoff in [
+            ("machine", {"kind": "automaton", "automaton": machine}),
+            ("pipeline", {"kind": "pipeline", "stages": stages,
+                          "source": {"automaton": machine}})]:
+        cfg = verify_config(tmp_path, name=f"{name}.json", payoff=payoff)
+        assert entry(["verify", "--config", cfg]) == 0
+        verdicts.append(json.loads(capsys.readouterr().out))
+    keys = ("outcome", "limsup_value", "payoff_of_witness")
+    assert verdicts[0]["limsup_value"] is not None
+    assert [{k: v[k] for k in keys} for v in verdicts] == \
+        [{k: verdicts[0][k] for k in keys}] * 2
+
+
 def test_verify_undecided_exit_one(tmp_path, capsys):
     cfg = verify_config(tmp_path)
     assert entry(["verify", "--config", cfg, "--cap", "1"]) == 1

@@ -11,9 +11,9 @@ from conftest import branch_labels, constant_automaton, letter_output_automaton
 from limsupgames.automata import eval_limsup, lasso_summary, make_automaton
 from limsupgames.construction import (ConstructionState, InconclusiveLassoError,
                                        algebra, apply_op, branch_limsup,
-                                       construct_u, minimize_labeling,
-                                       scan_bound, transducer,
-                                       verify_construction)
+                                       construct_u, limsup_along,
+                                       minimize_labeling, scan_bound,
+                                       transducer, verify_construction)
 from limsupgames.corpus import (automaton_corpus, branch_corpus,
                                  random_automaton, rng_stream)
 from limsupgames.dyadic import Dyadic
@@ -225,14 +225,18 @@ def joint_orbit_info(fam, x, cap=4096):
                             for n in range(1, horizon + 1))}
 
 
+def _trees():
+    """The binary and naturals trees, each with branches over its tree's
+    letters; the naturals branches use letters past every machine's
+    declared ones."""
+    return [(TREE, BRANCHES + LONG_WALKS),
+            (nat_tree(), branch_corpus(1, 2, alphabet=(0, 1, 4)))]
+
+
 def _audit_cases():
-    """Raw and discretized sum/min/max families on the binary and naturals
-    trees, each with branches over its tree's letters; the naturals
-    branches use letters past every machine's declared ones."""
+    """Raw and discretized sum/min/max families on the trees of _trees."""
     machines = automaton_corpus(27, 4, max_states=3, span=3, max_exp=2)
-    trees = [(TREE, BRANCHES + LONG_WALKS),
-             (nat_tree(), branch_corpus(1, 2, alphabet=(0, 1, 4)))]
-    for tree, branches in trees:
+    for tree, branches in _trees():
         for u1, u2 in zip(machines[::2], machines[1::2]):
             for op in ("sum", "min", "max"):
                 raw = family_from_kernel(ProductKernel([u1, u2], tree, op),
@@ -248,9 +252,21 @@ def test_branch_limsup_audit_info_matches_joint_orbit():
             assert info == joint_orbit_info(fam, x), (fam.label, x)
 
 
+def test_limsup_along_is_the_branch_limsup_value():
+    # seeded stage families, raw and discretized, beside the joint ones
+    machines = automaton_corpus(35, 4, max_states=3, span=4, max_exp=2)
+    stage = [(fam, branches) for tree, branches in _trees() for u in machines
+             for fam in (family_from_automaton(u, tree),
+                         discretize(family_from_automaton(u, tree)))]
+    for fam, branches in stage + list(_audit_cases()):
+        for x in branches:
+            assert limsup_along(fam, x) == branch_limsup(fam, x)[0], \
+                (fam.label, x)
+
+
 def test_branch_limsup_cap_boundary():
     # the (branch phase, transducer state) walk has n keys: a cap of n - 1
-    # admits it and a cap of n - 2 does not
+    # admits it and a cap of n - 2 does not, with or without the audit
     fam = discretize(family_from_automaton(letter_output_automaton(), TREE))
     x = parse_branch("stem=0,1,0,1,1;cycle=1,0")
     tr = transducer(fam)
@@ -262,10 +278,13 @@ def test_branch_limsup_cap_boundary():
         q = tr.move(q, x.letter_at(t))[1]
         t = t + 1 if t + 1 < end else len(x.stem)
     n = len(seen)
-    assert branch_limsup(fam, x, cap=n - 1)[0] == eval_limsup(
-        letter_output_automaton(), x)
+    want = eval_limsup(letter_output_automaton(), x)
+    assert branch_limsup(fam, x, cap=n - 1)[0] == want
+    assert limsup_along(fam, x, cap=n - 1) == want
     with pytest.raises(InconclusiveLassoError):
         branch_limsup(fam, x, cap=n - 2)
+    with pytest.raises(InconclusiveLassoError):
+        limsup_along(fam, x, cap=n - 2)
 
 
 def test_min_kernel_tails_are_per_machine():

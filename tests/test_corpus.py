@@ -1,0 +1,61 @@
+"""Fixture generators: the branch corpus holds each branch once."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from limsupgames.corpus import branch_corpus, canonical_form
+from limsupgames.trees import EventuallyPeriodicBranch, parse_branch
+
+
+@st.composite
+def branch_pairs(draw):
+    """Two branches, the second often another description of the first: a
+    cycle repeated and rotated, its first letters unrolled into the stem."""
+    letters = st.integers(0, 1)
+    stem = tuple(draw(st.lists(letters, max_size=6)))
+    cyc = tuple(draw(st.lists(letters, min_size=1, max_size=4)))
+    x = EventuallyPeriodicBranch(stem, cyc)
+    if draw(st.booleans()):
+        unroll = draw(st.integers(0, 4))
+        reps = draw(st.integers(1, 3))
+        k = len(stem) + unroll
+        y = EventuallyPeriodicBranch(
+            x.first(k), tuple(x.letter_at(k + i) for i in range(len(cyc)))
+            * reps)
+    else:
+        y = EventuallyPeriodicBranch(
+            tuple(draw(st.lists(letters, max_size=6))),
+            tuple(draw(st.lists(letters, min_size=1, max_size=4))))
+    return x, y
+
+
+@settings(max_examples=400, deadline=None)
+@given(branch_pairs())
+def test_canonical_form_keys_branches_exactly(pair):
+    # by Fine and Wilf, two eventually periodic words equal on their first
+    # max stem + both periods letters are equal
+    x, y = pair
+    n = max(len(x.stem), len(y.stem)) + len(x.cycle) + len(y.cycle)
+    same = canonical_form(x.stem, x.cycle) == canonical_form(y.stem, y.cycle)
+    assert same == (x.first(n) == y.first(n)), (x, y)
+
+
+def test_long_branch_corpus_keeps_branches_past_sixteen_letters():
+    # all zeros for 16 letters, then a 1 in every eighth letter: a key on
+    # the first 16 letters took it for the all-zero branch and dropped it
+    corpus = branch_corpus(9, 8)
+    assert parse_branch("stem=0,0,0,0,0,0,0,0,0;cycle=0,0,0,0,0,0,0,1") \
+        in corpus
+    # stems of at most 9 and cycles of at most 8 letters decide equality
+    # on the first 9 + 8 + 8 letters
+    assert len({x.first(25) for x in corpus}) == len(corpus) > 2 ** 16
+
+
+def test_short_branch_corpus_keeps_first_descriptions():
+    # one description per branch, the first in stem-then-cycle order
+    corpus = branch_corpus(3, 3)
+    assert len(corpus) == 80
+    assert corpus[:3] == [parse_branch("stem=;cycle=0"),
+                          parse_branch("stem=;cycle=1"),
+                          parse_branch("stem=;cycle=0,1")]
+    assert parse_branch("stem=0;cycle=1,0") not in corpus
