@@ -207,8 +207,8 @@ def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
         # stalled run against the constant 29/32 responder
         md = strategy_i_meager_dense(inst)
         tr = play(kind, md, ConstantII(Dyadic(29, 5)), 400)
-        note(tr.letters()[:8] == (0, 1, 1, 1, 1, 1, 0, 0),
-             f"trace letters {tr.letters()[:8]}")
+        note(tr.letters[:8] == (0, 1, 1, 1, 1, 1, 0, 0),
+             f"trace letters {tr.letters[:8]}")
         note(md.m == 4, f"final m {md.m}")
         note(md.switches == 4, f"switches {md.switches}")
         note(tr.lasso == (6, 1), f"lasso {tr.lasso}")
@@ -238,7 +238,7 @@ def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
             trr = play(kind, mdr, fsm, 300)
             runs.append((mdr, trr))
         for mdx, trx in runs:
-            letters = trx.letters()
+            letters = trx.letters
             hist = mdx.history
             for k, ev in enumerate(hist):
                 prefix = letters[:ev.round_index]
@@ -251,7 +251,7 @@ def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
                          for t in range(ev.m + 1, ev.prefix_len + 40)),
                      f"target not disjoint from pieces 0..{ev.m}")
                 if k > 0:
-                    prev_v = trx.rows[ev.round_index - 1].value
+                    prev_v = trx.values[ev.round_index - 1]
                     note(inst.r - half_pow(ev.m - 1) < prev_v,
                          f"value condition failed at event {k}")
                     note(inst.s_disjoint(prefix, ev.m - 1),
@@ -288,19 +288,18 @@ def criterion_5(seed: int = DEFAULT_SEED) -> CriterionResult:
         # each even-phase trigger saw the value crowd the sup, each odd-phase
         # trigger saw the covalue crowd the inf
         for idx, r in enumerate(osc_tr.trigger_rounds[:10]):
-            row = tr.rows[r - 1]
             if idx % 2 == 0:
-                note(inst.sup_f - row.value < inst.epsilon,
+                note(inst.sup_f - tr.values[r - 1] < inst.epsilon,
                      f"even trigger {idx} gap too wide")
             else:
-                note(row.covalue - inst.inf_f < inst.epsilon,
+                note(tr.covalues[r - 1] - inst.inf_f < inst.epsilon,
                      f"odd trigger {idx} gap too wide")
         # the value that fired an even-phase trigger clears the covalue that
         # fired the next one by at least epsilon, for every completed stage
         trig = osc_tr.trigger_rounds
         for k in range(0, len(trig) - 1, 2):
-            vk = tr.rows[trig[k] - 1].value
-            wk = tr.rows[trig[k + 1] - 1].covalue
+            vk = tr.values[trig[k] - 1]
+            wk = tr.covalues[trig[k + 1] - 1]
             note(vk >= wk + inst.epsilon,
                  f"stage {k}: value {vk} does not clear covalue {wk}")
 
@@ -384,17 +383,17 @@ def criterion_7(seed: int = DEFAULT_SEED) -> CriterionResult:
                     continue
                 base.reset()
                 letters = [base.move(None)]
-                for t in range(1, len(tr.rows)):
-                    letters.append(base.move(R.nearest(tr.rows[t - 1].value)))
+                for v in tr.values[:-1]:
+                    letters.append(base.move(R.nearest(v)))
                 count += 1
-                if tuple(letters) != tr.letters():
+                if tuple(letters) != tr.letters:
                     problems.append(f"base {i} vs opp {j}: replay diverged")
                 if tr.lasso is None:
                     count += 1
                     problems.append(f"base {i} vs opp {j}: no lasso recorded")
                     continue
                 start, period = tr.lasso
-                cyc = [r.value for r in tr.rows[start:start + period]]
+                cyc = tr.values[start:start + period]
                 raw = max(cyc)
                 if R.contains(raw):
                     count += 1
@@ -431,17 +430,16 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
             note(v.outcome is Outcome.WIN_II and v.exact,
                  f"copycat vs fsm {j}: {v.outcome.value}")
             tr = play(kind, copycat_strategy(), fsm, 60)
-            note(all(tr.rows[t + 1].letter == tr.rows[t].value.num
-                     for t in range(len(tr.rows) - 1)),
+            note(all(x == v.num for x, v in zip(tr.letters[1:], tr.values)),
                  f"echo identity broke vs fsm {j}")
 
         enum = SpiralEnumeration()
         for j, fsm in enumerate(value_fsm_corpus(seed + 4, 10, max_states=3)):
             tr = play(kind, approx_copycat(enum), fsm, 40)
-            note(len(tr.rows) == 40, f"approx run {j} truncated")
-            for t in range(1, len(tr.rows)):
-                q = enum.value(tr.rows[t].letter)
-                prev = tr.rows[t - 1].value
+            note(len(tr.values) == 40, f"approx run {j} truncated")
+            for t in range(1, len(tr.values)):
+                q = enum.value(tr.letters[t])
+                prev = tr.values[t - 1]
                 count += 1
                 if half_pow(t - 1) < abs(q - prev):
                     problems.append(f"approx bound broke at round {t} vs fsm {j}")

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from itertools import count, repeat
 from operator import attrgetter
-from typing import Dict, Iterable, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .automata import NodeAutomaton, eval_limsup
 from .dyadic import Dyadic, as_dyadic
@@ -139,9 +139,9 @@ class RunRow:
     covalue (else None).
 
     Immutable: each field is a read-only property over a slot that only
-    __init__ writes.  play builds one row a round, and plain slot stores cost
-    a fraction of a frozen dataclass's object.__setattr__ calls; a row stays
-    at 64 B.  Rows compare, hash and print like a frozen dataclass.
+    __init__ writes.  play records no rows; RunTrace.rows builds them on
+    demand from the trace's columns, for output and tests.  Rows compare,
+    hash and print like a frozen dataclass.
     """
 
     __slots__ = ("_t", "_letter", "_value", "_covalue")
@@ -157,9 +157,6 @@ class RunRow:
     letter = property(attrgetter("_letter"))
     value = property(attrgetter("_value"))
     covalue = property(attrgetter("_covalue"))
-
-    def observable(self):
-        return (self._letter, self._value, self._covalue)
 
     def _fields(self):
         return (self._t, self._letter, self._value, self._covalue)
@@ -188,38 +185,61 @@ class FaultRecord:
                 "detail": self.detail}
 
 
+def _texts(col) -> List[str]:
+    """str of each entry, computed once per distinct object.  Keying by id
+    is safe because col keeps every keyed object alive for the whole call."""
+    ids = list(map(id, col))
+    text = dict(zip(ids, col))
+    for k, v in text.items():
+        text[k] = str(v)
+    return list(map(text.__getitem__, ids))
+
+
 @dataclass(frozen=True)
 class RunTrace:
+    """A recorded play, one flat column per observable: in round t I played
+    letters[t] and II announced values[t] and, in the pair game only,
+    covalues[t] (covalues is None in the other games).  play appends to the
+    columns and builds no per-round object; readers slice the columns."""
+
     kind: GameKind
-    rows: Tuple[RunRow, ...]
+    letters: Tuple[int, ...]
+    values: Tuple[Dyadic, ...]
+    covalues: Optional[Tuple[Dyadic, ...]] = None
     lasso: Optional[Tuple[int, int]] = None
     fault: Optional[FaultRecord] = None
 
-    def letters(self) -> Tuple[int, ...]:
-        return tuple(r.letter for r in self.rows)
+    @property
+    def rows(self) -> Tuple[RunRow, ...]:
+        """The rounds as RunRows, rebuilt on every access: read it once."""
+        covalues = repeat(None) if self.covalues is None else self.covalues
+        return tuple(map(RunRow, count(), self.letters, self.values, covalues))
+
+    def columns(self) -> Tuple[Tuple, ...]:
+        """letters and values, then covalues in the pair game."""
+        if self.covalues is None:
+            return (self.letters, self.values)
+        return (self.letters, self.values, self.covalues)
 
     def witness_branch(self) -> EventuallyPeriodicBranch:
         if self.lasso is None:
             raise ValueError("no lasso, no witness branch")
         start, period = self.lasso
-        letters = self.letters()
-        return EventuallyPeriodicBranch(letters[:start],
-                                        letters[start:start + period])
+        return EventuallyPeriodicBranch(self.letters[:start],
+                                        self.letters[start:start + period])
 
     def to_csv_text(self) -> str:
-        # no field can hold a comma, quote or newline, so none is quoted;
-        # a trace repeats few values, so each is formatted once
-        text = lru_cache(maxsize=None)(str)
-        lines = ["t,x_t,v_t,w_t\n"]
-        lines += [f"{r._t},{r._letter},{text(r._value)},"
-                  f"{'' if r._covalue is None else text(r._covalue)}\n"
-                  for r in self.rows]
-        return "".join(lines)
+        # no field can hold a comma, quote or newline, so none is quoted
+        vs = _texts(self.values)
+        ws = repeat("") if self.covalues is None else _texts(self.covalues)
+        return "t,x_t,v_t,w_t\n" + "".join([
+            f"{t},{x},{v},{w}\n"
+            for t, x, v, w in zip(count(), self.letters, vs, ws)])
 
     def sidecar(self, verdict_json=None) -> dict:
         side = {
             "variant": self.kind.variant,
-            "rounds": len(self.rows),
+            "rounds": len(self.values),
             "lasso": None if self.lasso is None else
                 {"start": self.lasso[0], "period": self.lasso[1]},
             "fault": None if self.fault is None else self.fault.to_json_dict(),
@@ -237,7 +257,7 @@ def _coerce_answer(kind: GameKind, raw, t: int):
         return as_dyadic(v), as_dyadic(w)
     if isinstance(raw, tuple):
         raise StrategyFault("II", "pair answered in a single-value game", t)
-    return as_dyadic(raw), None
+    return as_dyadic(raw)
 
 
 def play(kind: GameKind, sI: StrategyI, sII: StrategyII, horizon: int,
@@ -246,10 +266,10 @@ def play(kind: GameKind, sI: StrategyI, sII: StrategyII, horizon: int,
 
     The joint key recorded before each round is (I state, II state, last
     announcement); the first repeat fixes the lasso, whose start is then
-    rolled back as far as the observed rows stay periodic.  By default the
-    run continues to the horizon; stop_after_lasso=k cuts it k periods past
-    the detection point instead.  The tree is asked only whether the new
-    letter may follow the letters so far (TreeSpec.admits), which full
+    rolled back as far as the recorded columns stay periodic.  By default
+    the run continues to the horizon; stop_after_lasso=k cuts it k periods
+    past the detection point instead.  The tree is asked only whether the
+    new letter may follow the letters so far (TreeSpec.admits), which full
     trees answer without reading the prefix.
     """
     sI.reset()
@@ -260,10 +280,10 @@ def play(kind: GameKind, sI: StrategyI, sII: StrategyII, horizon: int,
     admits = kind.tree.admits
     move_i, move_ii = sI.move, sII.move
     key_i, key_ii = sI.state_key, sII.state_key
-    rows = []
+    letters, values, covalues = [], [], []
+    columns = (letters, values, covalues) if pairs else (letters, values)
     seen: Dict[object, int] = {}
     last = None
-    letters = []
     lasso = None
     fault = None
     stop_at = min(horizon, MAX_TRACE_ROUNDS)
@@ -276,8 +296,7 @@ def play(kind: GameKind, sI: StrategyI, sII: StrategyII, horizon: int,
                 first = t  # an unhashable key neither closes nor opens a lasso
             if first != t:
                 period = t - first
-                lasso = (periodic_start(rows, first, period, RunRow.observable),
-                         period)
+                lasso = (periodic_start(columns, first, period), period)
                 if stop_after_lasso is not None:
                     stop_at = min(stop_at, t + stop_after_lasso * period)
                     if stop_at <= t:
@@ -291,22 +310,27 @@ def play(kind: GameKind, sI: StrategyI, sII: StrategyII, horizon: int,
                 raise StrategyFault("I", f"letter {letter} leaves the tree", t)
             letters.append(letter)
             raw = move_ii(letter)
-            if type(raw) is Dyadic and not pairs:
-                v, w = raw, None
-            elif pairs and type(raw) is tuple and len(raw) == 2 \
-                    and type(raw[0]) is Dyadic and type(raw[1]) is Dyadic:
-                v, w = raw
-            else:
-                v, w = _coerce_answer(kind, raw, t)
-            if allowed is not None and not allowed.contains(v):
-                raise StrategyFault("II", f"value {v} outside the allowed set", t)
+            if not pairs:
+                if type(raw) is not Dyadic:
+                    raw = _coerce_answer(kind, raw, t)
+                if allowed is not None and not allowed.contains(raw):
+                    raise StrategyFault("II", f"value {raw} outside the allowed set", t)
+            elif not (type(raw) is tuple and len(raw) == 2
+                      and type(raw[0]) is Dyadic and type(raw[1]) is Dyadic):
+                raw = _coerce_answer(kind, raw, t)
         except StrategyFault as exc:
             fault = FaultRecord(exc.blame, t, exc.detail)
+            del letters[t:]  # the faulted round's letter, if I played one
             break
-        rows.append(RunRow(t, letter, v, w))
-        last = v if w is None else (v, w)
+        if pairs:
+            values.append(raw[0])
+            covalues.append(raw[1])
+        else:
+            values.append(raw)
+        last = raw
         t += 1
-    return RunTrace(kind, tuple(rows), lasso, fault)
+    return RunTrace(kind, tuple(letters), tuple(values),
+                    tuple(covalues) if pairs else None, lasso, fault)
 
 
 Payoff = Union[NodeAutomaton, object]
@@ -376,12 +400,11 @@ def _lasso_verdict(kind: GameKind, trace: RunTrace, payoff: Payoff,
     start, period = trace.lasso
     witness = trace.witness_branch()
     f = payoff_value(payoff, witness)
-    cyc = trace.rows[start:start + period]
-    limsup_v = max(r.value for r in cyc)
+    limsup_v = max(trace.values[start:start + period])
     liminf_w = None
     ok = (f == limsup_v)
     if kind.uses_pairs:
-        liminf_w = min(r.covalue for r in cyc)
+        liminf_w = min(trace.covalues[start:start + period])
         ok = ok and (f == liminf_w)
     outcome = Outcome.WIN_II if ok else Outcome.WIN_I
     return Verdict(outcome, "lasso-certified", horizon, trace.lasso, witness,
@@ -389,15 +412,14 @@ def _lasso_verdict(kind: GameKind, trace: RunTrace, payoff: Payoff,
 
 
 def _window_diagnostics(trace: RunTrace, sI: StrategyI, sII: StrategyII) -> dict:
-    rows = trace.rows
-    window = rows[len(rows) // 2:]
-    diag = {"window_rounds": len(window)}
-    if window:
-        vs = [r.value for r in window]
+    half = len(trace.values) // 2
+    vs = trace.values[half:]
+    diag = {"window_rounds": len(vs)}
+    if vs:
         diag["value_max"] = str(max(vs))
         diag["value_min"] = str(min(vs))
-        ws = [r.covalue for r in window if r.covalue is not None]
-        if ws:
+        if trace.covalues is not None:
+            ws = trace.covalues[half:]
             diag["covalue_max"] = str(max(ws))
             diag["covalue_min"] = str(min(ws))
     diag["counters_I"] = sI.counters()
@@ -431,22 +453,26 @@ def check_win(trace: RunTrace, payoff: Payoff,
     """Re-derive the verdict from a recorded trace alone.
 
     Fault traces settle by blame.  Lasso traces must exhibit at least one
-    full repeated period in their rows; any deviation from the claimed
-    periodicity raises CertificateMismatchError.  Works for strategies of
-    any declared state size since only the rows are consulted.
+    full repeated period in their columns; any deviation from the claimed
+    periodicity raises CertificateMismatchError naming the first row that
+    breaks it.  Works for strategies of any declared state size since only
+    the recorded columns are consulted.
     """
     kind = kind if kind is not None else trace.kind
-    horizon = len(trace.rows)
+    n = horizon = len(trace.values)
     if trace.fault is not None:
         return _fault_verdict(trace, horizon)
     if trace.lasso is None:
         raise ValueError("trace carries neither fault nor lasso")
     start, period = trace.lasso
-    if len(trace.rows) < start + 2 * period:
+    if n < start + 2 * period:
         raise CertificateMismatchError(
             f"trace too short to witness lasso ({start}, {period})")
-    for t in range(start, len(trace.rows) - period):
-        if trace.rows[t].observable() != trace.rows[t + period].observable():
-            raise CertificateMismatchError(
-                f"row {t} breaks period {period}")
+    cols = trace.columns()
+    if any(len(c) != n for c in cols):
+        raise CertificateMismatchError("trace columns differ in length")
+    if any(c[start:n - period] != c[start + period:] for c in cols):
+        t = next(t for t in range(start, n - period)
+                 if any(c[t] != c[t + period] for c in cols))
+        raise CertificateMismatchError(f"row {t} breaks period {period}")
     return _lasso_verdict(kind, trace, payoff, horizon)

@@ -4,7 +4,7 @@ A deterministic map on a finite set repeats a value, so an orbit is a lasso
 (`first_repeat`); an infimum of future sups is attained on a lasso, so it is
 settled by a cycle search in a threshold-filtered graph (`cycle_reachable`,
 `min_sup_cycle`).  `periodic_start` rolls a detected lasso back to the
-earliest position where the observed sequence is already periodic.
+earliest position where the observed columns are already periodic.
 
 Nodes are arbitrary hashables and successor lists come from a callback, so
 product constructions never have to materialize anything up front.  Sizes
@@ -66,10 +66,11 @@ def cycle_reachable(succ: Callable[[Node], Iterable[Node]], start: Node) -> bool
     return False
 
 
-def periodic_start(seq: Sequence, start: int, period: int,
-                   key: Callable = lambda v: v) -> int:
-    """Least s <= start with key(seq[i]) == key(seq[i + period]) for s <= i < start."""
-    while start > 0 and key(seq[start - 1]) == key(seq[start - 1 + period]):
+def periodic_start(columns: Sequence[Sequence], start: int, period: int) -> int:
+    """Least s <= start with col[i] == col[i + period] in every column, for
+    s <= i < start."""
+    while start > 0 and all(c[start - 1] == c[start - 1 + period]
+                            for c in columns):
         start -= 1
     return start
 

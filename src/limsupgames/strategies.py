@@ -68,13 +68,12 @@ class ConstantII(StrategyII):
     finite_state = True
 
     def __init__(self, value, covalue=None):
-        self.value = as_dyadic(value)
-        self.covalue = None if covalue is None else as_dyadic(covalue)
+        # one answer object, handed out every round
+        value = as_dyadic(value)
+        self.answer = value if covalue is None else (value, as_dyadic(covalue))
 
     def move(self, letter: int):
-        if self.covalue is None:
-            return self.value
-        return (self.value, self.covalue)
+        return self.answer
 
     def state_key(self):
         return 0

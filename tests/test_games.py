@@ -1,13 +1,15 @@
 """Game loop semantics: rounds, faults, lassos, trace certificates."""
 
 import dataclasses
+import json
 import time
 import tracemalloc
+from types import SimpleNamespace
 from typing import Optional
 
 import pytest
 
-from limsupgames.cli import _random_letter_fsm
+from limsupgames.cli import _emit_trace, _random_letter_fsm
 from limsupgames.corpus import automaton_corpus, random_automaton, rng_stream
 from limsupgames.dyadic import Dyadic, as_dyadic
 from limsupgames.games import (MAX_TRACE_ROUNDS, CertificateMismatchError,
@@ -15,7 +17,7 @@ from limsupgames.games import (MAX_TRACE_ROUNDS, CertificateMismatchError,
                                 check_win,
                                 exact_verdict, finite_value_set, gamma,
                                 gamma_prime, gamma_restricted, play,
-                                StrategyI)
+                                StrategyI, StrategyII)
 from limsupgames.strategies import (ConstantII, CopycatI, LetterFSM, ValueFSM,
                                      copycat_strategy, pair_strategies,
                                      strategy_ii_from_u, u_from_strategy_ii)
@@ -53,19 +55,27 @@ def test_stop_after_lasso_cuts_short():
 
 def test_lasso_start_rolls_back_over_periodic_rows():
     # two internal states, one announced value: the joint key repeats with
-    # period two but the observable rows are constant, so the start is 0
+    # period two but the recorded columns are constant, so the start is 0
     sII = ValueFSM([[1, 1], [0, 0]], [Dyadic(5), Dyadic(5)])
     tr = play(BIN, const_letter(), sII, 12)
     assert tr.fault is None
     start, period = tr.lasso
     assert start == 0 and period == 2
-    assert all(r.observable() == tr.rows[0].observable() for r in tr.rows)
+    assert set(tr.letters) == {0} and set(tr.values) == {Dyadic(5)}
+    assert tr.covalues is None
+    # in the pair game the covalue column stops the rollback: covalues run
+    # 0, 1, 2, 1, 2, ... under a constant letter and value
+    sII = ValueFSM([[1, 1], [2, 2], [3, 3], [2, 2]], [Dyadic(5)] * 4,
+                   covalues=[Dyadic(9), Dyadic(0), Dyadic(1), Dyadic(2)])
+    tr = play(gamma_prime(binary_tree()), const_letter(), sII, 12)
+    assert tr.covalues[:5] == tuple(map(Dyadic, (0, 1, 2, 1, 2)))
+    assert tr.lasso == (1, 2)
 
 
 def test_copycat_echoes_and_loses_exactly():
     tr = play(NAT, copycat_strategy(), ConstantII(Dyadic(3)), 8)
     assert tr.fault is None
-    assert tr.letters()[1:] == (3,) * 7
+    assert tr.letters[1:] == (3,) * 7
     v = exact_verdict(NAT, copycat_strategy(), ConstantII(Dyadic(3)),
                       lambda x: Dyadic(3))
     assert v.exact and v.outcome is Outcome.WIN_II
@@ -81,7 +91,7 @@ def test_letter_leaving_tree_faults_player_i():
     assert tr.fault is not None
     assert tr.fault.blame == "I" and tr.fault.round_index == 0
     assert "leaves the tree" in tr.fault.detail
-    assert tr.rows == ()
+    assert tr.rows == () and tr.letters == tr.values == ()
 
 
 class _Letters(StrategyI):
@@ -121,6 +131,83 @@ def test_answer_shape_faults_player_ii():
     assert "pair" in tr.fault.detail
 
 
+class _AnswersThenFaults(StrategyII):
+    """Announces `good` for k rounds, then `bad`, which faults."""
+
+    def __init__(self, k, good, bad):
+        self.k, self.good, self.bad = k, good, bad
+        self.t = 0
+
+    def reset(self) -> None:
+        self.t = 0
+
+    def move(self, letter):
+        self.t += 1
+        return self.good if self.t <= self.k else self.bad
+
+
+def row_by_row_outputs(rows):
+    """The CSV text and --trace json rows, formatted one row at a time from
+    (t, letter, value, covalue) tuples."""
+    csv_text = "t,x_t,v_t,w_t\n" + "".join(
+        f"{t},{x},{v},{'' if w is None else w}\n" for t, x, v, w in rows)
+    json_rows = [{"t": t, "x_t": x, "v_t": str(v),
+                  "w_t": None if w is None else str(w)} for t, x, v, w in rows]
+    return csv_text, json_rows
+
+
+def written_outputs(tr, tmp_path):
+    """What the play command writes for the trace, as CSV and as JSON."""
+    for fmt in ("csv", "json"):
+        _emit_trace(tr, SimpleNamespace(out_dir=str(tmp_path / fmt),
+                                        trace_format=fmt))
+    csv_side = json.loads((tmp_path / "csv" / "trace.json").read_text())
+    data = json.loads((tmp_path / "json" / "trace.json").read_text())
+    assert csv_side["rounds"] == data["rounds"] == len(tr.values)
+    return (tmp_path / "csv" / "trace.csv").read_text(), data["rows"]
+
+
+LETTERS = [1, 0, 1, 1, 0, 0, 1, 0]
+
+
+@pytest.mark.parametrize("k", [0, 1, 5])
+@pytest.mark.parametrize("kind, good, bad", [
+    (BIN, Dyadic(3, 1), (Dyadic(1), Dyadic(0))),
+    (gamma_prime(binary_tree()), (Dyadic(3, 1), Dyadic(-1)), Dyadic(1)),
+    (gamma_restricted(finite_value_set([0, 1]), binary_tree()),
+     Dyadic(1), Dyadic(1, 1)),
+], ids=["gamma", "gamma_prime", "gamma_restricted"])
+def test_the_letter_of_a_round_player_ii_faults_is_not_recorded(
+        kind, good, bad, k, tmp_path):
+    tr = play(kind, _Letters(LETTERS), _AnswersThenFaults(k, good, bad), 8)
+    assert tr.fault.blame == "II" and tr.fault.round_index == k
+    assert len(tr.letters) == len(tr.values) == k
+    assert tr.letters == tuple(LETTERS[:k])
+    v, w = good if kind.uses_pairs else (good, None)
+    assert tr.covalues == ((w,) * k if kind.uses_pairs else None)
+    want = [(t, LETTERS[t], v, w) for t in range(k)]
+    assert tr.rows == tuple(RunRow(*row) for row in want)
+    assert written_outputs(tr, tmp_path) == row_by_row_outputs(want)
+
+
+def test_player_i_fault_and_zero_horizon_record_only_whole_rounds(tmp_path):
+    # a letter off the binary tree in round 2
+    tr = play(BIN, _Letters([1, 0, 5]), ConstantII(Dyadic(1)), 8)
+    assert tr.fault.blame == "I" and tr.fault.round_index == 2
+    assert tr.letters == (1, 0) and tr.values == (Dyadic(1),) * 2
+    want = [(0, 1, Dyadic(1), None), (1, 0, Dyadic(1), None)]
+    assert written_outputs(tr, tmp_path / "i") == row_by_row_outputs(want)
+    for kind, sII in ((BIN, ConstantII(Dyadic(1))),
+                      (gamma_prime(binary_tree()),
+                       ConstantII(Dyadic(1), Dyadic(0)))):
+        tr = play(kind, const_letter(), sII, 0)
+        assert tr.letters == tr.values == tr.rows == ()
+        assert tr.covalues == (() if kind.uses_pairs else None)
+        assert tr.lasso is None and tr.fault is None
+        assert tr.to_csv_text() == "t,x_t,v_t,w_t\n"
+        assert tr.sidecar()["rounds"] == 0
+
+
 def test_restricted_game_faults_on_escape():
     R = finite_value_set([Dyadic(0), Dyadic(1)])
     kind = gamma_restricted(R, binary_tree())
@@ -140,18 +227,33 @@ def test_check_win_recomputes_and_detects_tampering():
     v = check_win(tr, lambda x: c)
     assert v.outcome is Outcome.WIN_II and v.lasso == (0, 1)
 
-    bad_rows = list(tr.rows)
-    bad_rows[7] = type(bad_rows[7])(7, bad_rows[7].letter, Dyadic(9),
-                                    bad_rows[7].covalue)
-    tampered = RunTrace(tr.kind, tuple(bad_rows), tr.lasso, tr.fault)
-    with pytest.raises(CertificateMismatchError):
-        check_win(tampered, lambda x: c)
+    # the message names the first row t whose round t + period differs
+    def tamper(trace, name, i, new):
+        col = list(getattr(trace, name))
+        col[i] = new
+        return dataclasses.replace(trace, **{name: tuple(col)})
 
-    short = RunTrace(tr.kind, tr.rows[:1], tr.lasso, tr.fault)
-    with pytest.raises(CertificateMismatchError):
+    for name, i, new, row in (("letters", 8, 1, 7), ("values", 7, Dyadic(9), 6),
+                              ("values", 0, Dyadic(9), 0)):
+        with pytest.raises(CertificateMismatchError,
+                           match=f"^row {row} breaks period 1$"):
+            check_win(tamper(tr, name, i, new), lambda x: c)
+    pair = play(gamma_prime(binary_tree()), const_letter(),
+                ConstantII(c, Dyadic(0)), 10)
+    assert check_win(pair, lambda x: c).outcome is Outcome.WIN_I
+    with pytest.raises(CertificateMismatchError, match="^row 7 breaks period 1$"):
+        check_win(tamper(pair, "covalues", 8, c), lambda x: c)
+
+    uneven = dataclasses.replace(tr, letters=tr.letters + (0,))
+    with pytest.raises(CertificateMismatchError, match="differ in length"):
+        check_win(uneven, lambda x: c)
+
+    short = dataclasses.replace(tr, letters=tr.letters[:1],
+                                values=tr.values[:1])
+    with pytest.raises(CertificateMismatchError, match="too short"):
         check_win(short, lambda x: c)
 
-    bare = RunTrace(tr.kind, tr.rows, None, None)
+    bare = dataclasses.replace(tr, lasso=None)
     with pytest.raises(ValueError):
         check_win(bare, lambda x: c)
 
@@ -160,7 +262,7 @@ def test_witness_branch():
     tr = play(BIN, const_letter(), ConstantII(Dyadic(0)), 10)
     assert tr.witness_branch() == EventuallyPeriodicBranch((), (0,))
     with pytest.raises(ValueError):
-        RunTrace(BIN, (), None, None).witness_branch()
+        RunTrace(BIN, (), ()).witness_branch()
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -177,7 +279,6 @@ def test_run_rows_are_immutable_values():
     row = RunRow(3, 1, Dyadic(1, 1))
     assert (row.t, row.letter, row.value, row.covalue) == \
         (3, 1, Dyadic(1, 1), None)
-    assert row.observable() == (1, Dyadic(1, 1), None)
     for name in ("t", "letter", "value", "covalue"):
         with pytest.raises(AttributeError):
             setattr(row, name, 0)
@@ -209,8 +310,28 @@ def bytes_per_row(make, n=10 ** 5) -> int:
 
 
 def test_run_rows_are_no_larger_than_a_frozen_dataclass():
-    # a 10^6-round trace holds 10^6 rows, so a row may not grow
+    # RunTrace.rows builds one row a round, so a row may not grow
     assert bytes_per_row(RunRow) <= bytes_per_row(FrozenRow)
+
+
+def trace_bytes_per_round(kind, sII, n=10 ** 5) -> float:
+    """Bytes a play of n rounds leaves held in its trace, per round."""
+    tracemalloc.start()
+    try:
+        tr = play(kind, const_letter(), sII, n)
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(tr.values) == n
+    return size / n
+
+
+def test_a_trace_holds_one_pointer_a_round_per_column():
+    # letters and values in the single-value game, plus covalues in the
+    # pair game: 8 B a column when the values are shared objects
+    assert trace_bytes_per_round(BIN, ConstantII(Dyadic(3, 1))) <= 24
+    assert trace_bytes_per_round(gamma_prime(binary_tree()),
+                                 ConstantII(Dyadic(1), Dyadic(0))) <= 32
 
 
 def test_csv_golden():
@@ -242,12 +363,12 @@ def test_pair_csv_matches_row_by_row_formatting():
     sg = ValueFSM([[1, 1], [0, 0]], [Dyadic(5, 3), Dyadic(0)])
     # the responder negates the covalue, so equal covalues are fresh objects
     fresh = play(pair, alternate, pair_strategies(sf, sg), 40)
-    assert fresh.rows[0].covalue == fresh.rows[2].covalue
-    assert fresh.rows[0].covalue is not fresh.rows[2].covalue
+    assert fresh.covalues[0] == fresh.covalues[2]
+    assert fresh.covalues[0] is not fresh.covalues[2]
     shared = play(pair, alternate, ConstantII(Dyadic(7, 2), Dyadic(-1, 5)), 40)
-    assert shared.rows[0].covalue is shared.rows[1].covalue
+    assert shared.covalues[0] is shared.covalues[1]
     for tr in (fresh, shared):
-        assert tr.fault is None and len(tr.rows) == 40
+        assert tr.fault is None and len(tr.values) == 40
         assert tr.to_csv_text() == csv_oracle(tr)
     assert fresh.to_csv_text().startswith(
         "t,x_t,v_t,w_t\n0,1,-3/2^2,0/2^0\n1,0,-3/2^2,-5/2^3\n")
@@ -308,7 +429,7 @@ def test_kind_validation():
     assert gamma_prime(binary_tree()).uses_pairs
 
 
-# a million binary-tree rounds take about 6 s on a 2-core host; a round
+# a million binary-tree rounds take about 1.5 s on a 2-core host; a round
 # that grew with the prefix would take hours
 MILLION_ROUND_BUDGET_S = 60.0
 
@@ -319,8 +440,8 @@ def test_play_reaches_the_round_cap_in_linear_time():
     t0 = time.perf_counter()
     tr = play(BIN, sI, strategy_ii_from_u(u), MAX_TRACE_ROUNDS)
     elapsed = time.perf_counter() - t0
-    assert len(tr.rows) == MAX_TRACE_ROUNDS == 10 ** 6
+    assert len(tr.values) == MAX_TRACE_ROUNDS == 10 ** 6
     assert tr.fault is None and tr.lasso == (2, 4)
-    # check_win re-checks that the rows repeat from the lasso start on
+    # check_win re-checks that the columns repeat from the lasso start on
     assert check_win(tr, u).outcome is Outcome.WIN_II
     assert elapsed < MILLION_ROUND_BUDGET_S, f"{elapsed:.1f} s"

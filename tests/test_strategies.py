@@ -41,7 +41,7 @@ def test_meager_dense_hand_trace():
     md = strategy_i_meager_dense(eventually_zero_instance())
     tr = play(BIN, md, ConstantII(Dyadic(29, 5)), 40)
     assert tr.fault is None
-    assert tr.letters()[:8] == (0, 1, 1, 1, 1, 1, 0, 0)
+    assert tr.letters[:8] == (0, 1, 1, 1, 1, 1, 0, 0)
     assert [e.round_index for e in md.history] == [0, 2, 3, 4, 5]
     assert [e.m for e in md.history] == [0, 1, 2, 3, 4]
     assert tr.lasso == (6, 1)
@@ -70,7 +70,7 @@ def test_meager_dense_long_divergent_run_matches_the_dyadic_replay():
     assert tr.fault is None and tr.lasso is None
     letters, m, events = [], 0, []
     for t in range(5000):
-        if t == 0 or (inst.r - half_pow(m) < tr.rows[t - 1].value
+        if t == 0 or (inst.r - half_pow(m) < tr.values[t - 1]
                       and inst.s_disjoint(letters, m)):
             if t > 0:
                 m += 1
@@ -79,7 +79,7 @@ def test_meager_dense_long_divergent_run_matches_the_dyadic_replay():
                 (0,) * max(0, m + 1 - offset) + (1,), (0,))
             events.append((t, m, offset, tail))
         letters.append(tail.letter_at(len(letters) - offset))
-    assert tr.letters() == tuple(letters)
+    assert tr.letters == tuple(letters)
     assert [(e.round_index, e.m, e.prefix_len) for e in md.history] == \
         [e[:3] for e in events]
     assert md.history[-1].m > 4000
@@ -104,7 +104,7 @@ def test_oscillation_triggers_every_round_when_crowded():
     osc = strategy_i_oscillation(indicator_oscillation_instance())
     tr = play(PAIR, osc, ConstantII(Dyadic(1), Dyadic(0)), 50)
     assert tr.fault is None
-    assert tr.letters() == (0,) * 50
+    assert tr.letters == (0,) * 50
     assert osc.trigger_rounds == list(range(1, 50))
     assert osc.counters()["phase"] == 49
 
@@ -138,7 +138,7 @@ def test_approx_copycat_tracks_within_budget():
     tr = play(NAT, approx_copycat(), ConstantII(target), 12)
     assert tr.fault is None
     for t in range(1, 12):
-        approx = enum.value(tr.rows[t].letter)
+        approx = enum.value(tr.letters[t])
         gap = approx - target if target < approx else target - approx
         assert gap <= half_pow(t - 1), t
     # unbounded state declared, so no exact verdict without a fault
@@ -203,8 +203,8 @@ def test_lifted_strategy_replays_base_on_rounded_values():
     base.reset()
     letters = [base.move(None)]
     for t in range(1, 30):
-        letters.append(base.move(R.nearest(tr.rows[t - 1].value)))
-    assert tuple(letters) == tr.letters()
+        letters.append(base.move(R.nearest(tr.values[t - 1])))
+    assert tuple(letters) == tr.letters
 
 
 def test_lifted_strategy_faults_when_oracle_escapes():
@@ -227,11 +227,11 @@ def test_relabeled_copycat_plays_preimages():
     rel = relabel_strategy(copycat_strategy(), mapping)
     tr = play(NAT, rel, ConstantII(Dyadic(3, 1)), 10)
     assert tr.fault is None
-    assert tr.letters()[:2] == (0, 3)
-    assert set(tr.letters()[1:]) == {3}
+    assert tr.letters[:2] == (0, 3)
+    assert set(tr.letters[1:]) == {3}
     # same letters as the unrelabeled copycat hearing the preimage
     ref = play(NAT, copycat_strategy(), ConstantII(Dyadic(3)), 10)
-    assert tr.letters() == ref.letters()
+    assert tr.letters == ref.letters
 
 
 def test_relabeling_image_and_monotonicity():
@@ -263,10 +263,9 @@ def test_pair_responder_announces_two_sided_certificates():
                           strategy_ii_from_u(fx.u_neg))
     tr = play(PAIR, LetterFSM([0], [[0, 0]]), sII, 12)
     assert tr.fault is None
-    for row in tr.rows:
-        assert row.covalue is not None
+    assert len(tr.covalues) == len(tr.values) == 12
     # covalue = -(negated machine's output) = the function's own output
-    assert all(r.value == r.covalue for r in tr.rows)
+    assert tr.values == tr.covalues
     v = check_win(tr, fx.u_f)
     assert v.outcome is Outcome.WIN_II
 

@@ -147,8 +147,8 @@ def test_play_on_a_full_tree_never_calls_contains():
     tree = dataclasses.replace(binary_tree(), contains=_refuse)
     alternate = LetterFSM([0, 1], [[1, 1], [0, 0]])
     tr = play(gamma(tree), alternate, ConstantII(Dyadic(0)), 1000)
-    assert tr.fault is None and len(tr.rows) == 1000
-    assert tr.letters()[:4] == (1, 0, 1, 0)
+    assert tr.fault is None and len(tr.values) == 1000
+    assert tr.letters[:4] == (1, 0, 1, 0)
     tr = play(gamma(tree), LetterFSM([2], [[0, 0]]), ConstantII(Dyadic(0)), 10)
     assert tr.fault is not None and tr.fault.blame == "I"
 
