@@ -8,6 +8,7 @@ keys, fixed float formatting in the suite report only.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -19,15 +20,14 @@ from .automata import NodeAutomaton, lasso_summary
 from .construction import (AlgebraFunction, ConstructionState, algebra,
                            limsup_along, minimize_labeling,
                            verify_construction)
-from .corpus import branch_corpus, rng_stream
+from .corpus import branch_corpus, letter_fsm, rng_stream, value_fsm
 from .dyadic import Dyadic, as_dyadic
 from .families import discretize, family_from_automaton
-from .games import (MAX_TRACE_ROUNDS, FiniteValueSet, GameKind, StrategyI,
-                    StrategyII, exact_verdict, finite_value_set, gamma,
-                    gamma_prime, gamma_restricted, play)
-from .strategies import (ConstantII, IndicatorPayoff, LetterFSM, ValueFSM,
-                         approx_copycat, copycat_strategy,
-                         eventually_zero_instance,
+from .games import (MAX_TRACE_ROUNDS, VARIANTS, FiniteValueSet, GameKind,
+                    StrategyI, StrategyII, exact_verdict, finite_value_set,
+                    play)
+from .strategies import (ConstantII, IndicatorPayoff, approx_copycat,
+                         copycat_strategy, eventually_zero_instance,
                          indicator_oscillation_instance, lift_strategy,
                          pair_strategies, relabel_strategy,
                          strategy_i_meager_dense, strategy_i_oscillation,
@@ -71,7 +71,6 @@ def _value_set(values, what: str) -> FiniteValueSet:
 # ---------------------------------------------------------------------------
 # configuration
 
-_GAMES = ("gamma", "gamma_prime", "gamma_restricted")
 _TREES = ("binary", "nat")
 _TRACE_FORMATS = ("csv", "json", "none")
 
@@ -98,8 +97,8 @@ class ExperimentConfig:
     trace_format: str = "csv"
 
     def __post_init__(self):
-        if self.game not in _GAMES:
-            raise ConfigError(f"game must be one of {_GAMES}, got {self.game!r}")
+        if self.game not in VARIANTS:
+            raise ConfigError(f"game must be one of {VARIANTS}, got {self.game!r}")
         if self.tree not in _TREES:
             raise ConfigError(f"tree must be one of {_TREES}, got {self.tree!r}")
         if self.trace_format not in _TRACE_FORMATS:
@@ -172,12 +171,9 @@ def resolve_tree(cfg: ExperimentConfig) -> TreeSpec:
 
 
 def resolve_kind(cfg: ExperimentConfig) -> GameKind:
-    tree = resolve_tree(cfg)
-    if cfg.game == "gamma":
-        return gamma(tree)
-    if cfg.game == "gamma_prime":
-        return gamma_prime(tree)
-    return gamma_restricted(_value_set(cfg.restriction, "restriction"), tree)
+    restriction = None if cfg.restriction is None else \
+        _value_set(cfg.restriction, "restriction")
+    return GameKind(cfg.game, resolve_tree(cfg), restriction)
 
 
 def resolve_automaton(src: dict) -> NodeAutomaton:
@@ -224,37 +220,31 @@ def build_payoff(src: Optional[dict], tree: TreeSpec):
     raise ConfigError(f"unknown payoff kind {kind!r}")
 
 
-def _random_letter_fsm(states: int, values, seed: int) -> LetterFSM:
-    rng = rng_stream(seed, "random-fsm")
-    thresholds = list(values)
-    width = len(thresholds) + 2
-    emits = [rng.randrange(2) for _ in range(states)]
-    trans = [[rng.randrange(states) for _ in range(width)]
-             for _ in range(states)]
-    return LetterFSM(emits, trans, thresholds)
-
-
-def _random_value_fsm(states: int, values, seed: int,
-                      pairs: bool) -> ValueFSM:
-    rng = rng_stream(seed, "random-fsm")
-    pool = list(values)
-    if not pool:
-        raise ConfigError("random_fsm needs a nonempty value list")
-    trans = [[rng.randrange(states) for _ in range(2)] for _ in range(states)]
-    vals = [pool[rng.randrange(len(pool))] for _ in range(states)]
-    cov = [pool[rng.randrange(len(pool))] for _ in range(states)] \
-        if pairs else None
-    return ValueFSM(trans, vals, covalues=cov)
-
-
 def _fsm_params(desc: dict):
+    """(rng, states, values) of a random_fsm descriptor."""
     # a missing key reads as None, which both checks reject
-    return (_int(desc.get("states"), "random_fsm states", 1),
-            _dyadics(desc.get("values"), "random_fsm values"),
-            _int(desc.get("seed"), "random_fsm seed"))
+    states = _int(desc.get("states"), "random_fsm states", 1)
+    values = _dyadics(desc.get("values"), "random_fsm values")
+    seed = _int(desc.get("seed"), "random_fsm seed")
+    return rng_stream(seed, "random-fsm"), states, values
+
+
+# lift, relabel and pair descriptors nest, and their builders recurse once
+# a level; deeper nesting is refused before it can overflow the stack
+MAX_NESTING = 64
+
+
+def _check_nesting(desc, what: str) -> None:
+    layer = [desc]
+    for _ in range(MAX_NESTING + 1):
+        layer = [d[k] for d in layer if isinstance(d, dict)
+                 for k in ("base", "f", "g") if k in d]
+    if layer:
+        raise ConfigError(f"{what} nests more than {MAX_NESTING} levels deep")
 
 
 def build_strategy_i(desc: Optional[dict], cfg: ExperimentConfig) -> StrategyI:
+    _check_nesting(desc, "player_i")
     if not isinstance(desc, dict) or "kind" not in desc:
         raise ConfigError("player_i needs a strategy descriptor with a 'kind'")
     kind = desc["kind"]
@@ -287,11 +277,12 @@ def build_strategy_i(desc: Optional[dict], cfg: ExperimentConfig) -> StrategyI:
         except ValueError as e:
             raise ConfigError(str(e)) from None
     if kind == "random_fsm":
-        return _random_letter_fsm(*_fsm_params(desc))
+        return letter_fsm(*_fsm_params(desc))
     raise ConfigError(f"unknown player_i strategy kind {kind!r}")
 
 
 def build_strategy_ii(desc: Optional[dict], cfg: ExperimentConfig) -> StrategyII:
+    _check_nesting(desc, "player_ii")
     if not isinstance(desc, dict) or "kind" not in desc:
         raise ConfigError("player_ii needs a strategy descriptor with a 'kind'")
     kind = desc["kind"]
@@ -309,9 +300,11 @@ def build_strategy_ii(desc: Optional[dict], cfg: ExperimentConfig) -> StrategyII
         return pair_strategies(build_strategy_ii(desc["f"], cfg),
                                build_strategy_ii(desc["g"], cfg))
     if kind == "random_fsm":
-        states, values, seed = _fsm_params(desc)
-        return _random_value_fsm(states, values, seed,
-                                 pairs=cfg.game == "gamma_prime")
+        rng, states, values = _fsm_params(desc)
+        if not values:
+            raise ConfigError("random_fsm needs a nonempty value list")
+        return value_fsm(rng, states, lambda: rng.choice(values),
+                         cfg.game == "gamma_prime")
     raise ConfigError(f"unknown player_ii strategy kind {kind!r}")
 
 
@@ -361,8 +354,7 @@ def cmd_eval(args) -> int:
     except ValueError as e:
         raise ConfigError(f"bad branch descriptor: {e}") from None
     cert = lasso_summary(u, x)
-    value = max(cert.cycle_outputs)
-    print(str(value))
+    print(str(cert.limsup))
     cyc = ", ".join(str(v) for v in cert.cycle_outputs)
     print(f"lasso: start={cert.start} period={cert.period} "
           f"cycle_outputs=[{cyc}]")
@@ -436,6 +428,7 @@ def build_pipeline(pipe: dict, tree: TreeSpec):
 
 
 def _declared_corpus(pipe: dict, tree: TreeSpec):
+    alphabet = tree.alphabet if tree.alphabet is not None else (0, 1)
     decl = pipe.get("branch_corpus")
     if decl is not None:
         # max_cycle 0 would leave the corpus empty
@@ -445,16 +438,10 @@ def _declared_corpus(pipe: dict, tree: TreeSpec):
         except (KeyError, TypeError):
             raise ConfigError(
                 "branch_corpus needs integer max_stem and max_cycle") from None
-        alphabet = tree.alphabet if tree.alphabet is not None else (0, 1)
         return branch_corpus(ms, mc, alphabet)
     # default: every stem to depth 3 with each single-letter cycle
-    alphabet = tree.alphabet if tree.alphabet is not None else (0, 1)
-    stems = [()]
-    layer = [()]
-    for _ in range(3):
-        layer = [s + (a,) for s in layer for a in alphabet]
-        stems.extend(layer)
-    return [EventuallyPeriodicBranch(s, (a,)) for s in stems for a in alphabet]
+    return [EventuallyPeriodicBranch(s, (a,)) for n in range(4)
+            for s in itertools.product(alphabet, repeat=n) for a in alphabet]
 
 
 def cmd_construct(args) -> int:

@@ -406,9 +406,6 @@ class AlgebraFunction:
     family: GridLscFamily
     state: ConstructionState
 
-    def u(self, s: Prefix) -> Dyadic:
-        return self.state.u(s)
-
     def value_on(self, x: EventuallyPeriodicBranch) -> Dyadic:
         return limsup_along(self.family, x)
 

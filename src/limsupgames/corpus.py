@@ -7,7 +7,7 @@ import hashlib
 import itertools
 import random
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from .automata import NodeAutomaton, eval_limsup, make_automaton
 from .dyadic import Dyadic
@@ -42,46 +42,48 @@ def automaton_corpus(seed: int, count: int, max_states: int = 4,
             for _ in range(count)]
 
 
-def random_letter_fsm(rng: random.Random, max_states: int = 3) -> LetterFSM:
-    n = rng.randint(1, max_states)
-    n_thresh = rng.randint(0, 1)
-    thresholds = [random_dyadic(rng, 2, 2) for _ in range(n_thresh)]
-    width = n_thresh + 2
+def letter_fsm(rng: random.Random, n: int, thresholds: Sequence) -> LetterFSM:
+    """n-state letter machine on the given thresholds; draws the emitted
+    letters, then the transition rows."""
     emits = [rng.randrange(2) for _ in range(n)]
-    trans = [[rng.randrange(n) for _ in range(width)] for _ in range(n)]
+    trans = [[rng.randrange(n) for _ in range(len(thresholds) + 2)]
+             for _ in range(n)]
     return LetterFSM(emits, trans, thresholds)
 
 
 def letter_fsm_corpus(seed: int, count: int, max_states: int = 3) -> List[LetterFSM]:
     rng = rng_stream(seed, "letter-fsm")
-    return [random_letter_fsm(rng, max_states) for _ in range(count)]
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, max_states)
+        thresholds = [random_dyadic(rng, 2, 2) for _ in range(rng.randint(0, 1))]
+        out.append(letter_fsm(rng, n, thresholds))
+    return out
 
 
-def random_value_fsm(rng: random.Random, max_states: int = 3,
-                     natural: bool = False, pairs: bool = False) -> ValueFSM:
-    n = rng.randint(1, max_states)
+def value_fsm(rng: random.Random, n: int, draw: Callable[[], Dyadic],
+              pairs: bool) -> ValueFSM:
+    """n-state value machine; draws the transition rows from rng, then each
+    state's value and, for pairs, each state's covalue from draw()."""
     trans = [[rng.randrange(n) for _ in range(2)] for _ in range(n)]
-
-    def one():
-        if natural:
-            return Dyadic(rng.randint(0, 3))
-        return random_dyadic(rng, 2, 2)
-
-    values = [one() for _ in range(n)]
-    covalues = [one() for _ in range(n)] if pairs else None
-    return ValueFSM(trans, values, covalues=covalues)
+    values = [draw() for _ in range(n)]
+    covalues = [draw() for _ in range(n)] if pairs else None
+    return ValueFSM(trans, values, covalues)
 
 
 def value_fsm_corpus(seed: int, count: int, max_states: int = 3,
                      natural: bool = False) -> List[ValueFSM]:
     rng = rng_stream(seed, "value-fsm" + ("-nat" if natural else ""))
-    return [random_value_fsm(rng, max_states, natural=natural)
+    draw = (lambda: Dyadic(rng.randint(0, 3))) if natural else \
+        (lambda: random_dyadic(rng, 2, 2))
+    return [value_fsm(rng, rng.randint(1, max_states), draw, False)
             for _ in range(count)]
 
 
 def pair_fsm_corpus(seed: int, count: int, max_states: int = 3) -> List[ValueFSM]:
     rng = rng_stream(seed, "pair-fsm")
-    return [random_value_fsm(rng, max_states, pairs=True)
+    return [value_fsm(rng, rng.randint(1, max_states),
+                      lambda: random_dyadic(rng, 2, 2), True)
             for _ in range(count)]
 
 

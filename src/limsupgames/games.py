@@ -26,6 +26,7 @@ MAX_TRACE_ROUNDS = 10 ** 6
 GAMMA = "gamma"
 GAMMA_PRIME = "gamma_prime"
 GAMMA_RESTRICTED = "gamma_restricted"
+VARIANTS = (GAMMA, GAMMA_PRIME, GAMMA_RESTRICTED)
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,7 @@ class GameKind:
     restriction: Optional[FiniteValueSet] = None
 
     def __post_init__(self):
-        if self.variant not in (GAMMA, GAMMA_PRIME, GAMMA_RESTRICTED):
+        if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         if (self.variant == GAMMA_RESTRICTED) != (self.restriction is not None):
             raise ValueError("restriction is for gamma_restricted only")
@@ -92,12 +93,11 @@ def gamma_restricted(restriction: FiniteValueSet,
 class StrategyFault(Exception):
     """A player left the game's legal move space."""
 
-    def __init__(self, blame: str, detail: str, round_index: int = -1):
+    def __init__(self, blame: str, detail: str):
         if blame not in ("I", "II"):
             raise ValueError("blame must be 'I' or 'II'")
         self.blame = blame
         self.detail = detail
-        self.round_index = round_index
         super().__init__(f"player {blame} fault: {detail}")
 
 
@@ -249,14 +249,14 @@ class RunTrace:
         return side
 
 
-def _coerce_answer(kind: GameKind, raw, t: int):
+def _coerce_answer(kind: GameKind, raw):
     if kind.uses_pairs:
         if (not isinstance(raw, tuple)) or len(raw) != 2:
-            raise StrategyFault("II", f"expected a (value, covalue) pair, got {raw!r}", t)
+            raise StrategyFault("II", f"expected a (value, covalue) pair, got {raw!r}")
         v, w = raw
         return as_dyadic(v), as_dyadic(w)
     if isinstance(raw, tuple):
-        raise StrategyFault("II", "pair answered in a single-value game", t)
+        raise StrategyFault("II", "pair answered in a single-value game")
     return as_dyadic(raw)
 
 
@@ -305,19 +305,19 @@ def play(kind: GameKind, sI: StrategyI, sII: StrategyII, horizon: int,
             letter = move_i(last)
             # exact ints only: a bool or another int subclass is no letter
             if type(letter) is not int or letter < 0:
-                raise StrategyFault("I", f"letter {letter!r} is not a natural", t)
+                raise StrategyFault("I", f"letter {letter!r} is not a natural")
             if not admits(letters, letter):
-                raise StrategyFault("I", f"letter {letter} leaves the tree", t)
+                raise StrategyFault("I", f"letter {letter} leaves the tree")
             letters.append(letter)
             raw = move_ii(letter)
             if not pairs:
                 if type(raw) is not Dyadic:
-                    raw = _coerce_answer(kind, raw, t)
+                    raw = _coerce_answer(kind, raw)
                 if allowed is not None and not allowed.contains(raw):
-                    raise StrategyFault("II", f"value {raw} outside the allowed set", t)
+                    raise StrategyFault("II", f"value {raw} outside the allowed set")
             elif not (type(raw) is tuple and len(raw) == 2
                       and type(raw[0]) is Dyadic and type(raw[1]) is Dyadic):
-                raw = _coerce_answer(kind, raw, t)
+                raw = _coerce_answer(kind, raw)
         except StrategyFault as exc:
             fault = FaultRecord(exc.blame, t, exc.detail)
             del letters[t:]  # the faulted round's letter, if I played one
@@ -395,15 +395,14 @@ def _fault_verdict(trace: RunTrace, horizon: int) -> Verdict:
                    fault=trace.fault)
 
 
-def _lasso_verdict(kind: GameKind, trace: RunTrace, payoff: Payoff,
-                   horizon: int) -> Verdict:
+def _lasso_verdict(trace: RunTrace, payoff: Payoff, horizon: int) -> Verdict:
     start, period = trace.lasso
     witness = trace.witness_branch()
     f = payoff_value(payoff, witness)
     limsup_v = max(trace.values[start:start + period])
     liminf_w = None
     ok = (f == limsup_v)
-    if kind.uses_pairs:
+    if trace.kind.uses_pairs:
         liminf_w = min(trace.covalues[start:start + period])
         ok = ok and (f == liminf_w)
     outcome = Outcome.WIN_II if ok else Outcome.WIN_I
@@ -439,7 +438,7 @@ def exact_verdict(kind: GameKind, sI: StrategyI, sII: StrategyII,
     if trace.fault is not None:
         return _fault_verdict(trace, cap)
     if trace.lasso is not None and sI.finite_state and sII.finite_state:
-        return _lasso_verdict(kind, trace, payoff, cap)
+        return _lasso_verdict(trace, payoff, cap)
     diag = _window_diagnostics(trace, sI, sII)
     if trace.lasso is not None:
         diag["unclaimed_lasso"] = {"start": trace.lasso[0],
@@ -448,8 +447,7 @@ def exact_verdict(kind: GameKind, sI: StrategyI, sII: StrategyII,
                    diagnostics=diag)
 
 
-def check_win(trace: RunTrace, payoff: Payoff,
-              kind: Optional[GameKind] = None) -> Verdict:
+def check_win(trace: RunTrace, payoff: Payoff) -> Verdict:
     """Re-derive the verdict from a recorded trace alone.
 
     Fault traces settle by blame.  Lasso traces must exhibit at least one
@@ -458,7 +456,6 @@ def check_win(trace: RunTrace, payoff: Payoff,
     breaks it.  Works for strategies of any declared state size since only
     the recorded columns are consulted.
     """
-    kind = kind if kind is not None else trace.kind
     n = horizon = len(trace.values)
     if trace.fault is not None:
         return _fault_verdict(trace, horizon)
@@ -475,4 +472,4 @@ def check_win(trace: RunTrace, payoff: Payoff,
         t = next(t for t in range(start, n - period)
                  if any(c[t] != c[t + period] for c in cols))
         raise CertificateMismatchError(f"row {t} breaks period {period}")
-    return _lasso_verdict(kind, trace, payoff, horizon)
+    return _lasso_verdict(trace, payoff, horizon)

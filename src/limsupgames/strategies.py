@@ -86,8 +86,7 @@ class ValueFSM(StrategyII):
     finite_state = True
 
     def __init__(self, trans: Sequence[Sequence[int]],
-                 values: Sequence, initial: int = 0,
-                 covalues: Optional[Sequence] = None):
+                 values: Sequence, covalues: Optional[Sequence] = None):
         self.trans = tuple(tuple(row) for row in trans)
         self.values = tuple(as_dyadic(v) for v in values)
         self.covalues = None if covalues is None else \
@@ -96,11 +95,10 @@ class ValueFSM(StrategyII):
             raise ValueError("one value per state required")
         if self.covalues is not None and len(self.covalues) != len(self.values):
             raise ValueError("one covalue per state required")
-        self.initial = initial
-        self.q = initial
+        self.q = 0
 
     def reset(self) -> None:
-        self.q = self.initial
+        self.q = 0
 
     def _class(self, letter: int) -> int:
         return min(letter, len(self.trans[self.q]) - 1)
@@ -126,7 +124,7 @@ class LetterFSM(StrategyI):
     finite_state = True
 
     def __init__(self, emits: Sequence[int], trans: Sequence[Sequence[int]],
-                 thresholds: Sequence = (), initial: int = 0):
+                 thresholds: Sequence = ()):
         self.emits = tuple(int(a) for a in emits)
         self.trans = tuple(tuple(row) for row in trans)
         self.thresholds = tuple(sorted(as_dyadic(c) for c in thresholds))
@@ -136,11 +134,10 @@ class LetterFSM(StrategyI):
         for row in self.trans:
             if len(row) != width:
                 raise ValueError(f"transition rows must have width {width}")
-        self.initial = initial
-        self.q = initial
+        self.q = 0
 
     def reset(self) -> None:
-        self.q = self.initial
+        self.q = 0
 
     def _bucket(self, last) -> int:
         if last is None:
@@ -172,13 +169,12 @@ class CopycatI(StrategyI):
         self.t = 0
 
     def move(self, last) -> int:
-        t = self.t
         self.t += 1
         if last is None:
             return 0
         v = last[0] if isinstance(last, tuple) else last
         if v.exp != 0 or v.num < 0:
-            raise StrategyFault("II", f"copycat needs a natural, got {v}", t)
+            raise StrategyFault("II", f"copycat needs a natural, got {v}")
         return v.num
 
     def state_key(self):
@@ -302,7 +298,7 @@ class ApproxCopycatI(StrategyI):
         idx = self.enum.least_index(v, half_pow(t - 1))
         if self.search_cap is not None and idx > self.search_cap:
             raise StrategyFault(
-                "I", f"no enumeration index within cap at round {t} for {v}", t)
+                "I", f"no enumeration index within cap at round {t} for {v}")
         return idx
 
     def state_key(self):
@@ -331,17 +327,15 @@ class LiftedI(StrategyI):
         self.base = base
         self.restriction = restriction
         self.finite_state = base.finite_state
-        self.t = 0
 
     def reset(self) -> None:
         self.base.reset()
-        self.t = 0
 
     def round_value(self, v) -> Dyadic:
         picked = self.restriction.nearest(as_dyadic(v))
         if not self.restriction.contains(picked):
             raise StrategyFault(
-                "I", f"near oracle escaped the answer set: {picked}", self.t)
+                "I", f"near oracle escaped the answer set: {picked}")
         return picked
 
     def move(self, last) -> int:
@@ -350,7 +344,6 @@ class LiftedI(StrategyI):
                 last = (self.round_value(last[0]), self.round_value(last[1]))
             else:
                 last = self.round_value(last)
-        self.t += 1
         return self.base.move(last)
 
     def state_key(self):
@@ -384,7 +377,7 @@ class RelabeledI(StrategyI):
         v = as_dyadic(v)
         got = self.inverse.get(v)
         if got is None:
-            raise StrategyFault("II", f"value {v} outside the relabeling image", -1)
+            raise StrategyFault("II", f"value {v} outside the relabeling image")
         return got
 
     def move(self, last) -> int:
@@ -422,7 +415,7 @@ class PairResponder(StrategyII):
         v = self.sf.move(letter)
         w = self.sg.move(letter)
         if isinstance(v, tuple) or isinstance(w, tuple):
-            raise StrategyFault("II", "pair components must be single values", -1)
+            raise StrategyFault("II", "pair components must be single values")
         return (as_dyadic(v), -as_dyadic(w))
 
     def state_key(self):
@@ -632,8 +625,7 @@ class OscillationI(StrategyI):
 
     def _triggered(self, last) -> bool:
         if not isinstance(last, tuple):
-            raise StrategyFault("II", "oscillation attack needs value pairs",
-                                self.t)
+            raise StrategyFault("II", "oscillation attack needs value pairs")
         side = self.phase % 2
         lo, hi = self.windows[side]
         return lo < last[side] < hi

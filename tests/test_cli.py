@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from conftest import constant_automaton, letter_output_automaton
 from limsupgames.acceptance import CriterionResult
 from limsupgames.automata import NodeAutomaton
-from limsupgames.cli import ConfigError, ExperimentConfig, entry
+from limsupgames.cli import MAX_NESTING, ConfigError, ExperimentConfig, entry
 from limsupgames.dyadic import Dyadic
 
 
@@ -140,6 +140,35 @@ def test_deeply_nested_json_exits_two(tmp_path, capsys):
                  ["play", "--config", cfg]):
         assert entry(argv) == 2, argv
         assert capsys.readouterr().err.startswith("error:")
+
+
+def _lifted(depth):
+    desc = {"kind": "random_fsm", "states": 2, "values": [], "seed": 3}
+    for _ in range(depth):
+        desc = {"kind": "lift", "base": desc, "restriction": ["0/2^0", "1/2^0"]}
+    return desc
+
+
+def test_nesting_at_the_bound_plays(tmp_path, capsys):
+    cfg = play_config(tmp_path, player_i=_lifted(MAX_NESTING))
+    assert entry(["play", "--config", cfg]) == 0
+    assert json.loads(capsys.readouterr().out)["rounds"] == 10
+
+
+@pytest.mark.parametrize("player", ["player_i", "player_ii"])
+def test_nesting_past_the_bound_exits_two(tmp_path, capsys, player):
+    if player == "player_i":
+        desc = _lifted(MAX_NESTING + 1)
+    else:
+        desc = {"kind": "constant", "value": 0}
+        for _ in range(MAX_NESTING + 1):
+            desc = {"kind": "pair", "f": desc,
+                    "g": {"kind": "constant", "value": 0}}
+    cfg = play_config(tmp_path, payoff={"kind": "indicator"}, **{player: desc})
+    for command in ("play", "verify"):
+        assert entry([command, "--config", cfg]) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "nests" in err, err
 
 
 # --- config -------------------------------------------------------------

@@ -9,8 +9,9 @@ from typing import Optional
 
 import pytest
 
-from limsupgames.cli import _emit_trace, _random_letter_fsm
-from limsupgames.corpus import automaton_corpus, random_automaton, rng_stream
+from limsupgames.cli import _emit_trace
+from limsupgames.corpus import (automaton_corpus, letter_fsm, random_automaton,
+                               rng_stream)
 from limsupgames.dyadic import Dyadic, as_dyadic
 from limsupgames.games import (MAX_TRACE_ROUNDS, CertificateMismatchError,
                                 FiniteValueSet, Outcome, RunRow, RunTrace,
@@ -436,7 +437,8 @@ MILLION_ROUND_BUDGET_S = 60.0
 
 def test_play_reaches_the_round_cap_in_linear_time():
     u = random_automaton(rng_stream(5, "million"), 3, 2, 2)
-    sI = _random_letter_fsm(3, [Dyadic(-1, 1), Dyadic(1, 2)], 24)
+    sI = letter_fsm(rng_stream(24, "random-fsm"), 3,
+                    [Dyadic(-1, 1), Dyadic(1, 2)])
     t0 = time.perf_counter()
     tr = play(BIN, sI, strategy_ii_from_u(u), MAX_TRACE_ROUNDS)
     elapsed = time.perf_counter() - t0
