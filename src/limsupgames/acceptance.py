@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import time
 import traceback
-from dataclasses import dataclass
-from typing import Callable, List
+from typing import Callable, List, NamedTuple
 
 from .construction import (ConstructionState, algebra, scan_bound,
                            verify_construction)
-from .corpus import (automaton_corpus, baire_pair_fixtures, branch_corpus,
-                     certify_pair, letter_fsm_corpus, pair_fsm_corpus,
-                     random_automaton, rng_stream, value_fsm_corpus)
+from .corpus import (DEFAULT_SEED, automaton_corpus, baire_pair_fixtures,
+                     branch_corpus, certify_pair, letter_fsm_corpus,
+                     pair_fsm_corpus, random_automaton, rng_stream,
+                     value_fsm_corpus)
 from .dyadic import Dyadic, half_pow
 from .families import discretize, family_from_automaton
 from .games import (Outcome, check_win, exact_verdict, finite_value_set,
@@ -29,11 +29,8 @@ from .strategies import (ConstantII, IndicatorPayoff, SpiralEnumeration,
                          strategy_i_oscillation, strategy_ii_from_u)
 from .trees import binary_tree, nat_tree
 
-DEFAULT_SEED = 1729
 
-
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     name: str
     passed: bool
     details: str

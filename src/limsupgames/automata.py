@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, NamedTuple, Sequence, Tuple
 
 from . import graphs
 from .dyadic import POS_INF, Dyadic, ExtValue, as_dyadic
@@ -171,8 +171,7 @@ def make_automaton(initial: int, steps: Sequence[Sequence[int]],
     )
 
 
-@dataclass(frozen=True)
-class LassoSummary:
+class LassoSummary(NamedTuple):
     """Certificate for eval_limsup: outputs before the detected lasso and one cycle.
 
     The limsup of the whole label stream equals max(cycle_outputs) because

@@ -15,12 +15,12 @@ import sys
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional, Tuple
 
-from .acceptance import DEFAULT_SEED, run_all
 from .automata import NodeAutomaton, lasso_summary
 from .construction import (AlgebraFunction, ConstructionState, algebra,
                            limsup_along, minimize_labeling,
                            verify_construction)
-from .corpus import branch_corpus, letter_fsm, rng_stream, value_fsm
+from .corpus import (DEFAULT_SEED, branch_corpus, letter_fsm, rng_stream,
+                     value_fsm)
 from .dyadic import Dyadic, as_dyadic
 from .families import discretize, family_from_automaton
 from .games import (MAX_TRACE_ROUNDS, VARIANTS, FiniteValueSet, GameKind,
@@ -153,8 +153,8 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 # command-line flag -> the config field it overrides
-_OVERRIDES = {"seed": "seed", "horizon": "horizon", "cap": "cap",
-              "out": "out_dir", "trace": "trace_format"}
+_OVERRIDES = {"horizon": "horizon", "cap": "cap", "out": "out_dir",
+              "trace": "trace_format"}
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
@@ -297,8 +297,12 @@ def build_strategy_ii(desc: Optional[dict], cfg: ExperimentConfig) -> StrategyII
     if kind == "pair":
         if "f" not in desc or "g" not in desc:
             raise ConfigError("pair needs 'f' and 'g' descriptors")
-        return pair_strategies(build_strategy_ii(desc["f"], cfg),
-                               build_strategy_ii(desc["g"], cfg))
+        parts = (desc["f"], desc["g"])
+        # a pair announces two single values, so neither part is a pair
+        if any(isinstance(d, dict) and d.get("kind") == "pair" for d in parts):
+            raise ConfigError("pair components must be single-value "
+                              "strategies, not pairs")
+        return pair_strategies(*(build_strategy_ii(d, cfg) for d in parts))
     if kind == "random_fsm":
         rng, states, values = _fsm_params(desc)
         if not values:
@@ -480,6 +484,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_suite(args) -> int:
+    # imported here: no other command needs the acceptance criteria
+    from .acceptance import run_all
     seed = args.seed if args.seed is not None else DEFAULT_SEED
     results = run_all(seed)
     for r in results:
@@ -519,29 +525,25 @@ def build_parser() -> argparse.ArgumentParser:
                                        "'stem=0,1;cycle=1,0'")
     p_eval.set_defaults(func=cmd_eval)
 
-    def common(p, trace=True):
+    def common(p, func):
         p.add_argument("--config", required=True, help="experiment JSON file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--horizon", type=int, default=None)
-        p.add_argument("--cap", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory")
-        if trace:
-            p.add_argument("--trace", choices=_TRACE_FORMATS, default=None)
+        p.set_defaults(func=func)
 
+    # each command takes only the overrides it reads
     p_play = sub.add_parser("play", help="run one game and record the trace")
-    common(p_play)
-    p_play.set_defaults(func=cmd_play)
+    common(p_play, cmd_play)
+    p_play.add_argument("--horizon", type=int, default=None)
+    p_play.add_argument("--trace", choices=_TRACE_FORMATS, default=None)
 
     p_verify = sub.add_parser(
         "verify", help="play to an exact lasso-certified verdict")
-    common(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
+    common(p_verify, cmd_verify)
+    p_verify.add_argument("--cap", type=int, default=None)
 
-    p_construct = sub.add_parser(
+    common(sub.add_parser(
         "construct", help="run a labeling pipeline and verify it on a "
-                          "branch corpus")
-    common(p_construct, trace=False)
-    p_construct.set_defaults(func=cmd_construct)
+                          "branch corpus"), cmd_construct)
 
     p_suite = sub.add_parser("suite", help="run the acceptance criteria")
     p_suite.add_argument("--seed", type=int, default=None)

@@ -17,8 +17,7 @@ sum/min/max algebra runs the same construction over joint kernels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .automata import NodeAutomaton, eval_limsup, make_automaton
 from .dyadic import Dyadic, NEG_INF
@@ -273,8 +272,7 @@ def branch_limsup(fam: GridLscFamily, x: EventuallyPeriodicBranch,
     return max(labels[entry:]), info
 
 
-@dataclass(frozen=True)
-class BranchCheck:
+class BranchCheck(NamedTuple):
     branch: EventuallyPeriodicBranch
     expected: Optional[Dyadic]
     got: Optional[Dyadic]
@@ -282,8 +280,7 @@ class BranchCheck:
     inconclusive: bool
 
 
-@dataclass(frozen=True)
-class ConstructionReport:
+class ConstructionReport(NamedTuple):
     rows: Tuple[BranchCheck, ...]
     label: str
     max_scan: int
@@ -397,8 +394,7 @@ def apply_op(op: str, a: Dyadic, b: Dyadic) -> Dyadic:
     raise ValueError(f"op must be one of {ALGEBRA_OPS}")
 
 
-@dataclass(frozen=True)
-class AlgebraFunction:
+class AlgebraFunction(NamedTuple):
     """Constructed labeling representing op(f1, f2), with exact evaluation."""
 
     op: str

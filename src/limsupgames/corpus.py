@@ -6,13 +6,15 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
-from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Sequence, Tuple
 
 from .automata import NodeAutomaton, eval_limsup, make_automaton
 from .dyadic import Dyadic
 from .strategies import LetterFSM, ValueFSM
 from .trees import EventuallyPeriodicBranch
+
+# the master seed of the acceptance suite and of config files
+DEFAULT_SEED = 1729
 
 
 def rng_stream(seed: int, name: str) -> random.Random:
@@ -142,8 +144,7 @@ def prefix_table_machine(table, negate: bool = False) -> NodeAutomaton:
     return make_automaton(0, steps, outs)
 
 
-@dataclass(frozen=True)
-class PairFixture:
+class PairFixture(NamedTuple):
     table: Tuple[Tuple[Dyadic, Dyadic], Tuple[Dyadic, Dyadic]]
     u_f: NodeAutomaton
     u_neg: NodeAutomaton

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import count, repeat
 from operator import attrgetter
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from .automata import NodeAutomaton, eval_limsup
 from .dyadic import Dyadic, as_dyadic
@@ -174,8 +174,7 @@ class RunRow:
                 f"value={self._value!r}, covalue={self._covalue!r})")
 
 
-@dataclass(frozen=True)
-class FaultRecord:
+class FaultRecord(NamedTuple):
     blame: str
     round_index: int
     detail: str
@@ -195,8 +194,7 @@ def _texts(col) -> List[str]:
     return list(map(text.__getitem__, ids))
 
 
-@dataclass(frozen=True)
-class RunTrace:
+class RunTrace(NamedTuple):
     """A recorded play, one flat column per observable: in round t I played
     letters[t] and II announced values[t] and, in the pair game only,
     covalues[t] (covalues is None in the other games).  play appends to the

@@ -5,7 +5,6 @@ meager-dense switcher and the two-sided oscillator)."""
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import (Callable, Dict, Hashable, List, NamedTuple, Optional,
                     Sequence)
@@ -429,18 +428,16 @@ def pair_strategies(sf: StrategyII, sg: StrategyII) -> PairResponder:
     return PairResponder(sf, sg)
 
 
-@dataclass(frozen=True)
 class IndicatorPayoff:
     """1 on branches that are eventually all zero, else 0."""
 
-    label: str = "eventually-zero indicator"
+    label = "eventually-zero indicator"
 
     def value_on(self, x: EventuallyPeriodicBranch) -> Dyadic:
         return Dyadic(1 if all(a == 0 for a in x.cycle) else 0)
 
 
-@dataclass(frozen=True)
-class MeagerDenseInstance:
+class MeagerDenseInstance(NamedTuple):
     """Inputs for the switching attack against a value r approached through
     a countable union of closed nowhere-covering pieces.
 
@@ -507,6 +504,10 @@ class MeagerDenseI(StrategyI):
 
     def __init__(self, instance: MeagerDenseInstance):
         self.instance = instance
+        # read every round, and a NamedTuple field read costs about twice an
+        # instance attribute read, so both are bound once
+        self.s_disjoint = instance.s_disjoint
+        self.prefix_digest = instance.prefix_digest
         self.depths: Dict[Dyadic, float] = {}
         self.reset()
 
@@ -526,15 +527,14 @@ class MeagerDenseI(StrategyI):
         self.history.append(SwitchEvent(self.t, self.m, self.offset, self.tail))
 
     def move(self, last) -> int:
-        inst = self.instance
         if last is None:
             self._retarget()
         else:
             v = last[0] if isinstance(last, tuple) else last
             depth = self.depths.get(v)
             if depth is None:
-                depth = self.depths[v] = crowd_depth(inst.r, v)
-            if self.m <= depth and inst.s_disjoint(self.view, self.m):
+                depth = self.depths[v] = crowd_depth(self.instance.r, v)
+            if self.m <= depth and self.s_disjoint(self.view, self.m):
                 self.m += 1
                 self.switches += 1
                 self._retarget()
@@ -546,7 +546,7 @@ class MeagerDenseI(StrategyI):
     def state_key(self):
         tkey = None if self.tail is None else \
             self.tail.suffix_key(len(self.prefix) - self.offset)
-        return (self.m, tkey, self.instance.prefix_digest(self.view, self.m))
+        return (self.m, tkey, self.prefix_digest(self.view, self.m))
 
     def counters(self) -> Dict[str, int]:
         return {"m": self.m, "switches": self.switches, "round": self.t}
@@ -556,8 +556,7 @@ def strategy_i_meager_dense(instance: MeagerDenseInstance) -> MeagerDenseI:
     return MeagerDenseI(instance)
 
 
-@dataclass(frozen=True)
-class OscillationInstance:
+class OscillationInstance(NamedTuple):
     """Inputs for the two-sided attack on a set whose closure keeps both a
     value-sup and a value-inf witness above every node.
 
@@ -606,6 +605,8 @@ class OscillationI(StrategyI):
         eps = instance.epsilon
         self.windows = ((instance.sup_f - eps, instance.sup_f + eps),
                         (instance.inf_f - eps, instance.inf_f + eps))
+        # the pick of each phase parity, bound once
+        self.picks = (instance.pick_high, instance.pick_low)
         self.reset()
 
     def reset(self) -> None:
@@ -618,10 +619,8 @@ class OscillationI(StrategyI):
         self.trigger_rounds: List[int] = []
 
     def _retarget(self) -> None:
-        inst = self.instance
-        pick = inst.pick_high if self.phase % 2 == 0 else inst.pick_low
         self.offset = len(self.prefix)
-        self.tail = pick(self.view)
+        self.tail = self.picks[self.phase % 2](self.view)
 
     def _triggered(self, last) -> bool:
         if not isinstance(last, tuple):

@@ -56,6 +56,46 @@ def test_module_run_of_the_cli_warns_nothing(tmp_path):
     assert done.stdout.splitlines()[0] == "1/2^0"
 
 
+_LAZY_SCRIPT = """
+import contextlib, io, pathlib, sys
+from limsupgames.cli import entry
+
+golden, out = pathlib.Path(sys.argv[1]), pathlib.Path(sys.argv[2])
+loaded = lambda: "limsupgames.acceptance" in sys.modules
+assert not loaded(), "import"
+runs = [
+    ["eval", str(golden / "play" / "machines" / "u3.json"), "stem=0;cycle=1"],
+    ["play", "--config", str(golden / "play" / "oscillation-pair.json"),
+     "--out", str(out / "play")],
+    ["construct", "--config", str(golden / "construct" / "sum.json"),
+     "--out", str(out / "construct")],
+]
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert entry(argv) == 0, argv
+    assert not loaded(), argv[0]
+text = io.StringIO()
+with contextlib.redirect_stdout(text):
+    rc = entry(["suite"])
+assert loaded() and rc == 0, text.getvalue()
+print(text.getvalue().splitlines()[-1])
+"""
+
+
+def test_only_suite_loads_the_acceptance_criteria(tmp_path):
+    # a fresh interpreter, so no other test has imported acceptance yet
+    root = pathlib.Path(__file__).resolve().parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root.parent / "src")] +
+        ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run(
+        [sys.executable, "-c", _LAZY_SCRIPT, str(root / "golden"),
+         str(tmp_path)], capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("8/8 criteria passed"), done.stdout
+
+
 def test_package_resolves_cli_names_on_use():
     import limsupgames
     from limsupgames import ExperimentConfig as Config, entry as run
@@ -169,6 +209,21 @@ def test_nesting_past_the_bound_exits_two(tmp_path, capsys, player):
         assert entry([command, "--config", cfg]) == 2, command
         err = capsys.readouterr().err
         assert err.startswith("error:") and "nests" in err, err
+
+
+@pytest.mark.parametrize("part", ["f", "g"])
+def test_pair_of_a_pair_exits_two(tmp_path, capsys, part):
+    # a pair announces two single values, so a pair component cannot be one
+    const = {"kind": "constant", "value": 0}
+    desc = {"kind": "pair", "f": const, "g": const}
+    desc[part] = {"kind": "pair", "f": const, "g": const}
+    cfg = play_config(tmp_path, game="gamma_prime", player_ii=desc,
+                      payoff={"kind": "indicator"})
+    for command in ("play", "verify"):
+        assert entry([command, "--config", cfg]) == 2, command
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "pair" in captured.err
 
 
 # --- config -------------------------------------------------------------
@@ -394,6 +449,19 @@ def test_verify_pipeline_payoff_matches_its_machine(tmp_path, capsys, stages):
         [{k: verdicts[0][k] for k in keys}] * 2
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("play", "--seed"), ("play", "--cap"), ("verify", "--seed"),
+    ("verify", "--horizon"), ("verify", "--trace"), ("construct", "--seed"),
+    ("construct", "--cap"), ("construct", "--horizon"),
+    ("construct", "--trace")])
+def test_commands_refuse_flags_they_do_not_read(tmp_path, capsys, command,
+                                                flag):
+    cfg = play_config(tmp_path)
+    value = "csv" if flag == "--trace" else "5"
+    assert entry([command, "--config", cfg, flag, value]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_verify_undecided_exit_one(tmp_path, capsys):
     cfg = verify_config(tmp_path)
     assert entry(["verify", "--config", cfg, "--cap", "1"]) == 1
@@ -590,9 +658,9 @@ def fake_results(all_pass):
 
 
 def test_suite_reports_lines_and_exit(tmp_path, capsys, monkeypatch):
-    import limsupgames.cli as cli
+    import limsupgames.acceptance as acceptance
 
-    monkeypatch.setattr(cli, "run_all", lambda seed: fake_results(True))
+    monkeypatch.setattr(acceptance, "run_all", lambda seed: fake_results(True))
     out_dir = tmp_path / "s"
     assert entry(["suite", "--seed", "7", "--out", str(out_dir)]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -603,7 +671,8 @@ def test_suite_reports_lines_and_exit(tmp_path, capsys, monkeypatch):
     assert [r["name"] for r in payload["results"]] == \
         ["c1_example", "c2_example"]
 
-    monkeypatch.setattr(cli, "run_all", lambda seed: fake_results(False))
+    monkeypatch.setattr(acceptance, "run_all",
+                        lambda seed: fake_results(False))
     assert entry(["suite"]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[1].startswith("FAIL c2_example:")

@@ -87,3 +87,44 @@ def test_every_defined_name_is_read():
         read |= set(re.findall(r"\w+", path.read_text(encoding="utf-8")))
     dead = [d for d in defined if d.split(".", 1)[1] not in read]
     assert not dead, f"defined but never read: {dead}"
+
+
+# The @dataclass classes left in src, each with why it is not a NamedTuple.
+# A dataclass costs about 1 ms of exec-generated code at every import, so a
+# new one has to be argued for here.
+DATACLASSES = {
+    "dyadic.Dyadic": "the benchmark tracer patches __post_init__ to count "
+                     "constructions; validated and normalized there",
+    "dyadic.ExtValue": "the benchmark tracer patches __post_init__ to count "
+                       "constructions; validated there",
+    "trees.TreeSpec": "the benchmark tracer rebuilds it with "
+                      "dataclasses.replace",
+    "families.GridLscFamily": "the benchmark tracer rebuilds it with "
+                              "dataclasses.replace",
+    "trees.EventuallyPeriodicBranch": "validated in __post_init__",
+    "automata.NodeAutomaton": "validated in __post_init__",
+    "games.FiniteValueSet": "validated and normalized in __post_init__",
+    "games.GameKind": "validated in __post_init__",
+    "games.Verdict": "diagnostics has a default_factory; a NamedTuple "
+                     "default would share one dict",
+    "cli.ExperimentConfig": "validated in __post_init__, also on the "
+                            "replace of command-line overrides",
+}
+
+
+def is_dataclass_decorator(node: ast.expr) -> bool:
+    if isinstance(node, ast.Call):
+        node = node.func
+    return isinstance(node, ast.Name) and node.id == "dataclass"
+
+
+def test_only_argued_dataclasses_remain():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found |= {f"{path.stem}.{node.name}" for node in ast.walk(tree)
+                  if isinstance(node, ast.ClassDef)
+                  and any(map(is_dataclass_decorator, node.decorator_list))}
+    assert found == set(DATACLASSES), (
+        f"unlisted: {sorted(found - set(DATACLASSES))}, "
+        f"no longer dataclasses: {sorted(set(DATACLASSES) - found)}")

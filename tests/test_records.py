@@ -1,0 +1,96 @@
+"""The plain record classes are NamedTuples: they compare, hash, refuse
+assignment and print as the frozen dataclasses they replaced did."""
+
+import pytest
+
+from limsupgames.acceptance import CriterionResult
+from limsupgames.automata import LassoSummary
+from limsupgames.construction import (AlgebraFunction, BranchCheck,
+                                      ConstructionReport)
+from limsupgames.corpus import PairFixture
+from limsupgames.dyadic import Dyadic
+from limsupgames.games import FaultRecord, RunTrace, gamma, payoff_value
+from limsupgames.strategies import (IndicatorPayoff, MeagerDenseInstance,
+                                    OscillationInstance)
+from limsupgames.trees import EventuallyPeriodicBranch, binary_tree
+
+X = EventuallyPeriodicBranch((1,), (0,))
+
+
+def pick(s):
+    return X
+
+
+CHECK = BranchCheck(X, Dyadic(1), Dyadic(1), True, False)
+
+# each record class with one instance's fields, in the dataclass's field
+# order; every field value is hashable and compares by value or identity
+RECORDS = {
+    LassoSummary: dict(start=1, period=2, transient_outputs=(Dyadic(0),),
+                       cycle_outputs=(Dyadic(1), Dyadic(1, 1))),
+    BranchCheck: dict(branch=X, expected=Dyadic(1), got=None, equal=False,
+                      inconclusive=True),
+    ConstructionReport: dict(rows=(CHECK,), label="algebra:sum", max_scan=3),
+    AlgebraFunction: dict(op="min", factors=("u1", "u2"), family="fam",
+                          state="state"),
+    PairFixture: dict(table=((Dyadic(1), Dyadic(0)), (Dyadic(0), Dyadic(1))),
+                      u_f="u_f", u_neg="u_neg"),
+    FaultRecord: dict(blame="II", round_index=4, detail="left the tree"),
+    RunTrace: dict(kind=gamma(binary_tree()), letters=(0, 1),
+                   values=(Dyadic(1), Dyadic(0)), covalues=None,
+                   lasso=(0, 2), fault=None),
+    MeagerDenseInstance: dict(tree=binary_tree(), r=Dyadic(1),
+                              s_disjoint=max, pick_y=min,
+                              prefix_digest=len, label="eventually-zero"),
+    OscillationInstance: dict(tree=binary_tree(), sup_f=Dyadic(1),
+                              inf_f=Dyadic(0), epsilon=Dyadic(1, 3),
+                              pick_high=pick, pick_low=pick, payoff="payoff",
+                              label="oscillation"),
+    CriterionResult: dict(name="c1", passed=True, details="all exact",
+                          count=7, seconds=0.5, budget=10.0),
+}
+
+
+@pytest.mark.parametrize("cls", list(RECORDS), ids=lambda c: c.__name__)
+def test_record_compares_hashes_freezes_and_prints_as_before(cls):
+    fields = RECORDS[cls]
+    rec, twin = cls(**fields), cls(*fields.values())
+    assert rec == twin and hash(rec) == hash(twin) and rec
+    assert [getattr(rec, name) for name in fields] == list(fields.values())
+    first = next(iter(fields))
+    assert rec != rec._replace(**{first: "changed"})
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(rec, name, None)
+    with pytest.raises(AttributeError):
+        rec.extra = 0
+    shown = ", ".join(f"{name}={value!r}" for name, value in fields.items())
+    assert repr(rec) == f"{cls.__name__}({shown})"
+
+
+def test_record_defaults_and_methods_survive():
+    trace = RunTrace(gamma(binary_tree()), (0,), (Dyadic(1),))
+    assert (trace.covalues, trace.lasso, trace.fault) == (None, None, None)
+    assert [r.value for r in trace.rows] == [Dyadic(1)]
+    summary = LassoSummary(**RECORDS[LassoSummary])
+    assert summary.limsup == Dyadic(1)
+    report = ConstructionReport(**RECORDS[ConstructionReport])
+    assert report.all_equal and report.inconclusive_count == 0
+    assert report.summary() == \
+        "equal on all 1 corpus branches (max level scan 3)"
+    fault = FaultRecord(**RECORDS[FaultRecord])
+    assert fault.to_json_dict() == \
+        {"blame": "II", "round": 4, "detail": "left the tree"}
+    fields = dict(RECORDS[MeagerDenseInstance])
+    del fields["label"]
+    assert MeagerDenseInstance(**fields).label == "meager-dense"
+
+
+def test_indicator_payoff_is_a_truthy_payoff():
+    # a plain class: an empty NamedTuple would be falsy
+    payoff = IndicatorPayoff()
+    assert payoff and payoff.label == "eventually-zero indicator"
+    assert payoff_value(payoff, EventuallyPeriodicBranch((1, 1), (0,))) == \
+        Dyadic(1)
+    assert payoff_value(payoff, EventuallyPeriodicBranch((), (0, 1))) == \
+        Dyadic(0)
