@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional, Tuple
 
 from .automata import NodeAutomaton, lasso_summary
@@ -148,7 +149,7 @@ def load_config(path: str) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return ExperimentConfig.parse(fh.read())
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from None
 
 
@@ -319,12 +320,56 @@ def _dump(data: dict) -> str:
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
-def _write(out_dir: str, name: str, text: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    return path
+# construct's two artifacts have fixed shapes, so they are written directly:
+# `_dump` would spend most of their cost in json's pure-Python indenter
+def _lit(v) -> str:
+    """A value as `_dump` writes it: None, a bool, an int, or else its str."""
+    if v is None or v is True or v is False:
+        return "null" if v is None else "true" if v else "false"
+    return str(v) if type(v) is int else _quote(str(v))
+
+
+def _report_text(report) -> str:
+    """report.json: the report's label, summary, scan bound and rows."""
+    rows = ",\n".join(
+        f'    {{\n      "branch": {_lit(r.branch)},\n'
+        f'      "equal": {_lit(r.equal)},\n'
+        f'      "expected": {_lit(r.expected)},\n'
+        f'      "got": {_lit(r.got)},\n'
+        f'      "inconclusive": {_lit(r.inconclusive)}\n    }}'
+        for r in report.rows)
+    rows = f"[\n{rows}\n  ]" if rows else "[]"
+    return (f'{{\n  "label": {_lit(report.label)},\n'
+            f'  "max_level_scan": {report.max_scan},\n'
+            f'  "rows": {rows},\n  "summary": {_lit(report.summary())}\n}}\n')
+
+
+def _function_text(machine: NodeAutomaton) -> str:
+    """function.json: `{"automaton": ...}` holding the machine's JSON form."""
+    m = machine.to_json_dict()
+    rows = ",\n".join(
+        f"      [\n        {q},\n        {_lit(c)},\n        {p},\n"
+        f"        {_lit(v)}\n      ]" for q, c, p, v in m["transitions"])
+    return (f'{{\n  "automaton": {{\n    "initial": {m["initial"]},\n'
+            f'    "letters": {m["letters"]},\n    "states": {m["states"]},\n'
+            f'    "transitions": [\n{rows}\n    ]\n  }}\n}}\n')
+
+
+def _make_out_dir(path: Optional[str]) -> None:
+    """Create a command's output directory, if it has one, before its work."""
+    if path is not None:
+        try:
+            os.makedirs(path, exist_ok=True)
+        except OSError as e:
+            raise ConfigError(f"cannot write to {path}: {e}") from None
+
+
+def _write(out_dir: str, name: str, text: str) -> None:
+    try:
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise ConfigError(f"cannot write to {out_dir}: {e}") from None
 
 
 def _emit_trace(trace, cfg: ExperimentConfig, verdict_json=None) -> None:
@@ -370,6 +415,7 @@ def cmd_play(args) -> int:
     kind = resolve_kind(cfg)
     sI = build_strategy_i(cfg.player_i, cfg)
     sII = build_strategy_ii(cfg.player_ii, cfg)
+    _make_out_dir(None if cfg.trace_format == "none" else cfg.out_dir)
     trace = play(kind, sI, sII, cfg.horizon)
     if trace.fault is not None:
         sys.stderr.write(_dump({"fault": trace.fault.to_json_dict()}))
@@ -391,6 +437,7 @@ def cmd_verify(args) -> int:
         raise ConfigError(
             "verify needs both strategies to declare finite state; "
             "use play for declared-unbounded strategies")
+    _make_out_dir(cfg.out_dir)
     verdict = exact_verdict(kind, sI, sII, payoff, cap=cfg.cap)
     vj = verdict.to_json_dict()
     if verdict.fault is not None:
@@ -455,24 +502,12 @@ def cmd_construct(args) -> int:
     tree = resolve_tree(cfg)
     fam, state, target = build_pipeline(cfg.pipeline, tree)
     corpus = _declared_corpus(cfg.pipeline, tree)
+    _make_out_dir(cfg.out_dir)
     report = verify_construction(fam, corpus, target_fn=target)
     machine = minimize_labeling(state)
-    function_json = {"automaton": machine.to_json_dict()}
-    report_json = {
-        "label": report.label,
-        "summary": report.summary(),
-        "max_level_scan": report.max_scan,
-        "rows": [{
-            "branch": str(r.branch),
-            "expected": None if r.expected is None else str(r.expected),
-            "got": None if r.got is None else str(r.got),
-            "equal": r.equal,
-            "inconclusive": r.inconclusive,
-        } for r in report.rows],
-    }
     if cfg.out_dir is not None:
-        _write(cfg.out_dir, "function.json", _dump(function_json))
-        _write(cfg.out_dir, "report.json", _dump(report_json))
+        _write(cfg.out_dir, "function.json", _function_text(machine))
+        _write(cfg.out_dir, "report.json", _report_text(report))
     print(report.summary())
     print(f"minimized to {machine.num_states} state(s)")
     for r in report.rows:
@@ -487,6 +522,7 @@ def cmd_suite(args) -> int:
     # imported here: no other command needs the acceptance criteria
     from .acceptance import run_all
     seed = args.seed if args.seed is not None else DEFAULT_SEED
+    _make_out_dir(args.out)
     results = run_all(seed)
     for r in results:
         print(r.line())
@@ -510,51 +546,60 @@ def cmd_suite(args) -> int:
 # ---------------------------------------------------------------------------
 # argument surface
 
-def build_parser() -> argparse.ArgumentParser:
+_CONFIG_ARGS = (
+    ("--config", {"required": True, "help": "experiment JSON file"}),
+    ("--out", {"help": "output directory"}))
+
+# name -> (handler, help, arguments); each command takes only the overrides
+# it reads
+_COMMANDS = {
+    "eval": (cmd_eval, "evaluate a machine's limsup on an eventually "
+                       "periodic branch",
+             (("automaton", {"help": "machine JSON file"}),
+              ("branch", {"help": "branch descriptor, e.g. "
+                                  "'stem=0,1;cycle=1,0'"}))),
+    "play": (cmd_play, "run one game and record the trace",
+             _CONFIG_ARGS + (("--horizon", {"type": int}),
+                             ("--trace", {"choices": _TRACE_FORMATS}))),
+    "verify": (cmd_verify, "play to an exact lasso-certified verdict",
+               _CONFIG_ARGS + (("--cap", {"type": int}),)),
+    "construct": (cmd_construct, "run a labeling pipeline and verify it on "
+                                 "a branch corpus", _CONFIG_ARGS),
+    "suite": (cmd_suite, "run the acceptance criteria",
+              (("--seed", {"type": int}),
+               ("--out", {"help": "report directory"}))),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The argument parser: every command, or only `command` if it names one.
+
+    A command line that starts with a command name reaches no other
+    command's parser, so `entry` builds only that one.
+    """
     parser = argparse.ArgumentParser(
         prog="limsup-games",
         description="Exact simulation and verification of limsup-payoff "
                     "games on pruned trees.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_eval = sub.add_parser(
-        "eval", help="evaluate a machine's limsup on an eventually periodic "
-                     "branch")
-    p_eval.add_argument("automaton", help="machine JSON file")
-    p_eval.add_argument("branch", help="branch descriptor, e.g. "
-                                       "'stem=0,1;cycle=1,0'")
-    p_eval.set_defaults(func=cmd_eval)
-
-    def common(p, func):
-        p.add_argument("--config", required=True, help="experiment JSON file")
-        p.add_argument("--out", default=None, help="output directory")
+    names = [command] if command in _COMMANDS else list(_COMMANDS)
+    # a narrowed usage line lists every command, as the full one does; the
+    # full parser keeps argparse's own metavar, which its errors name
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None)
+    for name in names:
+        func, text, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=text)
+        for flag, kw in arguments:
+            p.add_argument(flag, **kw)
         p.set_defaults(func=func)
-
-    # each command takes only the overrides it reads
-    p_play = sub.add_parser("play", help="run one game and record the trace")
-    common(p_play, cmd_play)
-    p_play.add_argument("--horizon", type=int, default=None)
-    p_play.add_argument("--trace", choices=_TRACE_FORMATS, default=None)
-
-    p_verify = sub.add_parser(
-        "verify", help="play to an exact lasso-certified verdict")
-    common(p_verify, cmd_verify)
-    p_verify.add_argument("--cap", type=int, default=None)
-
-    common(sub.add_parser(
-        "construct", help="run a labeling pipeline and verify it on a "
-                          "branch corpus"), cmd_construct)
-
-    p_suite = sub.add_parser("suite", help="run the acceptance criteria")
-    p_suite.add_argument("--seed", type=int, default=None)
-    p_suite.add_argument("--out", default=None, help="report directory")
-    p_suite.set_defaults(func=cmd_suite)
-
     return parser
 
 
 def entry(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

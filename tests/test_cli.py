@@ -1,5 +1,6 @@
 """Command line surface: exit codes, stdout contracts, emitted files."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -13,10 +14,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import constant_automaton, letter_output_automaton
+from limsupgames import cli
 from limsupgames.acceptance import CriterionResult
-from limsupgames.automata import NodeAutomaton
+from limsupgames.automata import NodeAutomaton, make_automaton
 from limsupgames.cli import MAX_NESTING, ConfigError, ExperimentConfig, entry
+from limsupgames.construction import BranchCheck, ConstructionReport
 from limsupgames.dyadic import Dyadic
+from limsupgames.trees import EventuallyPeriodicBranch
 
 
 def write_config(tmp_path, name="cfg.json", **kw):
@@ -691,3 +695,167 @@ def test_config_error_exit_code(tmp_path, capsys):
     bad.write_text("{not json", encoding="utf-8")
     assert entry(["play", "--config", str(bad)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+# --- unusable inputs and outputs -----------------------------------------
+
+
+_LETTER = letter_output_automaton().to_json_dict()
+_CONFIGS = {
+    "play": {"player_i": _FSM_I, "player_ii": _CONST_II, "horizon": 5},
+    "verify": {"payoff": {"kind": "automaton", "automaton": _LETTER},
+               "player_i": _COPYCAT,
+               "player_ii": {"kind": "from_u", "automaton": _LETTER}},
+    "construct": {"pipeline": {"stages": ["from-automaton", "construct_u"],
+                               "source": {"automaton": _LETTER}}},
+}
+# the file each command writes first under --out
+_FIRST_FILE = {"play": "trace.csv", "verify": "verdict.json",
+               "construct": "function.json", "suite": "acceptance.json"}
+
+
+def command_line(tmp_path, command, *extra):
+    if command == "suite":
+        return [command, *extra]
+    cfg = write_config(tmp_path, **_CONFIGS[command])
+    return [command, "--config", cfg, *extra]
+
+
+@pytest.mark.parametrize("command", ["play", "verify", "construct", "suite"])
+@pytest.mark.parametrize("where", ["file", "under-file", "file-in-dir"])
+def test_unusable_out_exits_two(tmp_path, capsys, monkeypatch, command,
+                                where):
+    import limsupgames.acceptance as acceptance
+
+    monkeypatch.setattr(acceptance, "run_all", lambda seed: fake_results(True))
+    blocker = tmp_path / "blocker"
+    blocker.write_text("", encoding="utf-8")
+    out = {"file": blocker, "under-file": blocker / "sub",
+           "file-in-dir": tmp_path / "o"}[where]
+    if where == "file-in-dir":
+        # the directory is usable, but the file's name is taken by a directory
+        (out / _FIRST_FILE[command]).mkdir(parents=True)
+    assert entry(command_line(tmp_path, command, "--out", str(out))) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write to {out}: "), err
+
+
+@pytest.mark.parametrize("command", ["play", "verify", "construct"])
+def test_config_that_is_not_utf8_exits_two(tmp_path, capsys, command):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    assert entry([command, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot read config {path}: ")
+    assert captured.out == ""
+
+
+# --- construct's artifact formatters -------------------------------------
+
+# text json must escape: quotes, backslashes, control characters, non-ASCII
+_TEXT = st.text(alphabet=st.one_of(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028\xe9\U0001f600'),
+    st.characters()), max_size=12)
+_DYADICS = st.builds(Dyadic, st.integers(-40, 40), st.integers(0, 6))
+_BRANCHES = st.builds(
+    EventuallyPeriodicBranch,
+    st.lists(st.integers(0, 3), max_size=3).map(tuple),
+    st.lists(st.integers(0, 3), min_size=1, max_size=3).map(tuple))
+_REPORTS = st.builds(
+    ConstructionReport,
+    st.lists(st.builds(BranchCheck, _TEXT | _BRANCHES,
+                       st.none() | _TEXT | _DYADICS,
+                       st.none() | _TEXT | _DYADICS,
+                       st.booleans(), st.booleans()),
+             max_size=4).map(tuple),
+    _TEXT, st.integers(0, 10 ** 6))
+
+
+def report_json(report):
+    """The data construct wrote to report.json through `_dump`."""
+    def text(v):
+        return None if v is None else str(v)
+
+    return {"label": report.label, "summary": report.summary(),
+            "max_level_scan": report.max_scan,
+            "rows": [{"branch": str(r.branch), "expected": text(r.expected),
+                      "got": text(r.got), "equal": r.equal,
+                      "inconclusive": r.inconclusive} for r in report.rows]}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_REPORTS)
+@example(ConstructionReport((), "", 0))
+@example(ConstructionReport((BranchCheck(
+    EventuallyPeriodicBranch((), (0,)), Dyadic(1), None, False, True),),
+    "x", 3))
+def test_report_formatter_writes_json_dumps_bytes(report):
+    assert cli._report_text(report) == cli._dump(report_json(report))
+
+
+@st.composite
+def _machines(draw):
+    n = draw(st.integers(1, 4))
+    width = draw(st.integers(1, 4))  # letters 0..width-2 and "default"
+    cell = st.tuples(st.integers(0, n - 1), st.builds(
+        "{}/2^{}".format, st.integers(-40, 40), st.integers(0, 6)))
+    rows = [[draw(cell) for _ in range(width)] for _ in range(n)]
+    return make_automaton(draw(st.integers(0, n - 1)),
+                          [[q for q, _ in row] for row in rows],
+                          [[v for _, v in row] for row in rows])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_machines())
+@example(letter_output_automaton())
+@example(constant_automaton(Dyadic(-3, 2)))
+def test_function_formatter_writes_json_dumps_bytes(machine):
+    assert cli._function_text(machine) == \
+        cli._dump({"automaton": machine.to_json_dict()})
+
+
+# --- the parser ------------------------------------------------------------
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = entry(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def test_narrowed_parser_writes_what_the_full_parser_writes(
+        tmp_path, monkeypatch):
+    machine = letter_file(tmp_path)
+    corpus = [[], ["-h"], ["bogus"], ["construct"],
+              ["construct", "--config", "x.json", "--cap", "3"],
+              ["construct", "--config", "x.json", "extra"],
+              ["eval", machine, "--", "-1"], ["eval", machine],
+              ["play", "--horizon", "two"], ["suite", "--seed", "x"]] + \
+        [[command, "-h"] for command in cli._COMMANDS]
+    narrowed = [_run(argv) for argv in corpus]
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    for argv, got in zip(corpus, narrowed):
+        assert got == _run(argv), argv
+        assert got[0] in (0, 2) and got[1] + got[2], argv
+    # argparse names the command argument by its metavar, if it has one
+    assert narrowed[0][2].endswith("required: command\n")
+    assert "argument command: invalid choice: 'bogus'" in narrowed[2][2]
+
+
+def test_a_command_builds_only_its_own_parser(tmp_path, capsys, monkeypatch):
+    built = []
+    add = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kw):
+        built.append(name)
+        return add(self, name, **kw)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    assert entry(command_line(tmp_path, "construct")) == 0
+    assert built == ["construct"]
+    built.clear()
+    assert entry([]) == 2
+    assert built == ["eval", "play", "verify", "construct", "suite"]
+    assert "{eval,play,verify,construct,suite}" in capsys.readouterr().err

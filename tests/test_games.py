@@ -160,6 +160,8 @@ def row_by_row_outputs(rows):
 def written_outputs(tr, tmp_path):
     """What the play command writes for the trace, as CSV and as JSON."""
     for fmt in ("csv", "json"):
+        # the command makes its output directory before it plays
+        (tmp_path / fmt).mkdir(parents=True)
         _emit_trace(tr, SimpleNamespace(out_dir=str(tmp_path / fmt),
                                         trace_format=fmt))
     csv_side = json.loads((tmp_path / "csv" / "trace.json").read_text())
