@@ -372,10 +372,10 @@ def _write(out_dir: str, name: str, text: str) -> None:
         raise ConfigError(f"cannot write to {out_dir}: {e}") from None
 
 
-def _emit_trace(trace, cfg: ExperimentConfig, verdict_json=None) -> None:
+def _emit_trace(trace, cfg: ExperimentConfig) -> None:
     if cfg.out_dir is None or cfg.trace_format == "none":
         return
-    side = trace.sidecar(verdict_json)
+    side = trace.sidecar()
     if cfg.trace_format == "csv":
         _write(cfg.out_dir, "trace.csv", trace.to_csv_text())
         _write(cfg.out_dir, "trace.json", _dump(side))

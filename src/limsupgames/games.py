@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import count, repeat
+from itertools import count, islice, repeat
 from operator import attrgetter
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
@@ -108,7 +108,8 @@ class CertificateMismatchError(Exception):
 class Strategy:
     """A player.  finite_state means state_key ranges over a finite set and
     fully determines future behavior; only then do lassos yield exact
-    verdicts."""
+    verdicts.  A TableStrategy makes that a fact of its tables rather than
+    a declaration."""
 
     finite_state = False
 
@@ -123,6 +124,41 @@ class Strategy:
 
     def counters(self) -> Dict[str, int]:
         return {}
+
+
+# the exact classes whose move is a pure function of (q, input) over
+# immutable tables checked when the player is built; a subclass is not one,
+# since it may override move
+TABLE_TYPES = set()
+
+
+class TableStrategy(Strategy):
+    """A finite-state player over explicit tables: its whole state is q.
+
+    A class joins TABLE_TYPES by passing table=True in its class statement.
+    Two such players on a full tree play a run that repeats from their
+    first joint-state repeat on, so play fills the rest of it from the
+    cycle instead of calling move.
+    """
+
+    finite_state = True
+    initial = 0
+
+    def __init_subclass__(cls, table: bool = False, **kw):
+        super().__init_subclass__(**kw)
+        if table:
+            TABLE_TYPES.add(cls)
+
+    def reset(self) -> None:
+        self.q = self.initial
+
+    def state_key(self):
+        return self.q
+
+    def skip(self, q, rounds: int) -> None:
+        """Stand where `rounds` more moves would have left the player, in
+        state q."""
+        self.q = q
 
 
 class StrategyI(Strategy):
@@ -234,17 +270,14 @@ class RunTrace(NamedTuple):
             f"{t},{x},{v},{w}\n"
             for t, x, v, w in zip(count(), self.letters, vs, ws)])
 
-    def sidecar(self, verdict_json=None) -> dict:
-        side = {
+    def sidecar(self) -> dict:
+        return {
             "variant": self.kind.variant,
             "rounds": len(self.values),
             "lasso": None if self.lasso is None else
                 {"start": self.lasso[0], "period": self.lasso[1]},
             "fault": None if self.fault is None else self.fault.to_json_dict(),
         }
-        if verdict_json is not None:
-            side["verdict"] = verdict_json
-        return side
 
 
 def _coerce_answer(kind: GameKind, raw):
@@ -269,13 +302,23 @@ def play(kind: GameKind, sI: StrategyI, sII: StrategyII, horizon: int,
     past the detection point instead.  The tree is asked only whether the
     new letter may follow the letters so far (TreeSpec.admits), which full
     trees answer without reading the prefix.
+
+    When both players are exactly table classes (TABLE_TYPES) and the tree
+    is full, the lasso fixes every later round: each repeats a round of the
+    cycle, with the same moves and so no fault.  play then fills the
+    columns to the stop round from the cycle, leaves both players in the
+    state a full run would reach, and calls move no more.
     """
     sI.reset()
     sII.reset()
     # per-game invariants, looked up once instead of once a round
     pairs = kind.uses_pairs
     allowed = kind.restriction
-    admits = kind.tree.admits
+    tree = kind.tree
+    admits = tree.admits
+    fill = (type(sI) in TABLE_TYPES and type(sII) in TABLE_TYPES
+            and type(tree) is TreeSpec
+            and (tree.alphabet is not None or tree.all_naturals))
     move_i, move_ii = sI.move, sII.move
     key_i, key_ii = sI.state_key, sII.state_key
     letters, values, covalues = [], [], []
@@ -299,6 +342,20 @@ def play(kind: GameKind, sI: StrategyI, sII: StrategyII, horizon: int,
                     stop_at = min(stop_at, t + stop_after_lasso * period)
                     if stop_at <= t:
                         break
+                if fill:
+                    n = stop_at - t
+                    reps, rest = divmod(n, period)
+                    for col in columns:
+                        cyc = col[first:]
+                        col += cyc * reps
+                        if rest:
+                            col += cyc[:rest]
+                    # seen holds one key a round, in round order; the stop
+                    # round's joint state is the one rest rounds into the cycle
+                    q_i, q_ii, _ = next(islice(seen, first + rest, None))
+                    sI.skip(q_i, n)
+                    sII.skip(q_ii, n)
+                    break
         try:
             letter = move_i(last)
             # exact ints only: a bool or another int subclass is no letter
@@ -430,7 +487,9 @@ def exact_verdict(kind: GameKind, sI: StrategyI, sII: StrategyII,
 
     Exact outcomes need either a fault or a lasso between two strategies
     that both declare finite state; anything else is UndecidedAtHorizon
-    with tail-window diagnostics and the strategies' own counters.
+    with tail-window diagnostics and the strategies' own counters.  Between
+    two table strategies on a full tree, play fills the one period after
+    the lasso from the cycle, so the verdict rests on the tables.
     """
     trace = play(kind, sI, sII, cap, stop_after_lasso=1)
     if trace.fault is not None:

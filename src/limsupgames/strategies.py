@@ -11,34 +11,28 @@ from typing import (Callable, Dict, Hashable, List, NamedTuple, Optional,
 
 from .automata import NodeAutomaton
 from .dyadic import Dyadic, as_dyadic, crowd_depth, half_pow
-from .games import FiniteValueSet, StrategyFault, StrategyI, StrategyII
+from .games import (TABLE_TYPES, FiniteValueSet, StrategyFault, StrategyI,
+                    StrategyII, TableStrategy)
 from .trees import (EventuallyPeriodicBranch, Prefix, PrefixView, TreeSpec,
                     binary_tree)
 
 
-class AutomatonResponder(StrategyII):
+class AutomatonResponder(TableStrategy, StrategyII, table=True):
     """Announces the payoff machine's own outputs along the played prefix.
 
     By construction the announced sequence is the output sequence of the
-    branch, so its limsup equals the payoff on every branch.
+    branch, so its limsup equals the payoff on every branch.  The tables
+    are the machine's, which NodeAutomaton checks when it is built.
     """
-
-    finite_state = True
 
     def __init__(self, u: NodeAutomaton):
         self.u = u
-        self.q = u.initial
-
-    def reset(self) -> None:
-        self.q = self.u.initial
+        self.initial = self.q = u.initial
 
     def move(self, letter: int) -> Dyadic:
         v = self.u.output(self.q, letter)
         self.q = self.u.step(self.q, letter)
         return v
-
-    def state_key(self):
-        return self.q
 
 
 def strategy_ii_from_u(u: NodeAutomaton) -> AutomatonResponder:
@@ -63,30 +57,42 @@ def u_from_strategy_ii(sII: StrategyII) -> Callable[[Prefix], Dyadic]:
     return u
 
 
-class ConstantII(StrategyII):
-    finite_state = True
+class ConstantII(TableStrategy, StrategyII, table=True):
+    """One state, one answer."""
 
     def __init__(self, value, covalue=None):
         # one answer object, handed out every round
         value = as_dyadic(value)
         self.answer = value if covalue is None else (value, as_dyadic(covalue))
+        self.q = 0
 
     def move(self, letter: int):
         return self.answer
 
-    def state_key(self):
-        return 0
+
+def _transitions(trans: Sequence[Sequence[int]]) -> tuple:
+    """trans as a tuple of row tuples, refusing an empty table, an empty
+    row, and any successor that is not an exact int in 0..n-1 (a bool, or
+    -1, would quietly alias a state)."""
+    rows = tuple(tuple(row) for row in trans)
+    if not rows:
+        raise ValueError("need at least one state")
+    for q, row in enumerate(rows):
+        if not row:
+            raise ValueError(f"state {q} has no letter class")
+        for c, dst in enumerate(row):
+            if type(dst) is not int or not 0 <= dst < len(rows):
+                raise ValueError(f"bad successor {dst!r} at ({q},{c})")
+    return rows
 
 
-class ValueFSM(StrategyII):
+class ValueFSM(TableStrategy, StrategyII, table=True):
     """Mealy value machine: step on the letter's class, announce the state's
     value.  Letters beyond the table width share the last class."""
 
-    finite_state = True
-
     def __init__(self, trans: Sequence[Sequence[int]],
                  values: Sequence, covalues: Optional[Sequence] = None):
-        self.trans = tuple(tuple(row) for row in trans)
+        self.trans = _transitions(trans)
         self.values = tuple(as_dyadic(v) for v in values)
         self.covalues = None if covalues is None else \
             tuple(as_dyadic(v) for v in covalues)
@@ -94,9 +100,6 @@ class ValueFSM(StrategyII):
             raise ValueError("one value per state required")
         if self.covalues is not None and len(self.covalues) != len(self.values):
             raise ValueError("one covalue per state required")
-        self.q = 0
-
-    def reset(self) -> None:
         self.q = 0
 
     def _class(self, letter: int) -> int:
@@ -108,11 +111,8 @@ class ValueFSM(StrategyII):
             return self.values[self.q]
         return (self.values[self.q], self.covalues[self.q])
 
-    def state_key(self):
-        return self.q
 
-
-class LetterFSM(StrategyI):
+class LetterFSM(TableStrategy, StrategyI, table=True):
     """Moore letter machine driven by threshold buckets of II's values.
 
     Bucket 0 is the opening round (no announcement yet); value v lands in
@@ -120,12 +120,10 @@ class LetterFSM(StrategyI):
     coordinate.
     """
 
-    finite_state = True
-
     def __init__(self, emits: Sequence[int], trans: Sequence[Sequence[int]],
                  thresholds: Sequence = ()):
         self.emits = tuple(int(a) for a in emits)
-        self.trans = tuple(tuple(row) for row in trans)
+        self.trans = _transitions(trans)
         self.thresholds = tuple(sorted(as_dyadic(c) for c in thresholds))
         if len(self.emits) != len(self.trans):
             raise ValueError("one emitted letter per state required")
@@ -133,9 +131,6 @@ class LetterFSM(StrategyI):
         for row in self.trans:
             if len(row) != width:
                 raise ValueError(f"transition rows must have width {width}")
-        self.q = 0
-
-    def reset(self) -> None:
         self.q = 0
 
     def _bucket(self, last) -> int:
@@ -148,24 +143,23 @@ class LetterFSM(StrategyI):
         self.q = self.trans[self.q][self._bucket(last)]
         return self.emits[self.q]
 
-    def state_key(self):
-        return self.q
 
-
-class CopycatI(StrategyI):
+class CopycatI(TableStrategy, StrategyI, table=True):
     """Echoes II's previous value as the next letter; first letter 0.
 
     Only natural announcements are legal input, so a fractional or negative
-    value is II's fault.
+    value is II's fault.  The one state is 0: the round counter t is only
+    reported, never read by move.
     """
 
-    finite_state = True
-
     def __init__(self):
-        self.t = 0
+        self.reset()
 
     def reset(self) -> None:
-        self.t = 0
+        self.q = self.t = 0
+
+    def skip(self, q, rounds: int) -> None:
+        self.t += rounds
 
     def move(self, last) -> int:
         self.t += 1
@@ -175,9 +169,6 @@ class CopycatI(StrategyI):
         if v.exp != 0 or v.num < 0:
             raise StrategyFault("II", f"copycat needs a natural, got {v}")
         return v.num
-
-    def state_key(self):
-        return 0
 
     def counters(self) -> Dict[str, int]:
         return {"round": self.t}
@@ -424,7 +415,25 @@ class PairResponder(StrategyII):
         return {**self.sf.counters(), **self.sg.counters()}
 
 
+class TablePairResponder(TableStrategy, PairResponder, table=True):
+    """A pair of two table players: q is the pair of their states."""
+
+    def __init__(self, sf: StrategyII, sg: StrategyII):
+        super().__init__(sf, sg)
+        self.initial = (sf.initial, sg.initial)
+
+    @property
+    def q(self):
+        return (self.sf.q, self.sg.q)
+
+    @q.setter
+    def q(self, q) -> None:
+        self.sf.q, self.sg.q = q
+
+
 def pair_strategies(sf: StrategyII, sg: StrategyII) -> PairResponder:
+    if type(sf) in TABLE_TYPES and type(sg) in TABLE_TYPES:
+        return TablePairResponder(sf, sg)
     return PairResponder(sf, sg)
 
 

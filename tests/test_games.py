@@ -1,5 +1,6 @@
 """Game loop semantics: rounds, faults, lassos, trace certificates."""
 
+import copy
 import dataclasses
 import json
 import time
@@ -10,19 +11,21 @@ from typing import Optional
 import pytest
 
 from limsupgames.cli import _emit_trace
-from limsupgames.corpus import (automaton_corpus, letter_fsm, random_automaton,
-                               rng_stream)
+from limsupgames.corpus import (automaton_corpus, baire_pair_fixtures,
+                               letter_fsm, letter_fsm_corpus, random_automaton,
+                               rng_stream, value_fsm_corpus)
 from limsupgames.dyadic import Dyadic, as_dyadic
-from limsupgames.games import (MAX_TRACE_ROUNDS, CertificateMismatchError,
-                                FiniteValueSet, Outcome, RunRow, RunTrace,
-                                check_win,
-                                exact_verdict, finite_value_set, gamma,
-                                gamma_prime, gamma_restricted, play,
-                                StrategyI, StrategyII)
+from limsupgames.games import (MAX_TRACE_ROUNDS, TABLE_TYPES,
+                                CertificateMismatchError, FiniteValueSet,
+                                Outcome, RunRow, RunTrace, Strategy, StrategyI,
+                                StrategyII, check_win, exact_verdict,
+                                finite_value_set, gamma, gamma_prime,
+                                gamma_restricted, play)
 from limsupgames.strategies import (ConstantII, CopycatI, LetterFSM, ValueFSM,
                                      copycat_strategy, pair_strategies,
                                      strategy_ii_from_u, u_from_strategy_ii)
-from limsupgames.trees import EventuallyPeriodicBranch, binary_tree, nat_tree
+from limsupgames.trees import (EventuallyPeriodicBranch, TreeSpec, binary_tree,
+                               nat_tree)
 
 BIN = gamma(binary_tree())
 NAT = gamma(nat_tree())
@@ -431,20 +434,158 @@ def test_kind_validation():
     assert gamma_prime(binary_tree()).uses_pairs
 
 
-# a million binary-tree rounds take about 1.5 s on a 2-core host; a round
-# that grew with the prefix would take hours
+class RoundByRound(Strategy):
+    """A plain wrapper, not a table player: play calls its move every round,
+    so a run through it is the round loop's run of the wrapped player.
+    keys counts state_key calls, one a round until the lasso closes."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.finite_state = inner.finite_state
+        self.keys = 0
+
+    def reset(self):
+        self.inner.reset()
+
+    def move(self, seen):
+        return self.inner.move(seen)
+
+    def state_key(self):
+        self.keys += 1
+        return self.inner.state_key()
+
+    def counters(self):
+        return self.inner.counters()
+
+
+# a million binary-tree rounds take about 1.5 s on a 2-core host round by
+# round, and well under 0.1 s filled from the lasso; a round that grew with
+# the prefix would take hours
 MILLION_ROUND_BUDGET_S = 60.0
 
 
 def test_play_reaches_the_round_cap_in_linear_time():
     u = random_automaton(rng_stream(5, "million"), 3, 2, 2)
-    sI = letter_fsm(rng_stream(24, "random-fsm"), 3,
-                    [Dyadic(-1, 1), Dyadic(1, 2)])
-    t0 = time.perf_counter()
-    tr = play(BIN, sI, strategy_ii_from_u(u), MAX_TRACE_ROUNDS)
-    elapsed = time.perf_counter() - t0
+    traces = []
+    # filled from the lasso, then the same game moved round by round
+    for wrap in (lambda s: s, RoundByRound):
+        sI = letter_fsm(rng_stream(24, "random-fsm"), 3,
+                        [Dyadic(-1, 1), Dyadic(1, 2)])
+        t0 = time.perf_counter()
+        traces.append(play(BIN, wrap(sI), wrap(strategy_ii_from_u(u)),
+                           MAX_TRACE_ROUNDS))
+        elapsed = time.perf_counter() - t0
+        assert elapsed < MILLION_ROUND_BUDGET_S, f"{elapsed:.1f} s"
+    tr, looped = traces
+    assert tr == looped
     assert len(tr.values) == MAX_TRACE_ROUNDS == 10 ** 6
     assert tr.fault is None and tr.lasso == (2, 4)
     # check_win re-checks that the columns repeat from the lasso start on
     assert check_win(tr, u).outcome is Outcome.WIN_II
-    assert elapsed < MILLION_ROUND_BUDGET_S, f"{elapsed:.1f} s"
+
+
+# --- a lasso between two table players fills the run ---------------------
+
+
+def _fresh(proto):
+    return lambda: copy.deepcopy(proto)
+
+
+def _families():
+    """(kind, I makers, II makers) for each game the fill serves."""
+    seed = 11
+    letters = [_fresh(s) for s in letter_fsm_corpus(seed, 5)]
+    us = automaton_corpus(seed, 3, max_states=4)
+    responders = [_fresh(strategy_ii_from_u(u)) for u in us]
+    pairs = [_fresh(pair_strategies(strategy_ii_from_u(fx.u_f),
+                                    strategy_ii_from_u(fx.u_neg)))
+             for fx in baire_pair_fixtures(seed, 2)]
+    pairs += [_fresh(pair_strategies(strategy_ii_from_u(f), v))
+              for f, v in zip(us, value_fsm_corpus(seed, 2))]
+    return {
+        "letter-fsm-vs-value-fsm": (
+            BIN, letters, [_fresh(s) for s in value_fsm_corpus(seed, 3)]
+            + [_fresh(ConstantII(Dyadic(3, 1)))]),
+        "letter-fsm-vs-responder": (BIN, letters, responders),
+        "copycat-vs-natural-value-fsm": (
+            NAT, [copycat_strategy],
+            [_fresh(s) for s in value_fsm_corpus(seed, 6, natural=True)]),
+        "letter-fsm-vs-pair": (gamma_prime(binary_tree()), letters, pairs),
+    }
+
+
+@pytest.mark.parametrize("family", sorted(_families()))
+def test_a_filled_run_equals_the_round_by_round_run(family):
+    kind, makers_i, makers_ii = _families()[family]
+    checked = 0
+    for make_i in makers_i:
+        for make_ii in makers_ii:
+            wI, wII = RoundByRound(make_i()), RoundByRound(make_ii())
+            lasso = play(kind, wI, wII, 1000).lasso
+            detected = wI.keys - 1  # the round the joint key repeated
+            assert lasso is not None and detected < 1000
+            for horizon in sorted({0, 1, detected, detected + 1,
+                                   detected + lasso[1], 1000}):
+                for stop in (None, 1, 3):
+                    sI, sII = make_i(), make_ii()
+                    assert type(sI) in TABLE_TYPES
+                    assert type(sII) in TABLE_TYPES
+                    filled = play(kind, sI, sII, horizon, stop)
+                    wI, wII = RoundByRound(make_i()), RoundByRound(make_ii())
+                    looped = play(kind, wI, wII, horizon, stop)
+                    # columns, lasso and fault
+                    assert filled == looped
+                    for s, w in ((sI, wI), (sII, wII)):
+                        assert s.counters() == w.counters()
+                        assert s.state_key() == w.inner.state_key()
+                    checked += 1
+    # at least four distinct horizons a pair, three stops each
+    assert checked >= 12 * len(makers_i) * len(makers_ii)
+
+
+def test_a_table_lasso_ends_the_round_loop(monkeypatch):
+    sI = const_letter(1)
+    sII = ValueFSM([[1, 1], [2, 2], [1, 1]], [0, 1, 2])
+    wI = RoundByRound(copy.deepcopy(sI))
+    play(BIN, wI, RoundByRound(copy.deepcopy(sII)), 1000)
+    detected = wI.keys - 1
+    moves = []
+    for cls in (LetterFSM, ValueFSM):
+        def counted(self, seen, move=cls.move):
+            moves.append(seen)
+            return move(self, seen)
+        monkeypatch.setattr(cls, "move", counted)
+    tr = play(BIN, sI, sII, 1000)
+    assert len(tr.values) == 1000 and tr.lasso == (0, 2)
+    # both players moved in the rounds before the repeat, and never after
+    assert len(moves) == 2 * detected == 6
+
+
+def test_a_tree_that_is_not_full_keeps_the_round_loop():
+    # a later letter can leave a tree that is not full, so no lasso fixes
+    # the rest of the run: the third 1 is I's fault
+    kind = gamma(TreeSpec(contains=lambda s: s.count(1) <= 2))
+    tr = play(kind, const_letter(1), ConstantII(0), 100)
+    looped = play(kind, RoundByRound(const_letter(1)),
+                  RoundByRound(ConstantII(0)), 100)
+    assert tr == looped
+    assert tr.fault.blame == "I" and tr.fault.round_index == 2
+
+
+class _SwitchesAtFifty(ConstantII):
+    """Keeps ConstantII's one state but answers 1 from round 50 on: a
+    subclass may override move, so it is no table player."""
+
+    def reset(self):
+        super().reset()
+        self.t = 0
+
+    def move(self, letter):
+        self.t += 1
+        return Dyadic(1) if self.t > 50 else self.answer
+
+
+def test_a_subclass_that_overrides_move_keeps_the_round_loop():
+    tr = play(BIN, const_letter(), _SwitchesAtFifty(0), 100)
+    assert tr.lasso == (0, 1)
+    assert tr.values[49] == Dyadic(0) and tr.values[50] == Dyadic(1)

@@ -12,9 +12,9 @@ from limsupgames.corpus import (automaton_corpus, baire_pair_fixtures,
                                 branch_corpus, certify_pair, letter_fsm_corpus,
                                 pair_fsm_corpus, value_fsm_corpus)
 from limsupgames.dyadic import Dyadic, half_pow
-from limsupgames.games import (FiniteValueSet, Outcome, StrategyFault,
-                                check_win, exact_verdict, finite_value_set,
-                                gamma, gamma_prime, play)
+from limsupgames.games import (TABLE_TYPES, FiniteValueSet, Outcome,
+                                StrategyFault, check_win, exact_verdict,
+                                finite_value_set, gamma, gamma_prime, play)
 from limsupgames.strategies import (ConstantII, IndicatorPayoff, LetterFSM,
                                      SpiralEnumeration, ValueFSM,
                                      approx_copycat, copycat_strategy,
@@ -268,6 +268,46 @@ def test_pair_responder_announces_two_sided_certificates():
     assert tr.values == tr.covalues
     v = check_win(tr, fx.u_f)
     assert v.outcome is Outcome.WIN_II
+
+
+# --- table players are total -------------------------------------------
+
+
+@pytest.mark.parametrize("make", [
+    lambda dst: ValueFSM([[dst, 0], [1, 1]], [0, 1]),
+    lambda dst: LetterFSM([0, 1], [[0, dst], [1, 1]]),
+], ids=["ValueFSM", "LetterFSM"])
+@pytest.mark.parametrize("dst", [-1, 2, 3, True, 1.0, None])
+def test_table_machines_refuse_a_successor_outside_their_states(make, dst):
+    # -1 would alias the last state, 2 and 3 would raise mid-play, and a
+    # bool or a float is no exact state number
+    with pytest.raises(ValueError, match="bad successor"):
+        make(dst)
+
+
+def test_table_machines_refuse_an_empty_table():
+    with pytest.raises(ValueError, match="at least one state"):
+        ValueFSM([], [])
+    with pytest.raises(ValueError, match="at least one state"):
+        LetterFSM([], [])
+
+
+def test_value_fsm_refuses_a_state_with_no_letter_class():
+    with pytest.raises(ValueError, match="no letter class"):
+        ValueFSM([[0], []], [0, 1])
+
+
+class _NotATable(ConstantII):
+    """A subclass may override move, so it is no table player."""
+
+
+def test_pairs_of_table_players_are_table_players():
+    u = automaton_corpus(3, 1)[0]
+    table = pair_strategies(strategy_ii_from_u(u), ValueFSM([[0]], [1]))
+    assert type(table) in TABLE_TYPES
+    assert table.state_key() == (u.initial, 0)
+    looped = pair_strategies(strategy_ii_from_u(u), _NotATable(1))
+    assert type(looped) not in TABLE_TYPES and looped.finite_state
 
 
 # --- state keys decide the future ---------------------------------------
