@@ -17,6 +17,7 @@ sum/min/max algebra runs the same construction over joint kernels.
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .automata import NodeAutomaton, eval_limsup, make_automaton
@@ -87,25 +88,20 @@ def segment_label(ker: ProductKernel, E: int, J: tuple, S: tuple,
     """
     o = ker.outputs_on(J, a)
     J2 = ker.step(J, a)
-    vecs = [tuple(w if v < w else v for v, w in zip(d, o)) for d in S]
+    vecs = [tuple(map(max, d, o)) for d in S]
     vecs.append(o)
-    tail = []
-    for v in vecs[E:]:
-        if not tail or tail[-1] != v:
-            tail.append(v)
-    S2 = tuple(vecs[:E]) + tuple(tail)
-    jmax = max(1 + ker.tail_entry(J2), ker.tail_entry(J), E - len(S))
-
-    def levels():
-        for v, d in zip(vecs, S):
-            yield ker.value(J2, v), ker.value(J, d)
-        yield ker.value(J2, o), ker.tail_value(J, 0)
-        for j in range(1, jmax + 1):
-            yield ker.tail_value(J2, j - 1), ker.tail_value(J, j)
-
-    best = ker.tail_limit(J2)
+    S2 = tuple(vecs[:E]) + tuple(v for v, _ in groupby(vecs[E:]))
+    cvals, centry = ker.tail(J2)
+    pvals, pentry = ker.tail(J)
+    jmax = max(1 + centry, pentry, E - len(S))
+    # level reads 0 .. len(S) + jmax; tail tables are constant past entry
+    curs = [ker.value(J2, v) for v in vecs]
+    curs += cvals + cvals[-1:] * (jmax - 1 - centry)
+    pars = [ker.value(J, d) for d in S]
+    pars += pvals + pvals[-1:] * (jmax - pentry)
+    best = cvals[-1]
     last = None
-    for k, (cur, par) in enumerate(levels()):
+    for k, (cur, par) in enumerate(zip(curs, pars)):
         if k < E:
             # round up to the 2**-k grid: k < E, so the shift is positive
             shift = E - k

@@ -72,7 +72,7 @@ def family_from_kernel(ker: ProductKernel, label: str) -> GridLscFamily:
 
     def inf_all(s: Prefix) -> ExtValue:
         J, _ = _walk(s)
-        return ExtValue.finite(ker.from_grid(ker.tail_limit(J)))
+        return ExtValue.finite(ker.from_grid(ker.tail(J)[0][-1]))
 
     def stabilization_index(s: Prefix) -> int:
         J, _ = _walk(s)

@@ -3,8 +3,9 @@
 A deterministic map on a finite set repeats a value, so an orbit is a lasso
 (`first_repeat`); an infimum of future sups is attained on a lasso, so it is
 settled by a cycle search in a threshold-filtered graph (`cycle_reachable`,
-`min_sup_cycle`).  `periodic_start` rolls a detected lasso back to the
-earliest position where the observed columns are already periodic.
+`min_sup_cycle`, or `live_states` for all nodes at once).  `periodic_start`
+rolls a detected lasso back to the earliest position where the observed
+columns are already periodic.
 
 Nodes are arbitrary hashables and successor lists come from a callback, so
 product constructions never have to materialize anything up front.  Sizes
@@ -64,6 +65,26 @@ def cycle_reachable(succ: Callable[[Node], Iterable[Node]], start: Node) -> bool
             color[node] = 2
             stack.pop()
     return False
+
+
+def live_states(nodes: Iterable[Node],
+                succ: Callable[[Node], Iterable[Node]]) -> set:
+    """The nodes with an infinite path: a counter-based trim, O(nodes +
+    edges), kills a node once all its successors (among nodes) are dead."""
+    left: Dict[Node, int] = {}
+    preds: Dict[Node, list] = {}
+    for q in nodes:
+        left[q] = 0
+        for r in succ(q):
+            left[q] += 1
+            preds.setdefault(r, []).append(q)
+    dead = [q for q, n in left.items() if n == 0]
+    for q in dead:
+        for p in preds.get(q, ()):
+            left[p] -= 1
+            if left[p] == 0:
+                dead.append(p)
+    return {q for q, n in left.items() if n}
 
 
 def periodic_start(columns: Sequence[Sequence], start: int, period: int) -> int:

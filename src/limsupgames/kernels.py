@@ -8,8 +8,10 @@ and answers the two questions every node-infimum oracle reduces to:
   tail_value(J, j)  same with j free unscored steps first (positions below the
                     level index contribute nothing)
 
-Both are exact: future sups are attained on lassos, so a finite threshold
-search over the declared output grids settles them.
+Both are exact: future sups are attained on lassos, so a threshold vector
+is feasible from J when J has an infinite path under it, whatever the fixed
+parts.  A sum/max kernel over several machines keeps one table, built on its
+first miss, of every joint state's componentwise-minimal feasible vectors.
 
 Every output of the machines lies on one grid 2**-E, E = grid_exponent, so
 the kernel works in plain ints on that grid: an int v stands for v / 2**E.
@@ -22,11 +24,13 @@ threshold falls below.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Tuple
+import math
+from operator import le
+from typing import Dict, Optional, Tuple
 
 from .automata import minmax_value
 from .dyadic import Dyadic
-from .graphs import first_repeat, min_sup_cycle
+from .graphs import first_repeat, live_states
 from .trees import TreeSpec
 
 MODES = ("max", "sum", "min")
@@ -69,12 +73,11 @@ class ProductKernel:
         self.initial = tuple(u.initial for u in self.machines)
         self.grid_exponent = max(
             o.exp for u in self.machines for row in u.outputs for o in row)
-        self._ground = 1
-        for u in self.machines:
-            self._ground *= u.num_states
+        self._ground = math.prod(u.num_states for u in self.machines)
         self._mm: Dict[Tuple[int, int], int] = {}
         self._value: Dict = {}
         self._tails: Dict = {}
+        self._feasible: Optional[Dict[tuple, list]] = None
         self._mtails: Dict = {}
         # the label transducers of the families over this kernel, one per
         # discretized flag; construction.transducer fills it
@@ -116,31 +119,41 @@ class ProductKernel:
             self._mm[key] = self.to_grid(v.require_finite())
         return self._mm[key]
 
-    def _combine(self, fixed: tuple, thresh: tuple):
-        parts = [f if t < f else t for f, t in zip(fixed, thresh)]
-        return sum(parts) if self.mode == "sum" else max(parts)
-
-    def _succ_under(self, thresh: tuple, J: tuple) -> list:
-        return [self.step(J, a) for a in self.reps
-                if all(o <= t for o, t in zip(self.outputs_on(J, a), thresh))]
+    def _build_feasible(self) -> Dict[tuple, list]:
+        # product() lists vectors in lexicographic order, dominators first;
+        # machines are total, so each state is live under the largest vector
+        nodes = list(itertools.product(
+            *(range(u.num_states) for u in self.machines)))
+        edges = {J: [(self.step(J, a), self.outputs_on(J, a))
+                     for a in self.reps] for J in nodes}
+        table: Dict[tuple, list] = {J: [] for J in nodes}
+        for theta in itertools.product(*self._outs):
+            live = live_states(nodes, lambda J: [
+                K for K, out in edges[J] if all(map(le, out, theta))])
+            for J in live:
+                mins = table[J]
+                if not any(all(map(le, lo, theta)) for lo in mins):
+                    mins.append(theta)
+        return table
 
     def value(self, J: tuple, fixed: tuple) -> int:
         """min over continuations from J of the objective; fixed parts folded in.
 
         Fixed parts are grid ints; the floor stands for an empty part.
         """
-        if self.mode == "min":
-            return min(max(f, self._minmax(i, q))
-                       for i, (f, q) in enumerate(zip(fixed, J)))
-        if self.dims == 1:
-            return max(fixed[0], self._minmax(0, J[0]))
         key = (J, fixed)
         got = self._value.get(key)
         if got is None:
-            cands = sorted(itertools.product(*self._outs),
-                           key=lambda tup: self._combine(fixed, tup))
-            # total machines always admit a run, so some candidate is feasible
-            got = self._combine(fixed, min_sup_cycle(cands, self._succ_under, J))
+            if self.mode == "min":
+                got = min(max(f, self._minmax(i, q))
+                          for i, (f, q) in enumerate(zip(fixed, J)))
+            elif self.dims == 1:
+                got = max(fixed[0], self._minmax(0, J[0]))
+            else:
+                if self._feasible is None:
+                    self._feasible = self._build_feasible()
+                agg = sum if self.mode == "sum" else max
+                got = min(agg(map(max, fixed, t)) for t in self._feasible[J])
             self._value[key] = got
         return got
 
@@ -161,7 +174,8 @@ class ProductKernel:
             self._mtails[key] = got
         return got
 
-    def _joint_tail(self, J: tuple) -> Tuple[tuple, int]:
+    def tail(self, J: tuple) -> Tuple[tuple, int]:
+        """(vals, entry): tail_value(J, j) is vals[min(j, entry)]."""
         got = self._tails.get(J)
         if got is None:
             if self.mode == "min" and self.dims > 1:
@@ -178,12 +192,9 @@ class ProductKernel:
         return got
 
     def tail_entry(self, J: tuple) -> int:
-        return self._joint_tail(J)[1]
+        return self.tail(J)[1]
 
     def tail_value(self, J: tuple, j: int) -> int:
         """min over continuations with the first j steps unscored; constant past tail_entry."""
-        vals, entry = self._joint_tail(J)
+        vals, entry = self.tail(J)
         return vals[j] if j <= entry else vals[entry]
-
-    def tail_limit(self, J: tuple) -> int:
-        return self.tail_value(J, self.tail_entry(J))

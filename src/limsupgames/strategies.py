@@ -122,7 +122,9 @@ class LetterFSM(TableStrategy, StrategyI, table=True):
 
     def __init__(self, emits: Sequence[int], trans: Sequence[Sequence[int]],
                  thresholds: Sequence = ()):
-        self.emits = tuple(int(a) for a in emits)
+        self.emits = tuple(emits)
+        if any(type(a) is not int or a < 0 for a in self.emits):
+            raise ValueError(f"bad letter in {self.emits!r}")
         self.trans = _transitions(trans)
         self.thresholds = tuple(sorted(as_dyadic(c) for c in thresholds))
         if len(self.emits) != len(self.trans):

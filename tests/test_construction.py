@@ -13,9 +13,10 @@ from limsupgames.construction import (ConstructionState, InconclusiveLassoError,
                                        algebra, apply_op, branch_limsup,
                                        construct_u, limsup_along,
                                        minimize_labeling, scan_bound,
-                                       transducer, verify_construction)
+                                       segment_label, transducer,
+                                       verify_construction)
 from limsupgames.corpus import (automaton_corpus, branch_corpus,
-                                 random_automaton, rng_stream)
+                                 random_automaton, random_dyadic, rng_stream)
 from limsupgames.dyadic import Dyadic
 from limsupgames.families import (discretize, family_from_automaton,
                                   family_from_kernel)
@@ -384,6 +385,37 @@ def lasso_tops(ker, J):
     return tops
 
 
+def pair_tops(ker, J, letters):
+    """The same tops, read off the graph of (joint state, running max)
+    pairs: a lasso from J with top t passes a pair carrying t that lies on
+    a cycle, because the running max cannot rise and come back."""
+    def succ(node):
+        K, top = node
+        for a in letters:
+            out = tuple(u.output(q, a) for u, q in zip(ker.machines, K))
+            yield (tuple(u.step(q, a) for u, q in zip(ker.machines, K)),
+                   out if top is None else tuple(map(max, top, out)))
+
+    start = (J, None)
+    seen, todo = {start}, [start]
+    while todo:
+        for nxt in succ(todo.pop()):
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    tops = set()
+    for node in seen:
+        back, todo = set(), list(succ(node))
+        while todo and node not in back:
+            nxt = todo.pop()
+            if nxt not in back:
+                back.add(nxt)
+                todo.extend(succ(nxt))
+        if node in back:
+            tops.add(node[1])
+    return tops
+
+
 def brute_value(mode, tops, fixed):
     """min over lassos of the objective of max(fixed_i, top_i), in Dyadic
     arithmetic; None in fixed stands for no fixed part."""
@@ -391,11 +423,39 @@ def brute_value(mode, tops, fixed):
     for top in tops:
         parts = [t if f is None else max(f, t) for f, t in zip(fixed, top)]
         if mode == "sum":
-            v = parts[0] + parts[1]
+            v = parts[0]
+            for p in parts[1:]:
+                v = v + p
         else:
             v = max(parts) if mode == "max" else min(parts)
         best = v if best is None or v < best else best
     return best
+
+
+def wide_automaton(rng, n, width):
+    # n states and width letter columns, the last the default class
+    return make_automaton(
+        0, [[rng.randrange(n) for _ in range(width)] for _ in range(n)],
+        [[random_dyadic(rng, 3, 2) for _ in range(width)] for _ in range(n)])
+
+
+def kernel_oracle_cases(rng, ker, outs):
+    nothing = (None,) * ker.dims
+    return [nothing, (outs[0],) + nothing[1:], nothing[:-1] + (outs[-1],),
+            tuple(rng.choice(outs) for _ in range(ker.dims))]
+
+
+def check_kernel_value(rng, ker, tops_of, mode):
+    # every joint state, reachable from the initial one or not
+    outs = sorted({o for u in ker.machines for row in u.outputs for o in row})
+    for J in itertools.product(*(range(u.num_states) for u in ker.machines)):
+        tops = tops_of(J)
+        for fixed in kernel_oracle_cases(rng, ker, outs):
+            grid = tuple(ker.floor[i] if f is None else ker.to_grid(f)
+                         for i, f in enumerate(fixed))
+            got = ker.from_grid(ker.value(J, grid))
+            assert got == brute_value(mode, tops, fixed), \
+                (mode, ker.machines, ker.tree.name, J, fixed)
 
 
 @pytest.mark.parametrize("mode", ["sum", "max", "min"])
@@ -407,17 +467,59 @@ def test_kernel_value_matches_brute_lassos(mode):
                             for _ in range(40)) if u.num_states == 2]
     for u1, u2 in zip(machines[:5], machines[5:10]):
         ker = ProductKernel([u1, u2], TREE, mode)
-        outs = sorted({o for u in (u1, u2) for row in u.outputs for o in row})
+        # the word enumeration and the pair graph agree
         for J in itertools.product(range(2), range(2)):
-            tops = lasso_tops(ker, J)
-            cases = [(None, None), (outs[0], None), (None, outs[-1]),
-                     (rng.choice(outs), rng.choice(outs))]
-            for fixed in cases:
-                grid = tuple(ker.floor[i] if f is None else ker.to_grid(f)
-                             for i, f in enumerate(fixed))
-                got = ker.from_grid(ker.value(J, grid))
-                assert got == brute_value(mode, tops, fixed), \
-                    (mode, u1, u2, J, fixed)
+            assert lasso_tops(ker, J) == pair_tops(ker, J, ker.reps)
+        check_kernel_value(rng, ker, lambda J: lasso_tops(ker, J), mode)
+    # wider kernels against the pair graph: 3-state pairs, pairs on the
+    # naturals (letters past every explicit column share the default
+    # class), and three machines
+    rng = rng_stream(28, "kernel-oracle-wide")
+    threes = [wide_automaton(rng, 3, 2) for _ in range(8)]
+    groups = [(TREE, pair) for pair in zip(threes[::2], threes[1::2])]
+    groups += [(nat_tree(), (wide_automaton(rng, rng.randint(1, 3), w1),
+                             wide_automaton(rng, rng.randint(1, 3), w2)))
+               for w1, w2 in ((2, 3), (3, 4), (1, 3), (4, 2))]
+    groups += [(TREE, tuple(wide_automaton(rng, 2, 2) for _ in range(3)))
+               for _ in range(4)]
+    for tree, group in groups:
+        ker = ProductKernel(group, tree, mode)
+        # on the naturals one letter beyond every column stands for the rest
+        letters = ker.reps if tree.alphabet is not None else range(
+            max(u.num_letters for u in group) + 2)
+        check_kernel_value(rng, ker, lambda J: pair_tops(ker, J, letters),
+                           mode)
+
+
+class _StubKernel:
+    """One joint state whose every stair level reads 0 and whose tail
+    table reads `tail` throughout."""
+
+    def __init__(self, tail):
+        self.tail_vals = (tail,)
+
+    def outputs_on(self, J, a):
+        return (0,)
+
+    def step(self, J, a):
+        return J
+
+    def tail(self, J):
+        return self.tail_vals, 0
+
+    def value(self, J, fixed):
+        return 0
+
+    def from_grid(self, v):
+        return Dyadic(v)
+
+
+def test_segment_label_refuses_rising_level_reads():
+    # the child's stair levels read 0; a tail of 0 keeps them
+    # non-increasing, a tail of 5 rises past them at read 2
+    assert segment_label(_StubKernel(0), 0, (0,), ((0,),), 0)[0] == Dyadic(0)
+    with pytest.raises(AssertionError, match="non-increasing at level read 2"):
+        segment_label(_StubKernel(5), 0, (0,), ((0,),), 0)
 
 
 def test_kernel_grid_rejects_off_grid_values():

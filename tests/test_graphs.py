@@ -1,9 +1,12 @@
-"""The shared searches: orbit to first repeat and cycle reachability."""
+"""The shared searches: orbit to first repeat, cycle reachability and the
+live-state trim."""
+
+import random
 
 import pytest
 
 from limsupgames.graphs import (StabilizationCapError, cycle_reachable,
-                                first_repeat)
+                                first_repeat, live_states)
 
 
 def test_first_repeat_orbit_and_entry():
@@ -31,3 +34,19 @@ def test_cycle_reachable_self_loop_versus_dag():
     # a cycle that start cannot reach does not count
     assert not cycle_reachable({0: [1], 1: [], 2: [2]}.__getitem__, 0)
 
+
+
+def test_live_states_match_cycle_reachable():
+    # the trim against one cycle search per node: the empty graph, a sink,
+    # a self-loop, a part no other node reaches, then seeded random graphs
+    # with sinks, self-loops and repeated edges
+    graphs = [{}, {0: []}, {0: [0]}, {0: [1], 1: [], 2: [2, 0]}]
+    rng = random.Random(41)
+    for _ in range(400):
+        n = rng.randint(1, 9)
+        graphs.append({q: [rng.randrange(n) for _ in range(rng.randint(0, 3))]
+                       for q in range(n)})
+    for g in graphs:
+        want = {q for q in g if cycle_reachable(g.__getitem__, q)}
+        assert live_states(g, g.__getitem__) == want, g
+    assert live_states(iter([0, 1]), {0: [1], 1: [1]}.__getitem__) == {0, 1}

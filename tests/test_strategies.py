@@ -292,6 +292,14 @@ def test_table_machines_refuse_an_empty_table():
         LetterFSM([], [])
 
 
+@pytest.mark.parametrize("letter", [1.7, True, "1", -1],
+                         ids=["float", "bool", "str", "negative"])
+def test_letter_fsm_refuses_a_letter_that_is_not_a_natural(letter):
+    # int() would emit 1.7, True and '1' as the letter 1
+    with pytest.raises(ValueError, match="bad letter"):
+        LetterFSM([0, letter], [[1, 1], [0, 0]])
+
+
 def test_value_fsm_refuses_a_state_with_no_letter_class():
     with pytest.raises(ValueError, match="no letter class"):
         ValueFSM([[0], []], [0, 1])
