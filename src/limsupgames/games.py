@@ -10,7 +10,7 @@ with window diagnostics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import count, islice, repeat
 from operator import attrgetter
@@ -138,7 +138,8 @@ class TableStrategy(Strategy):
     A class joins TABLE_TYPES by passing table=True in its class statement.
     Two such players on a full tree play a run that repeats from their
     first joint-state repeat on, so play fills the rest of it from the
-    cycle instead of calling move.
+    cycle instead of calling move, and exact_verdict reads the verdict off
+    the rounds before that repeat (_walk).
     """
 
     finite_state = True
@@ -170,32 +171,21 @@ class StrategyII(Strategy):
     value, or a (value, covalue) pair in the two-sided variant."""
 
 
-class RunRow:
-    """Round t: the letter I played, II's value and, in the pair game, II's
-    covalue (else None).
+class _Record:
+    """An immutable slotted record.  A subclass names its fields in
+    __slots__, each as "_" + field, in field order; every field is then a
+    read-only property over its slot, which only __init__ writes.  Records
+    compare, hash and print like the frozen dataclasses they replaced."""
 
-    Immutable: each field is a read-only property over a slot that only
-    __init__ writes.  play records no rows; RunTrace.rows builds them on
-    demand from the trace's columns, for output and tests.  Rows compare,
-    hash and print like a frozen dataclass.
-    """
+    __slots__ = ()
 
-    __slots__ = ("_t", "_letter", "_value", "_covalue")
+    def __init_subclass__(cls, **kw):
+        super().__init_subclass__(**kw)
+        for slot in cls.__slots__:
+            setattr(cls, slot[1:], property(attrgetter(slot)))
 
-    def __init__(self, t: int, letter: int, value: Dyadic,
-                 covalue: Optional[Dyadic] = None):
-        self._t = t
-        self._letter = letter
-        self._value = value
-        self._covalue = covalue
-
-    t = property(attrgetter("_t"))
-    letter = property(attrgetter("_letter"))
-    value = property(attrgetter("_value"))
-    covalue = property(attrgetter("_covalue"))
-
-    def _fields(self):
-        return (self._t, self._letter, self._value, self._covalue)
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, slot) for slot in self.__slots__)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -206,8 +196,27 @@ class RunRow:
         return hash(self._fields())
 
     def __repr__(self) -> str:
-        return (f"RunRow(t={self._t!r}, letter={self._letter!r}, "
-                f"value={self._value!r}, covalue={self._covalue!r})")
+        shown = ", ".join(f"{slot[1:]}={getattr(self, slot)!r}"
+                          for slot in self.__slots__)
+        return f"{self.__class__.__name__}({shown})"
+
+
+class RunRow(_Record):
+    """Round t: the letter I played, II's value and, in the pair game, II's
+    covalue (else None).
+
+    play records no rows; RunTrace.rows builds them on demand from the
+    trace's columns, for output and tests.
+    """
+
+    __slots__ = ("_t", "_letter", "_value", "_covalue")
+
+    def __init__(self, t: int, letter: int, value: Dyadic,
+                 covalue: Optional[Dyadic] = None):
+        self._t = t
+        self._letter = letter
+        self._value = value
+        self._covalue = covalue
 
 
 class FaultRecord(NamedTuple):
@@ -281,14 +290,29 @@ class RunTrace(NamedTuple):
 
 
 def _coerce_answer(kind: GameKind, raw):
-    if kind.uses_pairs:
-        if (not isinstance(raw, tuple)) or len(raw) != 2:
-            raise StrategyFault("II", f"expected a (value, covalue) pair, got {raw!r}")
-        v, w = raw
-        return as_dyadic(v), as_dyadic(w)
-    if isinstance(raw, tuple):
+    """II's answer as a Dyadic, or as a pair of them in the pair game; any
+    other answer is II's fault."""
+    pairs = kind.uses_pairs
+    if pairs and not (isinstance(raw, tuple) and len(raw) == 2):
+        raise StrategyFault("II", f"expected a (value, covalue) pair, got {raw!r}")
+    if not pairs and isinstance(raw, tuple):
         raise StrategyFault("II", "pair answered in a single-value game")
-    return as_dyadic(raw)
+    try:
+        return (as_dyadic(raw[0]), as_dyadic(raw[1])) if pairs else as_dyadic(raw)
+    except (TypeError, ValueError):
+        what = "a pair of dyadics" if pairs else "a dyadic"
+        raise StrategyFault("II", f"answer {raw!r} is not {what}") from None
+
+
+def _tables(kind: GameKind, sI: StrategyI, sII: StrategyII) -> bool:
+    """Whether both players are exactly table classes (TABLE_TYPES) and the
+    tree is full.  Then the first repeat of the joint key fixes every later
+    round: each repeats a round of the cycle, with the same moves and so no
+    fault."""
+    tree = kind.tree
+    return (type(sI) in TABLE_TYPES and type(sII) in TABLE_TYPES
+            and type(tree) is TreeSpec
+            and (tree.alphabet is not None or tree.all_naturals))
 
 
 def play(kind: GameKind, sI: StrategyI, sII: StrategyII, horizon: int,
@@ -303,22 +327,40 @@ def play(kind: GameKind, sI: StrategyI, sII: StrategyII, horizon: int,
     new letter may follow the letters so far (TreeSpec.admits), which full
     trees answer without reading the prefix.
 
-    When both players are exactly table classes (TABLE_TYPES) and the tree
-    is full, the lasso fixes every later round: each repeats a round of the
-    cycle, with the same moves and so no fault.  play then fills the
-    columns to the stop round from the cycle, leaves both players in the
-    state a full run would reach, and calls move no more.
+    Between two table players on a full tree (_tables), _walk plays the
+    rounds up to the repeat and leaves both players in the state a full run
+    would reach; play then fills the columns to the stop round from the
+    cycle and calls move no more.
     """
+    stop_at = min(horizon, MAX_TRACE_ROUNDS)
+    if _tables(kind, sI, sII):
+        columns, lasso, fault, n = _walk(kind, sI, sII, stop_at,
+                                         stop_after_lasso)
+        if n:
+            period = lasso[1]
+            reps, rest = divmod(n, period)
+            for col in columns:
+                cyc = col[-period:]
+                col += cyc * reps
+                if rest:
+                    col += cyc[:rest]
+    else:
+        columns, lasso, fault = _rounds(kind, sI, sII, stop_at,
+                                        stop_after_lasso)
+    return RunTrace(kind, tuple(columns[0]), tuple(columns[1]),
+                    tuple(columns[2]) if kind.uses_pairs else None,
+                    lasso, fault)
+
+
+def _rounds(kind: GameKind, sI: StrategyI, sII: StrategyII, stop_at: int,
+            stop_after_lasso: Optional[int]):
+    """play's round loop for any players: (columns, lasso, fault)."""
     sI.reset()
     sII.reset()
     # per-game invariants, looked up once instead of once a round
     pairs = kind.uses_pairs
     allowed = kind.restriction
-    tree = kind.tree
-    admits = tree.admits
-    fill = (type(sI) in TABLE_TYPES and type(sII) in TABLE_TYPES
-            and type(tree) is TreeSpec
-            and (tree.alphabet is not None or tree.all_naturals))
+    admits = kind.tree.admits
     move_i, move_ii = sI.move, sII.move
     key_i, key_ii = sI.state_key, sII.state_key
     letters, values, covalues = [], [], []
@@ -327,7 +369,6 @@ def play(kind: GameKind, sI: StrategyI, sII: StrategyII, horizon: int,
     last = None
     lasso = None
     fault = None
-    stop_at = min(horizon, MAX_TRACE_ROUNDS)
     t = 0
     while t < stop_at:
         if lasso is None:
@@ -342,20 +383,6 @@ def play(kind: GameKind, sI: StrategyI, sII: StrategyII, horizon: int,
                     stop_at = min(stop_at, t + stop_after_lasso * period)
                     if stop_at <= t:
                         break
-                if fill:
-                    n = stop_at - t
-                    reps, rest = divmod(n, period)
-                    for col in columns:
-                        cyc = col[first:]
-                        col += cyc * reps
-                        if rest:
-                            col += cyc[:rest]
-                    # seen holds one key a round, in round order; the stop
-                    # round's joint state is the one rest rounds into the cycle
-                    q_i, q_ii, _ = next(islice(seen, first + rest, None))
-                    sI.skip(q_i, n)
-                    sII.skip(q_ii, n)
-                    break
         try:
             letter = move_i(last)
             # exact ints only: a bool or another int subclass is no letter
@@ -363,7 +390,6 @@ def play(kind: GameKind, sI: StrategyI, sII: StrategyII, horizon: int,
                 raise StrategyFault("I", f"letter {letter!r} is not a natural")
             if not admits(letters, letter):
                 raise StrategyFault("I", f"letter {letter} leaves the tree")
-            letters.append(letter)
             raw = move_ii(letter)
             if not pairs:
                 if type(raw) is not Dyadic:
@@ -375,8 +401,8 @@ def play(kind: GameKind, sI: StrategyI, sII: StrategyII, horizon: int,
                 raw = _coerce_answer(kind, raw)
         except StrategyFault as exc:
             fault = FaultRecord(exc.blame, t, exc.detail)
-            del letters[t:]  # the faulted round's letter, if I played one
             break
+        letters.append(letter)
         if pairs:
             values.append(raw[0])
             covalues.append(raw[1])
@@ -384,8 +410,70 @@ def play(kind: GameKind, sI: StrategyI, sII: StrategyII, horizon: int,
             values.append(raw)
         last = raw
         t += 1
-    return RunTrace(kind, tuple(letters), tuple(values),
-                    tuple(covalues) if pairs else None, lasso, fault)
+    return columns, lasso, fault
+
+
+def _walk(kind: GameKind, sI: TableStrategy, sII: TableStrategy,
+          stop_at: int, periods: Optional[int]):
+    """Two table players on a full tree (_tables), from the root to the
+    first repeat of the joint key (sI.q, sII.q, last), a fault, or stop_at
+    rounds.  Keeps only the letters and answers: no trace, no state_key.
+
+    Returns (columns, lasso, fault, n).  The columns hold the rounds before
+    the repeat, as play records them.  n counts the rounds the lasso fixes
+    past the repeat, `periods` periods (all of them when None) cut at
+    stop_at, and both players are left where those n rounds would leave
+    them.  Without a repeat n is 0.
+    """
+    sI.reset()
+    sII.reset()
+    pairs = kind.uses_pairs
+    allowed = kind.restriction
+    alphabet = kind.tree.alphabet  # None on the full tree over N
+    move_i, move_ii = sI.move, sII.move
+    letters, values, covalues = [], [], []
+    columns = (letters, values, covalues) if pairs else (letters, values)
+    seen: Dict[object, int] = {}
+    last = None
+    for t in range(stop_at):
+        first = seen.setdefault((sI.q, sII.q, last), t)
+        if first != t:
+            period = t - first
+            n = stop_at - t
+            if periods is not None:
+                n = max(0, min(n, periods * period))
+            # seen holds one key a round, in round order; n rounds on, the
+            # players stand n % period rounds into the cycle
+            q_i, q_ii, _ = next(islice(seen, first + n % period, None))
+            sI.skip(q_i, n)
+            sII.skip(q_ii, n)
+            lasso = (periodic_start(columns, first, period), period)
+            return columns, lasso, None, n
+        try:
+            letter = move_i(last)
+            if type(letter) is not int or letter < 0:
+                raise StrategyFault("I", f"letter {letter!r} is not a natural")
+            if alphabet is not None and letter not in alphabet:
+                raise StrategyFault("I", f"letter {letter} leaves the tree")
+            raw = move_ii(letter)
+            if not pairs:
+                if type(raw) is not Dyadic:
+                    raw = _coerce_answer(kind, raw)
+                if allowed is not None and not allowed.contains(raw):
+                    raise StrategyFault("II", f"value {raw} outside the allowed set")
+            elif not (type(raw) is tuple and len(raw) == 2
+                      and type(raw[0]) is Dyadic and type(raw[1]) is Dyadic):
+                raw = _coerce_answer(kind, raw)
+        except StrategyFault as exc:
+            return columns, None, FaultRecord(exc.blame, t, exc.detail), 0
+        letters.append(letter)
+        if pairs:
+            values.append(raw[0])
+            covalues.append(raw[1])
+        else:
+            values.append(raw)
+        last = raw
+    return columns, None, None, 0
 
 
 Payoff = Union[NodeAutomaton, object]
@@ -407,18 +495,38 @@ class Outcome(str, Enum):
     UNDECIDED = "UndecidedAtHorizon"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    outcome: Outcome
-    reason: str
-    horizon: int
-    lasso: Optional[Tuple[int, int]] = None
-    witness: Optional[EventuallyPeriodicBranch] = None
-    fault: Optional[FaultRecord] = None
-    payoff_of_witness: Optional[Dyadic] = None
-    limsup_value: Optional[Dyadic] = None
-    liminf_covalue: Optional[Dyadic] = None
-    diagnostics: dict = field(default_factory=dict)
+class Verdict(_Record):
+    """How a game is decided: the outcome and why, at which cap; for a
+    lasso its witness branch, the payoff there, the cycle's limsup of
+    values and, in the pair game, its liminf of covalues; for a fault its
+    record; for an undecided game the window diagnostics.  The hash leaves
+    out diagnostics, a dict."""
+
+    __slots__ = ("_outcome", "_reason", "_horizon", "_lasso", "_witness",
+                 "_fault", "_payoff_of_witness", "_limsup_value",
+                 "_liminf_covalue", "_diagnostics")
+
+    def __init__(self, outcome: Outcome, reason: str, horizon: int,
+                 lasso: Optional[Tuple[int, int]] = None,
+                 witness: Optional[EventuallyPeriodicBranch] = None,
+                 fault: Optional[FaultRecord] = None,
+                 payoff_of_witness: Optional[Dyadic] = None,
+                 limsup_value: Optional[Dyadic] = None,
+                 liminf_covalue: Optional[Dyadic] = None,
+                 diagnostics: Optional[dict] = None):
+        self._outcome = outcome
+        self._reason = reason
+        self._horizon = horizon
+        self._lasso = lasso
+        self._witness = witness
+        self._fault = fault
+        self._payoff_of_witness = payoff_of_witness
+        self._limsup_value = limsup_value
+        self._liminf_covalue = liminf_covalue
+        self._diagnostics = {} if diagnostics is None else diagnostics
+
+    def __hash__(self) -> int:
+        return hash(self._fields()[:-1])
 
     @property
     def exact(self) -> bool:
@@ -443,37 +551,43 @@ class Verdict:
         }
 
 
-def _fault_verdict(trace: RunTrace, horizon: int) -> Verdict:
-    assert trace.fault is not None
-    winner = Outcome.WIN_I if trace.fault.blame == "II" else Outcome.WIN_II
-    return Verdict(winner, f"player {trace.fault.blame} fault", horizon,
-                   fault=trace.fault)
+def _fault_verdict(fault: FaultRecord, horizon: int) -> Verdict:
+    winner = Outcome.WIN_I if fault.blame == "II" else Outcome.WIN_II
+    return Verdict(winner, f"player {fault.blame} fault", horizon,
+                   fault=fault)
 
 
-def _lasso_verdict(trace: RunTrace, payoff: Payoff, horizon: int) -> Verdict:
-    start, period = trace.lasso
-    witness = trace.witness_branch()
+def _lasso_verdict(columns: Tuple, lasso: Tuple[int, int], payoff: Payoff,
+                   horizon: int) -> Verdict:
+    """The verdict read off a lasso of the columns: letters, values, then
+    covalues in the pair game."""
+    start, period = lasso
+    end = start + period
+    letters = columns[0]
+    witness = EventuallyPeriodicBranch(tuple(letters[:start]),
+                                       tuple(letters[start:end]))
     f = payoff_value(payoff, witness)
-    limsup_v = max(trace.values[start:start + period])
+    limsup_v = max(columns[1][start:end])
     liminf_w = None
     ok = (f == limsup_v)
-    if trace.kind.uses_pairs:
-        liminf_w = min(trace.covalues[start:start + period])
+    if len(columns) == 3:
+        liminf_w = min(columns[2][start:end])
         ok = ok and (f == liminf_w)
     outcome = Outcome.WIN_II if ok else Outcome.WIN_I
-    return Verdict(outcome, "lasso-certified", horizon, trace.lasso, witness,
+    return Verdict(outcome, "lasso-certified", horizon, lasso, witness,
                    None, f, limsup_v, liminf_w)
 
 
-def _window_diagnostics(trace: RunTrace, sI: StrategyI, sII: StrategyII) -> dict:
-    half = len(trace.values) // 2
-    vs = trace.values[half:]
+def _window_diagnostics(columns: Tuple, sI: StrategyI,
+                        sII: StrategyII) -> dict:
+    half = len(columns[1]) // 2
+    vs = columns[1][half:]
     diag = {"window_rounds": len(vs)}
     if vs:
         diag["value_max"] = str(max(vs))
         diag["value_min"] = str(min(vs))
-        if trace.covalues is not None:
-            ws = trace.covalues[half:]
+        if len(columns) == 3:
+            ws = columns[2][half:]
             diag["covalue_max"] = str(max(ws))
             diag["covalue_min"] = str(min(ws))
     diag["counters_I"] = sI.counters()
@@ -488,18 +602,26 @@ def exact_verdict(kind: GameKind, sI: StrategyI, sII: StrategyII,
     Exact outcomes need either a fault or a lasso between two strategies
     that both declare finite state; anything else is UndecidedAtHorizon
     with tail-window diagnostics and the strategies' own counters.  Between
-    two table strategies on a full tree, play fills the one period after
-    the lasso from the cycle, so the verdict rests on the tables.
+    two table players on a full tree, one joint walk of their tables from
+    the root to the first repeat (_walk) decides, with no trace: the
+    verdict rests on the tables, and the players are left where
+    play(..., stop_after_lasso=1) leaves them.  Other players go through
+    play.
     """
-    trace = play(kind, sI, sII, cap, stop_after_lasso=1)
-    if trace.fault is not None:
-        return _fault_verdict(trace, cap)
-    if trace.lasso is not None and sI.finite_state and sII.finite_state:
-        return _lasso_verdict(trace, payoff, cap)
-    diag = _window_diagnostics(trace, sI, sII)
-    if trace.lasso is not None:
-        diag["unclaimed_lasso"] = {"start": trace.lasso[0],
-                                   "period": trace.lasso[1]}
+    # a table player declared not finite-state keeps play's undecided path
+    if sI.finite_state and sII.finite_state and _tables(kind, sI, sII):
+        columns, lasso, fault, _ = _walk(kind, sI, sII,
+                                         min(cap, MAX_TRACE_ROUNDS), 1)
+    else:
+        trace = play(kind, sI, sII, cap, stop_after_lasso=1)
+        columns, lasso, fault = trace.columns(), trace.lasso, trace.fault
+    if fault is not None:
+        return _fault_verdict(fault, cap)
+    if lasso is not None and sI.finite_state and sII.finite_state:
+        return _lasso_verdict(columns, lasso, payoff, cap)
+    diag = _window_diagnostics(columns, sI, sII)
+    if lasso is not None:
+        diag["unclaimed_lasso"] = {"start": lasso[0], "period": lasso[1]}
     return Verdict(Outcome.UNDECIDED, "no certified lasso within cap", cap,
                    diagnostics=diag)
 
@@ -515,18 +637,22 @@ def check_win(trace: RunTrace, payoff: Payoff) -> Verdict:
     """
     n = horizon = len(trace.values)
     if trace.fault is not None:
-        return _fault_verdict(trace, horizon)
+        return _fault_verdict(trace.fault, horizon)
     if trace.lasso is None:
         raise ValueError("trace carries neither fault nor lasso")
     start, period = trace.lasso
+    if start < 0 or period < 1:
+        raise CertificateMismatchError(f"malformed lasso ({start}, {period})")
     if n < start + 2 * period:
         raise CertificateMismatchError(
             f"trace too short to witness lasso ({start}, {period})")
     cols = trace.columns()
+    if (len(cols) == 3) != trace.kind.uses_pairs:
+        raise CertificateMismatchError("trace covalues do not fit its game")
     if any(len(c) != n for c in cols):
         raise CertificateMismatchError("trace columns differ in length")
     if any(c[start:n - period] != c[start + period:] for c in cols):
         t = next(t for t in range(start, n - period)
                  if any(c[t] != c[t + period] for c in cols))
         raise CertificateMismatchError(f"row {t} breaks period {period}")
-    return _lasso_verdict(trace, payoff, horizon)
+    return _lasso_verdict(cols, trace.lasso, payoff, horizon)

@@ -90,9 +90,12 @@ def live_states(nodes: Iterable[Node],
 def periodic_start(columns: Sequence[Sequence], start: int, period: int) -> int:
     """Least s <= start with col[i] == col[i + period] in every column, for
     s <= i < start."""
-    while start > 0 and all(c[start - 1] == c[start - 1 + period]
-                            for c in columns):
-        start -= 1
+    while start > 0:
+        i = start - 1
+        for c in columns:
+            if not c[i] == c[i + period]:
+                return start
+        start = i
     return start
 
 

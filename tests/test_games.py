@@ -10,22 +10,23 @@ from typing import Optional
 
 import pytest
 
+from limsupgames import games
 from limsupgames.cli import _emit_trace
 from limsupgames.corpus import (automaton_corpus, baire_pair_fixtures,
                                letter_fsm, letter_fsm_corpus, random_automaton,
                                rng_stream, value_fsm_corpus)
 from limsupgames.dyadic import Dyadic, as_dyadic
 from limsupgames.games import (MAX_TRACE_ROUNDS, TABLE_TYPES,
-                                CertificateMismatchError, FiniteValueSet,
-                                Outcome, RunRow, RunTrace, Strategy, StrategyI,
-                                StrategyII, check_win, exact_verdict,
-                                finite_value_set, gamma, gamma_prime,
-                                gamma_restricted, play)
+                                CertificateMismatchError, FaultRecord,
+                                FiniteValueSet, Outcome, RunRow, RunTrace,
+                                Strategy, StrategyI, StrategyII, check_win,
+                                exact_verdict, finite_value_set, gamma,
+                                gamma_prime, gamma_restricted, play)
 from limsupgames.strategies import (ConstantII, CopycatI, LetterFSM, ValueFSM,
                                      copycat_strategy, pair_strategies,
                                      strategy_ii_from_u, u_from_strategy_ii)
 from limsupgames.trees import (EventuallyPeriodicBranch, TreeSpec, binary_tree,
-                               nat_tree)
+                               full_tree, nat_tree)
 
 BIN = gamma(binary_tree())
 NAT = gamma(nat_tree())
@@ -150,6 +151,32 @@ class _AnswersThenFaults(StrategyII):
         return self.good if self.t <= self.k else self.bad
 
 
+@pytest.mark.parametrize("kind, good, bad, what", [
+    (BIN, Dyadic(1), 0.5, "a dyadic"),
+    (BIN, Dyadic(1), None, "a dyadic"),
+    (BIN, Dyadic(1), "zz", "a dyadic"),
+    (gamma_prime(binary_tree()), (Dyadic(1), Dyadic(0)), (0.5, 1),
+     "a pair of dyadics"),
+    (gamma_prime(binary_tree()), (Dyadic(1), Dyadic(0)), (Dyadic(1), None),
+     "a pair of dyadics"),
+    (gamma_prime(binary_tree()), (Dyadic(1), Dyadic(0)), ("zz", 0),
+     "a pair of dyadics"),
+], ids=["float", "none", "bad-text", "pair-float", "pair-none",
+        "pair-bad-text"])
+def test_an_answer_that_is_no_dyadic_faults_player_ii(kind, good, bad, what):
+    want = FaultRecord("II", 2, f"answer {bad!r} is not {what}")
+    tr = play(kind, const_letter(), _AnswersThenFaults(2, good, bad), 6)
+    assert tr.fault == want and len(tr.values) == 2
+    v = exact_verdict(kind, const_letter(), _AnswersThenFaults(2, good, bad),
+                      lambda x: Dyadic(1))
+    assert v.outcome is Outcome.WIN_I and v.fault == want
+    # a table player answering one faults the same way on the table walk
+    table = ConstantII(0)
+    table.answer = bad
+    v = exact_verdict(kind, const_letter(), table, lambda x: Dyadic(1))
+    assert v.outcome is Outcome.WIN_I and v.fault == want._replace(round_index=0)
+
+
 def row_by_row_outputs(rows):
     """The CSV text and --trace json rows, formatted one row at a time from
     (t, letter, value, covalue) tuples."""
@@ -261,6 +288,12 @@ def test_check_win_recomputes_and_detects_tampering():
     bare = tr._replace(lasso=None)
     with pytest.raises(ValueError):
         check_win(bare, lambda x: c)
+
+    for lasso in ((0, 0), (-1, 1), (2, -1)):
+        with pytest.raises(CertificateMismatchError, match="^malformed lasso"):
+            check_win(tr._replace(lasso=lasso), lambda x: c)
+    with pytest.raises(CertificateMismatchError, match="do not fit its game"):
+        check_win(pair._replace(covalues=None), lambda x: c)
 
 
 def test_witness_branch():
@@ -589,3 +622,88 @@ def test_a_subclass_that_overrides_move_keeps_the_round_loop():
     tr = play(BIN, const_letter(), _SwitchesAtFifty(0), 100)
     assert tr.lasso == (0, 1)
     assert tr.values[49] == Dyadic(0) and tr.values[50] == Dyadic(1)
+
+
+# --- a verdict between two table players walks their tables --------------
+
+
+def _limsup_letters(x):
+    return Dyadic(max(x.cycle))
+
+
+def _verdict_families():
+    """(kind, payoff, I makers, II makers, reasons it must reach) for each
+    game whose verdict between table players comes from the table walk."""
+    seed = 5
+    letters = [_fresh(s) for s in letter_fsm_corpus(seed, 6)]
+    us = automaton_corpus(seed, 4, max_states=4, span=2, max_exp=3)
+    responders = [_fresh(strategy_ii_from_u(u)) for u in us]
+    fixtures = baire_pair_fixtures(seed, 4)
+    naturals = [_fresh(s) for s in value_fsm_corpus(seed, 6, natural=True)]
+    # the last state of each machine plays 2, off the binary alphabet
+    off = [_fresh(LetterFSM(s.emits[:-1] + (2,), s.trans, s.thresholds))
+           for s in letter_fsm_corpus(seed + 1, 6)]
+    lasso, cap = "lasso-certified", "no certified lasso within cap"
+    return {
+        "letter-fsm-vs-responder": (
+            BIN, us[0], letters, responders, {lasso, cap}),
+        "letter-fsm-vs-pair": (
+            gamma_prime(binary_tree()), fixtures[0].u_f, letters,
+            [_fresh(pair_strategies(strategy_ii_from_u(fx.u_f),
+                                    strategy_ii_from_u(fx.u_neg)))
+             for fx in fixtures], {lasso, cap}),
+        "copycat-vs-natural-value-fsm": (
+            NAT, _limsup_letters, [copycat_strategy], naturals, {lasso, cap}),
+        "restricted-answers-outside-the-set": (
+            gamma_restricted(finite_value_set([0, 1]), binary_tree()), us[1],
+            letters, naturals, {lasso, cap, "player II fault"}),
+        "letters-off-the-alphabet": (
+            gamma(full_tree((0, 1))), us[2], off, responders,
+            {lasso, cap, "player I fault"}),
+    }
+
+
+@pytest.mark.parametrize("family", sorted(_verdict_families()))
+def test_a_walked_verdict_equals_the_played_verdict(family):
+    kind, payoff, makers_i, makers_ii, reasons = _verdict_families()[family]
+    reached = set()
+    for make_i in makers_i:
+        for make_ii in makers_ii:
+            wI = RoundByRound(make_i())
+            exact_verdict(kind, wI, RoundByRound(make_ii()), payoff, 5000)
+            ended = wI.keys - 1  # the round of the repeat or of the fault
+            for cap in sorted({0, 1, max(ended - 1, 0), ended, ended + 1,
+                               ended + 2, 5000}):
+                sI, sII = make_i(), make_ii()
+                assert type(sI) in TABLE_TYPES and type(sII) in TABLE_TYPES
+                walked = exact_verdict(kind, sI, sII, payoff, cap)
+                # wrapped players are no table players: the play path
+                wI, wII = RoundByRound(make_i()), RoundByRound(make_ii())
+                played = exact_verdict(kind, wI, wII, payoff, cap)
+                assert walked.to_json_dict() == played.to_json_dict()
+                assert walked == played
+                for s, w in ((sI, wI), (sII, wII)):
+                    assert s.state_key() == w.inner.state_key()
+                    assert s.counters() == w.counters()
+                reached.add(walked.reason)
+    assert reached == reasons
+
+
+def test_a_verdict_between_table_players_never_calls_play(monkeypatch):
+    played = []
+    real = games.play
+
+    def counted(*args, **kw):
+        played.append(args)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(games, "play", counted)
+    for kind, payoff, makers_i, makers_ii, _ in _verdict_families().values():
+        for make_i in makers_i:
+            for make_ii in makers_ii:
+                exact_verdict(kind, make_i(), make_ii(), payoff)
+    assert played == []
+    # other players still go through play
+    exact_verdict(BIN, RoundByRound(const_letter()),
+                  RoundByRound(ConstantII(0)), lambda x: Dyadic(0))
+    assert len(played) == 1

@@ -105,8 +105,6 @@ DATACLASSES = {
     "automata.NodeAutomaton": "validated in __post_init__",
     "games.FiniteValueSet": "validated and normalized in __post_init__",
     "games.GameKind": "validated in __post_init__",
-    "games.Verdict": "diagnostics has a default_factory; a NamedTuple "
-                     "default would share one dict",
     "cli.ExperimentConfig": "validated in __post_init__, also on the "
                             "replace of command-line overrides",
 }

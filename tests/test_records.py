@@ -1,5 +1,6 @@
-"""The plain record classes are NamedTuples: they compare, hash, refuse
-assignment and print as the frozen dataclasses they replaced did."""
+"""The plain record classes are NamedTuples, and Verdict a slotted record:
+they compare, hash, refuse assignment and print as the frozen dataclasses
+they replaced did."""
 
 import pytest
 
@@ -9,10 +10,12 @@ from limsupgames.construction import (AlgebraFunction, BranchCheck,
                                       ConstructionReport)
 from limsupgames.corpus import PairFixture
 from limsupgames.dyadic import Dyadic
-from limsupgames.games import FaultRecord, RunTrace, gamma, payoff_value
-from limsupgames.strategies import (IndicatorPayoff, MeagerDenseInstance,
-                                    OscillationInstance)
-from limsupgames.trees import EventuallyPeriodicBranch, binary_tree
+from limsupgames.games import (FaultRecord, Outcome, RunTrace, Verdict,
+                               exact_verdict, gamma, gamma_prime, payoff_value)
+from limsupgames.strategies import (ConstantII, IndicatorPayoff, LetterFSM,
+                                    MeagerDenseInstance, OscillationInstance,
+                                    ValueFSM, copycat_strategy)
+from limsupgames.trees import EventuallyPeriodicBranch, binary_tree, nat_tree
 
 X = EventuallyPeriodicBranch((1,), (0,))
 
@@ -94,3 +97,75 @@ def test_indicator_payoff_is_a_truthy_payoff():
         Dyadic(1)
     assert payoff_value(payoff, EventuallyPeriodicBranch((), (0, 1))) == \
         Dyadic(0)
+
+
+# a lasso verdict's fields in the frozen dataclass's field order
+VERDICT = dict(outcome=Outcome.WIN_II, reason="lasso-certified",
+               horizon=50000, lasso=(0, 2),
+               witness=EventuallyPeriodicBranch((), (0, 1)), fault=None,
+               payoff_of_witness=Dyadic(1), limsup_value=Dyadic(1),
+               liminf_covalue=Dyadic(1), diagnostics={})
+
+
+def test_verdict_compares_hashes_freezes_and_prints_as_before():
+    v, twin = Verdict(**VERDICT), Verdict(*VERDICT.values())
+    assert v == twin and hash(v) == hash(twin)
+    assert [getattr(v, name) for name in VERDICT] == list(VERDICT.values())
+    assert v != Verdict(**{**VERDICT, "reason": "changed"})
+    assert v != Verdict(**{**VERDICT, "diagnostics": {"window_rounds": 0}})
+    for name in VERDICT:
+        with pytest.raises(AttributeError):
+            setattr(v, name, None)
+    with pytest.raises(AttributeError):
+        v.extra = 0
+    # the frozen dataclass's repr, taken before the change
+    assert repr(v) == (
+        "Verdict(outcome=<Outcome.WIN_II: 'WinII'>, reason='lasso-certified', "
+        "horizon=50000, lasso=(0, 2), "
+        "witness=EventuallyPeriodicBranch(stem=(), cycle=(0, 1)), fault=None, "
+        "payoff_of_witness=Dyadic(1, 0), limsup_value=Dyadic(1, 0), "
+        "liminf_covalue=Dyadic(1, 0), diagnostics={})")
+
+
+def test_verdicts_do_not_share_a_diagnostics_dict():
+    a = Verdict(Outcome.UNDECIDED, "no certified lasso within cap", 3)
+    b = Verdict(Outcome.UNDECIDED, "no certified lasso within cap", 3)
+    assert a.diagnostics == b.diagnostics == {}
+    assert a.diagnostics is not b.diagnostics
+    a.diagnostics["window_rounds"] = 1
+    assert b.diagnostics == {} and not b.exact and a != b
+
+
+def test_verdict_json_is_as_before():
+    # each literal is the parent's to_json_dict() of the same verdict
+    lasso = exact_verdict(gamma_prime(binary_tree()),
+                          LetterFSM([1, 0], [[1, 1], [0, 0]]),
+                          ConstantII(Dyadic(1), Dyadic(1)), lambda x: Dyadic(1))
+    assert lasso.to_json_dict() == {
+        "outcome": "WinII", "reason": "lasso-certified", "horizon": 50000,
+        "lasso": {"start": 0, "period": 2}, "witness": "stem=;cycle=0,1",
+        "fault": None, "payoff_of_witness": "1/2^0",
+        "limsup_value": "1/2^0", "liminf_covalue": "1/2^0",
+        "diagnostics": {}}
+    assert lasso == Verdict(**VERDICT)
+    fault = exact_verdict(gamma(binary_tree()), LetterFSM([5], [[0, 0]]),
+                          ConstantII(Dyadic(0)), lambda x: Dyadic(0))
+    assert fault.to_json_dict() == {
+        "outcome": "WinII", "reason": "player I fault", "horizon": 50000,
+        "lasso": None, "witness": None,
+        "fault": {"blame": "I", "round": 0,
+                  "detail": "letter 5 leaves the tree"},
+        "payoff_of_witness": None, "limsup_value": None,
+        "liminf_covalue": None, "diagnostics": {}}
+    undecided = exact_verdict(gamma(nat_tree()), copycat_strategy(),
+                              ValueFSM([[1], [2], [0]], [1, 2, 0]),
+                              lambda x: Dyadic(0), cap=2)
+    assert undecided.to_json_dict() == {
+        "outcome": "UndecidedAtHorizon",
+        "reason": "no certified lasso within cap", "horizon": 2,
+        "lasso": None, "witness": None, "fault": None,
+        "payoff_of_witness": None, "limsup_value": None,
+        "liminf_covalue": None,
+        "diagnostics": {"window_rounds": 1, "value_max": "0/2^0",
+                        "value_min": "0/2^0", "counters_I": {"round": 2},
+                        "counters_II": {}}}
