@@ -234,9 +234,8 @@ def minmax_value(u: NodeAutomaton, q: int, classes: "Iterable[int] | None" = Non
     when the tree matters.
     """
     cls = tuple(classes) if classes is not None else tuple(range(u.num_letters + 1))
-
-    def succ_under(theta, p):
-        return [u.steps[p][c] for c in cls if not theta < u.outputs[p][c]]
-
-    got = graphs.min_sup_cycle(u.declared_outputs(), succ_under, q)
-    return POS_INF if got is None else ExtValue.finite(got)
+    table = graphs.min_sup_cycle(
+        range(u.num_states), ((o,) for o in u.declared_outputs()),
+        lambda theta, p: [u.steps[p][c] for c in cls
+                          if not theta[0] < u.outputs[p][c]])
+    return ExtValue.finite(table[q][0][0]) if q in table else POS_INF

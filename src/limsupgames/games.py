@@ -304,15 +304,19 @@ def _coerce_answer(kind: GameKind, raw):
         raise StrategyFault("II", f"answer {raw!r} is not {what}") from None
 
 
+def _full(tree: TreeSpec) -> bool:
+    """Whether the tree is full.  Only then is a lasso's witness sure to be a
+    branch of it: the lasso key leaves out where the prefix stands."""
+    return tree.alphabet is not None or tree.all_naturals
+
+
 def _tables(kind: GameKind, sI: StrategyI, sII: StrategyII) -> bool:
     """Whether both players are exactly table classes (TABLE_TYPES) and the
     tree is full.  Then the first repeat of the joint key fixes every later
     round: each repeats a round of the cycle, with the same moves and so no
     fault."""
-    tree = kind.tree
     return (type(sI) in TABLE_TYPES and type(sII) in TABLE_TYPES
-            and type(tree) is TreeSpec
-            and (tree.alphabet is not None or tree.all_naturals))
+            and type(kind.tree) is TreeSpec and _full(kind.tree))
 
 
 def play(kind: GameKind, sI: StrategyI, sII: StrategyII, horizon: int,
@@ -599,17 +603,18 @@ def exact_verdict(kind: GameKind, sI: StrategyI, sII: StrategyII,
                   payoff: Payoff, cap: int = 50000) -> Verdict:
     """Play to a fault, a certified lasso, or the cap.
 
-    Exact outcomes need either a fault or a lasso between two strategies
-    that both declare finite state; anything else is UndecidedAtHorizon
-    with tail-window diagnostics and the strategies' own counters.  Between
-    two table players on a full tree, one joint walk of their tables from
-    the root to the first repeat (_walk) decides, with no trace: the
-    verdict rests on the tables, and the players are left where
+    Exact outcomes need either a fault or a lasso on a full tree between
+    two strategies that both declare finite state; anything else is
+    UndecidedAtHorizon with tail-window diagnostics and the strategies' own
+    counters.  Between two table players on a full tree, one joint walk of
+    their tables from the root to the first repeat (_walk) decides, with no
+    trace: the verdict rests on the tables, and the players are left where
     play(..., stop_after_lasso=1) leaves them.  Other players go through
     play.
     """
+    exact = sI.finite_state and sII.finite_state and _full(kind.tree)
     # a table player declared not finite-state keeps play's undecided path
-    if sI.finite_state and sII.finite_state and _tables(kind, sI, sII):
+    if exact and _tables(kind, sI, sII):
         columns, lasso, fault, _ = _walk(kind, sI, sII,
                                          min(cap, MAX_TRACE_ROUNDS), 1)
     else:
@@ -617,7 +622,7 @@ def exact_verdict(kind: GameKind, sI: StrategyI, sII: StrategyII,
         columns, lasso, fault = trace.columns(), trace.lasso, trace.fault
     if fault is not None:
         return _fault_verdict(fault, cap)
-    if lasso is not None and sI.finite_state and sII.finite_state:
+    if lasso is not None and exact:
         return _lasso_verdict(columns, lasso, payoff, cap)
     diag = _window_diagnostics(columns, sI, sII)
     if lasso is not None:
@@ -629,11 +634,11 @@ def exact_verdict(kind: GameKind, sI: StrategyI, sII: StrategyII,
 def check_win(trace: RunTrace, payoff: Payoff) -> Verdict:
     """Re-derive the verdict from a recorded trace alone.
 
-    Fault traces settle by blame.  Lasso traces must exhibit at least one
-    full repeated period in their columns; any deviation from the claimed
-    periodicity raises CertificateMismatchError naming the first row that
-    breaks it.  Works for strategies of any declared state size since only
-    the recorded columns are consulted.
+    Fault traces settle by blame.  Lasso traces must lie on a full tree and
+    exhibit at least one full repeated period in their columns; any
+    deviation raises CertificateMismatchError, naming the first row that
+    breaks the period.  Works for strategies of any declared state size
+    since only the recorded columns are consulted.
     """
     n = horizon = len(trace.values)
     if trace.fault is not None:
@@ -643,6 +648,8 @@ def check_win(trace: RunTrace, payoff: Payoff) -> Verdict:
     start, period = trace.lasso
     if start < 0 or period < 1:
         raise CertificateMismatchError(f"malformed lasso ({start}, {period})")
+    if not _full(trace.kind.tree):
+        raise CertificateMismatchError("a lasso certifies only on a full tree")
     if n < start + 2 * period:
         raise CertificateMismatchError(
             f"trace too short to witness lasso ({start}, {period})")

@@ -2,10 +2,10 @@
 
 A deterministic map on a finite set repeats a value, so an orbit is a lasso
 (`first_repeat`); an infimum of future sups is attained on a lasso, so it is
-settled by a cycle search in a threshold-filtered graph (`cycle_reachable`,
-`min_sup_cycle`, or `live_states` for all nodes at once).  `periodic_start`
-rolls a detected lasso back to the earliest position where the observed
-columns are already periodic.
+settled by asking which nodes keep an infinite path in a threshold-filtered
+graph (`live_states`), once per threshold vector for every node at once
+(`min_sup_cycle`).  `periodic_start` rolls a detected lasso back to the
+earliest position where the observed columns are already periodic.
 
 Nodes are arbitrary hashables and successor lists come from a callback, so
 product constructions never have to materialize anything up front.  Sizes
@@ -15,6 +15,7 @@ clarity over asymptotics.
 
 from __future__ import annotations
 
+from operator import le
 from typing import (Callable, Dict, Hashable, Iterable, List, Optional,
                     Sequence, Tuple)
 
@@ -44,27 +45,6 @@ def first_repeat(start: Node, step: Callable[[Node], Node],
             raise StabilizationCapError(f"orbit failed to repeat within {cap} steps")
         x = step(x)
     return orbit, seen[x]
-
-
-def cycle_reachable(succ: Callable[[Node], Iterable[Node]], start: Node) -> bool:
-    """Whether a cycle is reachable from start, i.e. an infinite path exists."""
-    # iterative DFS, gray/black marks; an edge back to a gray node closes a cycle
-    color = {start: 1}
-    stack = [(start, iter(succ(start)))]
-    while stack:
-        node, nbrs = stack[-1]
-        for nxt in nbrs:
-            c = color.get(nxt)
-            if c == 1:
-                return True
-            if c is None:
-                color[nxt] = 1
-                stack.append((nxt, iter(succ(nxt))))
-                break
-        else:
-            color[node] = 2
-            stack.pop()
-    return False
 
 
 def live_states(nodes: Iterable[Node],
@@ -99,18 +79,23 @@ def periodic_start(columns: Sequence[Sequence], start: int, period: int) -> int:
     return start
 
 
-def min_sup_cycle(thresholds: Iterable,
-                  succ_under: Callable[[object, Node], Iterable[Node]],
-                  start: Node):
-    """The first threshold, in the given order, whose filtered graph has an
-    infinite path from start; None when no threshold admits one.
+def min_sup_cycle(nodes: Iterable[Node], thresholds: Iterable[tuple],
+                  succ_under: Callable[[tuple, Node], Iterable[Node]]
+                  ) -> Dict[Node, List[tuple]]:
+    """Each node's componentwise-minimal threshold vectors under which it
+    has an infinite path (live_states); a node live under none gets no entry.
 
-    succ_under(theta, q) lists the successors of q along edges allowed under
-    theta.  With thresholds in increasing objective order this is the least
-    objective over infinite paths: future sups are attained on lassos, so
-    the optimum is a threshold under which a reachable cycle survives.
+    succ_under(theta, q) lists q's successors along the edges allowed under
+    theta.  Every vector must come after the vectors below it, as in
+    itertools.product over sorted grids.  Future sups are attained on
+    lassos, so the least objective over infinite paths from q is its least
+    value over q's vectors.
     """
+    nodes = list(nodes)
+    table: Dict[Node, List[tuple]] = {}
     for theta in thresholds:
-        if cycle_reachable(lambda q: succ_under(theta, q), start):
-            return theta
-    return None
+        for q in live_states(nodes, lambda p: succ_under(theta, p)):
+            mins = table.setdefault(q, [])
+            if not any(all(map(le, lo, theta)) for lo in mins):
+                mins.append(theta)
+    return table

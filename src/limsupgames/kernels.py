@@ -10,8 +10,10 @@ and answers the two questions every node-infimum oracle reduces to:
 
 Both are exact: future sups are attained on lassos, so a threshold vector
 is feasible from J when J has an infinite path under it, whatever the fixed
-parts.  A sum/max kernel over several machines keeps one table, built on its
-first miss, of every joint state's componentwise-minimal feasible vectors.
+parts.  One search, graphs.min_sup_cycle, tabulates every state's
+componentwise-minimal feasible vectors on first use: one joint table for
+modes sum and max, and one table per machine alone for the separable mode
+min and its tails.  With one machine the two are the same table.
 
 Every output of the machines lies on one grid 2**-E, E = grid_exponent, so
 the kernel works in plain ints on that grid: an int v stands for v / 2**E.
@@ -26,11 +28,10 @@ from __future__ import annotations
 import itertools
 import math
 from operator import le
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
-from .automata import minmax_value
 from .dyadic import Dyadic
-from .graphs import first_repeat, live_states
+from .graphs import first_repeat, min_sup_cycle
 from .trees import TreeSpec
 
 MODES = ("max", "sum", "min")
@@ -73,11 +74,11 @@ class ProductKernel:
         self.initial = tuple(u.initial for u in self.machines)
         self.grid_exponent = max(
             o.exp for u in self.machines for row in u.outputs for o in row)
-        self._ground = math.prod(u.num_states for u in self.machines)
-        self._mm: Dict[Tuple[int, int], int] = {}
+        self._all = tuple(range(self.dims))
         self._value: Dict = {}
         self._tails: Dict = {}
-        self._feasible: Optional[Dict[tuple, list]] = None
+        # per tuple of machine indices, its table of minimal feasible vectors
+        self._feasible: Dict[tuple, Dict[tuple, list]] = {}
         self._mtails: Dict = {}
         # the label transducers of the families over this kernel, one per
         # discretized flag; construction.transducer fills it
@@ -87,10 +88,6 @@ class ProductKernel:
             tuple(tuple(self.to_grid(o) for o in row) for row in u.outputs)
             for u in self.machines)
         self.floor = tuple(min(min(row) for row in tab) for tab in self._tables)
-        self._outs = tuple(
-            tuple(sorted({tab[q][u.letter_class(a)]
-                          for q in range(u.num_states) for a in self.reps}))
-            for u, tab in zip(self.machines, self._tables))
 
     def to_grid(self, d: Dyadic) -> int:
         """d as an int on the kernel's grid; a value off the grid raises."""
@@ -109,31 +106,25 @@ class ProductKernel:
         return tuple(tab[q][u.letter_class(a)]
                      for u, tab, q in zip(self.machines, self._tables, J))
 
-    def _minmax(self, i: int, q: int) -> int:
-        key = (i, q)
-        if key not in self._mm:
-            # the tree's letters realize the classes its representatives do
-            u = self.machines[i]
-            classes = sorted({u.letter_class(a) for a in self.reps})
-            v = minmax_value(u, q, classes)
-            self._mm[key] = self.to_grid(v.require_finite())
-        return self._mm[key]
-
-    def _build_feasible(self) -> Dict[tuple, list]:
-        # product() lists vectors in lexicographic order, dominators first;
-        # machines are total, so each state is live under the largest vector
-        nodes = list(itertools.product(
-            *(range(u.num_states) for u in self.machines)))
-        edges = {J: [(self.step(J, a), self.outputs_on(J, a))
-                     for a in self.reps] for J in nodes}
-        table: Dict[tuple, list] = {J: [] for J in nodes}
-        for theta in itertools.product(*self._outs):
-            live = live_states(nodes, lambda J: [
-                K for K, out in edges[J] if all(map(le, out, theta))])
-            for J in live:
-                mins = table[J]
-                if not any(all(map(le, lo, theta)) for lo in mins):
-                    mins.append(theta)
+    def _table(self, idx: tuple) -> Dict[tuple, list]:
+        """The minimal feasible vectors of the machines at indices idx, by state."""
+        table = self._feasible.get(idx)
+        if table is None:
+            ms = [(self.machines[i], self._tables[i]) for i in idx]
+            nodes = list(itertools.product(*(range(u.num_states) for u, _ in ms)))
+            edges = {J: [(tuple(u.step(q, a) for (u, _), q in zip(ms, J)),
+                          tuple(tab[q][u.letter_class(a)]
+                                for (u, tab), q in zip(ms, J)))
+                         for a in self.reps] for J in nodes}
+            # each coordinate's thresholds: the outputs its edges carry
+            grids = [sorted({out[d] for es in edges.values() for _, out in es})
+                     for d in range(len(idx))]
+            def allowed(theta, J):
+                return [K for K, out in edges[J] if all(map(le, out, theta))]
+            # product() lists each vector after every vector below it;
+            # machines are total, so each state is live under the largest
+            table = min_sup_cycle(nodes, itertools.product(*grids), allowed)
+            self._feasible[idx] = table
         return table
 
     def value(self, J: tuple, fixed: tuple) -> int:
@@ -145,49 +136,45 @@ class ProductKernel:
         got = self._value.get(key)
         if got is None:
             if self.mode == "min":
-                got = min(max(f, self._minmax(i, q))
-                          for i, (f, q) in enumerate(zip(fixed, J)))
-            elif self.dims == 1:
-                got = max(fixed[0], self._minmax(0, J[0]))
+                # separable: each machine over its own table
+                got = min(max(f, t) for i, (f, q) in enumerate(zip(fixed, J))
+                          for (t,) in self._table((i,))[(q,)])
             else:
-                if self._feasible is None:
-                    self._feasible = self._build_feasible()
                 agg = sum if self.mode == "sum" else max
-                got = min(agg(map(max, fixed, t)) for t in self._feasible[J])
+                got = min(agg(map(max, fixed, t)) for t in self._table(self._all)[J])
             self._value[key] = got
         return got
 
-    def _reach_tail(self, start, step, score, cap: int) -> Tuple[tuple, int]:
+    def _reach_tail(self, idx: tuple, J: tuple) -> Tuple[tuple, int]:
+        # the tail of the machines at indices idx alone, from their states J
+        ms = [self.machines[i] for i in idx]
+        table = self._table(idx)
+        agg = sum if self.mode == "sum" else max
         # reach sets evolve deterministically, so they cycle within 2**states steps
         orbit, entry = first_repeat(
-            frozenset([start]),
-            lambda cur: frozenset(step(p, a) for p in cur for a in self.reps), cap)
-        return tuple(min(score(p) for p in cur) for cur in orbit[:entry + 1]), entry
-
-    def _machine_tail(self, i: int, q: int) -> Tuple[tuple, int]:
-        key = (i, q)
-        got = self._mtails.get(key)
-        if got is None:
-            u = self.machines[i]
-            got = self._reach_tail(q, u.step, lambda p: self._minmax(i, p),
-                                   2 ** u.num_states)
-            self._mtails[key] = got
-        return got
+            frozenset([J]),
+            lambda cur: frozenset(tuple(u.step(p, a) for u, p in zip(ms, P))
+                                  for P in cur for a in self.reps),
+            2 ** math.prod(u.num_states for u in ms))
+        # a state scores its least objective over continuations
+        return tuple(min(agg(t) for P in cur for t in table[P])
+                     for cur in orbit[:entry + 1]), entry
 
     def tail(self, J: tuple) -> Tuple[tuple, int]:
         """(vals, entry): tail_value(J, j) is vals[min(j, entry)]."""
         got = self._tails.get(J)
         if got is None:
             if self.mode == "min" and self.dims > 1:
-                # separable: the pointwise min of the machines' own tables
-                tails = [self._machine_tail(i, q) for i, q in enumerate(J)]
+                # separable: the pointwise min of the machines' own tails
+                for i, q in enumerate(J):
+                    if (i, q) not in self._mtails:
+                        self._mtails[i, q] = self._reach_tail((i,), (q,))
+                tails = [self._mtails[key] for key in enumerate(J)]
                 entry = max(e for _, e in tails)
                 got = (tuple(min(v[min(j, e)] for v, e in tails)
                              for j in range(entry + 1)), entry)
             else:
-                got = self._reach_tail(J, self.step,
-                                       lambda P: self.value(P, self.floor),
-                                       2 ** self._ground)
+                got = self._reach_tail(self._all, J)
             self._tails[J] = got
         return got
 

@@ -406,9 +406,11 @@ class PairResponder(StrategyII):
     def move(self, letter: int):
         v = self.sf.move(letter)
         w = self.sg.move(letter)
-        if isinstance(v, tuple) or isinstance(w, tuple):
-            raise StrategyFault("II", "pair components must be single values")
-        return (as_dyadic(v), -as_dyadic(w))
+        try:
+            return (as_dyadic(v), -as_dyadic(w))
+        except (TypeError, ValueError):
+            # a part that answers a pair or a non-dyadic is II's fault
+            raise StrategyFault("II", f"parts {v!r}, {w!r} are not single dyadics") from None
 
     def state_key(self):
         return (self.sf.state_key(), self.sg.state_key())

@@ -7,7 +7,8 @@ from limsupgames.automata import (NodeAutomaton, eval_limsup, lasso_summary,
                                   make_automaton, minmax_value)
 from limsupgames.corpus import branch_corpus, random_automaton, rng_stream
 from limsupgames.dyadic import Dyadic
-from limsupgames.trees import EventuallyPeriodicBranch
+from limsupgames.kernels import ProductKernel
+from limsupgames.trees import EventuallyPeriodicBranch, binary_tree
 
 BRANCHES = branch_corpus(3, 3)
 # naturals-tree branches: the corpus machines read every letter >= 1 as
@@ -93,11 +94,25 @@ def test_default_letter_class():
 
 
 def test_minmax_against_brute():
+    # minmax_value, a one-machine kernel and a two-machine min-mode kernel
+    # (each machine paired with the one before it) read the same tables
     rng = rng_stream(21, "minmax-brute")
+    prev = None
     for _ in range(30):
         u = random_automaton(rng, 3)
+        ker = ProductKernel((u,), binary_tree())
+        brute = [brute_minmax(u, q) for q in range(u.num_states)]
         for q in range(u.num_states):
             assert minmax_value(u, q).require_finite() == brute_minmax(u, q)
+            assert ker.from_grid(ker.value((q,), ker.floor)) == brute[q]
+        if prev is not None:
+            v, brute_v = prev
+            pair = ProductKernel((v, u), binary_tree(), "min")
+            for p in range(v.num_states):
+                for q in range(u.num_states):
+                    got = pair.from_grid(pair.value((p, q), pair.floor))
+                    assert got == min(brute_v[p], brute[q])
+        prev = (u, brute)
 
 
 def test_lasso_summary_consistency():

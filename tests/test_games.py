@@ -177,6 +177,24 @@ def test_an_answer_that_is_no_dyadic_faults_player_ii(kind, good, bad, what):
     assert v.outcome is Outcome.WIN_I and v.fault == want._replace(round_index=0)
 
 
+class _Half(StrategyII):
+    def move(self, letter):
+        return 0.5
+
+
+@pytest.mark.parametrize("part", [_Half, lambda: ConstantII(0, 0)],
+                         ids=["float", "pair"])
+def test_a_pair_part_that_answers_no_single_dyadic_faults_player_ii(part):
+    kind = gamma_prime(binary_tree())
+    for sf, sg in ((part(), ConstantII(0)), (ConstantII(0), part())):
+        tr = play(kind, const_letter(), pair_strategies(sf, sg), 3)
+        assert tr.fault.blame == "II" and tr.fault.round_index == 0
+        assert "single dyadics" in tr.fault.detail and not tr.values
+        v = exact_verdict(kind, const_letter(), pair_strategies(sf, sg),
+                          lambda x: Dyadic(0))
+        assert v.outcome is Outcome.WIN_I and v.fault == tr.fault
+
+
 def row_by_row_outputs(rows):
     """The CSV text and --trace json rows, formatted one row at a time from
     (t, letter, value, covalue) tuples."""
@@ -603,6 +621,29 @@ def test_a_tree_that_is_not_full_keeps_the_round_loop():
                   RoundByRound(ConstantII(0)), 100)
     assert tr == looped
     assert tr.fault.blame == "I" and tr.fault.round_index == 2
+
+
+def test_a_lasso_on_a_tree_that_is_not_full_certifies_nothing():
+    # the joint key leaves out where the prefix stands in the tree: I plays
+    # 1 forever and the key repeats at once, but the witness 1^w leaves the
+    # tree "at most three 1s", and the fourth 1 is I's fault
+    tree = TreeSpec(contains=lambda s: all(a in (0, 1) for a in s)
+                    and sum(s) <= 3)
+    kind = gamma(tree)
+
+    def payoff(x):
+        return max(x.cycle)
+
+    v = exact_verdict(kind, const_letter(1), ConstantII(0), payoff)
+    assert v.outcome is Outcome.UNDECIDED and v.lasso is None
+    assert v.diagnostics["unclaimed_lasso"] == {"start": 0, "period": 1}
+    short = play(kind, const_letter(1), ConstantII(0), 3)
+    assert short.lasso == (0, 1) and short.fault is None
+    with pytest.raises(CertificateMismatchError, match="full tree"):
+        check_win(short, payoff)
+    full = play(kind, const_letter(1), ConstantII(0), 50)
+    assert full.fault.blame == "I" and full.fault.round_index == 3
+    assert check_win(full, payoff).outcome is Outcome.WIN_II
 
 
 class _SwitchesAtFifty(ConstantII):

@@ -1,12 +1,35 @@
-"""The shared searches: orbit to first repeat, cycle reachability and the
-live-state trim."""
+"""The shared searches: orbit to first repeat, the live-state trim and the
+threshold search built on it, each against a one-node cycle search."""
 
+import itertools
 import random
 
 import pytest
 
-from limsupgames.graphs import (StabilizationCapError, cycle_reachable,
-                                first_repeat, live_states)
+from limsupgames.graphs import (StabilizationCapError, first_repeat,
+                                live_states, min_sup_cycle)
+
+
+def cycle_reachable(succ, start) -> bool:
+    """Whether a cycle is reachable from start, i.e. an infinite path
+    exists: the oracle the searches are checked against."""
+    # iterative DFS, gray/black marks; an edge back to a gray node closes a cycle
+    color = {start: 1}
+    stack = [(start, iter(succ(start)))]
+    while stack:
+        node, nbrs = stack[-1]
+        for nxt in nbrs:
+            c = color.get(nxt)
+            if c == 1:
+                return True
+            if c is None:
+                color[nxt] = 1
+                stack.append((nxt, iter(succ(nxt))))
+                break
+        else:
+            color[node] = 2
+            stack.pop()
+    return False
 
 
 def test_first_repeat_orbit_and_entry():
@@ -35,7 +58,6 @@ def test_cycle_reachable_self_loop_versus_dag():
     assert not cycle_reachable({0: [1], 1: [], 2: [2]}.__getitem__, 0)
 
 
-
 def test_live_states_match_cycle_reachable():
     # the trim against one cycle search per node: the empty graph, a sink,
     # a self-loop, a part no other node reaches, then seeded random graphs
@@ -50,3 +72,39 @@ def test_live_states_match_cycle_reachable():
         want = {q for q in g if cycle_reachable(g.__getitem__, q)}
         assert live_states(g, g.__getitem__) == want, g
     assert live_states(iter([0, 1]), {0: [1], 1: [1]}.__getitem__) == {0, 1}
+
+
+def brute_min_sup_cycle(g, thresholds):
+    """Per node and per threshold vector, one cycle search under it; then
+    each node's feasible vectors with no other feasible vector below."""
+    out = {}
+    for q in g:
+        ok = [theta for theta in thresholds
+              if cycle_reachable(lambda p: [r for r, w in g[p] if all(
+                  map(int.__le__, w, theta))], q)]
+        mins = [t for t in ok if not any(
+            lo != t and all(map(int.__le__, lo, t)) for lo in ok)]
+        if mins:
+            out[q] = mins
+    return out
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+def test_min_sup_cycle_matches_a_search_per_node_and_threshold(dims):
+    # seeded random graphs whose edges carry a weight vector; a threshold
+    # allows the edges whose weights lie at or below it in every coordinate
+    rng = random.Random(43 + dims)
+    for _ in range(150):
+        n = rng.randint(1, 7)
+        g = {q: [(rng.randrange(n), tuple(rng.randrange(4) for _ in range(dims)))
+                 for _ in range(rng.randint(0, 3))] for q in range(n)}
+        # 5 lies above every weight, so the top vector allows every edge
+        grids = [sorted({w[d] for es in g.values() for _, w in es} | {5})
+                 for d in range(dims)]
+        thresholds = list(itertools.product(*grids))
+        got = min_sup_cycle(g, iter(thresholds), lambda theta, q: [
+            r for r, w in g[q] if all(map(int.__le__, w, theta))])
+        assert got == brute_min_sup_cycle(g, thresholds), g
+        if dims == 1:
+            # scalar thresholds are totally ordered: one least vector a node
+            assert all(len(v) == 1 for v in got.values())
