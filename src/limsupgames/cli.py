@@ -372,17 +372,18 @@ def _write(out_dir: str, name: str, text: str) -> None:
         raise ConfigError(f"cannot write to {out_dir}: {e}") from None
 
 
-def _emit_trace(trace, cfg: ExperimentConfig) -> None:
+def _emit_trace(trace, cfg: ExperimentConfig, side: dict) -> None:
+    """Write the trace and its sidecar `side` (trace.sidecar())."""
     if cfg.out_dir is None or cfg.trace_format == "none":
         return
-    side = trace.sidecar()
     if cfg.trace_format == "csv":
         _write(cfg.out_dir, "trace.csv", trace.to_csv_text())
         _write(cfg.out_dir, "trace.json", _dump(side))
     else:
-        rows = [{"t": r.t, "x_t": r.letter, "v_t": str(r.value),
-                 "w_t": None if r.covalue is None else str(r.covalue)}
-                for r in trace.rows]
+        cols = trace.columns()
+        ws = itertools.repeat(None) if len(cols) == 2 else map(str, cols[2])
+        rows = [{"t": t, "x_t": x, "v_t": str(v), "w_t": w}
+                for t, x, v, w in zip(itertools.count(), cols[0], cols[1], ws)]
         _write(cfg.out_dir, "trace.json", _dump({**side, "rows": rows}))
 
 
@@ -419,11 +420,10 @@ def cmd_play(args) -> int:
     trace = play(kind, sI, sII, cfg.horizon)
     if trace.fault is not None:
         sys.stderr.write(_dump({"fault": trace.fault.to_json_dict()}))
-    summary = trace.sidecar()
-    summary["counters_I"] = sI.counters()
-    summary["counters_II"] = sII.counters()
-    sys.stdout.write(_dump(summary))
-    _emit_trace(trace, cfg)
+    side = trace.sidecar()
+    sys.stdout.write(_dump({**side, "counters_I": sI.counters(),
+                            "counters_II": sII.counters()}))
+    _emit_trace(trace, cfg, side)
     return 0
 
 

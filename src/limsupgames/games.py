@@ -137,9 +137,9 @@ class TableStrategy(Strategy):
 
     A class joins TABLE_TYPES by passing table=True in its class statement.
     Two such players on a full tree play a run that repeats from their
-    first joint-state repeat on, so play fills the rest of it from the
-    cycle instead of calling move, and exact_verdict reads the verdict off
-    the rounds before that repeat (_walk).
+    first joint-state repeat on, so play stops calling move there and
+    stores the run as that lasso, and exact_verdict reads the verdict off
+    the rounds before that repeat (_rounds).
     """
 
     finite_state = True
@@ -175,17 +175,22 @@ class _Record:
     """An immutable slotted record.  A subclass names its fields in
     __slots__, each as "_" + field, in field order; every field is then a
     read-only property over its slot, which only __init__ writes.  Records
-    compare, hash and print like the frozen dataclasses they replaced."""
+    compare, hash and print like the frozen dataclasses they replaced.  A
+    subclass may name its fields in _names instead: it defines each field
+    that is not a slot, and its other slots stay private."""
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kw):
         super().__init_subclass__(**kw)
-        for slot in cls.__slots__:
-            setattr(cls, slot[1:], property(attrgetter(slot)))
+        if "_names" not in cls.__dict__:
+            cls._names = tuple(slot[1:] for slot in cls.__slots__)
+        for name in cls._names:
+            if name not in cls.__dict__:
+                setattr(cls, name, property(attrgetter("_" + name)))
 
     def _fields(self) -> tuple:
-        return tuple(getattr(self, slot) for slot in self.__slots__)
+        return tuple(getattr(self, name) for name in self._names)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -196,8 +201,8 @@ class _Record:
         return hash(self._fields())
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{slot[1:]}={getattr(self, slot)!r}"
-                          for slot in self.__slots__)
+        shown = ", ".join(f"{name}={value!r}"
+                          for name, value in zip(self._names, self._fields()))
         return f"{self.__class__.__name__}({shown})"
 
 
@@ -239,50 +244,99 @@ def _texts(col) -> List[str]:
     return list(map(text.__getitem__, ids))
 
 
-class RunTrace(NamedTuple):
+class RunTrace(_Record):
     """A recorded play, one flat column per observable: in round t I played
     letters[t] and II announced values[t] and, in the pair game only,
     covalues[t] (covalues is None in the other games).  play appends to the
-    columns and builds no per-round object; readers slice the columns."""
+    columns and builds no per-round object; readers slice the columns.
 
-    kind: GameKind
-    letters: Tuple[int, ...]
-    values: Tuple[Dyadic, ...]
-    covalues: Optional[Tuple[Dyadic, ...]] = None
-    lasso: Optional[Tuple[int, int]] = None
-    fault: Optional[FaultRecord] = None
+    Given `rounds`, the trace is stored as its lasso: the columns hold only
+    the rounds up to the repeat, and the rest of the `rounds` rounds repeat
+    their last lasso period.  columns() expands them on its first call and
+    keeps the result, which the column fields and rows read; rounds, the
+    CSV writer and the witness read the stored rounds.  A RunTrace is not
+    a tuple: it neither unpacks nor indexes.
+    """
+
+    __slots__ = ("_kind", "_columns", "_lasso", "_fault", "_rounds", "_full")
+    _names = ("kind", "letters", "values", "covalues", "lasso", "fault")
+
+    def __init__(self, kind: GameKind, letters: tuple, values: tuple,
+                 covalues: Optional[tuple] = None, lasso: Optional[tuple] = None,
+                 fault: Optional[FaultRecord] = None, rounds: Optional[int] = None):
+        cols = (letters, values) if covalues is None else \
+            (letters, values, covalues)
+        if rounds is not None and (lasso is None or not (
+                0 < lasso[1] <= min(map(len, cols))
+                and max(map(len, cols)) <= rounds)):
+            raise ValueError(f"{rounds} rounds need a lasso whose period "
+                             "the stored rounds hold, and no fewer rounds")
+        self._kind, self._lasso, self._fault, self._rounds = \
+            kind, lasso, fault, rounds
+        self._columns = cols
+        self._full = cols if rounds is None else None
+
+    def _replace(self, **fields) -> "RunTrace":
+        return RunTrace(**{**dict(zip(self._names, self._fields())), **fields})
+
+    letters = property(lambda self: self.columns()[0])
+    values = property(lambda self: self.columns()[1])
+    covalues = property(lambda self: self.columns()[2]
+                        if len(self._columns) == 3 else None)
+    rounds = property(lambda self: len(self._columns[1])
+                      if self._rounds is None else self._rounds)
 
     @property
     def rows(self) -> Tuple[RunRow, ...]:
         """The rounds as RunRows, rebuilt on every access: read it once."""
-        covalues = repeat(None) if self.covalues is None else self.covalues
-        return tuple(map(RunRow, count(), self.letters, self.values, covalues))
+        return tuple(map(RunRow, count(), *self.columns()))
 
     def columns(self) -> Tuple[Tuple, ...]:
         """letters and values, then covalues in the pair game."""
-        if self.covalues is None:
-            return (self.letters, self.values)
-        return (self.letters, self.values, self.covalues)
+        if self._full is None:
+            p, n = self._lasso[1], self._rounds
+            self._full = tuple(col + (col[-p:] * ((n - len(col)) // p + 1))
+                               [:n - len(col)] for col in self._columns)
+        return self._full
 
     def witness_branch(self) -> EventuallyPeriodicBranch:
         if self.lasso is None:
             raise ValueError("no lasso, no witness branch")
         start, period = self.lasso
-        return EventuallyPeriodicBranch(self.letters[:start],
-                                        self.letters[start:start + period])
+        letters = self._columns[0]
+        return EventuallyPeriodicBranch(letters[:start],
+                                        letters[start:start + period])
 
     def to_csv_text(self) -> str:
-        # no field can hold a comma, quote or newline, so none is quoted
-        vs = _texts(self.values)
-        ws = repeat("") if self.covalues is None else _texts(self.covalues)
-        return "t,x_t,v_t,w_t\n" + "".join([
-            f"{t},{x},{v},{w}\n"
-            for t, x, v, w in zip(count(), self.letters, vs, ws)])
+        """The trace as CSV.  When the stored columns are periodic from
+        lasso start s with period p (checked here, never assumed), only rows
+        0..s+p-1 are formatted: the later rows repeat the tails of rows
+        s..s+p-1, and the round numbers go in in one pass.  No field can
+        hold a comma, quote, newline or percent sign, so none is quoted."""
+        cols = self._columns
+        m = min(map(len, cols))
+        s, p = self.lasso or (0, 0)
+        if p > 0 <= s and s + p <= m and \
+                all(c[s:m - p] == c[s + p:m] for c in cols):
+            n, end = m if self._rounds is None else self._rounds, s + p
+        else:
+            cols = self.columns()
+            n = end = min(map(len, cols))
+        vs = _texts(cols[1][:end])
+        ws = repeat("") if len(cols) == 2 else _texts(cols[2][:end])
+        # the header, then each row's tail; a round number goes before each
+        tails = ["t,x_t,v_t,w_t\n"]
+        tails += [f",{x},{v},{w}\n" for x, v, w in zip(cols[0], vs, ws)]
+        if n > end:
+            cyc = tails[s + 1:]
+            reps, rest = divmod(n - end, p)
+            tails += cyc * reps + cyc[:rest]
+        return "%d".join(tails) % tuple(range(n))
 
     def sidecar(self) -> dict:
         return {
             "variant": self.kind.variant,
-            "rounds": len(self.values),
+            "rounds": self.rounds,
             "lasso": None if self.lasso is None else
                 {"start": self.lasso[0], "period": self.lasso[1]},
             "fault": None if self.fault is None else self.fault.to_json_dict(),
@@ -331,34 +385,26 @@ def play(kind: GameKind, sI: StrategyI, sII: StrategyII, horizon: int,
     new letter may follow the letters so far (TreeSpec.admits), which full
     trees answer without reading the prefix.
 
-    Between two table players on a full tree (_tables), _walk plays the
-    rounds up to the repeat and leaves both players in the state a full run
-    would reach; play then fills the columns to the stop round from the
-    cycle and calls move no more.
+    Between two table players on a full tree (_tables), the round loop
+    stops at the repeat and leaves both players in the state a full run
+    would reach; the trace keeps the rounds up to the repeat and the round
+    count, and move is called no more.
     """
-    stop_at = min(horizon, MAX_TRACE_ROUNDS)
-    if _tables(kind, sI, sII):
-        columns, lasso, fault, n = _walk(kind, sI, sII, stop_at,
-                                         stop_after_lasso)
-        if n:
-            period = lasso[1]
-            reps, rest = divmod(n, period)
-            for col in columns:
-                cyc = col[-period:]
-                col += cyc * reps
-                if rest:
-                    col += cyc[:rest]
-    else:
-        columns, lasso, fault = _rounds(kind, sI, sII, stop_at,
-                                        stop_after_lasso)
+    columns, lasso, fault, n = _rounds(
+        kind, sI, sII, min(horizon, MAX_TRACE_ROUNDS), stop_after_lasso,
+        _tables(kind, sI, sII))
     return RunTrace(kind, tuple(columns[0]), tuple(columns[1]),
                     tuple(columns[2]) if kind.uses_pairs else None,
-                    lasso, fault)
+                    lasso, fault, len(columns[1]) + n if n else None)
 
 
 def _rounds(kind: GameKind, sI: StrategyI, sII: StrategyII, stop_at: int,
-            stop_after_lasso: Optional[int]):
-    """play's round loop for any players: (columns, lasso, fault)."""
+            stop_after_lasso: Optional[int], tables: bool):
+    """play's round loop: (columns, lasso, fault, n).  Between two table
+    players on a full tree (_tables) the first repeat of the joint key fixes
+    every later round, so the loop stops there: n counts the rounds the
+    cycle repeats up to the stop round, and both players are left where
+    those rounds would leave them.  Else n is 0."""
     sI.reset()
     sII.reset()
     # per-game invariants, looked up once instead of once a round
@@ -385,8 +431,17 @@ def _rounds(kind: GameKind, sI: StrategyI, sII: StrategyII, stop_at: int,
                 lasso = (periodic_start(columns, first, period), period)
                 if stop_after_lasso is not None:
                     stop_at = min(stop_at, t + stop_after_lasso * period)
-                    if stop_at <= t:
-                        break
+                if tables:
+                    # seen holds one key a round, in round order, and a table
+                    # player's key is its state q; n rounds on, the players
+                    # stand n % period rounds into the cycle
+                    n = max(0, stop_at - t)
+                    q_i, q_ii, _ = next(islice(seen, first + n % period, None))
+                    sI.skip(q_i, n)
+                    sII.skip(q_ii, n)
+                    return columns, lasso, None, n
+                if stop_at <= t:
+                    break
         try:
             letter = move_i(last)
             # exact ints only: a bool or another int subclass is no letter
@@ -414,70 +469,7 @@ def _rounds(kind: GameKind, sI: StrategyI, sII: StrategyII, stop_at: int,
             values.append(raw)
         last = raw
         t += 1
-    return columns, lasso, fault
-
-
-def _walk(kind: GameKind, sI: TableStrategy, sII: TableStrategy,
-          stop_at: int, periods: Optional[int]):
-    """Two table players on a full tree (_tables), from the root to the
-    first repeat of the joint key (sI.q, sII.q, last), a fault, or stop_at
-    rounds.  Keeps only the letters and answers: no trace, no state_key.
-
-    Returns (columns, lasso, fault, n).  The columns hold the rounds before
-    the repeat, as play records them.  n counts the rounds the lasso fixes
-    past the repeat, `periods` periods (all of them when None) cut at
-    stop_at, and both players are left where those n rounds would leave
-    them.  Without a repeat n is 0.
-    """
-    sI.reset()
-    sII.reset()
-    pairs = kind.uses_pairs
-    allowed = kind.restriction
-    alphabet = kind.tree.alphabet  # None on the full tree over N
-    move_i, move_ii = sI.move, sII.move
-    letters, values, covalues = [], [], []
-    columns = (letters, values, covalues) if pairs else (letters, values)
-    seen: Dict[object, int] = {}
-    last = None
-    for t in range(stop_at):
-        first = seen.setdefault((sI.q, sII.q, last), t)
-        if first != t:
-            period = t - first
-            n = stop_at - t
-            if periods is not None:
-                n = max(0, min(n, periods * period))
-            # seen holds one key a round, in round order; n rounds on, the
-            # players stand n % period rounds into the cycle
-            q_i, q_ii, _ = next(islice(seen, first + n % period, None))
-            sI.skip(q_i, n)
-            sII.skip(q_ii, n)
-            lasso = (periodic_start(columns, first, period), period)
-            return columns, lasso, None, n
-        try:
-            letter = move_i(last)
-            if type(letter) is not int or letter < 0:
-                raise StrategyFault("I", f"letter {letter!r} is not a natural")
-            if alphabet is not None and letter not in alphabet:
-                raise StrategyFault("I", f"letter {letter} leaves the tree")
-            raw = move_ii(letter)
-            if not pairs:
-                if type(raw) is not Dyadic:
-                    raw = _coerce_answer(kind, raw)
-                if allowed is not None and not allowed.contains(raw):
-                    raise StrategyFault("II", f"value {raw} outside the allowed set")
-            elif not (type(raw) is tuple and len(raw) == 2
-                      and type(raw[0]) is Dyadic and type(raw[1]) is Dyadic):
-                raw = _coerce_answer(kind, raw)
-        except StrategyFault as exc:
-            return columns, None, FaultRecord(exc.blame, t, exc.detail), 0
-        letters.append(letter)
-        if pairs:
-            values.append(raw[0])
-            covalues.append(raw[1])
-        else:
-            values.append(raw)
-        last = raw
-    return columns, None, None, 0
+    return columns, lasso, fault, 0
 
 
 Payoff = Union[NodeAutomaton, object]
@@ -607,16 +599,16 @@ def exact_verdict(kind: GameKind, sI: StrategyI, sII: StrategyII,
     two strategies that both declare finite state; anything else is
     UndecidedAtHorizon with tail-window diagnostics and the strategies' own
     counters.  Between two table players on a full tree, one joint walk of
-    their tables from the root to the first repeat (_walk) decides, with no
-    trace: the verdict rests on the tables, and the players are left where
+    their tables from the root to the first repeat (_rounds) decides, with
+    no trace: the verdict rests on the tables, and the players are left where
     play(..., stop_after_lasso=1) leaves them.  Other players go through
     play.
     """
     exact = sI.finite_state and sII.finite_state and _full(kind.tree)
     # a table player declared not finite-state keeps play's undecided path
     if exact and _tables(kind, sI, sII):
-        columns, lasso, fault, _ = _walk(kind, sI, sII,
-                                         min(cap, MAX_TRACE_ROUNDS), 1)
+        columns, lasso, fault, _ = _rounds(kind, sI, sII,
+                                           min(cap, MAX_TRACE_ROUNDS), 1, True)
     else:
         trace = play(kind, sI, sII, cap, stop_after_lasso=1)
         columns, lasso, fault = trace.columns(), trace.lasso, trace.fault
@@ -640,7 +632,7 @@ def check_win(trace: RunTrace, payoff: Payoff) -> Verdict:
     breaks the period.  Works for strategies of any declared state size
     since only the recorded columns are consulted.
     """
-    n = horizon = len(trace.values)
+    n = horizon = trace.rounds
     if trace.fault is not None:
         return _fault_verdict(trace.fault, horizon)
     if trace.lasso is None:

@@ -94,6 +94,12 @@ def min_sup_cycle(nodes: Iterable[Node], thresholds: Iterable[tuple],
     nodes = list(nodes)
     table: Dict[Node, List[tuple]] = {}
     for theta in thresholds:
+        # liveness is upward closed: a vector at or above one of every
+        # node's vectors is minimal for none, so it needs no search
+        if len(table) == len(nodes) and all(
+                any(all(map(le, lo, theta)) for lo in mins)
+                for mins in table.values()):
+            continue
         for q in live_states(nodes, lambda p: succ_under(theta, p)):
             mins = table.setdefault(q, [])
             if not any(all(map(le, lo, theta)) for lo in mins):

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import time
 import tracemalloc
+from itertools import count, repeat
 from types import SimpleNamespace
 from typing import Optional
 
@@ -22,7 +23,9 @@ from limsupgames.games import (MAX_TRACE_ROUNDS, TABLE_TYPES,
                                 Strategy, StrategyI, StrategyII, check_win,
                                 exact_verdict, finite_value_set, gamma,
                                 gamma_prime, gamma_restricted, play)
-from limsupgames.strategies import (ConstantII, CopycatI, LetterFSM, ValueFSM,
+from limsupgames.strategies import (ConstantII, CopycatI, IndicatorPayoff,
+                                     LetterFSM, OscillationI,
+                                     OscillationInstance, ValueFSM,
                                      copycat_strategy, pair_strategies,
                                      strategy_ii_from_u, u_from_strategy_ii)
 from limsupgames.trees import (EventuallyPeriodicBranch, TreeSpec, binary_tree,
@@ -211,7 +214,7 @@ def written_outputs(tr, tmp_path):
         # the command makes its output directory before it plays
         (tmp_path / fmt).mkdir(parents=True)
         _emit_trace(tr, SimpleNamespace(out_dir=str(tmp_path / fmt),
-                                        trace_format=fmt))
+                                        trace_format=fmt), tr.sidecar())
     csv_side = json.loads((tmp_path / "csv" / "trace.json").read_text())
     data = json.loads((tmp_path / "json" / "trace.json").read_text())
     assert csv_side["rounds"] == data["rounds"] == len(tr.values)
@@ -430,6 +433,128 @@ def test_pair_csv_matches_row_by_row_formatting():
         "t,x_t,v_t,w_t\n0,1,-3/2^2,0/2^0\n1,0,-3/2^2,-5/2^3\n")
 
 
+def _lasso_pairs():
+    """Two table pairs whose walk lassos with a stem and a period > 1:
+    (kind, I, II, lasso)."""
+    u = random_automaton(rng_stream(5, "million"), 3, 2, 2)
+    fx = baire_pair_fixtures(11, 2)[0]
+    return [
+        (BIN, letter_fsm(rng_stream(24, "random-fsm"), 3,
+                         [Dyadic(-1, 1), Dyadic(1, 2)]),
+         strategy_ii_from_u(u), (2, 4)),
+        (gamma_prime(binary_tree()), letter_fsm_corpus(11, 5)[4],
+         pair_strategies(strategy_ii_from_u(fx.u_f),
+                         strategy_ii_from_u(fx.u_neg)), (1, 3)),
+    ]
+
+
+def _rows_of(tr):
+    return [(r.t, r.letter, r.value, r.covalue) for r in tr.rows]
+
+
+@pytest.mark.parametrize("pair", range(2), ids=["gamma", "gamma_prime"])
+def test_a_walk_trace_is_stored_as_its_lasso_and_written_in_full(
+        pair, tmp_path):
+    kind, sI, sII, (s, p) = _lasso_pairs()[pair]
+    # the rounds up to the repeat, which a play cut at the lasso records
+    stored = play(kind, copy.deepcopy(sI), copy.deepcopy(sII), 10 ** 4,
+                  stop_after_lasso=0).columns()
+    m = len(stored[0])
+    # every phase of the period, and a horizon far past the repeat
+    for horizon in [*range(m + 1, m + 2 * p + 1), 10 ** 4 + 1]:
+        tr = play(kind, copy.deepcopy(sI), copy.deepcopy(sII), horizon)
+        assert tr.lasso == (s, p) and tr.rounds == horizon
+        assert tr._columns == stored
+        assert len(tr.letters) == len(tr.values) == horizon
+        assert tr.to_csv_text() == csv_oracle(tr)
+        out = tmp_path / str(horizon)
+        assert written_outputs(tr, out) == row_by_row_outputs(_rows_of(tr))
+
+
+def test_a_lasso_trace_expands_once_and_refuses_a_bad_round_count():
+    kind, sI, sII, _ = _lasso_pairs()[0]
+    tr = play(kind, sI, sII, 1000)
+    letters, values = tr._columns
+    assert tr._full is None
+    assert tr.values is tr.columns()[1] and tr.letters is tr.columns()[0]
+    assert tr == RunTrace(kind, tr.letters, tr.values, lasso=tr.lasso)
+    # no lasso, a period the stored rounds do not hold, too few rounds
+    for lasso, rounds in [(None, 1000), ((0, 0), 1000),
+                          ((0, len(values) + 1), 1000),
+                          (tr.lasso, len(values) - 1)]:
+        with pytest.raises(ValueError, match="rounds need a lasso"):
+            RunTrace(kind, letters, values, lasso=lasso, rounds=rounds)
+
+
+def test_faulted_and_empty_walk_traces_write_row_by_row(tmp_path):
+    # 0, then 2 off the binary tree: player I's fault in round 1
+    climb = LetterFSM([0, 1, 2], [[1, 1], [2, 2], [2, 2]])
+    faulted = play(BIN, climb, ConstantII(Dyadic(1)), 100)
+    empty = play(BIN, const_letter(), ConstantII(Dyadic(1)), 0)
+    assert faulted.fault.round_index == 1 and faulted.rounds == 1
+    assert empty.rounds == 0 and empty.lasso is None
+    for i, tr in enumerate((faulted, empty)):
+        assert tr.to_csv_text() == csv_oracle(tr)
+        assert written_outputs(tr, tmp_path / str(i)) == \
+            row_by_row_outputs(_rows_of(tr))
+
+
+def test_the_csv_writer_checks_a_declared_lasso_and_does_not_trust_it():
+    # the attack's state key leaves out the prefix length its low pick
+    # reads, so its key repeats while its letters have not started to
+    ones = EventuallyPeriodicBranch((), (1,))
+    zeros = EventuallyPeriodicBranch((), (0,))
+    inst = OscillationInstance(binary_tree(), Dyadic(1), Dyadic(0),
+                               Dyadic(1, 3), lambda s: zeros,
+                               lambda s: ones if len(s) < 5 else zeros,
+                               IndicatorPayoff())
+    sII = pair_strategies(ValueFSM([[0, 0]], [1]), ValueFSM([[0, 0]], [0]))
+    tr = play(gamma_prime(binary_tree()), OscillationI(inst), sII, 40)
+    assert tr.lasso == (0, 2) and tr.rounds == 40
+    assert tr.letters[:6] == (0, 1, 0, 1, 0, 0)
+    assert tr.letters[:-2] != tr.letters[2:]
+    assert tr.to_csv_text() == csv_oracle(tr)
+    with pytest.raises(CertificateMismatchError, match="breaks period 2"):
+        check_win(tr, IndicatorPayoff())
+
+
+def full_csv_writer(cols) -> str:
+    """The writer the lasso writer replaced: one f-string a row, over
+    columns held in full."""
+    vs = games._texts(cols[1])
+    ws = repeat("") if len(cols) == 2 else games._texts(cols[2])
+    return "t,x_t,v_t,w_t\n" + "".join([
+        f"{t},{x},{v},{w}\n" for t, x, v, w in zip(count(), cols[0], vs, ws)])
+
+
+def traced_peak(fn):
+    """(fn's result, bytes held after it, peak bytes during it)."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, held, peak
+
+
+def test_a_million_round_table_trace_keeps_its_lasso_only():
+    kind, sI, sII, (s, p) = _lasso_pairs()[0]
+    tr, held, _ = traced_peak(lambda: play(kind, sI, sII, MAX_TRACE_ROUNDS))
+    assert tr.rounds == MAX_TRACE_ROUNDS and tr.lasso == (s, p)
+    # the rounds up to the repeat, against 8 MB a column held in full
+    assert all(len(c) < s + 2 * p for c in tr._columns)
+    assert held < 64 * 1024
+    # tracemalloc costs about 3 us an allocation, so the writers, which
+    # allocate a few objects a row, are compared over 10^5 rounds
+    tr = play(kind, sI, sII, 10 ** 5)
+    text, _, peak = traced_peak(tr.to_csv_text)
+    cols = tr.columns()
+    want, _, full_peak = traced_peak(lambda: full_csv_writer(cols))
+    assert text == want
+    assert peak < full_peak
+
+
 def test_pair_game_verdict_needs_both_limits():
     kind = gamma_prime(binary_tree())
     # matched value and covalue hit the payoff from both sides
@@ -510,7 +635,7 @@ class RoundByRound(Strategy):
 
 
 # a million binary-tree rounds take about 1.5 s on a 2-core host round by
-# round, and well under 0.1 s filled from the lasso; a round that grew with
+# round, and well under 0.1 s stored as its lasso; a round that grew with
 # the prefix would take hours
 MILLION_ROUND_BUDGET_S = 60.0
 
@@ -518,7 +643,7 @@ MILLION_ROUND_BUDGET_S = 60.0
 def test_play_reaches_the_round_cap_in_linear_time():
     u = random_automaton(rng_stream(5, "million"), 3, 2, 2)
     traces = []
-    # filled from the lasso, then the same game moved round by round
+    # stored as its lasso, then the same game moved round by round
     for wrap in (lambda s: s, RoundByRound):
         sI = letter_fsm(rng_stream(24, "random-fsm"), 3,
                         [Dyadic(-1, 1), Dyadic(1, 2)])
@@ -535,7 +660,7 @@ def test_play_reaches_the_round_cap_in_linear_time():
     assert check_win(tr, u).outcome is Outcome.WIN_II
 
 
-# --- a lasso between two table players fills the run ---------------------
+# --- a lasso between two table players fixes the rest of the run ---------
 
 
 def _fresh(proto):
@@ -543,7 +668,7 @@ def _fresh(proto):
 
 
 def _families():
-    """(kind, I makers, II makers) for each game the fill serves."""
+    """(kind, I makers, II makers) for each game the lasso run serves."""
     seed = 11
     letters = [_fresh(s) for s in letter_fsm_corpus(seed, 5)]
     us = automaton_corpus(seed, 3, max_states=4)

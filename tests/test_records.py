@@ -1,6 +1,6 @@
-"""The plain record classes are NamedTuples, and Verdict a slotted record:
-they compare, hash, refuse assignment and print as the frozen dataclasses
-they replaced did."""
+"""The plain record classes are NamedTuples, and Verdict and RunTrace
+slotted records: they compare, hash, refuse assignment and print as the
+frozen dataclasses they replaced did."""
 
 import pytest
 
