@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 from . import graphs
 from .dyadic import POS_INF, Dyadic, ExtValue, as_dyadic
@@ -226,16 +226,10 @@ def eval_limsup(u: NodeAutomaton, x: Branch) -> Dyadic:
     return max(cyc[entry:])
 
 
-def minmax_value(u: NodeAutomaton, q: int, classes: "Iterable[int] | None" = None) -> ExtValue:
-    """min over infinite runs from q of the max output visited.
-
-    `classes` restricts the usable letter classes (defaults to all); runs are
-    automaton runs, so pass the classes an ambient tree's letters realize
-    when the tree matters.
-    """
-    cls = tuple(classes) if classes is not None else tuple(range(u.num_letters + 1))
+def minmax_value(u: NodeAutomaton, q: int) -> ExtValue:
+    """min over infinite automaton runs from q of the max output visited."""
     table = graphs.min_sup_cycle(
         range(u.num_states), ((o,) for o in u.declared_outputs()),
-        lambda theta, p: [u.steps[p][c] for c in cls
-                          if not theta[0] < u.outputs[p][c]])
+        lambda theta, p: [dst for dst, out in zip(u.steps[p], u.outputs[p])
+                          if not theta[0] < out])
     return ExtValue.finite(table[q][0][0]) if q in table else POS_INF

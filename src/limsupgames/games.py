@@ -254,7 +254,7 @@ class RunTrace(_Record):
     the rounds up to the repeat, and the rest of the `rounds` rounds repeat
     their last lasso period.  columns() expands them on its first call and
     keeps the result, which the column fields and rows read; rounds, the
-    CSV writer and the witness read the stored rounds.  A RunTrace is not
+    CSV writer, the witness and check_win read the stored rounds.  A RunTrace is not
     a tuple: it neither unpacks nor indexes.
     """
 
@@ -267,9 +267,9 @@ class RunTrace(_Record):
         cols = (letters, values) if covalues is None else \
             (letters, values, covalues)
         if rounds is not None and (lasso is None or not (
-                0 < lasso[1] <= min(map(len, cols))
+                0 < lasso[1] <= sum(lasso) <= min(map(len, cols))
                 and max(map(len, cols)) <= rounds)):
-            raise ValueError(f"{rounds} rounds need a lasso whose period "
+            raise ValueError(f"{rounds} rounds need a lasso whose first cycle "
                              "the stored rounds hold, and no fewer rounds")
         self._kind, self._lasso, self._fault, self._rounds = \
             kind, lasso, fault, rounds
@@ -598,20 +598,17 @@ def exact_verdict(kind: GameKind, sI: StrategyI, sII: StrategyII,
     Exact outcomes need either a fault or a lasso on a full tree between
     two strategies that both declare finite state; anything else is
     UndecidedAtHorizon with tail-window diagnostics and the strategies' own
-    counters.  Between two table players on a full tree, one joint walk of
-    their tables from the root to the first repeat (_rounds) decides, with
-    no trace: the verdict rests on the tables, and the players are left where
-    play(..., stop_after_lasso=1) leaves them.  Other players go through
-    play.
+    counters.  The verdict comes from play's round loop (_rounds), cut one
+    period past the lasso, with no trace.  Between two table players on a
+    full tree the loop stops at the first repeat: the verdict rests on the
+    tables, and the players are left where play(..., stop_after_lasso=1)
+    leaves them.
     """
     exact = sI.finite_state and sII.finite_state and _full(kind.tree)
-    # a table player declared not finite-state keeps play's undecided path
-    if exact and _tables(kind, sI, sII):
-        columns, lasso, fault, _ = _rounds(kind, sI, sII,
-                                           min(cap, MAX_TRACE_ROUNDS), 1, True)
-    else:
-        trace = play(kind, sI, sII, cap, stop_after_lasso=1)
-        columns, lasso, fault = trace.columns(), trace.lasso, trace.fault
+    # undecided diagnostics read every round, so only exact verdicts stop at
+    # a table lasso
+    columns, lasso, fault, _ = _rounds(kind, sI, sII, min(cap, MAX_TRACE_ROUNDS),
+                                       1, exact and _tables(kind, sI, sII))
     if fault is not None:
         return _fault_verdict(fault, cap)
     if lasso is not None and exact:
@@ -632,7 +629,7 @@ def check_win(trace: RunTrace, payoff: Payoff) -> Verdict:
     breaks the period.  Works for strategies of any declared state size
     since only the recorded columns are consulted.
     """
-    n = horizon = trace.rounds
+    horizon = trace.rounds
     if trace.fault is not None:
         return _fault_verdict(trace.fault, horizon)
     if trace.lasso is None:
@@ -642,10 +639,13 @@ def check_win(trace: RunTrace, payoff: Payoff) -> Verdict:
         raise CertificateMismatchError(f"malformed lasso ({start}, {period})")
     if not _full(trace.kind.tree):
         raise CertificateMismatchError("a lasso certifies only on a full tree")
-    if n < start + 2 * period:
+    if horizon < start + 2 * period:
         raise CertificateMismatchError(
             f"trace too short to witness lasso ({start}, {period})")
-    cols = trace.columns()
+    # the stored columns: the rounds past them repeat their last period, so
+    # the whole run breaks the period iff they do, and first at the same row
+    cols = trace._columns
+    n = len(cols[1])
     if (len(cols) == 3) != trace.kind.uses_pairs:
         raise CertificateMismatchError("trace covalues do not fit its game")
     if any(len(c) != n for c in cols):

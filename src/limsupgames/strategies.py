@@ -225,17 +225,9 @@ class SpiralEnumeration:
 
     @staticmethod
     def _scaled_ceil(v: Dyadic, j: int) -> int:
-        # ceil(v * 2^j) via integer shifts
-        if v.exp <= j:
-            return v.num << (j - v.exp)
-        sh = v.exp - j
-        return -((-v.num) >> sh)
-
-    @staticmethod
-    def _scaled_floor(v: Dyadic, j: int) -> int:
-        if v.exp <= j:
-            return v.num << (j - v.exp)
-        return v.num >> (v.exp - j)
+        """ceil(v * 2^j); floor(v * 2^j) is -_scaled_ceil(-v, j)."""
+        c = v.ceil_to_grid(j)
+        return c.num << (j - c.exp)
 
     def least_index(self, v: Dyadic, tol: Dyadic) -> int:
         """Smallest i with |value(i) - v| <= tol.
@@ -250,7 +242,7 @@ class SpiralEnumeration:
         while True:
             bound = self._bound(j)
             lo = max(self._scaled_ceil(v - tol, j), -bound)
-            hi = min(self._scaled_floor(v + tol, j), bound)
+            hi = min(-self._scaled_ceil(-(v + tol), j), bound)
             if lo <= hi:
                 if lo <= 0 <= hi:
                     z = 0
@@ -305,7 +297,32 @@ def approx_copycat(enum: Optional[SpiralEnumeration] = None,
     return ApproxCopycatI(enum, search_cap)
 
 
-class LiftedI(StrategyI):
+class _MappedI(StrategyI):
+    """A letter strategy run on mapped announcements: each value, or each
+    coordinate of a pair, goes through the subclass's _map before the base
+    strategy sees it.  State, key and counters are the base's."""
+
+    def __init__(self, base: StrategyI):
+        self.base = base
+        self.finite_state = base.finite_state
+
+    def reset(self) -> None:
+        self.base.reset()
+
+    def move(self, last) -> int:
+        if last is not None:
+            f = self._map
+            last = (f(last[0]), f(last[1])) if isinstance(last, tuple) else f(last)
+        return self.base.move(last)
+
+    def state_key(self):
+        return self.base.state_key()
+
+    def counters(self) -> Dict[str, int]:
+        return self.base.counters()
+
+
+class LiftedI(_MappedI):
     """Plays a restricted-answer letter strategy against unrestricted values.
 
     Each announced value is rounded into the finite answer set through the
@@ -316,74 +333,39 @@ class LiftedI(StrategyI):
     """
 
     def __init__(self, base: StrategyI, restriction: FiniteValueSet):
-        self.base = base
+        super().__init__(base)
         self.restriction = restriction
-        self.finite_state = base.finite_state
 
-    def reset(self) -> None:
-        self.base.reset()
-
-    def round_value(self, v) -> Dyadic:
+    def _map(self, v) -> Dyadic:
         picked = self.restriction.nearest(as_dyadic(v))
         if not self.restriction.contains(picked):
             raise StrategyFault(
                 "I", f"near oracle escaped the answer set: {picked}")
         return picked
 
-    def move(self, last) -> int:
-        if last is not None:
-            if isinstance(last, tuple):
-                last = (self.round_value(last[0]), self.round_value(last[1]))
-            else:
-                last = self.round_value(last)
-        return self.base.move(last)
-
-    def state_key(self):
-        return self.base.state_key()
-
-    def counters(self) -> Dict[str, int]:
-        return self.base.counters()
-
 
 def lift_strategy(base: StrategyI, restriction: FiniteValueSet) -> LiftedI:
     return LiftedI(base, restriction)
 
 
-class RelabeledI(StrategyI):
+class RelabeledI(_MappedI):
     """Feeds a letter strategy the preimages of announced values; values
     outside the relabeling's image are the announcer's fault."""
 
     def __init__(self, base: StrategyI, mapping: Dict[Dyadic, Dyadic]):
-        self.base = base
+        super().__init__(base)
         pairs = sorted((as_dyadic(k), as_dyadic(v)) for k, v in mapping.items())
         for (_, va), (_, vb) in zip(pairs, pairs[1:]):
             if not va < vb:
                 raise ValueError("relabeling must be strictly increasing")
         self.inverse: Dict[Dyadic, Dyadic] = {v: k for k, v in pairs}
-        self.finite_state = base.finite_state
 
-    def reset(self) -> None:
-        self.base.reset()
-
-    def _unmap(self, v) -> Dyadic:
+    def _map(self, v) -> Dyadic:
         v = as_dyadic(v)
         got = self.inverse.get(v)
         if got is None:
             raise StrategyFault("II", f"value {v} outside the relabeling image")
         return got
-
-    def move(self, last) -> int:
-        if last is None:
-            return self.base.move(None)
-        if isinstance(last, tuple):
-            return self.base.move((self._unmap(last[0]), self._unmap(last[1])))
-        return self.base.move(self._unmap(last))
-
-    def state_key(self):
-        return self.base.state_key()
-
-    def counters(self) -> Dict[str, int]:
-        return self.base.counters()
 
 
 def relabel_strategy(base: StrategyI, mapping: Dict[Dyadic, Dyadic]) -> RelabeledI:
@@ -499,14 +481,40 @@ class SwitchEvent(NamedTuple):
     tail: EventuallyPeriodicBranch
 
 
-class MeagerDenseI(StrategyI):
+class _Follower(StrategyI):
+    """Player I following a target branch: the prefix at the last retarget
+    followed by the tail the subclass's _pick returns, so a target extends
+    the prefix by construction.  The strategy keeps only (offset, tail) and
+    reads the letter at pos - offset.  move retargets in round 0 and when
+    the subclass's _switch(last), which then advances its own state, fires."""
+
+    def reset(self) -> None:
+        self.prefix: List[int] = []
+        self.view = PrefixView(self.prefix)
+        self.offset = 0
+        self.tail: Optional[EventuallyPeriodicBranch] = None
+        self.t = 0
+
+    def _tail_key(self):
+        return None if self.tail is None else \
+            self.tail.suffix_key(len(self.prefix) - self.offset)
+
+    def move(self, last) -> int:
+        if last is None or self._switch(last):
+            self.offset = len(self.prefix)
+            self.tail = self._pick()
+        letter = self.tail.letter_at(len(self.prefix) - self.offset)
+        self.prefix.append(letter)
+        self.t += 1
+        return letter
+
+
+class MeagerDenseI(_Follower):
     """Switching attacker: follow a branch outside pieces 0..m until II's
     value crowds r while the prefix already escapes piece m, then bump m
     and retarget.
 
-    A target is the prefix at the switch followed by the tail pick_y
-    returns, so it extends the prefix by construction; the strategy keeps
-    only (offset, tail) and reads letters at pos - offset; it tests
+    The target's tail is the one pick_y returns.  The strategy tests
     r - 2^-m < v as m <= crowd_depth(r, v), kept per announced value, so a
     round costs the same at any depth.  The piece index can grow forever, so
     the strategy declares unbounded state; stalled runs still lasso in play
@@ -525,41 +533,29 @@ class MeagerDenseI(StrategyI):
         self.reset()
 
     def reset(self) -> None:
+        super().reset()
         self.m = 0
-        self.prefix: List[int] = []
-        self.view = PrefixView(self.prefix)
-        self.offset = 0
-        self.tail: Optional[EventuallyPeriodicBranch] = None
         self.switches = 0
-        self.t = 0
         self.history: List[SwitchEvent] = []
 
-    def _retarget(self) -> None:
-        self.offset = len(self.prefix)
-        self.tail = self.instance.pick_y(self.view, self.m)
-        self.history.append(SwitchEvent(self.t, self.m, self.offset, self.tail))
+    def _pick(self) -> EventuallyPeriodicBranch:
+        tail = self.instance.pick_y(self.view, self.m)
+        self.history.append(SwitchEvent(self.t, self.m, self.offset, tail))
+        return tail
 
-    def move(self, last) -> int:
-        if last is None:
-            self._retarget()
-        else:
-            v = last[0] if isinstance(last, tuple) else last
-            depth = self.depths.get(v)
-            if depth is None:
-                depth = self.depths[v] = crowd_depth(self.instance.r, v)
-            if self.m <= depth and self.s_disjoint(self.view, self.m):
-                self.m += 1
-                self.switches += 1
-                self._retarget()
-        letter = self.tail.letter_at(len(self.prefix) - self.offset)
-        self.prefix.append(letter)
-        self.t += 1
-        return letter
+    def _switch(self, last) -> bool:
+        v = last[0] if isinstance(last, tuple) else last
+        depth = self.depths.get(v)
+        if depth is None:
+            depth = self.depths[v] = crowd_depth(self.instance.r, v)
+        if self.m <= depth and self.s_disjoint(self.view, self.m):
+            self.m += 1
+            self.switches += 1
+            return True
+        return False
 
     def state_key(self):
-        tkey = None if self.tail is None else \
-            self.tail.suffix_key(len(self.prefix) - self.offset)
-        return (self.m, tkey, self.prefix_digest(self.view, self.m))
+        return (self.m, self._tail_key(), self.prefix_digest(self.view, self.m))
 
     def counters(self) -> Dict[str, int]:
         return {"m": self.m, "switches": self.switches, "round": self.t}
@@ -598,15 +594,14 @@ def indicator_oscillation_instance() -> OscillationInstance:
                                IndicatorPayoff(), label="indicator-oscillation")
 
 
-class OscillationI(StrategyI):
+class OscillationI(_Follower):
     """Alternating attacker for the pair game: chase a payoff-sup branch
     until the first coordinate crowds sup_f, then a payoff-inf branch until
     the second coordinate crowds inf_f, and repeat.
 
-    A target is the current prefix followed by the picked tail, so it
-    extends the prefix by construction, and the strategy's future depends
-    only on the phase parity and the tail's remaining letters: the state
-    key space is finite even though the phase counter is not.
+    The target's tail is the pick of the phase's parity, so the strategy's
+    future depends only on that parity and the tail's remaining letters:
+    the state key space is finite even though the phase counter is not.
     """
 
     finite_state = True
@@ -623,41 +618,26 @@ class OscillationI(StrategyI):
         self.reset()
 
     def reset(self) -> None:
+        super().reset()
         self.phase = 0
-        self.prefix: List[int] = []
-        self.view = PrefixView(self.prefix)
-        self.offset = 0
-        self.tail: Optional[EventuallyPeriodicBranch] = None
-        self.t = 0
         self.trigger_rounds: List[int] = []
 
-    def _retarget(self) -> None:
-        self.offset = len(self.prefix)
-        self.tail = self.picks[self.phase % 2](self.view)
+    def _pick(self) -> EventuallyPeriodicBranch:
+        return self.picks[self.phase % 2](self.view)
 
-    def _triggered(self, last) -> bool:
+    def _switch(self, last) -> bool:
         if not isinstance(last, tuple):
             raise StrategyFault("II", "oscillation attack needs value pairs")
         side = self.phase % 2
         lo, hi = self.windows[side]
-        return lo < last[side] < hi
-
-    def move(self, last) -> int:
-        if last is None:
-            self._retarget()
-        elif self._triggered(last):
+        if lo < last[side] < hi:
             self.phase += 1
             self.trigger_rounds.append(self.t)
-            self._retarget()
-        letter = self.tail.letter_at(len(self.prefix) - self.offset)
-        self.prefix.append(letter)
-        self.t += 1
-        return letter
+            return True
+        return False
 
     def state_key(self):
-        tkey = None if self.tail is None else \
-            self.tail.suffix_key(len(self.prefix) - self.offset)
-        return (self.phase % 2, tkey)
+        return (self.phase % 2, self._tail_key())
 
     def counters(self) -> Dict[str, int]:
         return {"phase": self.phase, "round": self.t,

@@ -484,6 +484,44 @@ def test_a_lasso_trace_expands_once_and_refuses_a_bad_round_count():
                           (tr.lasso, len(values) - 1)]:
         with pytest.raises(ValueError, match="rounds need a lasso"):
             RunTrace(kind, letters, values, lasso=lasso, rounds=rounds)
+    # a first cycle past the stored rounds: the witness would read (0,),
+    # the expanded columns (0, 1)
+    with pytest.raises(ValueError, match="rounds need a lasso"):
+        RunTrace(gamma(binary_tree()), (0, 1, 0),
+                 (Dyadic(0), Dyadic(1), Dyadic(0)), lasso=(2, 2), rounds=10)
+
+
+def _outcome(trace, payoff):
+    try:
+        return check_win(trace, payoff)
+    except CertificateMismatchError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("pair", range(2), ids=["gamma", "gamma_prime"])
+def test_check_win_reads_a_lasso_trace_as_stored(pair):
+    kind, sI, sII, _ = _lasso_pairs()[pair]
+    payoff = sII.u if pair == 0 else sII.sf.u
+    tr = play(kind, sI, sII, MAX_TRACE_ROUNDS)
+    verdict = check_win(tr, payoff)
+    assert tr._full is None and verdict.outcome is not Outcome.UNDECIDED
+    assert check_win(RunTrace(kind, *tr.columns(), lasso=tr.lasso),
+                     payoff) == verdict
+    # tamper each stored entry: the stored trace and its expanded twin give
+    # the same verdict or name the same first row that breaks the period
+    broken = set()
+    for i, col in enumerate(tr._columns):
+        for t in range(len(col)):
+            cols = list(tr._columns)
+            cols[i] = col[:t] + (col[t] + 1,) + col[t + 1:]
+            bad = RunTrace(kind, *cols, lasso=tr.lasso, rounds=1000)
+            got = _outcome(bad, payoff)
+            assert bad._full is None
+            assert _outcome(RunTrace(kind, *bad.columns(), lasso=tr.lasso),
+                            payoff) == got
+            if isinstance(got, str):
+                broken.add(got)
+    assert broken == {f"row {tr.lasso[0]} breaks period {tr.lasso[1]}"}
 
 
 def test_faulted_and_empty_walk_traces_write_row_by_row(tmp_path):
@@ -868,8 +906,7 @@ def test_a_verdict_between_table_players_never_calls_play(monkeypatch):
         for make_i in makers_i:
             for make_ii in makers_ii:
                 exact_verdict(kind, make_i(), make_ii(), payoff)
-    assert played == []
-    # other players still go through play
+    # nor does any other pair: every verdict runs the round loop itself
     exact_verdict(BIN, RoundByRound(const_letter()),
                   RoundByRound(ConstantII(0)), lambda x: Dyadic(0))
-    assert len(played) == 1
+    assert played == []

@@ -13,8 +13,9 @@ from limsupgames.corpus import (automaton_corpus, baire_pair_fixtures,
                                 pair_fsm_corpus, value_fsm_corpus)
 from limsupgames.dyadic import Dyadic, half_pow
 from limsupgames.games import (TABLE_TYPES, FiniteValueSet, Outcome,
-                                StrategyFault, check_win, exact_verdict,
-                                finite_value_set, gamma, gamma_prime, play)
+                                StrategyFault, StrategyI, check_win,
+                                exact_verdict, finite_value_set, gamma,
+                                gamma_prime, play)
 from limsupgames.strategies import (ConstantII, IndicatorPayoff, LetterFSM,
                                      SpiralEnumeration, ValueFSM,
                                      approx_copycat, copycat_strategy,
@@ -246,6 +247,52 @@ def test_relabeling_image_and_monotonicity():
     with pytest.raises(ValueError):
         relabel_strategy(copycat_strategy(), {Dyadic(0): Dyadic(2),
                                               Dyadic(1): Dyadic(1)})
+
+
+# --- lifting and relabeling in the pair game ----------------------------
+
+
+class Heard(StrategyI):
+    """Plays 0 and keeps every input it hears."""
+
+    def reset(self):
+        self.heard = []
+
+    def move(self, last):
+        self.heard.append(last)
+        return 0
+
+
+def test_lift_and_relabel_map_both_coordinates_of_a_pair():
+    R = finite_value_set([Dyadic(0), Dyadic(1)])
+    base = Heard()
+    # 3/4 rounds to 1 and 1/4 to 0
+    tr = play(PAIR, lift_strategy(base, R),
+              ConstantII(Dyadic(3, 2), Dyadic(1, 2)), 3)
+    assert tr.fault is None
+    assert base.heard == [None] + [(Dyadic(1), Dyadic(0))] * 2
+    mapping = {Dyadic(n): Dyadic(n, 1) for n in range(4)}
+    tr = play(PAIR, relabel_strategy(base, mapping),
+              ConstantII(Dyadic(3, 1), Dyadic(1, 1)), 3)
+    assert tr.fault is None
+    assert base.heard == [None] + [(Dyadic(3), Dyadic(1))] * 2
+
+
+def test_a_pair_coordinate_outside_the_map_is_the_right_players_fault():
+    mapping = {Dyadic(n): Dyadic(n, 1) for n in range(4)}
+    # the value 3/2 has a preimage, the covalue 1/4 none
+    tr = play(PAIR, relabel_strategy(Heard(), mapping),
+              ConstantII(Dyadic(3, 1), Dyadic(1, 2)), 3)
+    assert tr.fault == ("II", 1, "value 1/2^2 outside the relabeling image")
+
+    class EscapesBelowZero(FiniteValueSet):
+        def nearest(self, v):
+            return Dyadic(99) if v < 0 else super().nearest(v)
+
+    R = EscapesBelowZero((Dyadic(0), Dyadic(1)))
+    tr = play(PAIR, lift_strategy(Heard(), R),
+              ConstantII(Dyadic(1), Dyadic(-1)), 3)
+    assert tr.fault == ("I", 1, "near oracle escaped the answer set: 99/2^0")
 
 
 # --- paired responders --------------------------------------------------
