@@ -64,7 +64,7 @@ def construct_u(fam: GridLscFamily, s: Prefix) -> Dyadic:
 
 
 def segment_label(ker: ProductKernel, E: int, J: tuple, S: tuple,
-                  a: int) -> Tuple[Dyadic, tuple, tuple]:
+                  a: int) -> Tuple[int, tuple, tuple]:
     """(label, J', S'): one step of the label transducer of a kernel family.
 
     (J, S) is the state after a prefix of length L: J the joint kernel
@@ -83,13 +83,11 @@ def segment_label(ker: ProductKernel, E: int, J: tuple, S: tuple,
     L the child's is its last output and the parent's a tail value; past L
     both are tail values, which settle within tail_entry steps, so the scan
     stops there.  Like construct_u this raises AssertionError when a level
-    read exceeds the level read before it.  Levels are read as the kernel's
-    grid ints; the label becomes a Dyadic on return.
+    read exceeds the level read before it.  Levels are read, and the label
+    returned, as the kernel's grid ints.
     """
-    o = ker.outputs_on(J, a)
-    J2 = ker.step(J, a)
-    vecs = [tuple(map(max, d, o)) for d in S]
-    vecs.append(o)
+    J2, o = ker.edge(J, a)
+    vecs = [tuple(map(max, d, o)) for d in S] + [o]
     S2 = tuple(vecs[:E]) + tuple(v for v, _ in groupby(vecs[E:]))
     cvals, centry = ker.tail(J2)
     pvals, pentry = ker.tail(J)
@@ -112,7 +110,7 @@ def segment_label(ker: ProductKernel, E: int, J: tuple, S: tuple,
         last = cur
         if par < cur and best < cur:
             best = cur
-    return ker.from_grid(best), J2, S2
+    return best, J2, S2
 
 
 class LabelTransducer:
@@ -132,10 +130,10 @@ class LabelTransducer:
         self.exponent = ker.grid_exponent if discretized else 0
         self.states: List[tuple] = [(ker.initial, ())]
         self._ids = {self.states[0]: 0}
-        self._moves: Dict[Tuple[int, int], Tuple[Dyadic, int]] = {}
+        self._moves: Dict[Tuple[int, int], Tuple[int, int]] = {}
 
-    def move(self, q: int, a: int) -> Tuple[Dyadic, int]:
-        """(label of the child along a, its state) from state q."""
+    def move(self, q: int, a: int) -> Tuple[int, int]:
+        """(label of the child along a as a grid int, its state) from q."""
         got = self._moves.get((q, a))
         if got is None:
             J, S = self.states[q]
@@ -194,22 +192,23 @@ class ConstructionState:
             if not s:
                 got = self.fam.node_inf(0, s).require_finite()
             else:
-                got, self._runs[s] = self._tr.move(self._run(s[:-1]), s[-1])
+                label, self._runs[s] = self._tr.move(self._run(s[:-1]), s[-1])
+                got = self._tr.ker.from_grid(label)
             self.cache[s] = got
         return got
 
 
 def _label_lasso(tr: LabelTransducer, x: EventuallyPeriodicBranch,
-                 cap: int) -> Tuple[List[tuple], int, List[Dyadic]]:
-    """(walk, entry, labels): the (branch phase, transducer state) orbit
-    along x, a lasso whose cycle starts at entry, and the label of each
-    step, periodic from entry on.  An orbit that shows no repeat within
-    cap + 1 steps raises InconclusiveLassoError.
+                 cap: int) -> Tuple[List[tuple], int, Dyadic]:
+    """(walk, entry, limsup): the (branch phase, transducer state) orbit
+    along x, a lasso whose cycle starts at entry, and the largest label on
+    that cycle, the only label made a Dyadic.  An orbit that shows no
+    repeat within cap + 1 steps raises InconclusiveLassoError.
     """
     letters = x.stem + x.cycle
     stem, end = len(x.stem), len(letters)
     move = tr.move
-    labels: List[Dyadic] = []
+    labels: List[int] = []
 
     def step(key):
         t, q = key
@@ -223,15 +222,14 @@ def _label_lasso(tr: LabelTransducer, x: EventuallyPeriodicBranch,
     except StabilizationCapError:
         raise InconclusiveLassoError(
             f"no lasso along {x} within {cap} steps") from None
-    return walk, entry, labels
+    return walk, entry, tr.ker.from_grid(max(labels[entry:]))
 
 
 def limsup_along(fam: GridLscFamily, x: EventuallyPeriodicBranch,
                  cap: int = 4096) -> Dyadic:
     """Exact limsup of the constructed labels along x, the largest label on
     the cycle of _label_lasso's walk; branch_limsup without the audit."""
-    _, entry, labels = _label_lasso(transducer(fam), x, cap)
-    return max(labels[entry:])
+    return _label_lasso(transducer(fam), x, cap)[2]
 
 
 def branch_limsup(fam: GridLscFamily, x: EventuallyPeriodicBranch,
@@ -250,7 +248,7 @@ def branch_limsup(fam: GridLscFamily, x: EventuallyPeriodicBranch,
     limsup_along.
     """
     tr = transducer(fam)
-    walk, entry, labels = _label_lasso(tr, x, cap)
+    walk, entry, value = _label_lasso(tr, x, cap)
     proj = [(t, tr.states[q][0]) for t, q in walk]
     proj.append(proj[entry])
     orbit, t0 = first_repeat(proj[0], dict(zip(proj, proj[1:])).__getitem__)
@@ -265,7 +263,7 @@ def branch_limsup(fam: GridLscFamily, x: EventuallyPeriodicBranch,
         max_scan = max(max_scan, L + tr.ker.tail_entry(J))
     info = {"lasso_start": t0, "period": p, "horizon": horizon,
             "max_scan": max_scan}
-    return max(labels[entry:]), info
+    return value, info
 
 
 class BranchCheck(NamedTuple):
@@ -349,7 +347,7 @@ def minimize_labeling(state: ConstructionState) -> NodeAutomaton:
         if letters != tuple(range(len(letters))):
             raise ValueError(f"cannot minimize over the alphabet {letters}: "
                              "machine letters are 0..k-1")
-    moves: Dict[int, List[Tuple[Dyadic, int]]] = {}
+    moves: Dict[int, List[Tuple[int, int]]] = {}
     todo = [0]
     while todo:
         q = todo.pop()
@@ -376,7 +374,7 @@ def minimize_labeling(state: ConstructionState) -> NodeAutomaton:
                 number[block[r]] = len(reps)
                 reps.append(r)
         steps.append([number[block[r]] for _, r in moves[q]])
-        outs.append([label for label, _ in moves[q]])
+        outs.append([tr.ker.from_grid(label) for label, _ in moves[q]])
     return make_automaton(0, steps, outs)
 
 
@@ -402,9 +400,22 @@ class AlgebraFunction(NamedTuple):
         return limsup_along(self.family, x)
 
     def expected_on(self, x: EventuallyPeriodicBranch) -> Dyadic:
-        f1 = eval_limsup(self.factors[0], x)
-        f2 = eval_limsup(self.factors[1], x)
-        return apply_op(self.op, f1, f2)
+        """op of the factor limsups along x, each the largest output on the
+        cycle of one (state pair, cycle phase) lasso of both factors."""
+        u1, u2 = self.factors
+        c1 = [u1.letter_class(a) for a in x.cycle]
+        c2 = [u2.letter_class(a) for a in x.cycle]
+        s1, s2, period = u1.steps, u2.steps, len(c1)
+
+        def step(key):
+            p1, p2, i = key
+            return s1[p1][c1[i]], s2[p2][c2[i]], (i + 1) % period
+
+        orbit, entry = first_repeat((u1.run(x.stem), u2.run(x.stem), 0), step)
+        cyc = orbit[entry:]
+        return apply_op(self.op,
+                        max(u1.outputs[p1][c1[i]] for p1, _, i in cyc),
+                        max(u2.outputs[p2][c2[i]] for _, p2, i in cyc))
 
 
 def algebra(u1: NodeAutomaton, u2: NodeAutomaton, op: str,

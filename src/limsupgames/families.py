@@ -48,9 +48,8 @@ def family_from_kernel(ker: ProductKernel, label: str) -> GridLscFamily:
         got = walks.get(s)
         if got is None:
             J, outs = _walk(s[:-1])
-            a = s[-1]
-            got = (ker.step(J, a), outs + (ker.outputs_on(J, a),))
-            walks[s] = got
+            J2, o = ker.edge(J, s[-1])
+            got = walks[s] = (J2, outs + (o,))
         return got
 
     memo = {}

@@ -277,7 +277,16 @@ class RunTrace(_Record):
         self._full = cols if rounds is None else None
 
     def _replace(self, **fields) -> "RunTrace":
-        return RunTrace(**{**dict(zip(self._names, self._fields())), **fields})
+        """A copy with fields replaced.  A replaced column or lasso is taken
+        as given, beside the other columns in full; a replace of neither
+        keeps the stored columns and round count, expanding nothing."""
+        if fields.keys() <= {"kind", "fault"}:
+            old = dict(zip(("letters", "values", "covalues"), self._columns),
+                       kind=self._kind, lasso=self._lasso, fault=self._fault,
+                       rounds=self._rounds)
+        else:
+            old = dict(zip(self._names, self._fields()))
+        return RunTrace(**{**old, **fields})
 
     letters = property(lambda self: self.columns()[0])
     values = property(lambda self: self.columns()[1])

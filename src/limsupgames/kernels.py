@@ -76,6 +76,8 @@ class ProductKernel:
             o.exp for u in self.machines for row in u.outputs for o in row)
         self._all = tuple(range(self.dims))
         self._value: Dict = {}
+        self._edges: Dict = {}
+        self._dyadics: Dict[int, Dyadic] = {}
         self._tails: Dict = {}
         # per tuple of machine indices, its table of minimal feasible vectors
         self._feasible: Dict[tuple, Dict[tuple, list]] = {}
@@ -97,14 +99,22 @@ class ProductKernel:
         return d.num << shift
 
     def from_grid(self, v: int) -> Dyadic:
-        return Dyadic(v, self.grid_exponent)
+        """v / 2**grid_exponent as a Dyadic, made once per value."""
+        got = self._dyadics.get(v)
+        if got is None:
+            got = self._dyadics[v] = Dyadic(v, self.grid_exponent)
+        return got
 
-    def step(self, J: tuple, a: int) -> tuple:
-        return tuple(u.step(q, a) for u, q in zip(self.machines, J))
-
-    def outputs_on(self, J: tuple, a: int) -> tuple:
-        return tuple(tab[q][u.letter_class(a)]
-                     for u, tab, q in zip(self.machines, self._tables, J))
+    def edge(self, J: tuple, a: int) -> Tuple[tuple, tuple]:
+        """(J', outs): the joint successor of J on letter a and the grid
+        outputs of that step, one per machine; memoized per (J, a)."""
+        got = self._edges.get((J, a))
+        if got is None:
+            cls = [u.letter_class(a) for u in self.machines]
+            got = self._edges[J, a] = (
+                tuple(u.steps[q][c] for u, q, c in zip(self.machines, J, cls)),
+                tuple(tab[q][c] for tab, q, c in zip(self._tables, J, cls)))
+        return got
 
     def _table(self, idx: tuple) -> Dict[tuple, list]:
         """The minimal feasible vectors of the machines at indices idx, by state."""

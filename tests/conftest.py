@@ -25,7 +25,7 @@ def branch_labels(fam, x, horizon: int) -> tuple:
     out = []
     for t in range(horizon):
         label, q = tr.move(q, x.letter_at(t))
-        out.append(label)
+        out.append(tr.ker.from_grid(label))
     return tuple(out)
 
 

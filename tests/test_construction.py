@@ -216,7 +216,7 @@ def joint_orbit_info(fam, x, cap=4096):
     t, J = 0, ker.initial
     while (t, J) not in seen:
         seen[(t, J)] = len(seen)
-        J = ker.step(J, x.letter_at(t))
+        J = ker.edge(J, x.letter_at(t))[0]
         t = t + 1 if t + 1 < end else len(x.stem)
     t0 = seen[(t, J)]
     p = len(seen) - t0
@@ -328,6 +328,65 @@ def test_kernel_letter_classes_cover_the_tree():
                 for u in group:
                     assert {u.letter_class(a) for a in ker.reps} == \
                         set(allowed_classes(u, tree)), (tree.name, group)
+
+
+def _wide_pairs(seed, count):
+    """Seeded pairs of machines with 1..3 states whose explicit letter
+    counts differ: the first reads 0..2 apart, the second only 0."""
+    rng = rng_stream(seed, "wide-pairs")
+
+    def machine(k):
+        n = rng.randint(1, 3)
+        return make_automaton(
+            0, [[rng.randrange(n) for _ in range(k + 1)] for _ in range(n)],
+            [[random_dyadic(rng, 3, 2) for _ in range(k + 1)]
+             for _ in range(n)])
+    return [(machine(3), machine(1)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("tree", [TREE, nat_tree()], ids=["binary", "naturals"])
+def test_kernel_edge_is_each_machines_own_step(tree):
+    # every joint state, each representative letter and, on the naturals,
+    # letters past every machine's width
+    for u1, u2 in _wide_pairs(41, 6):
+        for group in ((u1,), (u2, u1), (u1, u2)):
+            ker = ProductKernel(group, tree)
+            letters = set(ker.reps)
+            if tree.all_naturals:
+                letters |= set(range(max(u.num_letters for u in group) + 3))
+            for J in itertools.product(*(range(u.num_states) for u in group)):
+                for a in sorted(letters):
+                    want = (tuple(u.step(q, a) for u, q in zip(group, J)),
+                            tuple(ker.to_grid(u.output(q, a))
+                                  for u, q in zip(group, J)))
+                    assert ker.edge(J, a) == want, (group, J, a)
+                    assert ker.edge(J, a) is ker.edge(J, a)
+
+
+@pytest.mark.parametrize("op", ["sum", "min", "max"])
+def test_expected_on_is_the_op_of_the_factor_limsups(op):
+    branches = branch_corpus(3, 4) + branch_corpus(1, 2, alphabet=range(6))
+    for u1, u2 in _wide_pairs(42, 4):
+        f = algebra(u1, u2, op, nat_tree())
+        for x in branches:
+            assert f.expected_on(x) == apply_op(
+                op, eval_limsup(u1, x), eval_limsup(u2, x)), (u1, u2, x)
+
+
+def test_labels_are_grid_ints_until_they_leave_the_construction():
+    u1, u2 = _wide_pairs(43, 1)[0]
+    f = algebra(u1, u2, "sum", TREE)
+    for x in BRANCHES:
+        assert type(limsup_along(f.family, x)) is Dyadic
+        assert type(branch_limsup(f.family, x)[0]) is Dyadic
+    tr = transducer(f.family)
+    for q in range(len(tr.states)):
+        assert all(type(tr.move(q, a)[0]) is int for a in (0, 1))
+    for s in prefixes_to(3):
+        assert type(f.state.u(s)) is Dyadic
+        assert f.state.u(s) == construct_u(f.family, s)
+    machine = minimize_labeling(f.state)
+    assert all(type(o) is Dyadic for row in machine.outputs for o in row)
 
 
 def test_algebra_letter_plus_constant():
@@ -498,20 +557,14 @@ class _StubKernel:
     def __init__(self, tail):
         self.tail_vals = (tail,)
 
-    def outputs_on(self, J, a):
-        return (0,)
-
-    def step(self, J, a):
-        return J
+    def edge(self, J, a):
+        return J, (0,)
 
     def tail(self, J):
         return self.tail_vals, 0
 
     def value(self, J, fixed):
         return 0
-
-    def from_grid(self, v):
-        return Dyadic(v)
 
 
 def test_segment_label_refuses_rising_level_reads():

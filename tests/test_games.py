@@ -491,6 +491,23 @@ def test_a_lasso_trace_expands_once_and_refuses_a_bad_round_count():
                  (Dyadic(0), Dyadic(1), Dyadic(0)), lasso=(2, 2), rounds=10)
 
 
+def test_a_replace_keeps_a_lasso_trace_stored_unless_it_changes_a_column():
+    kind, sI, sII, _ = _lasso_pairs()[0]
+    tr = play(kind, sI, sII, 10 ** 6)
+    got = tr._replace(fault=None)
+    # stem plus period stored, the round count kept, nothing expanded
+    assert got.rounds == 10 ** 6 and got.lasso == tr.lasso
+    assert got._columns == tr._columns
+    assert len(got._columns[0]) <= sum(tr.lasso) + 1
+    assert got._full is None and tr._full is None
+    # a replaced column is taken as given, beside the others in full
+    short = play(kind, sI, sII, 40)
+    letters = short.letters[:-1] + (0,)
+    bare = short._replace(letters=letters)
+    assert bare.letters is letters and bare.values == short.values
+    assert bare.rounds == 40
+
+
 def _outcome(trace, payoff):
     try:
         return check_win(trace, payoff)
