@@ -258,6 +258,8 @@ def build_strategy_i(desc: Optional[dict], cfg: ExperimentConfig) -> StrategyI:
     if kind == "meager_dense":
         return strategy_i_meager_dense(eventually_zero_instance())
     if kind == "oscillation":
+        if cfg.game != "gamma_prime":
+            raise ConfigError("oscillation plays only in game gamma_prime")
         return strategy_i_oscillation(indicator_oscillation_instance())
     if kind == "lift":
         if "base" not in desc or "restriction" not in desc:

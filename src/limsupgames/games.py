@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import count, islice, repeat
+from itertools import chain, count, cycle, islice, repeat
 from operator import attrgetter
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
@@ -22,6 +22,7 @@ from .graphs import periodic_start
 from .trees import EventuallyPeriodicBranch, TreeSpec, nat_tree
 
 MAX_TRACE_ROUNDS = 10 ** 6
+CSV_BLOCK = 1 << 14  # CSV rows numbered in one formatting pass
 
 GAMMA = "gamma"
 GAMMA_PRIME = "gamma_prime"
@@ -133,7 +134,8 @@ TABLE_TYPES = set()
 
 
 class TableStrategy(Strategy):
-    """A finite-state player over explicit tables: its whole state is q.
+    """A finite-state player over explicit tables: its whole state is q;
+    counters beside q are only reported, and skip brings them up to date.
 
     A class joins TABLE_TYPES by passing table=True in its class statement.
     Two such players on a full tree play a run that repeats from their
@@ -156,9 +158,9 @@ class TableStrategy(Strategy):
     def state_key(self):
         return self.q
 
-    def skip(self, q, rounds: int) -> None:
+    def skip(self, q, rounds: int, period: int) -> None:
         """Stand where `rounds` more moves would have left the player, in
-        state q."""
+        state q; those rounds repeat the last `period` rounds."""
         self.q = q
 
 
@@ -320,8 +322,8 @@ class RunTrace(_Record):
         """The trace as CSV.  When the stored columns are periodic from
         lasso start s with period p (checked here, never assumed), only rows
         0..s+p-1 are formatted: the later rows repeat the tails of rows
-        s..s+p-1, and the round numbers go in in one pass.  No field can
-        hold a comma, quote, newline or percent sign, so none is quoted."""
+        s..s+p-1, and round numbers go in one pass per CSV_BLOCK rows.  No
+        field holds a comma, quote, newline or percent sign: none is quoted."""
         cols = self._columns
         m = min(map(len, cols))
         s, p = self.lasso or (0, 0)
@@ -333,14 +335,14 @@ class RunTrace(_Record):
             n = end = min(map(len, cols))
         vs = _texts(cols[1][:end])
         ws = repeat("") if len(cols) == 2 else _texts(cols[2][:end])
-        # the header, then each row's tail; a round number goes before each
-        tails = ["t,x_t,v_t,w_t\n"]
-        tails += [f",{x},{v},{w}\n" for x, v, w in zip(cols[0], vs, ws)]
-        if n > end:
-            cyc = tails[s + 1:]
-            reps, rest = divmod(n - end, p)
-            tails += cyc * reps + cyc[:rest]
-        return "%d".join(tails) % tuple(range(n))
+        # each row's tail; a round number goes before each
+        tails = [f",{x},{v},{w}\n" for x, v, w in zip(cols[0], vs, ws)]
+        rows = chain(tails, cycle(tails[s:]))
+        out = ["t,x_t,v_t,w_t\n"]
+        for i in range(0, n, CSV_BLOCK):
+            ts = range(i, min(i + CSV_BLOCK, n))
+            out.append(("%d" + "%d".join(islice(rows, len(ts)))) % tuple(ts))
+        return "".join(out)
 
     def sidecar(self) -> dict:
         return {
@@ -446,8 +448,8 @@ def _rounds(kind: GameKind, sI: StrategyI, sII: StrategyII, stop_at: int,
                     # stand n % period rounds into the cycle
                     n = max(0, stop_at - t)
                     q_i, q_ii, _ = next(islice(seen, first + n % period, None))
-                    sI.skip(q_i, n)
-                    sII.skip(q_ii, n)
+                    sI.skip(q_i, n, period)
+                    sII.skip(q_ii, n, period)
                     return columns, lasso, None, n
                 if stop_at <= t:
                     break

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import bisect
 from functools import lru_cache
+from itertools import chain
 from typing import (Callable, Dict, Hashable, List, NamedTuple, Optional,
                     Sequence)
 
@@ -160,7 +161,7 @@ class CopycatI(TableStrategy, StrategyI, table=True):
     def reset(self) -> None:
         self.q = self.t = 0
 
-    def skip(self, q, rounds: int) -> None:
+    def skip(self, q, rounds: int, period: int) -> None:
         self.t += rounds
 
     def move(self, last) -> int:
@@ -481,44 +482,18 @@ class SwitchEvent(NamedTuple):
     tail: EventuallyPeriodicBranch
 
 
-class _Follower(StrategyI):
-    """Player I following a target branch: the prefix at the last retarget
-    followed by the tail the subclass's _pick returns, so a target extends
-    the prefix by construction.  The strategy keeps only (offset, tail) and
-    reads the letter at pos - offset.  move retargets in round 0 and when
-    the subclass's _switch(last), which then advances its own state, fires."""
-
-    def reset(self) -> None:
-        self.prefix: List[int] = []
-        self.view = PrefixView(self.prefix)
-        self.offset = 0
-        self.tail: Optional[EventuallyPeriodicBranch] = None
-        self.t = 0
-
-    def _tail_key(self):
-        return None if self.tail is None else \
-            self.tail.suffix_key(len(self.prefix) - self.offset)
-
-    def move(self, last) -> int:
-        if last is None or self._switch(last):
-            self.offset = len(self.prefix)
-            self.tail = self._pick()
-        letter = self.tail.letter_at(len(self.prefix) - self.offset)
-        self.prefix.append(letter)
-        self.t += 1
-        return letter
-
-
-class MeagerDenseI(_Follower):
+class MeagerDenseI(StrategyI):
     """Switching attacker: follow a branch outside pieces 0..m until II's
     value crowds r while the prefix already escapes piece m, then bump m
-    and retarget.
+    and retarget (as in round 0).
 
-    The target's tail is the one pick_y returns.  The strategy tests
-    r - 2^-m < v as m <= crowd_depth(r, v), kept per announced value, so a
-    round costs the same at any depth.  The piece index can grow forever, so
-    the strategy declares unbounded state; stalled runs still lasso in play
-    because the state key keeps only the digest of the prefix.
+    A target is the prefix at its retarget followed by pick_y's tail, so it
+    extends the prefix by construction: the strategy keeps (offset, tail)
+    and reads the letter at pos - offset.  It tests r - 2^-m < v as
+    m <= crowd_depth(r, v), kept per announced value, so a round costs the
+    same at any depth.  The piece index can grow forever, so the strategy
+    declares unbounded state; stalled runs still lasso in play because the
+    state key keeps only the digest of the prefix.
     """
 
     finite_state = False
@@ -533,15 +508,24 @@ class MeagerDenseI(_Follower):
         self.reset()
 
     def reset(self) -> None:
-        super().reset()
+        self.prefix: List[int] = []
+        self.view = PrefixView(self.prefix)
+        self.offset = 0
+        self.tail: Optional[EventuallyPeriodicBranch] = None
+        self.t = 0
         self.m = 0
         self.switches = 0
         self.history: List[SwitchEvent] = []
 
-    def _pick(self) -> EventuallyPeriodicBranch:
-        tail = self.instance.pick_y(self.view, self.m)
-        self.history.append(SwitchEvent(self.t, self.m, self.offset, tail))
-        return tail
+    def move(self, last) -> int:
+        if last is None or self._switch(last):
+            self.offset = len(self.prefix)
+            self.tail = self.instance.pick_y(self.view, self.m)
+            self.history.append(SwitchEvent(self.t, self.m, self.offset, self.tail))
+        letter = self.tail.letter_at(len(self.prefix) - self.offset)
+        self.prefix.append(letter)
+        self.t += 1
+        return letter
 
     def _switch(self, last) -> bool:
         v = last[0] if isinstance(last, tuple) else last
@@ -555,7 +539,9 @@ class MeagerDenseI(_Follower):
         return False
 
     def state_key(self):
-        return (self.m, self._tail_key(), self.prefix_digest(self.view, self.m))
+        tail = None if self.tail is None else \
+            self.tail.suffix_key(len(self.prefix) - self.offset)
+        return (self.m, tail, self.prefix_digest(self.view, self.m))
 
     def counters(self) -> Dict[str, int]:
         return {"m": self.m, "switches": self.switches, "round": self.t}
@@ -569,75 +555,94 @@ class OscillationInstance(NamedTuple):
     """Inputs for the two-sided attack on a set whose closure keeps both a
     value-sup and a value-inf witness above every node.
 
-    pick_high(s) / pick_low(s) return only the continuation after s (the
-    branch of letters from position len(s) on) that makes s followed by it
-    a branch with payoff sup_f, respectively inf_f.  Both must draw their
-    tails from a finite set so the strategy's state stays finite; branches
-    are immutable, so a pick may return the same shared tail every time.
+    high and low are the continuations the attack plays from its first
+    letter on after each retarget: any prefix followed by high is a branch
+    with payoff sup_f, and followed by low one with payoff inf_f.  Fixed
+    tails make the attack a finite table; picks that read the prefix wait
+    for tails indexed by a letter automaton's states (ROADMAP item 7(b)).
     """
 
     tree: TreeSpec
     sup_f: Dyadic
     inf_f: Dyadic
     epsilon: Dyadic
-    pick_high: Callable[[Sequence[int]], EventuallyPeriodicBranch]
-    pick_low: Callable[[Sequence[int]], EventuallyPeriodicBranch]
+    high: EventuallyPeriodicBranch
+    low: EventuallyPeriodicBranch
     payoff: object
     label: str = "oscillation"
 
 
 def indicator_oscillation_instance() -> OscillationInstance:
-    high = EventuallyPeriodicBranch((), (0,))
-    low = EventuallyPeriodicBranch((), (0, 1))
     return OscillationInstance(binary_tree(), Dyadic(1), Dyadic(0),
-                               Dyadic(1, 3), lambda s: high, lambda s: low,
+                               Dyadic(1, 3), EventuallyPeriodicBranch((), (0,)),
+                               EventuallyPeriodicBranch((), (0, 1)),
                                IndicatorPayoff(), label="indicator-oscillation")
 
 
-class OscillationI(_Follower):
-    """Alternating attacker for the pair game: chase a payoff-sup branch
-    until the first coordinate crowds sup_f, then a payoff-inf branch until
-    the second coordinate crowds inf_f, and repeat.
+class OscillationI(TableStrategy, StrategyI, table=True):
+    """Alternating attacker for the pair game: chase the high tail until
+    the first coordinate crowds sup_f, then the low tail until the second
+    coordinate crowds inf_f, and repeat.
 
-    The target's tail is the pick of the phase's parity, so the strategy's
-    future depends only on that parity and the tail's remaining letters:
-    the state key space is finite even though the phase counter is not.
+    The state q is (phase parity, the suffix_key of the chased tail's
+    remaining letters), and (0, None) before round 0.  A trigger flips the
+    parity and restarts the other tail; the letter is the head of the
+    remaining tail.  The round t and the trigger rounds (so the phase) are
+    only reported, never read by move.
     """
 
-    finite_state = True
+    initial = (0, None)
 
     def __init__(self, instance: OscillationInstance):
+        tails = (instance.high, instance.low)
+        if not all(isinstance(x, EventuallyPeriodicBranch) for x in tails):
+            raise TypeError("oscillation tails are eventually periodic branches")
         self.instance = instance
         # a coordinate crowds its target when it lies strictly inside
         # (target - epsilon, target + epsilon)
         eps = instance.epsilon
         self.windows = ((instance.sup_f - eps, instance.sup_f + eps),
                         (instance.inf_f - eps, instance.inf_f + eps))
-        # the pick of each phase parity, bound once
-        self.picks = (instance.pick_high, instance.pick_low)
+        # suffix key -> (its head letter, the key one letter on), over both
+        # tails; None, before round 0, stands at the start of the high tail
+        self.starts = tuple(x.suffix_key(0) for x in tails)
+        self.step = {}
+        for x in tails:
+            for i in range(len(x.stem) + len(x.cycle)):
+                self.step[x.suffix_key(i)] = (x.letter_at(i), x.suffix_key(i + 1))
+        self.step[None] = self.step[self.starts[0]]
         self.reset()
 
     def reset(self) -> None:
         super().reset()
-        self.phase = 0
+        self.t = 0
         self.trigger_rounds: List[int] = []
 
-    def _pick(self) -> EventuallyPeriodicBranch:
-        return self.picks[self.phase % 2](self.view)
+    phase = property(lambda self: len(self.trigger_rounds))
 
-    def _switch(self, last) -> bool:
-        if not isinstance(last, tuple):
-            raise StrategyFault("II", "oscillation attack needs value pairs")
-        side = self.phase % 2
-        lo, hi = self.windows[side]
-        if lo < last[side] < hi:
-            self.phase += 1
-            self.trigger_rounds.append(self.t)
-            return True
-        return False
+    def move(self, last) -> int:
+        parity, key = self.q
+        if last is not None:
+            if not isinstance(last, tuple):
+                raise StrategyFault("II", "oscillation attack needs value pairs")
+            lo, hi = self.windows[parity]
+            if lo < last[parity] < hi:
+                parity ^= 1
+                key = self.starts[parity]
+                self.trigger_rounds.append(self.t)
+        letter, key = self.step[key]
+        self.q = (parity, key)
+        self.t += 1
+        return letter
 
-    def state_key(self):
-        return (self.phase % 2, self._tail_key())
+    def skip(self, q, rounds: int, period: int) -> None:
+        # the skipped rounds repeat the last `period` rounds, triggers too
+        self.q = q
+        trig, t = self.trigger_rounds, self.t
+        cyc = trig[bisect.bisect_left(trig, t - period):]
+        trig += sorted(chain.from_iterable(
+            range(r + period, t + rounds, period) for r in cyc))
+        self.t = t + rounds
 
     def counters(self) -> Dict[str, int]:
         return {"phase": self.phase, "round": self.t,

@@ -480,6 +480,26 @@ def test_verify_rejects_unbounded_declarations(tmp_path, capsys):
     assert "finite state" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["play", "verify"])
+@pytest.mark.parametrize("game", ["gamma", "gamma_restricted"])
+def test_oscillation_outside_the_pair_game_exits_two(tmp_path, capsys,
+                                                     command, game):
+    # before, play blamed player II for answering single values, and
+    # verify certified that "fault" as an exact WinI
+    player_i = {"kind": "oscillation"}
+    extra = {}
+    if game == "gamma_restricted":
+        player_i = {"kind": "lift", "base": player_i,
+                    "restriction": ["0/2^0", "1/2^0"]}
+        extra["restriction"] = ["0/2^0", "1/2^0"]
+    cfg = verify_config(tmp_path, game=game, player_i=player_i,
+                        player_ii={"kind": "constant", "value": 1}, **extra)
+    assert entry([command, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "gamma_prime" in captured.err
+
+
 # --- construct ----------------------------------------------------------
 
 

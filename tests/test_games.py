@@ -24,8 +24,7 @@ from limsupgames.games import (MAX_TRACE_ROUNDS, TABLE_TYPES,
                                 exact_verdict, finite_value_set, gamma,
                                 gamma_prime, gamma_restricted, play)
 from limsupgames.strategies import (ConstantII, CopycatI, IndicatorPayoff,
-                                     LetterFSM, OscillationI,
-                                     OscillationInstance, ValueFSM,
+                                     LetterFSM, ValueFSM,
                                      copycat_strategy, pair_strategies,
                                      strategy_ii_from_u, u_from_strategy_ii)
 from limsupgames.trees import (EventuallyPeriodicBranch, TreeSpec, binary_tree,
@@ -554,17 +553,21 @@ def test_faulted_and_empty_walk_traces_write_row_by_row(tmp_path):
             row_by_row_outputs(_rows_of(tr))
 
 
+class _ParityKeyedLetters(_Letters):
+    """Declares finite state but keys only the parity of its round count,
+    which leaves out how far into its letters it stands."""
+
+    finite_state = True
+
+    def state_key(self):
+        return self.t % 2
+
+
 def test_the_csv_writer_checks_a_declared_lasso_and_does_not_trust_it():
-    # the attack's state key leaves out the prefix length its low pick
-    # reads, so its key repeats while its letters have not started to
-    ones = EventuallyPeriodicBranch((), (1,))
-    zeros = EventuallyPeriodicBranch((), (0,))
-    inst = OscillationInstance(binary_tree(), Dyadic(1), Dyadic(0),
-                               Dyadic(1, 3), lambda s: zeros,
-                               lambda s: ones if len(s) < 5 else zeros,
-                               IndicatorPayoff())
+    # the key repeats at round 3, while the letters only settle at round 5
+    lying = _ParityKeyedLetters((0, 1, 0, 1, 0) + (0,) * 35)
     sII = pair_strategies(ValueFSM([[0, 0]], [1]), ValueFSM([[0, 0]], [0]))
-    tr = play(gamma_prime(binary_tree()), OscillationI(inst), sII, 40)
+    tr = play(gamma_prime(binary_tree()), lying, sII, 40)
     assert tr.lasso == (0, 2) and tr.rounds == 40
     assert tr.letters[:6] == (0, 1, 0, 1, 0, 0)
     assert tr.letters[:-2] != tr.letters[2:]
@@ -608,6 +611,24 @@ def test_a_million_round_table_trace_keeps_its_lasso_only():
     want, _, full_peak = traced_peak(lambda: full_csv_writer(cols))
     assert text == want
     assert peak < full_peak
+
+
+@pytest.mark.parametrize("block", [1, 3, 7, games.CSV_BLOCK])
+def test_the_csv_writer_numbers_rows_block_by_block(block, monkeypatch):
+    monkeypatch.setattr(games, "CSV_BLOCK", block)
+    kind, sI, sII, (s, p) = _lasso_pairs()[1]
+    for horizon in [0, 1, s + p, s + p + 1, 20, 21, 2 * block + 1]:
+        tr = play(kind, copy.deepcopy(sI), copy.deepcopy(sII), horizon)
+        assert tr.to_csv_text() == csv_oracle(tr)
+
+
+def test_a_lasso_csv_peaks_near_twice_its_size():
+    # the chunks and their join; the one-pass writer held about five times
+    # the text, on a tuple of every round number and the whole format
+    kind, sI, sII, _ = _lasso_pairs()[0]
+    tr = play(kind, sI, sII, 10 ** 5)
+    text, _, peak = traced_peak(tr.to_csv_text)
+    assert len(text) > 1.5e6 and peak < 2.2 * len(text)
 
 
 def test_pair_game_verdict_needs_both_limits():

@@ -20,10 +20,6 @@ from limsupgames.trees import EventuallyPeriodicBranch, binary_tree, nat_tree
 X = EventuallyPeriodicBranch((1,), (0,))
 
 
-def pick(s):
-    return X
-
-
 CHECK = BranchCheck(X, Dyadic(1), Dyadic(1), True, False)
 
 # each record class with one instance's fields, in the dataclass's field
@@ -47,7 +43,7 @@ RECORDS = {
                               prefix_digest=len, label="eventually-zero"),
     OscillationInstance: dict(tree=binary_tree(), sup_f=Dyadic(1),
                               inf_f=Dyadic(0), epsilon=Dyadic(1, 3),
-                              pick_high=pick, pick_low=pick, payoff="payoff",
+                              high=X, low=X, payoff="payoff",
                               label="oscillation"),
     CriterionResult: dict(name="c1", passed=True, details="all exact",
                           count=7, seconds=0.5, budget=10.0),

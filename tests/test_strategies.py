@@ -122,6 +122,123 @@ def test_oscillation_stall_is_a_period_one_loss_for_ii():
     assert v.limsup_value == Dyadic(1, 1)
 
 
+class _FollowingOscillation(StrategyI):
+    """The oscillation attack played round by round as a target follower:
+    the prefix at the last retarget followed by the tail of the phase's
+    parity, whose letter it reads at pos - offset.  No table type, so play
+    runs it to the horizon: the oracle for OscillationI's table."""
+
+    finite_state = True
+
+    def __init__(self, instance):
+        self.tails = (instance.high, instance.low)
+        eps = instance.epsilon
+        self.windows = ((instance.sup_f - eps, instance.sup_f + eps),
+                        (instance.inf_f - eps, instance.inf_f + eps))
+        self.reset()
+
+    def reset(self):
+        self.pos = self.offset = self.phase = 0
+        self.tail = None
+        self.trigger_rounds = []
+
+    def move(self, last):
+        retarget = last is None
+        if not retarget:
+            if not isinstance(last, tuple):
+                raise StrategyFault("II", "oscillation attack needs value pairs")
+            lo, hi = self.windows[self.phase % 2]
+            if lo < last[self.phase % 2] < hi:
+                self.trigger_rounds.append(self.pos)
+                self.phase += 1
+                retarget = True
+        if retarget:
+            self.offset = self.pos
+            self.tail = self.tails[self.phase % 2]
+        self.pos += 1
+        return self.tail.letter_at(self.pos - 1 - self.offset)
+
+    def state_key(self):
+        return (self.phase % 2, None if self.tail is None else
+                self.tail.suffix_key(self.pos - self.offset))
+
+    def counters(self):
+        return {"phase": self.phase, "round": self.pos,
+                "triggers": len(self.trigger_rounds)}
+
+
+def _two_tail_instances(seed, count):
+    rng = random.Random(seed)
+
+    def tail():
+        return EventuallyPeriodicBranch(
+            tuple(rng.randrange(2) for _ in range(rng.randrange(4))),
+            tuple(rng.randrange(2) for _ in range(rng.randint(1, 3))))
+
+    def value():
+        return Dyadic(rng.randint(-4, 4), 2)
+
+    return [indicator_oscillation_instance()._replace(
+        sup_f=value(), inf_f=value(), epsilon=Dyadic(rng.randint(1, 8), 2),
+        high=tail(), low=tail()) for _ in range(count)]
+
+
+def _same_run(kind, inst, opp, horizon):
+    table, oracle = strategy_i_oscillation(inst), _FollowingOscillation(inst)
+    assert type(table) in TABLE_TYPES
+    tr = play(kind, table, copy.deepcopy(opp), horizon)
+    want = play(kind, oracle, copy.deepcopy(opp), horizon)
+    assert tr.columns() == want.columns()
+    assert (tr.lasso, tr.fault, tr.rounds) == \
+        (want.lasso, want.fault, want.rounds)
+    assert table.counters() == oracle.counters()
+    assert table.trigger_rounds == oracle.trigger_rounds
+    return tr
+
+
+def test_the_oscillation_table_plays_as_the_round_by_round_follower():
+    opponents = pair_fsm_corpus(7, 12) + [ConstantII(Dyadic(1), Dyadic(0))]
+    for inst in _two_tail_instances(3, 12) + [indicator_oscillation_instance()]:
+        for opp in opponents:
+            full = _same_run(PAIR, inst, opp, 200)
+            s, p = full.lasso
+            # the round after every cut inside the first periods, and a
+            # horizon that cuts a late period in the middle
+            for horizon in [0, 1, 2, 3, *range(s + p, s + 3 * p + 2),
+                            997 + p // 2]:
+                _same_run(PAIR, inst, opp, horizon)
+            table, oracle = (strategy_i_oscillation(inst),
+                             _FollowingOscillation(inst))
+            got = exact_verdict(PAIR, table, copy.deepcopy(opp), inst.payoff)
+            want = exact_verdict(PAIR, oracle, copy.deepcopy(opp),
+                                 inst.payoff)
+            assert got == want and got.exact
+            assert table.counters() == oracle.counters()
+            assert table.trigger_rounds == oracle.trigger_rounds
+        # single values: player II's fault in round 1, on both
+        tr = _same_run(BIN, inst, ConstantII(Dyadic(1)), 50)
+        assert tr.fault.blame == "II" and tr.fault.round_index == 1
+
+
+def test_a_million_round_oscillation_keeps_its_lasso_only():
+    osc = strategy_i_oscillation(indicator_oscillation_instance())
+    tr = play(PAIR, osc, ConstantII(Dyadic(1), Dyadic(0)), 10 ** 6)
+    assert tr.rounds == 10 ** 6 and tr.lasso == (0, 2)
+    assert all(len(c) == 3 for c in tr._columns)
+    assert osc.phase == 10 ** 6 - 1 and osc.t == 10 ** 6
+    assert osc.trigger_rounds == list(range(1, 10 ** 6))
+
+
+def test_oscillation_refuses_a_tail_that_is_not_a_branch():
+    # a low pick that reads the prefix, as in a probe whose declared key
+    # certified a wrong verdict: the tails are data, so it is no instance
+    zeros, ones = (EventuallyPeriodicBranch((), (a,)) for a in (0, 1))
+    inst = indicator_oscillation_instance()._replace(
+        high=zeros, low=lambda s: ones if len(s) < 5 else zeros)
+    with pytest.raises(TypeError, match="eventually periodic"):
+        strategy_i_oscillation(inst)
+
+
 # --- copycats -----------------------------------------------------------
 
 
@@ -423,10 +540,13 @@ def test_oscillation_state_key_decides_the_future():
     pairs = _equal_key_copies(
         lambda: strategy_i_oscillation(indicator_oscillation_instance()),
         PAIR_INPUTS, [None], seed=5)
-    # equal keys met at different rounds, in different phases, and at
-    # different positions inside the current tail
+    # equal states q met at different rounds, in different phases, and at
+    # different positions inside the current tail: the letters played
+    # since the last retarget, in round 0 or at the last trigger
+    assert all(a.q == b.q for a, b in pairs)
     assert any(a.phase != b.phase for a, b in pairs)
-    assert any(a.t - a.offset != b.t - b.offset for a, b in pairs)
+    assert any(a.t - (a.trigger_rounds or [0])[-1] !=
+               b.t - (b.trigger_rounds or [0])[-1] for a, b in pairs)
     rng = random.Random(6)
     for a, b in pairs:
         _assert_same_future(a, b, PAIR_INPUTS, rng)
