@@ -27,6 +27,25 @@ def _json_int(v, what: str) -> int:
     return v
 
 
+def check_steps(steps: Sequence[Sequence[int]], initial: int = 0) -> int:
+    """The width of a transition table whose successors and initial state
+    are exact ints in 0..n-1: a bool, a float or -1 would alias a state."""
+    if not steps:
+        raise ValueError("need at least one state")
+    n, width = len(steps), len(steps[0])
+    for q, row in enumerate(steps):
+        if not row:
+            raise ValueError(f"state {q} has no letter class")
+        if len(row) != width:
+            raise ValueError(f"ragged transition table at state {q}")
+        for c, dst in enumerate(row):
+            if type(dst) is not int or not 0 <= dst < n:
+                raise ValueError(f"bad successor {dst!r} at ({q},{c})")
+    if type(initial) is not int or not 0 <= initial < n:
+        raise ValueError(f"bad initial state {initial!r}")
+    return width
+
+
 @dataclass(frozen=True)
 class NodeAutomaton:
     """Deterministic transducer assigning a dyadic label to every tree node.
@@ -45,25 +64,15 @@ class NodeAutomaton:
     num_letters: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n = len(self.steps)
-        if n == 0:
-            raise ValueError("need at least one state")
-        width = len(self.steps[0])
-        if width < 1:
-            raise ValueError("need at least the default letter class")
-        if len(self.outputs) != n:
+        width = check_steps(self.steps, self.initial)
+        if len(self.outputs) != len(self.steps):
             raise ValueError("steps/outputs state count mismatch")
-        for q in range(n):
-            if len(self.steps[q]) != width or len(self.outputs[q]) != width:
+        for q, row in enumerate(self.outputs):
+            if len(row) != width:
                 raise ValueError(f"ragged transition table at state {q}")
-            for c in range(width):
-                dst = self.steps[q][c]
-                if not isinstance(dst, int) or not (0 <= dst < n):
-                    raise ValueError(f"bad successor {dst!r} at ({q},{c})")
-                if not isinstance(self.outputs[q][c], Dyadic):
+            for c, out in enumerate(row):
+                if not isinstance(out, Dyadic):
                     raise ValueError(f"output at ({q},{c}) is not a Dyadic")
-        if not (0 <= self.initial < n):
-            raise ValueError(f"bad initial state {self.initial}")
         object.__setattr__(self, "num_letters", width - 1)
 
     @property
@@ -98,13 +107,7 @@ class NodeAutomaton:
         """The label u(s); the empty prefix reports the minimum declared output."""
         if not s:
             return self.min_output()
-        q = self.initial
-        out = None
-        for a in s:
-            out = self.output(q, a)
-            q = self.step(q, a)
-        assert out is not None
-        return out
+        return self.output(self.run(s[:-1]), s[-1])
 
     def to_json_dict(self) -> dict:
         rows = []

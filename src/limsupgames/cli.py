@@ -300,12 +300,11 @@ def build_strategy_ii(desc: Optional[dict], cfg: ExperimentConfig) -> StrategyII
     if kind == "pair":
         if "f" not in desc or "g" not in desc:
             raise ConfigError("pair needs 'f' and 'g' descriptors")
-        parts = (desc["f"], desc["g"])
-        # a pair announces two single values, so neither part is a pair
-        if any(isinstance(d, dict) and d.get("kind") == "pair" for d in parts):
-            raise ConfigError("pair components must be single-value "
-                              "strategies, not pairs")
-        return pair_strategies(*(build_strategy_ii(d, cfg) for d in parts))
+        parts = [build_strategy_ii(desc[k], cfg) for k in ("f", "g")]
+        try:
+            return pair_strategies(*parts)
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
     if kind == "random_fsm":
         rng, states, values = _fsm_params(desc)
         if not values:

@@ -10,7 +10,7 @@ from typing import Callable, List, NamedTuple, Sequence, Tuple
 
 from .automata import NodeAutomaton, eval_limsup, make_automaton
 from .dyadic import Dyadic
-from .strategies import LetterFSM, ValueFSM
+from .strategies import LetterFSM, MachineResponder, ValueFSM
 from .trees import EventuallyPeriodicBranch
 
 # the master seed of the acceptance suite and of config files
@@ -64,7 +64,7 @@ def letter_fsm_corpus(seed: int, count: int, max_states: int = 3) -> List[Letter
 
 
 def value_fsm(rng: random.Random, n: int, draw: Callable[[], Dyadic],
-              pairs: bool) -> ValueFSM:
+              pairs: bool) -> MachineResponder:
     """n-state value machine; draws the transition rows from rng, then each
     state's value and, for pairs, each state's covalue from draw()."""
     trans = [[rng.randrange(n) for _ in range(2)] for _ in range(n)]
@@ -74,7 +74,7 @@ def value_fsm(rng: random.Random, n: int, draw: Callable[[], Dyadic],
 
 
 def value_fsm_corpus(seed: int, count: int, max_states: int = 3,
-                     natural: bool = False) -> List[ValueFSM]:
+                     natural: bool = False) -> List[MachineResponder]:
     rng = rng_stream(seed, "value-fsm" + ("-nat" if natural else ""))
     draw = (lambda: Dyadic(rng.randint(0, 3))) if natural else \
         (lambda: random_dyadic(rng, 2, 2))
@@ -82,7 +82,7 @@ def value_fsm_corpus(seed: int, count: int, max_states: int = 3,
             for _ in range(count)]
 
 
-def pair_fsm_corpus(seed: int, count: int, max_states: int = 3) -> List[ValueFSM]:
+def pair_fsm_corpus(seed: int, count: int, max_states: int = 3) -> List[MachineResponder]:
     rng = rng_stream(seed, "pair-fsm")
     return [value_fsm(rng, rng.randint(1, max_states),
                       lambda: random_dyadic(rng, 2, 2), True)

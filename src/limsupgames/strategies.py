@@ -1,6 +1,7 @@
-"""Strategy zoo: value followers, finite Mealy machines, copycats, lifts,
-relabelings, and the two hand-built Player I attack strategies (the
-meager-dense switcher and the two-sided oscillator)."""
+"""Strategy zoo.  Player II's strategy is a node labeling, so a II that
+reads letters through a table is one MachineResponder over node automata.
+Player I has letter machines, copycats, lifts, relabelings, and the
+meager-dense and oscillation attacks."""
 
 from __future__ import annotations
 
@@ -10,34 +11,53 @@ from itertools import chain
 from typing import (Callable, Dict, Hashable, List, NamedTuple, Optional,
                     Sequence)
 
-from .automata import NodeAutomaton
+from .automata import NodeAutomaton, check_steps
 from .dyadic import Dyadic, as_dyadic, crowd_depth, half_pow
-from .games import (TABLE_TYPES, FiniteValueSet, StrategyFault, StrategyI,
-                    StrategyII, TableStrategy)
+from .games import (FiniteValueSet, StrategyFault, StrategyI, StrategyII,
+                    TableStrategy)
 from .trees import (EventuallyPeriodicBranch, Prefix, PrefixView, TreeSpec,
                     binary_tree)
 
 
-class AutomatonResponder(TableStrategy, StrategyII, table=True):
-    """Announces the payoff machine's own outputs along the played prefix.
+class MachineResponder(TableStrategy, StrategyII, table=True):
+    """Player II's strategy as a node labeling, run as a machine: in state q
+    it reads the letter's class c once, announces the answer on (q, c) and
+    steps.  u labels the values; in the pair game w joins it.  One walk: q
+    is u's state, and answers[q][c] is u's output or, for a covalue machine
+    w on u's own steps, both outputs.  Two walks (negated, pair_strategies):
+    w labels the negated function, q is the pair of their states, and the
+    covalue is minus w's output, negated per move."""
 
-    By construction the announced sequence is the output sequence of the
-    branch, so its limsup equals the payoff on every branch.  The tables
-    are the machine's, which NodeAutomaton checks when it is built.
-    """
+    neg = None
 
-    def __init__(self, u: NodeAutomaton):
-        self.u = u
-        self.initial = self.q = u.initial
+    def __init__(self, u: NodeAutomaton, w: Optional[NodeAutomaton] = None,
+                 negated: bool = False):
+        self.u, self.w, self.k = u, w, u.num_letters
+        self.steps, self.answers, self.initial = u.steps, u.outputs, u.initial
+        if negated:
+            self.neg = (w.steps, w.outputs, w.num_letters)
+            self.initial = (u.initial, w.initial)
+        elif w is not None:
+            if (w.initial, w.steps) != (u.initial, u.steps):
+                raise ValueError("a covalue machine walks its value machine's steps")
+            self.answers = tuple(tuple(zip(a, b))
+                                 for a, b in zip(u.outputs, w.outputs))
+        self.q = self.initial
 
-    def move(self, letter: int) -> Dyadic:
-        v = self.u.output(self.q, letter)
-        self.q = self.u.step(self.q, letter)
-        return v
+    def move(self, letter: int):
+        c = letter if letter < self.k else self.k
+        if self.neg is None:
+            q = self.q
+            self.q = self.steps[q][c]
+            return self.answers[q][c]
+        (p, q), (steps, outputs, k) = self.q, self.neg
+        d = letter if letter < k else k  # w's class, if w is wider or narrower
+        self.q = (self.steps[p][c], steps[q][d])
+        return (self.answers[p][c], -outputs[q][d])
 
 
-def strategy_ii_from_u(u: NodeAutomaton) -> AutomatonResponder:
-    return AutomatonResponder(u)
+def strategy_ii_from_u(u: NodeAutomaton) -> MachineResponder:
+    return MachineResponder(u)
 
 
 def u_from_strategy_ii(sII: StrategyII) -> Callable[[Prefix], Dyadic]:
@@ -58,59 +78,29 @@ def u_from_strategy_ii(sII: StrategyII) -> Callable[[Prefix], Dyadic]:
     return u
 
 
-class ConstantII(TableStrategy, StrategyII, table=True):
-    """One state, one answer."""
-
-    def __init__(self, value, covalue=None):
-        # one answer object, handed out every round
-        value = as_dyadic(value)
-        self.answer = value if covalue is None else (value, as_dyadic(covalue))
-        self.q = 0
-
-    def move(self, letter: int):
-        return self.answer
+def ConstantII(value, covalue=None) -> MachineResponder:
+    """One state, one answer: a 1-state machine."""
+    return ValueFSM([[0]], [value], None if covalue is None else [covalue])
 
 
-def _transitions(trans: Sequence[Sequence[int]]) -> tuple:
-    """trans as a tuple of row tuples, refusing an empty table, an empty
-    row, and any successor that is not an exact int in 0..n-1 (a bool, or
-    -1, would quietly alias a state)."""
-    rows = tuple(tuple(row) for row in trans)
-    if not rows:
-        raise ValueError("need at least one state")
-    for q, row in enumerate(rows):
-        if not row:
-            raise ValueError(f"state {q} has no letter class")
-        for c, dst in enumerate(row):
-            if type(dst) is not int or not 0 <= dst < len(rows):
-                raise ValueError(f"bad successor {dst!r} at ({q},{c})")
-    return rows
-
-
-class ValueFSM(TableStrategy, StrategyII, table=True):
-    """Mealy value machine: step on the letter's class, announce the state's
-    value.  Letters beyond the table width share the last class."""
-
-    def __init__(self, trans: Sequence[Sequence[int]],
-                 values: Sequence, covalues: Optional[Sequence] = None):
-        self.trans = _transitions(trans)
-        self.values = tuple(as_dyadic(v) for v in values)
-        self.covalues = None if covalues is None else \
-            tuple(as_dyadic(v) for v in covalues)
-        if len(self.trans) != len(self.values):
-            raise ValueError("one value per state required")
-        if self.covalues is not None and len(self.covalues) != len(self.values):
-            raise ValueError("one covalue per state required")
-        self.q = 0
-
-    def _class(self, letter: int) -> int:
-        return min(letter, len(self.trans[self.q]) - 1)
-
-    def move(self, letter: int):
-        self.q = self.trans[self.q][self._class(letter)]
-        if self.covalues is None:
-            return self.values[self.q]
-        return (self.values[self.q], self.covalues[self.q])
+def ValueFSM(trans: Sequence[Sequence[int]], values: Sequence,
+             covalues: Optional[Sequence] = None) -> MachineResponder:
+    """Mealy value machine: step on the letter's class, then announce the
+    new state's value (and covalue).  Letters past a row's width share its
+    last class, so each row is padded with its last entry."""
+    width = max(map(len, trans), default=0)
+    steps = tuple(tuple(row) + tuple(row[-1:]) * (width - len(row))
+                  for row in trans)
+    check_steps(steps)  # the successors index the values below
+    machines = []
+    for labels, what in ((values, "value"), (covalues, "covalue")):
+        if labels is not None:
+            labels = tuple(map(as_dyadic, labels))
+            if len(labels) != len(steps):
+                raise ValueError(f"one {what} per state required")
+            machines.append(NodeAutomaton(0, steps, tuple(
+                tuple(labels[dst] for dst in row) for row in steps)))
+    return MachineResponder(*machines)
 
 
 class LetterFSM(TableStrategy, StrategyI, table=True):
@@ -126,14 +116,13 @@ class LetterFSM(TableStrategy, StrategyI, table=True):
         self.emits = tuple(emits)
         if any(type(a) is not int or a < 0 for a in self.emits):
             raise ValueError(f"bad letter in {self.emits!r}")
-        self.trans = _transitions(trans)
+        self.trans = tuple(map(tuple, trans))
+        width = check_steps(self.trans)
         self.thresholds = tuple(sorted(as_dyadic(c) for c in thresholds))
         if len(self.emits) != len(self.trans):
             raise ValueError("one emitted letter per state required")
-        width = len(self.thresholds) + 2
-        for row in self.trans:
-            if len(row) != width:
-                raise ValueError(f"transition rows must have width {width}")
+        if width != len(self.thresholds) + 2:
+            raise ValueError(f"transition rows must have width {len(self.thresholds) + 2}")
         self.q = 0
 
     def _bucket(self, last) -> int:
@@ -375,7 +364,8 @@ def relabel_strategy(base: StrategyI, mapping: Dict[Dyadic, Dyadic]) -> Relabele
 
 class PairResponder(StrategyII):
     """Runs one strategy for the function and one for its negation and
-    announces (value, -covalue), the two-sided certificate pair."""
+    announces (value, -covalue), the two-sided certificate pair: the pair
+    of any parts that are not both machine responders."""
 
     def __init__(self, sf: StrategyII, sg: StrategyII):
         self.sf = sf
@@ -402,25 +392,14 @@ class PairResponder(StrategyII):
         return {**self.sf.counters(), **self.sg.counters()}
 
 
-class TablePairResponder(TableStrategy, PairResponder, table=True):
-    """A pair of two table players: q is the pair of their states."""
-
-    def __init__(self, sf: StrategyII, sg: StrategyII):
-        super().__init__(sf, sg)
-        self.initial = (sf.initial, sg.initial)
-
-    @property
-    def q(self):
-        return (self.sf.q, self.sg.q)
-
-    @q.setter
-    def q(self, q) -> None:
-        self.sf.q, self.sg.q = q
-
-
-def pair_strategies(sf: StrategyII, sg: StrategyII) -> PairResponder:
-    if type(sf) in TABLE_TYPES and type(sg) in TABLE_TYPES:
-        return TablePairResponder(sf, sg)
+def pair_strategies(sf: StrategyII, sg: StrategyII) -> StrategyII:
+    """II for the pair game from a strategy for the function and one for
+    its negation: one responder over two machines, else a PairResponder.
+    A machine part that answers pairs is refused."""
+    if type(sf) is type(sg) is MachineResponder and sf.w is sg.w is None:
+        return MachineResponder(sf.u, sg.u, negated=True)
+    if any(isinstance(s, MachineResponder) and s.w is not None for s in (sf, sg)):
+        raise ValueError("pair parts must answer single values, not pairs")
     return PairResponder(sf, sg)
 
 
@@ -559,7 +538,7 @@ class OscillationInstance(NamedTuple):
     letter on after each retarget: any prefix followed by high is a branch
     with payoff sup_f, and followed by low one with payoff inf_f.  Fixed
     tails make the attack a finite table; picks that read the prefix wait
-    for tails indexed by a letter automaton's states (ROADMAP item 7(b)).
+    for tails indexed by a letter automaton's states (ROADMAP item 9(b)).
     """
 
     tree: TreeSpec

@@ -1,5 +1,7 @@
 """Node automata: serialization, exact limsup evaluation, minmax values."""
 
+import re
+
 import pytest
 
 from conftest import constant_automaton, letter_output_automaton
@@ -142,3 +144,14 @@ def test_make_automaton_validation():
         make_automaton(0, [[0, 2]], [[0, 0]])  # target state out of range
     with pytest.raises(ValueError):
         make_automaton(3, [[0, 0]], [[0, 0]])  # initial out of range
+
+
+@pytest.mark.parametrize("initial, steps, what", [
+    (0, [[True, 0], [0, 1]], "bad successor True at (0,0)"),
+    (True, [[0, 0], [1, 1]], "bad initial state True"),
+    (0.0, [[0, 0], [1, 1]], "bad initial state 0.0"),
+], ids=["bool-successor", "bool-initial", "float-initial"])
+def test_make_automaton_needs_exact_int_states(initial, steps, what):
+    # a bool would quietly alias state 1 and a float would crash in run
+    with pytest.raises(ValueError, match=re.escape(what)):
+        make_automaton(initial, steps, [[0, 1], [1, 0]])

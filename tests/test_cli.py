@@ -20,6 +20,7 @@ from limsupgames.automata import NodeAutomaton, make_automaton
 from limsupgames.cli import MAX_NESTING, ConfigError, ExperimentConfig, entry
 from limsupgames.construction import BranchCheck, ConstructionReport
 from limsupgames.dyadic import Dyadic
+from limsupgames.games import MAX_TRACE_ROUNDS
 from limsupgames.trees import EventuallyPeriodicBranch
 
 
@@ -230,6 +231,22 @@ def test_pair_of_a_pair_exits_two(tmp_path, capsys, part):
         assert captured.err.startswith("error:") and "pair" in captured.err
 
 
+@pytest.mark.parametrize("command", ["play", "verify"])
+def test_pair_of_a_pair_answering_machine_exits_two(tmp_path, capsys,
+                                                    command):
+    # in gamma_prime random_fsm draws covalues, so it answers pairs: before,
+    # play faulted player II in round 0 and verify certified that fault as
+    # an exact WinI
+    fsm = {"kind": "random_fsm", "states": 2, "values": [0, 1], "seed": 3}
+    desc = {"kind": "pair", "f": {"kind": "constant", "value": 1}, "g": fsm}
+    cfg = play_config(tmp_path, game="gamma_prime", player_ii=desc,
+                      payoff={"kind": "indicator"})
+    assert entry([command, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "pair" in captured.err
+
+
 # --- config -------------------------------------------------------------
 
 
@@ -336,6 +353,26 @@ def test_config_rejects_bad_fields():
         ExperimentConfig(horizon=10 ** 6 + 1)
     with pytest.raises(ConfigError, match="1000000"):
         ExperimentConfig(cap=10 ** 6 + 1)
+
+
+@pytest.mark.parametrize("command, flag, field", [
+    ("play", "--horizon", "horizon"), ("verify", "--cap", "cap")])
+def test_the_round_limit_takes_exactly_max_trace_rounds(
+        tmp_path, capsys, command, flag, field):
+    # a lasso between two table players keeps a million-round game short
+    assert ExperimentConfig(**{field: MAX_TRACE_ROUNDS})
+    cfg = verify_config(tmp_path)
+    assert entry([command, "--config", cfg, flag, str(MAX_TRACE_ROUNDS)]) == 0
+    capsys.readouterr()
+    assert entry([command, "--config", cfg, flag,
+                  str(MAX_TRACE_ROUNDS + 1)]) == 2
+    assert "1000000" in capsys.readouterr().err
+    # the same limit in the config file
+    data = json.loads(pathlib.Path(cfg).read_text(encoding="utf-8"))
+    data[field] = MAX_TRACE_ROUNDS + 1
+    pathlib.Path(cfg).write_text(json.dumps(data), encoding="utf-8")
+    assert entry([command, "--config", cfg]) == 2
+    assert "1000000" in capsys.readouterr().err
 
 
 # --- play ---------------------------------------------------------------

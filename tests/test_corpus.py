@@ -1,8 +1,11 @@
 """Fixture generators: the branch corpus holds each branch once."""
 
+from types import SimpleNamespace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from limsupgames import corpus as corpus_module
 from limsupgames.corpus import (branch_corpus, canonical_form, letter_fsm_corpus,
                                pair_fsm_corpus, value_fsm_corpus)
 from limsupgames.trees import EventuallyPeriodicBranch, parse_branch
@@ -66,7 +69,25 @@ def _texts(values):
     return None if values is None else tuple(str(v) for v in values)
 
 
-def test_fsm_corpus_tables_are_pinned():
+def _value_fsm_args(monkeypatch, make):
+    """The (trans, values, covalues) each value machine of make() is built
+    from, read off the ValueFSM builder's arguments."""
+    seen = []
+
+    def record(trans, values, covalues=None):
+        seen.append((tuple(map(tuple, trans)), values, covalues))
+        return real(trans, values, covalues)
+
+    real = corpus_module.ValueFSM
+    monkeypatch.setattr(corpus_module, "ValueFSM", record)
+    made = make()
+    monkeypatch.setattr(corpus_module, "ValueFSM", real)
+    # rows of one width: the machine steps on trans itself
+    assert [m.u.steps for m in made] == [t for t, _, _ in seen]
+    return [SimpleNamespace(trans=t, values=v, covalues=w) for t, v, w in seen]
+
+
+def test_fsm_corpus_tables_are_pinned(monkeypatch):
     # literals taken from the corpus generators at seed 2; a change in the
     # order of the random draws changes them
     assert [(f.emits, f.trans, _texts(f.thresholds))
@@ -77,19 +98,22 @@ def test_fsm_corpus_tables_are_pinned():
         ((0, 0, 1), ((0, 1, 2), (1, 2, 1), (2, 1, 1)), ("-2/2^0",)),
         ((1, 0, 1), ((2, 1), (0, 2), (0, 0)), ())]
     assert [(f.trans, _texts(f.values), f.covalues)
-            for f in value_fsm_corpus(2, 4)] == [
+            for f in _value_fsm_args(
+                monkeypatch, lambda: value_fsm_corpus(2, 4))] == [
         (((0, 0),), ("1/2^1",), None),
         (((1, 0), (0, 0), (0, 1)), ("-1/2^0", "-5/2^2", "-2/2^0"), None),
         (((0, 1), (1, 1)), ("1/2^0", "1/2^0"), None),
         (((0, 0),), ("2/2^0",), None)]
     assert [(f.trans, _texts(f.values), f.covalues)
-            for f in value_fsm_corpus(2, 4, natural=True)] == [
+            for f in _value_fsm_args(
+                monkeypatch, lambda: value_fsm_corpus(2, 4, natural=True))] == [
         (((0, 0),), ("3/2^0",), None),
         (((0, 1), (2, 2), (1, 0)), ("2/2^0", "1/2^0", "2/2^0"), None),
         (((0, 0),), ("1/2^0",), None),
         (((0, 0),), ("2/2^0",), None)]
     assert [(f.trans, _texts(f.values), _texts(f.covalues))
-            for f in pair_fsm_corpus(2, 4)] == [
+            for f in _value_fsm_args(
+                monkeypatch, lambda: pair_fsm_corpus(2, 4))] == [
         (((0, 0), (1, 0)), ("7/2^2", "1/2^0"), ("1/2^0", "3/2^1")),
         (((0, 0),), ("0/2^0",), ("-2/2^0",)),
         (((0, 0), (1, 0)), ("2/2^0", "1/2^0"), ("5/2^2", "-2/2^0")),

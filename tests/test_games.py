@@ -24,7 +24,7 @@ from limsupgames.games import (MAX_TRACE_ROUNDS, TABLE_TYPES,
                                 exact_verdict, finite_value_set, gamma,
                                 gamma_prime, gamma_restricted, play)
 from limsupgames.strategies import (ConstantII, CopycatI, IndicatorPayoff,
-                                     LetterFSM, ValueFSM,
+                                     LetterFSM, MachineResponder, ValueFSM,
                                      copycat_strategy, pair_strategies,
                                      strategy_ii_from_u, u_from_strategy_ii)
 from limsupgames.trees import (EventuallyPeriodicBranch, TreeSpec, binary_tree,
@@ -174,7 +174,7 @@ def test_an_answer_that_is_no_dyadic_faults_player_ii(kind, good, bad, what):
     assert v.outcome is Outcome.WIN_I and v.fault == want
     # a table player answering one faults the same way on the table walk
     table = ConstantII(0)
-    table.answer = bad
+    table.answers = ((bad,),)
     v = exact_verdict(kind, const_letter(), table, lambda x: Dyadic(1))
     assert v.outcome is Outcome.WIN_I and v.fault == want._replace(round_index=0)
 
@@ -184,9 +184,14 @@ class _Half(StrategyII):
         return 0.5
 
 
-@pytest.mark.parametrize("part", [_Half, lambda: ConstantII(0, 0)],
-                         ids=["float", "pair"])
+class _Pairs(StrategyII):
+    def move(self, letter):
+        return (Dyadic(0), Dyadic(0))
+
+
+@pytest.mark.parametrize("part", [_Half, _Pairs], ids=["float", "pair"])
 def test_a_pair_part_that_answers_no_single_dyadic_faults_player_ii(part):
+    # hand-written parts: what they answer shows only in play
     kind = gamma_prime(binary_tree())
     for sf, sg in ((part(), ConstantII(0)), (ConstantII(0), part())):
         tr = play(kind, const_letter(), pair_strategies(sf, sg), 3)
@@ -517,7 +522,7 @@ def _outcome(trace, payoff):
 @pytest.mark.parametrize("pair", range(2), ids=["gamma", "gamma_prime"])
 def test_check_win_reads_a_lasso_trace_as_stored(pair):
     kind, sI, sII, _ = _lasso_pairs()[pair]
-    payoff = sII.u if pair == 0 else sII.sf.u
+    payoff = sII.u
     tr = play(kind, sI, sII, MAX_TRACE_ROUNDS)
     verdict = check_win(tr, payoff)
     assert tr._full is None and verdict.outcome is not Outcome.UNDECIDED
@@ -645,10 +650,10 @@ def test_pair_game_verdict_needs_both_limits():
 
 
 def test_undecided_without_finite_state_claim():
-    class Opaque(ConstantII):
+    class Opaque(MachineResponder):
         finite_state = False
 
-    v = exact_verdict(BIN, const_letter(), Opaque(Dyadic(0)),
+    v = exact_verdict(BIN, const_letter(), Opaque(ConstantII(Dyadic(0)).u),
                       lambda x: Dyadic(0), cap=50)
     assert not v.exact and v.outcome is Outcome.UNDECIDED
     assert "unclaimed_lasso" in v.diagnostics
@@ -802,7 +807,7 @@ def test_a_table_lasso_ends_the_round_loop(monkeypatch):
     play(BIN, wI, RoundByRound(copy.deepcopy(sII)), 1000)
     detected = wI.keys - 1
     moves = []
-    for cls in (LetterFSM, ValueFSM):
+    for cls in (LetterFSM, MachineResponder):
         def counted(self, seen, move=cls.move):
             moves.append(seen)
             return move(self, seen)
@@ -847,9 +852,9 @@ def test_a_lasso_on_a_tree_that_is_not_full_certifies_nothing():
     assert check_win(full, payoff).outcome is Outcome.WIN_II
 
 
-class _SwitchesAtFifty(ConstantII):
-    """Keeps ConstantII's one state but answers 1 from round 50 on: a
-    subclass may override move, so it is no table player."""
+class _SwitchesAtFifty(MachineResponder):
+    """Keeps a 1-state machine's one state but answers 1 from round 50 on:
+    a subclass may override move, so it is no table player."""
 
     def reset(self):
         super().reset()
@@ -857,11 +862,11 @@ class _SwitchesAtFifty(ConstantII):
 
     def move(self, letter):
         self.t += 1
-        return Dyadic(1) if self.t > 50 else self.answer
+        return Dyadic(1) if self.t > 50 else super().move(letter)
 
 
 def test_a_subclass_that_overrides_move_keeps_the_round_loop():
-    tr = play(BIN, const_letter(), _SwitchesAtFifty(0), 100)
+    tr = play(BIN, const_letter(), _SwitchesAtFifty(ConstantII(0).u), 100)
     assert tr.lasso == (0, 1)
     assert tr.values[49] == Dyadic(0) and tr.values[50] == Dyadic(1)
 

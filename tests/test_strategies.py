@@ -8,17 +8,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from limsupgames import corpus
 from limsupgames.corpus import (automaton_corpus, baire_pair_fixtures,
                                 branch_corpus, certify_pair, letter_fsm_corpus,
                                 pair_fsm_corpus, value_fsm_corpus)
-from limsupgames.dyadic import Dyadic, half_pow
+from limsupgames.dyadic import Dyadic, as_dyadic, half_pow
 from limsupgames.games import (TABLE_TYPES, FiniteValueSet, Outcome,
-                                StrategyFault, StrategyI, check_win,
-                                exact_verdict, finite_value_set, gamma,
-                                gamma_prime, play)
+                                StrategyFault, StrategyI, StrategyII,
+                                check_win, exact_verdict, finite_value_set,
+                                gamma, gamma_prime, play)
 from limsupgames.strategies import (ConstantII, IndicatorPayoff, LetterFSM,
-                                     SpiralEnumeration, ValueFSM,
-                                     approx_copycat, copycat_strategy,
+                                     MachineResponder, SpiralEnumeration,
+                                     ValueFSM, approx_copycat, copycat_strategy,
                                      eventually_zero_instance,
                                      indicator_oscillation_instance,
                                      lift_strategy, pair_strategies,
@@ -469,7 +470,7 @@ def test_value_fsm_refuses_a_state_with_no_letter_class():
         ValueFSM([[0], []], [0, 1])
 
 
-class _NotATable(ConstantII):
+class _NotATable(MachineResponder):
     """A subclass may override move, so it is no table player."""
 
 
@@ -478,8 +479,76 @@ def test_pairs_of_table_players_are_table_players():
     table = pair_strategies(strategy_ii_from_u(u), ValueFSM([[0]], [1]))
     assert type(table) in TABLE_TYPES
     assert table.state_key() == (u.initial, 0)
-    looped = pair_strategies(strategy_ii_from_u(u), _NotATable(1))
+    looped = pair_strategies(strategy_ii_from_u(u), _NotATable(ConstantII(1).u))
     assert type(looped) not in TABLE_TYPES and looped.finite_state
+
+
+def test_one_table_class_plays_player_ii():
+    # II's strategy is a labeling: every II table is a machine responder
+    assert [c for c in TABLE_TYPES if issubclass(c, StrategyII)] == \
+        [MachineResponder]
+
+
+def test_a_machine_part_that_answers_pairs_is_refused():
+    # a pair announces two single values: a part with a covalue machine, a
+    # pair among them, is a build error, where a hand-written part that
+    # answers a pair faults player II in play
+    single = ConstantII(0)
+    for part in (ConstantII(0, 0), pair_fsm_corpus(3, 1)[0],
+                 pair_strategies(ConstantII(0), ConstantII(1))):
+        for sf, sg in ((part, single), (single, part)):
+            with pytest.raises(ValueError, match="single values"):
+                pair_strategies(sf, sg)
+
+
+# --- value machines are node automata -----------------------------------
+
+
+class _ValueTable:
+    """The value machine as a table of its own, for reference: step on the
+    letter's class, then announce the new state's value (and covalue);
+    letters past a row's width share its last class."""
+
+    def __init__(self, trans, values, covalues=None):
+        self.trans, self.values, self.covalues = trans, values, covalues
+        self.q = 0
+
+    def move(self, letter):
+        row = self.trans[self.q]
+        self.q = row[min(letter, len(row) - 1)]
+        v = as_dyadic(self.values[self.q])
+        if self.covalues is None:
+            return v
+        return (v, as_dyadic(self.covalues[self.q]))
+
+
+def _first_rounds(player, keys, letters):
+    """The answers along letters, and for each round the first round at
+    which the player's key stood where it stands now."""
+    first, seen, answers = {}, [], []
+    for t, a in enumerate(letters):
+        answers.append(player.move(a))
+        seen.append(first.setdefault(keys(player), t))
+    return answers, seen
+
+
+def test_value_machines_answer_as_their_tables(monkeypatch):
+    # the corpus' (trans, values, covalues), read off the builder's
+    # arguments, and two tables whose rows differ in width
+    monkeypatch.setattr(corpus, "ValueFSM", lambda *args: args)
+    tables = value_fsm_corpus(7, 12, max_states=4) + pair_fsm_corpus(7, 12)
+    monkeypatch.undo()
+    tables += [([[1], [2, 0, 1], [0, 2]], [0, Dyadic(1, 1), 2]),
+               ([[0, 1, 1, 2], [2], [1, 0]], [1, 0, 3],
+                [Dyadic(-1, 2), 4, 0])]
+    rng = random.Random(26)
+    for args in tables:
+        for _ in range(4):
+            letters = [rng.randrange(5) for _ in range(40)]
+            got = _first_rounds(ValueFSM(*args), lambda s: s.state_key(),
+                                letters)
+            want = _first_rounds(_ValueTable(*args), lambda s: s.q, letters)
+            assert got == want
 
 
 # --- state keys decide the future ---------------------------------------
@@ -592,7 +661,7 @@ def _relabeled(seed):
     ([copycat_strategy()], [Dyadic(n) for n in range(4)], [None]),
     (_lifted(9), QUARTERS, [None]),
     (_relabeled(9), EIGHTHS, [None]),
-], ids=["LetterFSM", "ValueFSM", "AutomatonResponder", "PairResponder",
+], ids=["LetterFSM", "ValueFSM", "strategy_ii_from_u", "pair_strategies",
         "ConstantII", "CopycatI", "LiftedI", "RelabeledI"])
 def test_finite_state_keys_decide_the_future(protos, inputs, opening):
     rng = random.Random(8)

@@ -68,6 +68,22 @@ def test_tree_membership():
     assert t.alphabet == (0, 2)
 
 
+@pytest.mark.parametrize("letters", [(), (0, -1), (-2,)],
+                         ids=["empty", "negative", "only-negative"])
+def test_full_tree_needs_natural_letters(letters):
+    with pytest.raises(ValueError, match="natural letters"):
+        full_tree(letters)
+    assert full_tree((0,)).alphabet == (0,)
+
+
+@pytest.mark.parametrize("stem, cycle", [((-1,), (0,)), ((0,), (1, -1))],
+                         ids=["stem", "cycle"])
+def test_branch_letters_are_naturals(stem, cycle):
+    with pytest.raises(ValueError, match="naturals, got -1"):
+        EventuallyPeriodicBranch(stem, cycle)
+    assert EventuallyPeriodicBranch((0,), (0, 1)).letter_at(0) == 0
+
+
 def test_branch_expansion():
     x = EventuallyPeriodicBranch((0,), (1, 0))
     assert x.first(6) == (0, 1, 0, 1, 0, 1)
