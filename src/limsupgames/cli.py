@@ -18,8 +18,7 @@ from typing import Optional, Tuple
 
 from .automata import NodeAutomaton, lasso_summary
 from .construction import (AlgebraFunction, ConstructionState, algebra,
-                           limsup_along, minimize_labeling,
-                           verify_construction)
+                           minimize_labeling, verify_construction)
 from .corpus import (DEFAULT_SEED, branch_corpus, letter_fsm, rng_stream,
                      value_fsm)
 from .dyadic import Dyadic, as_dyadic
@@ -212,12 +211,12 @@ def build_payoff(src: Optional[dict], tree: TreeSpec):
     if kind == "automaton":
         return resolve_automaton(src)
     if kind == "algebra":
-        return resolve_algebra(src, tree, "algebra source")
+        return resolve_algebra(src, tree, "algebra source").machine
     if kind == "indicator":
         return IndicatorPayoff()
     if kind == "pipeline":
-        fam, _, _ = build_pipeline(src, tree)
-        return lambda x: limsup_along(fam, x)
+        fam, _ = build_pipeline(src, tree)
+        return minimize_labeling(ConstructionState(fam))
     raise ConfigError(f"unknown payoff kind {kind!r}")
 
 
@@ -314,6 +313,16 @@ def build_strategy_ii(desc: Optional[dict], cfg: ExperimentConfig) -> StrategyII
     raise ConfigError(f"unknown player_ii strategy kind {kind!r}")
 
 
+def build_player_ii(cfg: ExperimentConfig) -> StrategyII:
+    """The config's player II, which answers pairs (holds a covalue
+    machine) iff the game is gamma_prime."""
+    sII = build_strategy_ii(cfg.player_ii, cfg)
+    if (sII.w is None) == (cfg.game == "gamma_prime"):
+        what = "single values" if sII.w is None else "pairs"
+        raise ConfigError(f"player_ii answers {what} in game {cfg.game}")
+    return sII
+
+
 # ---------------------------------------------------------------------------
 # output plumbing
 
@@ -331,7 +340,7 @@ def _lit(v) -> str:
 
 
 def _report_text(report) -> str:
-    """report.json: the report's label, summary, scan bound and rows."""
+    """report.json: the report's label, summary and rows."""
     rows = ",\n".join(
         f'    {{\n      "branch": {_lit(r.branch)},\n'
         f'      "equal": {_lit(r.equal)},\n'
@@ -341,7 +350,6 @@ def _report_text(report) -> str:
         for r in report.rows)
     rows = f"[\n{rows}\n  ]" if rows else "[]"
     return (f'{{\n  "label": {_lit(report.label)},\n'
-            f'  "max_level_scan": {report.max_scan},\n'
             f'  "rows": {rows},\n  "summary": {_lit(report.summary())}\n}}\n')
 
 
@@ -416,7 +424,7 @@ def cmd_play(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     kind = resolve_kind(cfg)
     sI = build_strategy_i(cfg.player_i, cfg)
-    sII = build_strategy_ii(cfg.player_ii, cfg)
+    sII = build_player_ii(cfg)
     _make_out_dir(None if cfg.trace_format == "none" else cfg.out_dir)
     trace = play(kind, sI, sII, cfg.horizon)
     if trace.fault is not None:
@@ -433,7 +441,7 @@ def cmd_verify(args) -> int:
     kind = resolve_kind(cfg)
     payoff = build_payoff(cfg.payoff, resolve_tree(cfg))
     sI = build_strategy_i(cfg.player_i, cfg)
-    sII = build_strategy_ii(cfg.player_ii, cfg)
+    sII = build_player_ii(cfg)
     if not (sI.finite_state and sII.finite_state):
         raise ConfigError(
             "verify needs both strategies to declare finite state; "
@@ -453,10 +461,10 @@ _STAGES = ("from-automaton", "discretize", "construct_u")
 
 
 def build_pipeline(pipe: dict, tree: TreeSpec):
-    """Resolve a pipeline spec to (family, construction state, target fn)."""
+    """Resolve a pipeline spec to (family, target fn)."""
     if "op" in pipe:
         af = resolve_algebra(pipe, tree, "algebra pipeline")
-        return af.family, af.state, af.expected_on
+        return af.family, af.expected_on
     stages = pipe.get("stages") or []
     if not isinstance(stages, list):
         raise ConfigError("pipeline stages must be a list")
@@ -476,7 +484,7 @@ def build_pipeline(pipe: dict, tree: TreeSpec):
     fam = family_from_automaton(u, tree)
     if "discretize" in stages:
         fam = discretize(fam)
-    return fam, ConstructionState(fam), None
+    return fam, None
 
 
 def _declared_corpus(pipe: dict, tree: TreeSpec):
@@ -501,22 +509,16 @@ def cmd_construct(args) -> int:
     if cfg.pipeline is None:
         raise ConfigError("construct needs a 'pipeline' section in the config")
     tree = resolve_tree(cfg)
-    fam, state, target = build_pipeline(cfg.pipeline, tree)
+    fam, target = build_pipeline(cfg.pipeline, tree)
     corpus = _declared_corpus(cfg.pipeline, tree)
     _make_out_dir(cfg.out_dir)
     report = verify_construction(fam, corpus, target_fn=target)
-    machine = minimize_labeling(state)
     if cfg.out_dir is not None:
-        _write(cfg.out_dir, "function.json", _function_text(machine))
+        _write(cfg.out_dir, "function.json", _function_text(report.machine))
         _write(cfg.out_dir, "report.json", _report_text(report))
     print(report.summary())
-    print(f"minimized to {machine.num_states} state(s)")
-    for r in report.rows:
-        if r.inconclusive:
-            print(f"inconclusive at branch {r.branch}: labels did not settle",
-                  file=sys.stderr)
-    ok = report.all_equal and report.inconclusive_count == 0
-    return 0 if ok else 1
+    print(f"minimized to {report.machine.num_states} state(s)")
+    return 0 if report.all_equal else 1
 
 
 def cmd_suite(args) -> int:

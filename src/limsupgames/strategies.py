@@ -567,7 +567,8 @@ class OscillationI(TableStrategy, StrategyI, table=True):
     remaining letters), and (0, None) before round 0.  A trigger flips the
     parity and restarts the other tail; the letter is the head of the
     remaining tail.  The round t and the trigger rounds (so the phase) are
-    only reported, never read by move.
+    only reported, never read by move; past a skip they are kept as
+    periods, and trigger_rounds expands them on demand.
     """
 
     initial = (0, None)
@@ -595,9 +596,14 @@ class OscillationI(TableStrategy, StrategyI, table=True):
     def reset(self) -> None:
         super().reset()
         self.t = 0
-        self.trigger_rounds: List[int] = []
+        # the triggers met move by move, then one range per trigger that
+        # the rounds skipped at the lasso repeat
+        self._trig: List[int] = []
+        self._more: List[range] = []
 
-    phase = property(lambda self: len(self.trigger_rounds))
+    trigger_rounds = property(
+        lambda self: self._trig + sorted(chain.from_iterable(self._more)))
+    phase = property(lambda self: len(self._trig) + sum(map(len, self._more)))
 
     def move(self, last) -> int:
         parity, key = self.q
@@ -608,7 +614,9 @@ class OscillationI(TableStrategy, StrategyI, table=True):
             if lo < last[parity] < hi:
                 parity ^= 1
                 key = self.starts[parity]
-                self.trigger_rounds.append(self.t)
+                if self._more:
+                    self._trig, self._more = self.trigger_rounds, []
+                self._trig.append(self.t)
         letter, key = self.step[key]
         self.q = (parity, key)
         self.t += 1
@@ -618,14 +626,13 @@ class OscillationI(TableStrategy, StrategyI, table=True):
         # the skipped rounds repeat the last `period` rounds, triggers too
         self.q = q
         trig, t = self.trigger_rounds, self.t
-        cyc = trig[bisect.bisect_left(trig, t - period):]
-        trig += sorted(chain.from_iterable(
-            range(r + period, t + rounds, period) for r in cyc))
+        self._trig, self._more = trig, [
+            range(r + period, t + rounds, period)
+            for r in trig[bisect.bisect_left(trig, t - period):]]
         self.t = t + rounds
 
     def counters(self) -> Dict[str, int]:
-        return {"phase": self.phase, "round": self.t,
-                "triggers": len(self.trigger_rounds)}
+        return {"phase": self.phase, "round": self.t, "triggers": self.phase}
 
 
 def strategy_i_oscillation(instance: OscillationInstance) -> OscillationI:

@@ -11,8 +11,8 @@ from conftest import branch_labels, constant_automaton, letter_output_automaton
 from limsupgames.automata import eval_limsup, lasso_summary, make_automaton
 from limsupgames.construction import (ConstructionState, InconclusiveLassoError,
                                        algebra, apply_op, branch_limsup,
-                                       construct_u, limsup_along,
-                                       minimize_labeling, scan_bound,
+                                       construct_u, minimize_labeling,
+                                       scan_bound,
                                        segment_label, transducer,
                                        verify_construction)
 from limsupgames.corpus import (automaton_corpus, branch_corpus,
@@ -253,7 +253,7 @@ def test_branch_limsup_audit_info_matches_joint_orbit():
             assert info == joint_orbit_info(fam, x), (fam.label, x)
 
 
-def test_limsup_along_is_the_branch_limsup_value():
+def test_branch_limsup_value_is_the_minimal_machine_value():
     # seeded stage families, raw and discretized, beside the joint ones
     machines = automaton_corpus(35, 4, max_states=3, span=4, max_exp=2)
     stage = [(fam, branches) for tree, branches in _trees() for u in machines
@@ -261,8 +261,8 @@ def test_limsup_along_is_the_branch_limsup_value():
                          discretize(family_from_automaton(u, tree)))]
     for fam, branches in stage + list(_audit_cases()):
         for x in branches:
-            assert limsup_along(fam, x) == branch_limsup(fam, x)[0], \
-                (fam.label, x)
+            assert branch_limsup(fam, x)[0] == eval_limsup(
+                minimize_labeling(ConstructionState(fam)), x), (fam.label, x)
 
 
 def test_branch_limsup_cap_boundary():
@@ -281,11 +281,8 @@ def test_branch_limsup_cap_boundary():
     n = len(seen)
     want = eval_limsup(letter_output_automaton(), x)
     assert branch_limsup(fam, x, cap=n - 1)[0] == want
-    assert limsup_along(fam, x, cap=n - 1) == want
     with pytest.raises(InconclusiveLassoError):
         branch_limsup(fam, x, cap=n - 2)
-    with pytest.raises(InconclusiveLassoError):
-        limsup_along(fam, x, cap=n - 2)
 
 
 def test_min_kernel_tails_are_per_machine():
@@ -377,7 +374,7 @@ def test_labels_are_grid_ints_until_they_leave_the_construction():
     u1, u2 = _wide_pairs(43, 1)[0]
     f = algebra(u1, u2, "sum", TREE)
     for x in BRANCHES:
-        assert type(limsup_along(f.family, x)) is Dyadic
+        assert type(f.value_on(x)) is Dyadic
         assert type(branch_limsup(f.family, x)[0]) is Dyadic
     tr = transducer(f.family)
     for q in range(len(tr.states)):
@@ -586,8 +583,7 @@ def test_verify_summary_wording():
     fam = constant_family(Dyadic(0))
     report = verify_construction(fam, BRANCHES, target_fn=lambda x: Dyadic(0))
     n = len(BRANCHES)
-    assert report.summary() == \
-        f"equal on all {n} corpus branches (max level scan {report.max_scan})"
+    assert report.summary() == f"equal on all {n} corpus branches"
 
 
 def test_minimize_letter_labeling():

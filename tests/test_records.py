@@ -29,7 +29,8 @@ RECORDS = {
                        cycle_outputs=(Dyadic(1), Dyadic(1, 1))),
     BranchCheck: dict(branch=X, expected=Dyadic(1), got=None, equal=False,
                       inconclusive=True),
-    ConstructionReport: dict(rows=(CHECK,), label="algebra:sum", max_scan=3),
+    ConstructionReport: dict(rows=(CHECK,), label="algebra:sum",
+                             machine="machine"),
     AlgebraFunction: dict(op="min", factors=("u1", "u2"), family="fam",
                           state="state"),
     PairFixture: dict(table=((Dyadic(1), Dyadic(0)), (Dyadic(0), Dyadic(1))),
@@ -75,8 +76,7 @@ def test_record_defaults_and_methods_survive():
     assert summary.limsup == Dyadic(1)
     report = ConstructionReport(**RECORDS[ConstructionReport])
     assert report.all_equal and report.inconclusive_count == 0
-    assert report.summary() == \
-        "equal on all 1 corpus branches (max level scan 3)"
+    assert report.summary() == "equal on all 1 corpus branches"
     fault = FaultRecord(**RECORDS[FaultRecord])
     assert fault.to_json_dict() == \
         {"blame": "II", "round": 4, "detail": "left the tree"}

@@ -3,6 +3,7 @@ two attack strategies, each against hand-checked traces."""
 
 import copy
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -228,6 +229,20 @@ def test_a_million_round_oscillation_keeps_its_lasso_only():
     assert all(len(c) == 3 for c in tr._columns)
     assert osc.phase == 10 ** 6 - 1 and osc.t == 10 ** 6
     assert osc.trigger_rounds == list(range(1, 10 ** 6))
+
+
+def test_a_million_round_oscillation_holds_no_trigger_per_round():
+    # the trace keeps 3 rounds; a trigger record of one int a round held
+    # 38 MB here, so the triggers past the repeat are kept as a period
+    tracemalloc.start()
+    try:
+        osc = strategy_i_oscillation(indicator_oscillation_instance())
+        tr = play(PAIR, osc, ConstantII(Dyadic(1), Dyadic(0)), 10 ** 6)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert tr.rounds == 10 ** 6 and osc.counters()["triggers"] == 10 ** 6 - 1
+    assert held < 1 << 20, held
 
 
 def test_oscillation_refuses_a_tail_that_is_not_a_branch():
