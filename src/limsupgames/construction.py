@@ -6,9 +6,9 @@ caught between the parent's and the child's infimum at some level (the
 per-level part); empty threshold sets fall back to -length.  The limsup of
 the constructed labels along any branch recovers the family's limit
 function.  Every family is kernel-backed, and its labeling is a finite
-transducer (LabelTransducer): a prefix's label is one memoized move from
-its parent's (joint state, staircase summary).  minimize_labeling refines
-the reachable transducer into its minimal machine, kept on the transducer;
+transducer (LabelTransducer) on numbered joint states and stair vectors:
+one memoized row per state holds each child's label and state.
+minimize_labeling refines its rows into the minimal machine, kept on it;
 that machine is the constructed function: verify_construction evaluates it
 exactly on eventually periodic branches, construct writes it, and algebra
 checks and pipeline payoffs read it.  construct_u is the generic level
@@ -19,7 +19,8 @@ construction over joint kernels.
 
 from __future__ import annotations
 
-from itertools import groupby
+from itertools import compress
+from operator import lt
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .automata import NodeAutomaton, eval_limsup, make_automaton
@@ -65,89 +66,130 @@ def construct_u(fam: GridLscFamily, s: Prefix) -> Dyadic:
     return best.require_finite()
 
 
-def segment_label(ker: ProductKernel, E: int, J: tuple, S: tuple,
-                  a: int) -> Tuple[int, tuple, tuple]:
-    """(label, J', S'): one step of the label transducer of a kernel family.
-
-    (J, S) is the state after a prefix of length L: J the joint kernel
-    state, S the staircase summary.  The stair vector at level n < L holds,
-    per dimension, the max of the grid outputs at positions n .. L-1.  S
-    holds the stair vectors at levels below E exactly (E is the grid
-    exponent on a discretized family and 0 otherwise), then the distinct
-    stair vectors at levels E .. L-1 in level order.  Levels from E on are
-    not rounded, so each depends on its stair vector only, and the label, a
-    max over levels, on the distinct vectors only; a prefix no longer than
-    E keeps every vector, so len(S) is its length.  Hence the k-th level
-    read is rounded exactly when k < E.
-
-    The label is that of the child along letter a, with (J', S') its state.
-    Below L both the child's and the parent's levels are stair values; at
-    L the child's is its last output and the parent's a tail value; past L
-    both are tail values, which settle within tail_entry steps, so the scan
-    stops there.  Like construct_u this raises AssertionError when a level
-    read exceeds the level read before it.  Levels are read, and the label
-    returned, as the kernel's grid ints.
-    """
-    J2, o = ker.edge(J, a)
-    vecs = [tuple(map(max, d, o)) for d in S] + [o]
-    S2 = tuple(vecs[:E]) + tuple(v for v, _ in groupby(vecs[E:]))
-    cvals, centry = ker.tail(J2)
-    pvals, pentry = ker.tail(J)
-    jmax = max(1 + centry, pentry, E - len(S))
-    # level reads 0 .. len(S) + jmax; tail tables are constant past entry
-    curs = [ker.value(J2, v) for v in vecs]
-    curs += cvals + cvals[-1:] * (jmax - 1 - centry)
-    pars = [ker.value(J, d) for d in S]
-    pars += pvals + pvals[-1:] * (jmax - pentry)
-    best = cvals[-1]
-    last = None
-    for k, (cur, par) in enumerate(zip(curs, pars)):
-        if k < E:
-            # round up to the 2**-k grid: k < E, so the shift is positive
-            shift = E - k
-            cur = -((-cur) >> shift) << shift
-            par = -((-par) >> shift) << shift
-        if last is not None and last < cur:
-            raise AssertionError(f"levels not non-increasing at level read {k}")
-        last = cur
-        if par < cur and best < cur:
-            best = cur
-    return best, J2, S2
+def _number(ids: dict, items: list, x) -> int:
+    """x's number in ids; a new x is numbered len(items) and appended."""
+    got = ids.get(x)
+    if got is None:
+        got = ids[x] = len(items)
+        items.append(x)
+    return got
 
 
 class LabelTransducer:
     """The constructed labeling of a kernel family as a finite transducer.
 
-    States are the (J, S) pairs of segment_label, numbered in the order
-    they are met; state 0 is the root's.  move(q, a) is memoized, so
-    segment_label runs once per (state, letter), and every construction
-    state over the family shares the table.  The reachable states are
-    finitely many: J ranges over the product states and S over a bounded
-    number of decreasing chains of output vectors.  exponent is
-    segment_label's E: the level from which on levels are not rounded.
-    machine is the minimal machine once minimize_labeling has built it.
+    After a prefix of length L the state is (J, S): J the joint kernel
+    state, S the staircase summary.  The stair vector at level n < L is the
+    componentwise max of the grid outputs at positions n .. L-1; S holds
+    those at levels below E (exponent: the grid exponent on a discretized
+    family, else 0), then the distinct ones from E on, which are not
+    rounded.  So len(S) is L while L <= E, and read k is rounded iff k < E.
+
+    Joint states and stair vectors are numbered as met (joints, vectors); a
+    state is (joint id, vector ids), numbered in states from the root's 0.
+    Per joint id its edge per joint letter class (ker.reps), its tail and
+    its level reads, and per pair of vector ids their max, are asked of the
+    kernel once.  row(q), the one memo, is q's (label, successor) per
+    class; move(q, a) reads a's class in it.  A child's label is its
+    largest level read above the parent's at that level: stair values
+    below L, then tails, which settle within their entries.  The parent's
+    reads and their rounding are made once per row.  Like construct_u a
+    row raises AssertionError when a read exceeds the one before it.
+    Labels are grid ints; machine is the minimal machine once
+    minimize_labeling has built it.
     """
 
     def __init__(self, ker: ProductKernel, discretized: bool):
         self.ker = ker
         self.exponent = ker.grid_exponent if discretized else 0
-        self.states: List[tuple] = [(ker.initial, ())]
-        self._ids = {self.states[0]: 0}
-        self._moves: Dict[Tuple[int, int], Tuple[int, int]] = {}
+        # the joints, vectors and states met, and their numbers
+        self.joints: List[tuple] = []
+        self.vectors: List[tuple] = []
+        self.states: List[tuple] = []
+        self._jids, self._vids, self._ids = {}, {}, {}
+        # per joint id: its edges (on first use), tail and level reads
+        self._edges: List[Optional[list]] = []
+        self._tails: List[Tuple[tuple, int]] = []
+        self._levels: List[Dict[int, int]] = []
+        self._max: Dict[Tuple[int, int], int] = {}  # by pair of vector ids
+        self._classes = {tuple(u.letter_class(a) for u in ker.machines): c
+                         for c, a in enumerate(ker.reps)}
+        _number(self._ids, self.states, (self._joint(ker.initial), ()))
+        self.rows: Dict[int, tuple] = {}
         self.machine: Optional[NodeAutomaton] = None
+
+    def _joint(self, J: tuple) -> int:
+        j = _number(self._jids, self.joints, J)
+        if j == len(self._tails):
+            self._edges.append(None)
+            self._tails.append(self.ker.tail(J))
+            self._levels.append({})
+        return j
+
+    def _reads(self, j: int, S) -> list:
+        # the level values of joint j at the stair vectors of ids S
+        lev = self._levels[j]
+        for v in S:
+            if v not in lev:
+                lev[v] = self.ker.value(self.joints[j], self.vectors[v])
+        return [lev[v] for v in S]
+
+    def letter_class(self, a: int) -> int:
+        """a's joint letter class, by index in ker.reps; ValueError off the tree."""
+        if not self.ker.tree.admits((), a):
+            raise ValueError(f"letter {a} is not in {self.ker.tree.name}")
+        return self._classes[tuple(u.letter_class(a) for u in self.ker.machines)]
+
+    def row(self, q: int) -> tuple:
+        """q's (label as a grid int, successor) per joint letter class."""
+        got = self.rows.get(q)
+        if got is not None:
+            return got
+        j, S = self.states[q]
+        E, n = self.exponent, len(S)
+        edges = self._edges[j]
+        if edges is None:
+            J = self.joints[j]
+            edges = self._edges[j] = [
+                (self._joint(J2), _number(self._vids, self.vectors, o))
+                for J2, o in (self.ker.edge(J, a) for a in self.ker.reps)]
+        tails, vectors, maxes = self._tails, self.vectors, self._max
+        pvals, pentry = tails[j]
+        # every class reads levels 0 .. K-1: a tail read past its table's
+        # entry repeats its last value, and reads from E on are not rounded
+        K = n + 1 + max(pentry, E - n, 1 + max(tails[j2][1] for j2, _ in edges))
+        pars = [*self._reads(j, S), *pvals, *pvals[-1:] * (K - n - len(pvals))]
+        # round read k < E up to the 2**-k grid: the shift E - k is positive
+        pars[:E] = [-((-v) >> (E - k)) << (E - k) for k, v in enumerate(pars[:E])]
+        row = []
+        for j2, o in edges:
+            vecs = []
+            for d in S:
+                m = maxes.get((d, o))
+                if m is None:
+                    m = maxes[d, o] = _number(self._vids, vectors, tuple(
+                        map(max, vectors[d], vectors[o])))
+                vecs.append(m)
+            vecs.append(o)
+            cvals = tails[j2][0]
+            curs = [*self._reads(j2, vecs), *cvals, *cvals[-1:] * (K - n - 1 - len(cvals))]
+            curs[:E] = [-((-v) >> (E - k)) << (E - k) for k, v in enumerate(curs[:E])]
+            if any(map(lt, curs, curs[1:])):
+                k = next(k for k in range(1, K) if curs[k - 1] < curs[k])
+                raise AssertionError(
+                    f"levels not non-increasing at level read {k}")
+            # reads do not increase and end at cvals[-1], so the first read
+            # above the parent's is the label, and cvals[-1] without one
+            best = next(compress(curs, map(lt, pars, curs)), cvals[-1])
+            # stair vectors do not increase, so equal ones are adjacent
+            S2 = tuple(vecs[:E]) + tuple(dict.fromkeys(vecs[E:]))
+            row.append((best, _number(self._ids, self.states, (j2, S2))))
+        got = self.rows[q] = tuple(row)
+        return got
 
     def move(self, q: int, a: int) -> Tuple[int, int]:
         """(label of the child along a as a grid int, its state) from q."""
-        got = self._moves.get((q, a))
-        if got is None:
-            J, S = self.states[q]
-            label, J2, S2 = segment_label(self.ker, self.exponent, J, S, a)
-            r = self._ids.get((J2, S2))
-            if r is None:
-                r = self._ids[(J2, S2)] = len(self.states)
-                self.states.append((J2, S2))
-            got = self._moves[(q, a)] = (label, r)
-        return got
+        return self.row(q)[self.letter_class(a)]
 
 
 def transducer(fam: GridLscFamily) -> LabelTransducer:
@@ -242,9 +284,9 @@ def branch_limsup(fam: GridLscFamily, x: EventuallyPeriodicBranch,
     # tail_entry(J_{L-1}), exponent), so the bounds up to the horizon peak
     # at the last length each orbit position takes
     max_scan = tr.exponent
-    for i, (_, J) in enumerate(orbit):
+    for i, (_, j) in enumerate(orbit):
         L = i if i < t0 else i + p * ((horizon - i) // p)
-        max_scan = max(max_scan, L + tr.ker.tail_entry(J))
+        max_scan = max(max_scan, L + tr.ker.tail_entry(tr.joints[j]))
     info = {"lasso_start": t0, "period": p, "horizon": horizon,
             "max_scan": max_scan}
     return value, info
@@ -267,16 +309,11 @@ class ConstructionReport(NamedTuple):
     def all_equal(self) -> bool:
         return all(r.equal for r in self.rows)
 
-    @property
-    def inconclusive_count(self) -> int:
-        return sum(1 for r in self.rows if r.inconclusive)
-
     def summary(self) -> str:
         n = len(self.rows)
-        if self.all_equal and self.inconclusive_count == 0:
+        if self.all_equal:
             return f"equal on all {n} corpus branches"
-        return (f"{sum(r.equal for r in self.rows)}/{n} branches equal, "
-                f"{self.inconclusive_count} inconclusive")
+        return f"{sum(r.equal for r in self.rows)}/{n} branches equal"
 
 
 def verify_construction(fam: GridLscFamily,
@@ -308,8 +345,9 @@ def verify_construction(fam: GridLscFamily,
 def minimize_labeling(state: ConstructionState) -> NodeAutomaton:
     """The minimal machine of a constructed labeling.
 
-    The labeling is the family's label transducer, so its reachable states
-    are explored from the root with the memoized move.  The letters are the
+    The labeling is the family's label transducer; every state a row meets
+    is reachable, so the rows are expanded until they meet no new one, and
+    read per letter through its joint letter class.  The letters are the
     tree's alphabet 0..k-1, or on the naturals tree 0..K with K the largest
     machine letter count, the last letter standing for the default class.
     Moore refinement then splits the states, first by their rows of labels
@@ -330,14 +368,10 @@ def minimize_labeling(state: ConstructionState) -> NodeAutomaton:
         if letters != tuple(range(len(letters))):
             raise ValueError(f"cannot minimize over the alphabet {letters}: "
                              "machine letters are 0..k-1")
-    moves: Dict[int, List[Tuple[int, int]]] = {}
-    todo = [0]
-    while todo:
-        q = todo.pop()
-        if q not in moves:
-            moves[q] = [tr.move(q, a) for a in letters]
-            todo.extend(r for _, r in moves[q])
-    sig = {q: tuple(label for label, _ in row) for q, row in moves.items()}
+    for q, _ in enumerate(tr.states):  # rows append the states they meet
+        tr.row(q)
+    rows = tr.rows
+    sig = {q: tuple(label for label, _ in row) for q, row in rows.items()}
     count = 0
     while True:
         ids: dict = {}
@@ -346,18 +380,17 @@ def minimize_labeling(state: ConstructionState) -> NodeAutomaton:
             break
         count = len(ids)
         sig = {q: (block[q],) + tuple(block[r] for _, r in row)
-               for q, row in moves.items()}
-    number = {block[0]: 0}
-    reps = [0]
+               for q, row in rows.items()}
+    # any state of a block stands for it: their rows agree up to blocks
+    rep = {b: q for q, b in block.items()}
+    cols = [tr.letter_class(a) for a in letters]
+    number, order = {block[0]: 0}, [block[0]]
     steps: List[List[int]] = []
     outs: List[List[Dyadic]] = []
-    for q in reps:
-        for _, r in moves[q]:
-            if block[r] not in number:
-                number[block[r]] = len(reps)
-                reps.append(r)
-        steps.append([number[block[r]] for _, r in moves[q]])
-        outs.append([tr.ker.from_grid(label) for label, _ in moves[q]])
+    for b in order:
+        row = [rows[rep[b]][c] for c in cols]
+        steps.append([_number(number, order, block[r]) for _, r in row])
+        outs.append([tr.ker.from_grid(label) for label, _ in row])
     tr.machine = make_automaton(0, steps, outs)
     return tr.machine
 

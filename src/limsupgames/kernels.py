@@ -82,6 +82,7 @@ class ProductKernel:
         # per tuple of machine indices, its table of minimal feasible vectors
         self._feasible: Dict[tuple, Dict[tuple, list]] = {}
         self._mtails: Dict = {}
+        self._scores: Dict[tuple, Dict[tuple, int]] = {}
         # the label transducers of the families over this kernel, one per
         # discretized flag; construction.transducer fills it
         self.transducers: Dict[bool, object] = {}
@@ -166,8 +167,12 @@ class ProductKernel:
             lambda cur: frozenset(tuple(u.step(p, a) for u, p in zip(ms, P))
                                   for P in cur for a in self.reps),
             2 ** math.prod(u.num_states for u in ms))
-        # a state scores its least objective over continuations
-        return tuple(min(agg(t) for P in cur for t in table[P])
+        # a state scores its least objective over continuations, once
+        score = self._scores.get(idx)
+        if score is None:
+            score = self._scores[idx] = {P: min(map(agg, ts))
+                                         for P, ts in table.items()}
+        return tuple(min(map(score.__getitem__, cur))
                      for cur in orbit[:entry + 1]), entry
 
     def tail(self, J: tuple) -> Tuple[tuple, int]:

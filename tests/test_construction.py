@@ -2,6 +2,7 @@
 branch limsups, the three-operation algebra, and machine minimization."""
 
 import itertools
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings
@@ -9,11 +10,11 @@ from hypothesis import strategies as st
 
 from conftest import branch_labels, constant_automaton, letter_output_automaton
 from limsupgames.automata import eval_limsup, lasso_summary, make_automaton
-from limsupgames.construction import (ConstructionState, InconclusiveLassoError,
+from limsupgames.construction import (ALGEBRA_OPS, ConstructionState,
+                                       InconclusiveLassoError, LabelTransducer,
                                        algebra, apply_op, branch_limsup,
                                        construct_u, minimize_labeling,
-                                       scan_bound,
-                                       segment_label, transducer,
+                                       scan_bound, transducer,
                                        verify_construction)
 from limsupgames.corpus import (automaton_corpus, branch_corpus,
                                  random_automaton, random_dyadic, rng_stream)
@@ -168,7 +169,7 @@ def test_constant_family_construction():
     c = Dyadic(5, 3)
     fam = constant_family(c)
     report = verify_construction(fam, BRANCHES, target_fn=lambda x: c)
-    assert report.all_equal and report.inconclusive_count == 0
+    assert report.all_equal
     for row in report.rows:
         assert row.got == c == row.expected
     value, info = branch_limsup(fam, parse_branch("stem=0;cycle=1"))
@@ -547,29 +548,127 @@ def test_kernel_value_matches_brute_lassos(mode):
                            mode)
 
 
+def segment_label(ker, E, J, S, a):
+    """(label, J', S'): the child's label and state along letter a from
+    the transducer state (J, S) with its stair vectors as tuples, reading
+    the kernel per call; the reference that the rows are checked against.
+    """
+    J2, o = ker.edge(J, a)
+    vecs = [tuple(map(max, d, o)) for d in S] + [o]
+    S2 = tuple(vecs[:E]) + tuple(v for v, _ in groupby(vecs[E:]))
+    cvals, centry = ker.tail(J2)
+    pvals, pentry = ker.tail(J)
+    jmax = max(1 + centry, pentry, E - len(S))
+    # level reads 0 .. len(S) + jmax; tail tables are constant past entry
+    curs = [ker.value(J2, v) for v in vecs]
+    curs += cvals + cvals[-1:] * (jmax - 1 - centry)
+    pars = [ker.value(J, d) for d in S]
+    pars += pvals + pvals[-1:] * (jmax - pentry)
+    best = cvals[-1]
+    last = None
+    for k, (cur, par) in enumerate(zip(curs, pars)):
+        if k < E:
+            # round up to the 2**-k grid: k < E, so the shift is positive
+            shift = E - k
+            cur = -((-cur) >> shift) << shift
+            par = -((-par) >> shift) << shift
+        if last is not None and last < cur:
+            raise AssertionError(f"levels not non-increasing at level read {k}")
+        last = cur
+        if par < cur and best < cur:
+            best = cur
+    return best, J2, S2
+
+
+def _row_families():
+    """Seeded stage families, raw and discretized, and sum/min/max
+    families of seeded and _wide_pairs machines, on the binary tree, the
+    tree over 0, 2, 5 and the naturals."""
+    machines = automaton_corpus(36, 4, max_states=3, span=4, max_exp=2)
+    pairs = list(zip(machines[::2], machines[1::2])) + _wide_pairs(44, 2)
+    for tree in (TREE, full_tree((0, 2, 5)), nat_tree()):
+        for u in machines:
+            raw = family_from_automaton(u, tree)
+            yield raw
+            yield discretize(raw)
+        for u1, u2 in pairs:
+            for op in ALGEBRA_OPS:
+                yield algebra(u1, u2, op, tree).family
+
+
+def test_rows_match_the_reference_segment_label():
+    # every reachable state's row, class by class, and on the naturals
+    # the moves on letters past every machine's declared ones
+    for fam in _row_families():
+        tr = transducer(fam)
+        ker, E = tr.ker, tr.exponent
+
+        def decode(q):
+            j, S = tr.states[q]
+            return tr.joints[j], tuple(tr.vectors[v] for v in S)
+
+        assert decode(0) == (ker.initial, ())
+        K = max(u.num_letters for u in ker.machines)
+        extra = (K, K + 1, K + 7) if ker.tree.all_naturals else ()
+        seen, todo = {0}, [0]
+        while todo:
+            q = todo.pop()
+            J, S = decode(q)
+            for a, (label, r) in zip(ker.reps, tr.row(q)):
+                want = segment_label(ker, E, J, S, a)
+                assert (label, *decode(r)) == want, (fam.label, J, S, a)
+                if r not in seen:
+                    seen.add(r)
+                    todo.append(r)
+            for a in extra:
+                label, r = tr.move(q, a)
+                assert (label, *decode(r)) == segment_label(ker, E, J, S, a), \
+                    (fam.label, J, S, a)
+
+
+def test_moves_refuse_letters_off_the_tree():
+    # letter 1 has a class of its own, and letter 5 shares letter 2's
+    u = make_automaton(0, [[0, 0, 0]], [[0, 1, 2]])
+    tr = transducer(family_from_automaton(u, full_tree((0, 2))))
+    assert tr.move(0, 2)[0] == 2
+    for a in (1, 5):
+        with pytest.raises(ValueError, match=f"letter {a} "):
+            tr.move(0, a)
+
+
 class _StubKernel:
-    """One joint state whose every stair level reads 0 and whose tail
-    table reads `tail` throughout."""
+    """Joint states (0,), (1,), (2,) along the one letter 0, then (2,)
+    again; every stair level reads 0, and the tail table reads 0 at (0,)
+    and (1,) and `tail` at (2,)."""
+
+    machines = ()
+    reps = (0,)
+    initial = (0,)
+    tree = full_tree((0,))
 
     def __init__(self, tail):
         self.tail_vals = (tail,)
 
     def edge(self, J, a):
-        return J, (0,)
+        return (min(J[0] + 1, 2),), (0,)
 
     def tail(self, J):
-        return self.tail_vals, 0
+        return ((0,) if J[0] < 2 else self.tail_vals), 0
 
     def value(self, J, fixed):
         return 0
 
 
-def test_segment_label_refuses_rising_level_reads():
+def test_rows_refuse_rising_level_reads():
     # the child's stair levels read 0; a tail of 0 keeps them
-    # non-increasing, a tail of 5 rises past them at read 2
-    assert segment_label(_StubKernel(0), 0, (0,), ((0,),), 0)[0] == Dyadic(0)
+    # non-increasing, a tail of 5 rises past them at read 2, the first
+    # tail read from the depth-one state
+    tr = LabelTransducer(_StubKernel(0), False)
+    assert tr.move(tr.move(0, 0)[1], 0)[0] == Dyadic(0)
+    tr = LabelTransducer(_StubKernel(5), False)
+    q = tr.move(0, 0)[1]
     with pytest.raises(AssertionError, match="non-increasing at level read 2"):
-        segment_label(_StubKernel(5), 0, (0,), ((0,),), 0)
+        tr.move(q, 0)
 
 
 def test_kernel_grid_rejects_off_grid_values():
