@@ -176,9 +176,11 @@ def resolve_kind(cfg: ExperimentConfig) -> GameKind:
     return GameKind(cfg.game, resolve_tree(cfg), restriction)
 
 
-def resolve_automaton(src: dict) -> NodeAutomaton:
+def resolve_automaton(src: dict, what: str = "function source") -> NodeAutomaton:
     if not isinstance(src, dict):
-        raise ConfigError("function source must be an object")
+        raise ConfigError(f"{what} must be an object")
+    if "automaton" in src and "file" in src:
+        raise ConfigError(f"{what} names both 'automaton' and 'file'")
     if "automaton" in src:
         try:
             return NodeAutomaton.from_json_dict(src["automaton"])
@@ -190,7 +192,7 @@ def resolve_automaton(src: dict) -> NodeAutomaton:
         except (OSError, KeyError, TypeError, ValueError) as e:
             raise ConfigError(
                 f"cannot load automaton {src['file']}: {e}") from None
-    raise ConfigError("function source needs 'automaton' or 'file'")
+    raise ConfigError(f"{what} needs 'automaton' or 'file'")
 
 
 def resolve_algebra(src: dict, tree: TreeSpec, what: str) -> AlgebraFunction:
@@ -243,11 +245,31 @@ def _check_nesting(desc, what: str) -> None:
         raise ConfigError(f"{what} nests more than {MAX_NESTING} levels deep")
 
 
-def build_strategy_i(desc: Optional[dict], cfg: ExperimentConfig) -> StrategyI:
-    _check_nesting(desc, "player_i")
+# descriptor kind -> the keys it reads besides "kind", per player
+_KEYS_I = {"copycat": (), "approx_copycat": ("cap",), "meager_dense": (),
+           "oscillation": (), "lift": ("base", "restriction"),
+           "relabel": ("base", "mapping"),
+           "random_fsm": ("states", "values", "seed")}
+_KEYS_II = {"from_u": ("automaton", "file"), "constant": ("value", "covalue"),
+            "pair": ("f", "g"), "random_fsm": _KEYS_I["random_fsm"]}
+
+
+def _descriptor_kind(desc, who: str, keys: dict) -> str:
+    """The descriptor's kind; refuses unknown kinds and keys it never reads."""
+    _check_nesting(desc, who)
     if not isinstance(desc, dict) or "kind" not in desc:
-        raise ConfigError("player_i needs a strategy descriptor with a 'kind'")
+        raise ConfigError(f"{who} needs a strategy descriptor with a 'kind'")
     kind = desc["kind"]
+    if not isinstance(kind, str) or kind not in keys:
+        raise ConfigError(f"unknown {who} strategy kind {kind!r}")
+    unread = ", ".join(map(repr, sorted(set(desc) - {"kind", *keys[kind]})))
+    if unread:
+        raise ConfigError(f"{who} kind {kind!r} does not read {unread}")
+    return kind
+
+
+def build_strategy_i(desc: Optional[dict], cfg: ExperimentConfig) -> StrategyI:
+    kind = _descriptor_kind(desc, "player_i", _KEYS_I)
     if kind == "copycat":
         return copycat_strategy()
     if kind == "approx_copycat":
@@ -278,18 +300,13 @@ def build_strategy_i(desc: Optional[dict], cfg: ExperimentConfig) -> StrategyI:
             return relabel_strategy(base, mapping)
         except ValueError as e:
             raise ConfigError(str(e)) from None
-    if kind == "random_fsm":
-        return letter_fsm(*_fsm_params(desc))
-    raise ConfigError(f"unknown player_i strategy kind {kind!r}")
+    return letter_fsm(*_fsm_params(desc))  # random_fsm
 
 
 def build_strategy_ii(desc: Optional[dict], cfg: ExperimentConfig) -> StrategyII:
-    _check_nesting(desc, "player_ii")
-    if not isinstance(desc, dict) or "kind" not in desc:
-        raise ConfigError("player_ii needs a strategy descriptor with a 'kind'")
-    kind = desc["kind"]
+    kind = _descriptor_kind(desc, "player_ii", _KEYS_II)
     if kind == "from_u":
-        return strategy_ii_from_u(resolve_automaton(desc))
+        return strategy_ii_from_u(resolve_automaton(desc, "from_u source"))
     if kind == "constant":
         if "value" not in desc:
             raise ConfigError("constant needs a 'value'")
@@ -304,13 +321,11 @@ def build_strategy_ii(desc: Optional[dict], cfg: ExperimentConfig) -> StrategyII
             return pair_strategies(*parts)
         except ValueError as e:
             raise ConfigError(str(e)) from None
-    if kind == "random_fsm":
-        rng, states, values = _fsm_params(desc)
-        if not values:
-            raise ConfigError("random_fsm needs a nonempty value list")
-        return value_fsm(rng, states, lambda: rng.choice(values),
-                         cfg.game == "gamma_prime")
-    raise ConfigError(f"unknown player_ii strategy kind {kind!r}")
+    rng, states, values = _fsm_params(desc)  # random_fsm
+    if not values:
+        raise ConfigError("random_fsm needs a nonempty value list")
+    return value_fsm(rng, states, lambda: rng.choice(values),
+                     cfg.game == "gamma_prime")
 
 
 def build_player_ii(cfg: ExperimentConfig) -> StrategyII:

@@ -423,7 +423,8 @@ class MeagerDenseInstance(NamedTuple):
     shared tail for every prefix that needs the same continuation.
     prefix_digest(s, m) compresses the prefix to exactly the information
     future queries need, so stalled runs can lasso.  Callbacks receive the
-    prefix as a read-only sequence.
+    prefix as a read-only sequence.  All three are pure functions of (s, m),
+    so when prefix_digest is s_disjoint the attack reuses the digest.
     """
 
     tree: TreeSpec
@@ -469,10 +470,12 @@ class MeagerDenseI(StrategyI):
     A target is the prefix at its retarget followed by pick_y's tail, so it
     extends the prefix by construction: the strategy keeps (offset, tail)
     and reads the letter at pos - offset.  It tests r - 2^-m < v as
-    m <= crowd_depth(r, v), kept per announced value, so a round costs the
-    same at any depth.  The piece index can grow forever, so the strategy
-    declares unbounded state; stalled runs still lasso in play because the
-    state key keeps only the digest of the prefix.
+    m <= crowd_depth(r, v), kept per announced value (the last one first,
+    by identity), so a round costs the same at any depth.  When the digest
+    is s_disjoint, the switch test reads the round's state key.  The piece
+    index can grow forever, so the strategy declares unbounded state;
+    stalled runs still lasso in play because the state key keeps only the
+    digest of the prefix.
     """
 
     finite_state = False
@@ -483,6 +486,7 @@ class MeagerDenseI(StrategyI):
         # instance attribute read, so both are bound once
         self.s_disjoint = instance.s_disjoint
         self.prefix_digest = instance.prefix_digest
+        self.reuse = instance.prefix_digest is instance.s_disjoint
         self.depths: Dict[Dyadic, float] = {}
         self.reset()
 
@@ -494,33 +498,48 @@ class MeagerDenseI(StrategyI):
         self.t = 0
         self.m = 0
         self.switches = 0
-        self.history: List[SwitchEvent] = []
+        # one (round, m, prefix length, tail) tuple per switch
+        self.events: List[tuple] = []
+        self.key, self.key_len = None, -1  # the last state key, at this length
+        self.last_v = self.last_depth = None
+
+    history = property(lambda self: tuple(map(SwitchEvent._make, self.events)))
 
     def move(self, last) -> int:
-        if last is None or self._switch(last):
-            self.offset = len(self.prefix)
+        n = len(self.prefix)
+        if last is None or self._switch(last, n):
+            self.offset = n
             self.tail = self.instance.pick_y(self.view, self.m)
-            self.history.append(SwitchEvent(self.t, self.m, self.offset, self.tail))
-        letter = self.tail.letter_at(len(self.prefix) - self.offset)
+            self.events.append((self.t, self.m, n, self.tail))
+        letter = self.tail.letter_at(n - self.offset)
         self.prefix.append(letter)
         self.t += 1
         return letter
 
-    def _switch(self, last) -> bool:
+    def _switch(self, last, n: int) -> bool:
         v = last[0] if isinstance(last, tuple) else last
-        depth = self.depths.get(v)
-        if depth is None:
-            depth = self.depths[v] = crowd_depth(self.instance.r, v)
-        if self.m <= depth and self.s_disjoint(self.view, self.m):
-            self.m += 1
+        if v is not self.last_v:
+            depth = self.depths.get(v)
+            if depth is None:
+                depth = self.depths[v] = crowd_depth(self.instance.r, v)
+            self.last_v, self.last_depth = v, depth
+        m = self.m
+        if m > self.last_depth:
+            return False
+        key = self.key
+        escaped = key[2] if self.reuse and self.key_len == n and key[0] == m \
+            else self.s_disjoint(self.view, m)
+        if escaped:
+            self.m = m + 1
             self.switches += 1
-            return True
-        return False
+        return escaped
 
     def state_key(self):
-        tail = None if self.tail is None else \
-            self.tail.suffix_key(len(self.prefix) - self.offset)
-        return (self.m, tail, self.prefix_digest(self.view, self.m))
+        n = len(self.prefix)
+        tail = None if self.tail is None else self.tail.suffix_key(n - self.offset)
+        self.key_len = n
+        self.key = key = (self.m, tail, self.prefix_digest(self.view, self.m))
+        return key
 
     def counters(self) -> Dict[str, int]:
         return {"m": self.m, "switches": self.switches, "round": self.t}

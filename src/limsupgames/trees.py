@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 Letter = int
 Prefix = tuple  # tuple[int, ...]
@@ -144,8 +145,13 @@ class EventuallyPeriodicBranch:
         """
         if pos < len(self.stem):
             return (self.stem[pos:], self.cycle)
-        return ((), self.cycle[(pos - len(self.stem)) % len(self.cycle):]
-                + self.cycle[: (pos - len(self.stem)) % len(self.cycle)])
+        return self._phase_keys[(pos - len(self.stem)) % len(self.cycle)]
+
+    @cached_property
+    def _phase_keys(self) -> tuple:
+        # one shared key per cycle phase; no field, so ==, hash, repr skip it
+        c = self.cycle
+        return tuple(((), c[i:] + c[:i]) for i in range(len(c)))
 
     def __str__(self) -> str:
         return f"stem={format_prefix(self.stem)};cycle={format_prefix(self.cycle)}"

@@ -18,6 +18,14 @@ def constant_automaton(value) -> NodeAutomaton:
     return make_automaton(0, [[0, 0]], [[value, value]])
 
 
+def reference_suffix_key(x, pos):
+    """EventuallyPeriodicBranch.suffix_key's formula, a fresh tuple a call."""
+    if pos < len(x.stem):
+        return (x.stem[pos:], x.cycle)
+    k = (pos - len(x.stem)) % len(x.cycle)
+    return ((), x.cycle[k:] + x.cycle[:k])
+
+
 def branch_labels(fam, x, horizon: int) -> tuple:
     """Labels of the prefixes of x of lengths 1 .. horizon."""
     tr = transducer(fam)

@@ -815,6 +815,36 @@ def test_malformed_config_values_exit_two(tmp_path, capsys, command, config):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("config, named", [
+    ({"player_i": {**_COPYCAT, "cap": 3}}, ("'copycat'", "'cap'")),
+    ({"player_ii": {**_CONST_II, "covalu": "0/2^0"}},
+     ("'constant'", "'covalu'")),
+    ({"player_ii": {**_FSM_I, "values": ["1/2^1"], "covalues": ["0/2^0"]}},
+     ("'random_fsm'", "'covalues'")),
+    ({"player_i": {"kind": "meager_dense", "extra": 1}},
+     ("'meager_dense'", "'extra'")),
+    ({"player_ii": {"kind": "from_u", "file": "u.json", "automaton":
+                    letter_output_automaton().to_json_dict()}},
+     ("from_u", "'automaton'", "'file'")),
+    ({"player_i": {"kind": "lift", "restriction": ["0/2^0", "1/2^0"],
+                   "base": {**_COPYCAT, "cap": 3}}}, ("'copycat'", "'cap'")),
+    ({"game": "gamma_prime", "player_ii": {
+        "kind": "pair", "f": _CONST_II, "g": {**_CONST_II, "covalu": 0}}},
+     ("'constant'", "'covalu'")),
+], ids=["copycat-cap", "constant-covalu", "fsm-covalues", "meager-extra",
+        "from-u-both", "lift-base-cap", "pair-part-covalu"])
+def test_unread_descriptor_keys_exit_two(tmp_path, capsys, config, named):
+    # a key its kind never reads is a typo or a misplaced option, and an
+    # inline machine next to a file would silently win over it
+    data = {"player_i": _FSM_I, "player_ii": _CONST_II, "horizon": 10,
+            **config}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert entry(["play", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and all(n in err for n in named), err
+
+
 # --- suite --------------------------------------------------------------
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import reference_suffix_key
 from limsupgames import corpus
 from limsupgames.corpus import (automaton_corpus, baire_pair_fixtures,
                                 branch_corpus, certify_pair, letter_fsm_corpus,
@@ -64,16 +65,15 @@ def test_meager_dense_never_settles_at_the_target_value():
     assert md.counters()["m"] >= 10
 
 
-def test_meager_dense_long_divergent_run_matches_the_dyadic_replay():
-    # replay the switching rule with the threshold r - 2^-m as a Dyadic and
-    # a freshly built tail per switch, fed the values the run announced
+def _replay_switching(values):
+    """The eventually-zero switching rule replayed with the threshold
+    r - 2^-m as a Dyadic and a freshly built tail per switch, fed the
+    values a run announced: its letters, and one (round, m, prefix length,
+    tail) per switch."""
     inst = eventually_zero_instance()
-    md = strategy_i_meager_dense(inst)
-    tr = play(BIN, md, ConstantII(1), 5000)
-    assert tr.fault is None and tr.lasso is None
     letters, m, events = [], 0, []
-    for t in range(5000):
-        if t == 0 or (inst.r - half_pow(m) < tr.values[t - 1]
+    for t in range(len(values)):
+        if t == 0 or (inst.r - half_pow(m) < values[t - 1]
                       and inst.s_disjoint(letters, m)):
             if t > 0:
                 m += 1
@@ -82,12 +82,99 @@ def test_meager_dense_long_divergent_run_matches_the_dyadic_replay():
                 (0,) * max(0, m + 1 - offset) + (1,), (0,))
             events.append((t, m, offset, tail))
         letters.append(tail.letter_at(len(letters) - offset))
-    assert tr.letters == tuple(letters)
+    return tuple(letters), events
+
+
+def test_meager_dense_long_divergent_run_matches_the_dyadic_replay():
+    md = strategy_i_meager_dense(eventually_zero_instance())
+    tr = play(BIN, md, ConstantII(1), 5000)
+    assert tr.fault is None and tr.lasso is None
+    letters, events = _replay_switching(tr.values)
+    assert tr.letters == letters
     assert [(e.round_index, e.m, e.prefix_len) for e in md.history] == \
         [e[:3] for e in events]
     assert md.history[-1].m > 4000
     for ev, want in list(zip(md.history, events))[::97]:
         assert ev.tail.first(40) == want[3].first(40)
+
+
+# the divergent and the stalled opponent, and seeded value machines
+SWITCH_OPPONENTS = [ConstantII(1), ConstantII(Dyadic(29, 5)),
+                    *value_fsm_corpus(5, 8), *value_fsm_corpus(6, 8, natural=True)]
+
+
+def _counting_instance():
+    """eventually_zero_instance whose s_disjoint, also its digest, counts
+    its calls."""
+    inst = eventually_zero_instance()
+    calls = []
+
+    def s_disjoint(s, m):
+        calls.append((len(s), m))
+        return inst.s_disjoint(s, m)
+
+    return inst._replace(s_disjoint=s_disjoint, prefix_digest=s_disjoint), calls
+
+
+def test_a_switching_round_asks_the_instance_once():
+    # the state key's digest is the switch test's answer at the same
+    # (prefix length, m), so the test reads it instead of asking again
+    inst, calls = _counting_instance()
+    md = strategy_i_meager_dense(inst)
+    tr = play(BIN, md, ConstantII(1), 500)
+    assert tr.lasso is None and md.switches == 498
+    assert len(calls) <= 501 and len(set(calls)) == len(calls)
+
+
+def test_a_distinct_digest_switches_as_the_shared_one_and_the_replay():
+    # a digest that is not s_disjoint itself never stands in for the
+    # switch test, and both instances play the replay's rounds
+    shared = eventually_zero_instance()
+    distinct = shared._replace(
+        prefix_digest=lambda s, m: shared.s_disjoint(s, m))
+    for opp in SWITCH_OPPONENTS:
+        runs = []
+        for inst in (shared, distinct):
+            md = strategy_i_meager_dense(inst)
+            tr = play(BIN, md, opp, 300)
+            letters, events = _replay_switching(tr.values)
+            assert tr.fault is None and tr.letters == letters
+            assert list(map(tuple, md.history)) == events
+            assert md.counters() == {"m": events[-1][1], "round": 300,
+                                     "switches": len(events) - 1}
+            runs.append((tr.columns(), tr.lasso, md.history))
+        assert runs[0] == runs[1]
+    md = strategy_i_meager_dense(distinct)
+    assert play(BIN, md, ConstantII(Dyadic(29, 5)), 40).lasso == (6, 1)
+
+
+@pytest.mark.parametrize("every", [None, 2, 3])
+def test_the_switches_need_no_state_key(every):
+    # move alone, or state_key asked on some rounds only, as play does
+    # once it has found a lasso: the same switches as a played run
+    for opp in SWITCH_OPPONENTS:
+        md = strategy_i_meager_dense(eventually_zero_instance())
+        tr = play(BIN, md, opp, 300)
+        want = (md.history, md.counters())
+        md.reset()
+        opp.reset()
+        letters, last = [], None
+        for t in range(300):
+            if every and t % every == 1:
+                md.state_key()
+            letters.append(md.move(last))
+            last = opp.move(letters[-1])
+        assert tuple(letters) == tr.letters
+        assert (md.history, md.counters()) == want
+
+
+def test_one_switching_attacker_plays_alike_twice():
+    md = strategy_i_meager_dense(eventually_zero_instance())
+    runs = []
+    for opp in SWITCH_OPPONENTS[:3] * 2:
+        tr = play(BIN, md, opp, 200)
+        runs.append((tr.columns(), tr.lasso, md.history, md.counters()))
+    assert runs[:3] == runs[3:]
 
 
 @given(st.lists(st.integers(0, 1), max_size=40), st.integers(0, 45))
@@ -220,6 +307,20 @@ def test_the_oscillation_table_plays_as_the_round_by_round_follower():
         # single values: player II's fault in round 1, on both
         tr = _same_run(BIN, inst, ConstantII(Dyadic(1)), 50)
         assert tr.fault.blame == "II" and tr.fault.round_index == 1
+
+
+def test_the_oscillation_step_table_matches_the_suffix_key_formula():
+    # the table is keyed by the tails' shared suffix keys; built from the
+    # fresh tuples of the formula it is the same table
+    for inst in _two_tail_instances(11, 30) + [indicator_oscillation_instance()]:
+        tails = (inst.high, inst.low)
+        want = {reference_suffix_key(x, i):
+                (x.letter_at(i), reference_suffix_key(x, i + 1))
+                for x in tails for i in range(len(x.stem) + len(x.cycle))}
+        want[None] = want[reference_suffix_key(inst.high, 0)]
+        osc = strategy_i_oscillation(inst)
+        assert osc.step == want
+        assert osc.starts == tuple(reference_suffix_key(x, 0) for x in tails)
 
 
 def test_a_million_round_oscillation_keeps_its_lasso_only():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import reference_suffix_key
 from limsupgames.dyadic import Dyadic
 from limsupgames.games import gamma, play
 from limsupgames.strategies import ConstantII, LetterFSM
@@ -104,6 +105,21 @@ def test_suffix_key_shift_invariance():
     # from inside the cycle, keys at positions one period apart coincide
     assert x.suffix_key(2) == x.suffix_key(4)
     assert x.suffix_key(2) != x.suffix_key(3)
+
+
+@given(st.lists(st.integers(0, 3), max_size=5),
+       st.lists(st.integers(0, 3), min_size=1, max_size=5))
+def test_suffix_keys_are_shared_per_cycle_phase(stem, cycle):
+    x = EventuallyPeriodicBranch(tuple(stem), tuple(cycle))
+    end = len(stem) + 3 * len(cycle)
+    keys = [x.suffix_key(pos) for pos in range(end + 1)]
+    assert keys == [reference_suffix_key(x, pos) for pos in range(end + 1)]
+    for pos in range(len(stem), end + 1 - len(cycle)):
+        assert keys[pos] is keys[pos + len(cycle)]
+    # the kept keys are no part of the branch's value
+    fresh = EventuallyPeriodicBranch(tuple(stem), tuple(cycle))
+    assert x == fresh and hash(x) == hash(fresh)
+    assert repr(x) == repr(fresh) and str(x) == str(fresh)
 
 
 def test_parse_branch():
