@@ -4,14 +4,15 @@ A NodeAutomaton reads letters and emits one dyadic output per transition;
 the label of a nonempty prefix is the output of the transition that consumed
 its last letter.  Along an eventually periodic branch the run enters a lasso,
 so the limsup of the labels is the max over one certified cycle, computed
-exactly.
+exactly on each output's int rank among the machine's distinct outputs.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence, Tuple
+from itertools import accumulate
+from typing import NamedTuple, Sequence
 
 from . import graphs
 from .dyadic import POS_INF, Dyadic, ExtValue, as_dyadic
@@ -62,18 +63,28 @@ class NodeAutomaton:
     outputs: tuple
     # count of explicit letters k, which is also the default class's column
     num_letters: int = field(init=False, repr=False, compare=False)
+    # the sorted distinct outputs, and ranks[q][c], outputs[q][c]'s index there
+    levels: tuple = field(init=False, repr=False, compare=False)
+    ranks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         width = check_steps(self.steps, self.initial)
         if len(self.outputs) != len(self.steps):
             raise ValueError("steps/outputs state count mismatch")
+        seen = set()
         for q, row in enumerate(self.outputs):
             if len(row) != width:
                 raise ValueError(f"ragged transition table at state {q}")
             for c, out in enumerate(row):
                 if not isinstance(out, Dyadic):
                     raise ValueError(f"output at ({q},{c}) is not a Dyadic")
+            seen.update(row)
+        levels = tuple(sorted(seen))
+        rank = {o: i for i, o in enumerate(levels)}.__getitem__
         object.__setattr__(self, "num_letters", width - 1)
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "ranks", tuple(
+            tuple(map(rank, row)) for row in self.outputs))
 
     @property
     def num_states(self) -> int:
@@ -92,16 +103,16 @@ class NodeAutomaton:
         return self.outputs[q][a if a < k else k]
 
     def run(self, s: Prefix) -> int:
-        q = self.initial
+        q, k, steps = self.initial, self.num_letters, self.steps
         for a in s:
-            q = self.step(q, a)
+            q = steps[q][a if a < k else k]
         return q
 
     def declared_outputs(self) -> tuple:
-        return tuple(sorted({o for row in self.outputs for o in row}))
+        return self.levels
 
     def min_output(self) -> Dyadic:
-        return self.declared_outputs()[0]
+        return self.levels[0]
 
     def node_value(self, s: Prefix) -> Dyadic:
         """The label u(s); the empty prefix reports the minimum declared output."""
@@ -191,42 +202,44 @@ class LassoSummary(NamedTuple):
         return max(self.cycle_outputs)
 
 
-def _cycle_lasso(u: NodeAutomaton, q: int, cycle: tuple) -> Tuple[list, int]:
-    """Outputs along the (state, cycle phase) lasso of the run from q over
-    cycle^omega, and the index where its cycle starts."""
-    k = u.num_letters
-    cls = [a if a < k else k for a in cycle]
-    steps, period = u.steps, len(cls)
+def _passes(u: NodeAutomaton, x: Branch):
+    """x's cycle letter classes, the phase-0 states of the run along x to
+    their first repeat (orbit, entry), one cycle pass a step, and each
+    pass's top rank.  A phase-0 state repeats just when a (state, phase)
+    pair does, so the passes from orbit[entry:] see the recurring pairs."""
+    k, steps, ranks = u.num_letters, u.steps, u.ranks
+    cls, top = [a if a < k else k for a in x.cycle], []
 
-    def step(key):
-        p, i = key
-        return steps[p][cls[i]], (i + 1) % period
+    def one_pass(q):
+        best = 0
+        for c in cls:
+            if ranks[q][c] > best:
+                best = ranks[q][c]
+            q = steps[q][c]
+        top.append(best)  # first_repeat steps each orbit state once, in order
+        return q
 
-    # (state, cycle phase) repeats, and from there the labels repeat too
-    orbit, entry = graphs.first_repeat((q, 0), step)
-    return [u.outputs[p][cls[i]] for p, i in orbit], entry
+    orbit, entry = graphs.first_repeat(u.run(x.stem), one_pass)
+    return cls, orbit, entry, top
 
 
 def lasso_summary(u: NodeAutomaton, x: Branch) -> LassoSummary:
-    outputs = []
-    q = u.initial
-    for a in x.stem:
-        outputs.append(u.output(q, a))
-        q = u.step(q, a)
-    cyc, entry = _cycle_lasso(u, q, x.cycle)
-    start = len(x.stem) + entry
-    return LassoSummary(
-        start=start,
-        period=len(cyc) - entry,
-        transient_outputs=tuple(outputs) + tuple(cyc[:entry]),
-        cycle_outputs=tuple(cyc[entry:]),
-    )
+    cls, orbit, entry, _ = _passes(u, x)
+    n, word = len(x.stem), [u.letter_class(a) for a in x.stem] + cls * len(orbit)
+    states = list(accumulate(word, lambda q, c: u.steps[q][c], initial=u.initial))
+    outputs = [u.outputs[q][c] for q, c in zip(states, word)]
+    # roll the pass-aligned lasso back to the first repeating (state, phase)
+    period = (len(orbit) - entry) * len(cls)
+    start = n + graphs.periodic_start((states[n:],), entry * len(cls), period)
+    return LassoSummary(start, period, tuple(outputs[:start]),
+                        tuple(outputs[start:start + period]))
 
 
 def eval_limsup(u: NodeAutomaton, x: Branch) -> Dyadic:
-    """limsup of the node labels along the branch, exactly."""
-    cyc, entry = _cycle_lasso(u, u.run(x.stem), x.cycle)
-    return max(cyc[entry:])
+    """limsup of the node labels along the branch, exactly: the output at
+    the top rank of the cycle passes."""
+    _, orbit, entry, top = _passes(u, x)
+    return u.levels[max(top[entry:])]
 
 
 def minmax_value(u: NodeAutomaton, q: int) -> ExtValue:

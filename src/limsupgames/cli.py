@@ -209,17 +209,20 @@ def resolve_algebra(src: dict, tree: TreeSpec, what: str) -> AlgebraFunction:
 def build_payoff(src: Optional[dict], tree: TreeSpec):
     if src is None:
         raise ConfigError("config has no payoff source")
-    kind = src.get("kind", "automaton")
+    kind = _descriptor_kind({"kind": "automaton", **src}, "payoff",
+                            _KEYS_PAYOFF)
+    for key in ("left", "right", "source"):
+        if isinstance(src.get(key), dict):
+            _descriptor_kind({"kind": "automaton", **src[key]},
+                             f"payoff {kind} {key}", _KEYS_SOURCE)
     if kind == "automaton":
         return resolve_automaton(src)
     if kind == "algebra":
         return resolve_algebra(src, tree, "algebra source").machine
     if kind == "indicator":
         return IndicatorPayoff()
-    if kind == "pipeline":
-        fam, _ = build_pipeline(src, tree)
-        return minimize_labeling(ConstructionState(fam))
-    raise ConfigError(f"unknown payoff kind {kind!r}")
+    fam, _ = build_pipeline(src, tree)  # pipeline
+    return minimize_labeling(ConstructionState(fam))
 
 
 def _fsm_params(desc: dict):
@@ -245,13 +248,18 @@ def _check_nesting(desc, what: str) -> None:
         raise ConfigError(f"{what} nests more than {MAX_NESTING} levels deep")
 
 
-# descriptor kind -> the keys it reads besides "kind", per player
+# descriptor kind -> the keys it reads besides "kind", per player and for
+# the payoff and its nested automaton sources (no kind means "automaton")
 _KEYS_I = {"copycat": (), "approx_copycat": ("cap",), "meager_dense": (),
            "oscillation": (), "lift": ("base", "restriction"),
            "relabel": ("base", "mapping"),
            "random_fsm": ("states", "values", "seed")}
 _KEYS_II = {"from_u": ("automaton", "file"), "constant": ("value", "covalue"),
             "pair": ("f", "g"), "random_fsm": _KEYS_I["random_fsm"]}
+_KEYS_SOURCE = {"automaton": ("automaton", "file")}
+_KEYS_PAYOFF = {**_KEYS_SOURCE, "algebra": ("op", "left", "right"),
+                "indicator": (),
+                "pipeline": ("op", "left", "right", "stages", "source")}
 
 
 def _descriptor_kind(desc, who: str, keys: dict) -> str:
@@ -261,7 +269,7 @@ def _descriptor_kind(desc, who: str, keys: dict) -> str:
         raise ConfigError(f"{who} needs a strategy descriptor with a 'kind'")
     kind = desc["kind"]
     if not isinstance(kind, str) or kind not in keys:
-        raise ConfigError(f"unknown {who} strategy kind {kind!r}")
+        raise ConfigError(f"unknown {who} kind {kind!r}")
     unread = ", ".join(map(repr, sorted(set(desc) - {"kind", *keys[kind]})))
     if unread:
         raise ConfigError(f"{who} kind {kind!r} does not read {unread}")

@@ -423,22 +423,9 @@ class AlgebraFunction(NamedTuple):
         return eval_limsup(self.machine, x)
 
     def expected_on(self, x: EventuallyPeriodicBranch) -> Dyadic:
-        """op of the factor limsups along x, each the largest output on the
-        cycle of one (state pair, cycle phase) lasso of both factors."""
+        """op of the factor limsups along x, each on its own machine."""
         u1, u2 = self.factors
-        c1 = [u1.letter_class(a) for a in x.cycle]
-        c2 = [u2.letter_class(a) for a in x.cycle]
-        s1, s2, period = u1.steps, u2.steps, len(c1)
-
-        def step(key):
-            p1, p2, i = key
-            return s1[p1][c1[i]], s2[p2][c2[i]], (i + 1) % period
-
-        orbit, entry = first_repeat((u1.run(x.stem), u2.run(x.stem), 0), step)
-        cyc = orbit[entry:]
-        return apply_op(self.op,
-                        max(u1.outputs[p1][c1[i]] for p1, _, i in cyc),
-                        max(u2.outputs[p2][c2[i]] for _, p2, i in cyc))
+        return apply_op(self.op, eval_limsup(u1, x), eval_limsup(u2, x))
 
 
 def algebra(u1: NodeAutomaton, u2: NodeAutomaton, op: str,

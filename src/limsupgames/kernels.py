@@ -72,8 +72,7 @@ class ProductKernel:
         self.dims = len(self.machines)
         self.reps = joint_letter_representatives(self.machines, tree)
         self.initial = tuple(u.initial for u in self.machines)
-        self.grid_exponent = max(
-            o.exp for u in self.machines for row in u.outputs for o in row)
+        self.grid_exponent = max(o.exp for u in self.machines for o in u.levels)
         self._all = tuple(range(self.dims))
         self._value: Dict = {}
         self._edges: Dict = {}

@@ -5,8 +5,9 @@ from types import SimpleNamespace
 import pytest
 
 from limsupgames.automata import NodeAutomaton, make_automaton
-from limsupgames.construction import transducer
+from limsupgames.construction import apply_op, transducer
 from limsupgames.dyadic import NEG_INF, Dyadic, ExtValue
+from limsupgames.graphs import first_repeat
 
 
 def letter_output_automaton() -> NodeAutomaton:
@@ -24,6 +25,36 @@ def reference_suffix_key(x, pos):
         return (x.stem[pos:], x.cycle)
     k = (pos - len(x.stem)) % len(x.cycle)
     return ((), x.cycle[k:] + x.cycle[:k])
+
+
+def reference_lasso(u, x):
+    """(start, period, transient outputs, cycle outputs) of the run along
+    x, read off the lasso of (state, cycle phase) pairs: the formula the
+    pass walk of eval_limsup and lasso_summary replaced."""
+    cls = [u.letter_class(a) for a in x.cycle]
+    orbit, entry = first_repeat(
+        (u.run(x.stem), 0),
+        lambda key: (u.steps[key[0]][cls[key[1]]], (key[1] + 1) % len(cls)))
+    outs = [u.outputs[q][cls[i]] for q, i in orbit]
+    stem = tuple(u.node_value(x.stem[:t + 1]) for t in range(len(x.stem)))
+    return (len(x.stem) + entry, len(orbit) - entry,
+            stem + tuple(outs[:entry]), tuple(outs[entry:]))
+
+
+def reference_expected(op, u1, u2, x):
+    """op of the factor limsups off one (state pair, cycle phase) lasso of
+    both factors: the joint walk AlgebraFunction.expected_on replaced."""
+    c1 = [u1.letter_class(a) for a in x.cycle]
+    c2 = [u2.letter_class(a) for a in x.cycle]
+
+    def step(key):
+        p1, p2, i = key
+        return u1.steps[p1][c1[i]], u2.steps[p2][c2[i]], (i + 1) % len(c1)
+
+    orbit, entry = first_repeat((u1.run(x.stem), u2.run(x.stem), 0), step)
+    cyc = orbit[entry:]
+    return apply_op(op, max(u1.outputs[p1][c1[i]] for p1, _, i in cyc),
+                    max(u2.outputs[p2][c2[i]] for _, p2, i in cyc))
 
 
 def branch_labels(fam, x, horizon: int) -> tuple:

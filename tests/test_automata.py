@@ -4,7 +4,8 @@ import re
 
 import pytest
 
-from conftest import constant_automaton, letter_output_automaton
+from conftest import (constant_automaton, letter_output_automaton,
+                      reference_lasso)
 from limsupgames.automata import (NodeAutomaton, eval_limsup, lasso_summary,
                                   make_automaton, minmax_value)
 from limsupgames.corpus import branch_corpus, random_automaton, rng_stream
@@ -137,6 +138,53 @@ def test_lasso_summary_consistency():
                 cert.cycle_outputs
             assert tuple(replay[cert.start + cert.period:need]) == \
                 cert.cycle_outputs
+
+
+def test_the_pass_walk_matches_the_state_phase_lasso():
+    # letters 0..3 against machines that read 0 apart: 1..3 share the
+    # default class; stems to 4 letters and cycles to 5
+    rng = rng_stream(31, "pass-walk")
+
+    def word(lo, hi):
+        return tuple(rng.randrange(4) for _ in range(rng.randint(lo, hi)))
+
+    for _ in range(60):
+        u = random_automaton(rng, 5)
+        for _ in range(12):
+            x = EventuallyPeriodicBranch(word(0, 4), word(1, 5))
+            start, period, transient, cycle = reference_lasso(u, x)
+            assert eval_limsup(u, x) == max(cycle), (u, x)
+            cert = lasso_summary(u, x)
+            assert cert == (start, period, transient, cycle), (u, x)
+            assert cert.limsup == eval_limsup(u, x)
+
+
+def test_levels_and_ranks_index_the_outputs():
+    rng = rng_stream(32, "ranks")
+    for _ in range(40):
+        u = random_automaton(rng, 4, span=2, max_exp=1)
+        assert all(a < b for a, b in zip(u.levels, u.levels[1:]))
+        assert set(u.levels) == {o for row in u.outputs for o in row}
+        for q, row in enumerate(u.outputs):
+            for c, out in enumerate(row):
+                assert u.levels[u.ranks[q][c]] == out
+        assert u.declared_outputs() == u.levels
+        assert u.min_output() == u.levels[0]
+
+
+def test_levels_and_ranks_stay_out_of_equality_hash_repr_and_json():
+    u = make_automaton(0, [[1, 0], [1, 1]], [[0, "1/2^1"], [1, 0]])
+    w = make_automaton(0, [[1, 0], [1, 1]], [[0, "1/2^1"], [1, 0]])
+    object.__setattr__(w, "levels", ())
+    object.__setattr__(w, "ranks", ())
+    assert u == w and hash(u) == hash(w)
+    assert repr(u) == repr(w) == (
+        "NodeAutomaton(initial=0, steps=((1, 0), (1, 1)), "
+        "outputs=((Dyadic(0, 0), Dyadic(1, 1)), (Dyadic(1, 0), Dyadic(0, 0))))")
+    assert u.to_json_dict() == w.to_json_dict() == {
+        "states": 2, "initial": 0, "letters": 1,
+        "transitions": [[0, 0, 1, "0/2^0"], [0, "default", 0, "1/2^1"],
+                        [1, 0, 1, "1/2^0"], [1, "default", 1, "0/2^0"]]}
 
 
 def test_make_automaton_validation():

@@ -845,6 +845,45 @@ def test_unread_descriptor_keys_exit_two(tmp_path, capsys, config, named):
     assert err.startswith("error:") and all(n in err for n in named), err
 
 
+_SOURCE = {"automaton": letter_output_automaton().to_json_dict()}
+_ALGEBRA = {"kind": "algebra", "op": "max", "left": _SOURCE, "right": _SOURCE}
+_STAGES = {"stages": ["from-automaton", "construct_u"], "source": _SOURCE}
+
+
+@pytest.mark.parametrize("payoff, named", [
+    ({**_SOURCE, "kind": "automaton", "op": "max"}, ("'automaton'", "'op'")),
+    ({**_SOURCE, "stages": ["construct_u"]}, ("'automaton'", "'stages'")),
+    ({**_ALGEBRA, "file": "u3.json"}, ("'algebra'", "'file'")),
+    ({**_ALGEBRA, "right": {**_SOURCE, "kind": "indicator"}},
+     ("algebra right", "'indicator'")),
+    ({"kind": "indicator", "file": "u3.json"}, ("'indicator'", "'file'")),
+    ({**_STAGES, "kind": "pipeline",
+      "branch_corpus": {"max_stem": 1, "max_cycle": 1}},
+     ("'pipeline'", "'branch_corpus'")),
+    ({**_ALGEBRA, "kind": "pipeline", "left": {**_SOURCE, "letters": 2}},
+     ("pipeline left", "'letters'")),
+    ({**_STAGES, "kind": "pipeline", "source": {**_SOURCE, "seed": 1}},
+     ("pipeline source", "'seed'")),
+], ids=["automaton-op", "no-kind-stages", "algebra-file", "algebra-right-kind",
+        "indicator-file", "pipeline-corpus", "pipeline-left-letters",
+        "pipeline-source-seed"])
+def test_unread_payoff_keys_exit_two(tmp_path, capsys, payoff, named):
+    # a payoff source never silently drops a key its kind does not read,
+    # nor does a nested automaton source, which takes no other kind
+    cfg = verify_config(tmp_path, payoff=payoff)
+    assert entry(["verify", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "payoff" in err, err
+    assert all(n in err for n in named), err
+
+
+def test_payoff_and_nested_sources_default_to_automaton():
+    tree = cli.binary_tree()
+    assert cli.build_payoff(_SOURCE, tree) == letter_output_automaton()
+    nested = {**_ALGEBRA, "left": {**_SOURCE, "kind": "automaton"}}
+    assert cli.build_payoff(nested, tree) == cli.build_payoff(_ALGEBRA, tree)
+
+
 # --- suite --------------------------------------------------------------
 
 

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import branch_labels, constant_automaton, letter_output_automaton
+from conftest import (branch_labels, constant_automaton,
+                      letter_output_automaton, reference_expected)
 from limsupgames.automata import eval_limsup, lasso_summary, make_automaton
 from limsupgames.construction import (ALGEBRA_OPS, ConstructionState,
                                        InconclusiveLassoError, LabelTransducer,
@@ -367,7 +368,9 @@ def test_expected_on_is_the_op_of_the_factor_limsups(op):
     for u1, u2 in _wide_pairs(42, 4):
         f = algebra(u1, u2, op, nat_tree())
         for x in branches:
-            assert f.expected_on(x) == apply_op(
+            want = reference_expected(op, u1, u2, x)
+            assert f.expected_on(x) == want, (u1, u2, x)
+            assert want == apply_op(
                 op, eval_limsup(u1, x), eval_limsup(u2, x)), (u1, u2, x)
 
 

@@ -249,7 +249,7 @@ class _FollowingOscillation(StrategyI):
 
     def state_key(self):
         return (self.phase % 2, None if self.tail is None else
-                self.tail.suffix_key(self.pos - self.offset))
+                reference_suffix_key(self.tail, self.pos - self.offset))
 
     def counters(self):
         return {"phase": self.phase, "round": self.pos,
@@ -282,6 +282,8 @@ def _same_run(kind, inst, opp, horizon):
         (want.lasso, want.fault, want.rounds)
     assert table.counters() == oracle.counters()
     assert table.trigger_rounds == oracle.trigger_rounds
+    # a consistently wrong key plays the same letters; the state shows it
+    assert table.q == oracle.state_key()
     return tr
 
 
