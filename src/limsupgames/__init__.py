@@ -17,7 +17,7 @@ from .games import (FiniteValueSet, GameKind, Outcome, RunTrace, StrategyFault,
 from .strategies import (approx_copycat, copycat_strategy, lift_strategy,
                          pair_strategies, relabel_strategy,
                          strategy_i_meager_dense, strategy_i_oscillation,
-                         strategy_ii_from_u, u_from_strategy_ii)
+                         strategy_ii_from_u)
 from .trees import (EventuallyPeriodicBranch, TreeSpec, binary_tree,
                     full_tree, nat_tree, parse_branch)
 
@@ -47,6 +47,5 @@ __all__ = [
     "lift_strategy", "make_automaton", "minimize_labeling",
     "minmax_value", "nat_tree", "pair_strategies", "parse_branch",
     "play", "relabel_strategy", "strategy_i_meager_dense",
-    "strategy_i_oscillation", "strategy_ii_from_u",
-    "u_from_strategy_ii", "verify_construction",
+    "strategy_i_oscillation", "strategy_ii_from_u", "verify_construction",
 ]

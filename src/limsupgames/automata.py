@@ -54,8 +54,7 @@ class NodeAutomaton:
     Machines declare k explicit letters 0..k-1; all other letters share one
     default class, so the same machine works over any countable alphabet.
     `steps[q][c]` / `outputs[q][c]` give the successor and output for state q
-    on letter class c, with c == k standing for the default class.  The label
-    of the empty prefix is fixed to the minimum declared output.
+    on letter class c, with c == k standing for the default class.
     """
 
     initial: int
@@ -107,18 +106,6 @@ class NodeAutomaton:
         for a in s:
             q = steps[q][a if a < k else k]
         return q
-
-    def declared_outputs(self) -> tuple:
-        return self.levels
-
-    def min_output(self) -> Dyadic:
-        return self.levels[0]
-
-    def node_value(self, s: Prefix) -> Dyadic:
-        """The label u(s); the empty prefix reports the minimum declared output."""
-        if not s:
-            return self.min_output()
-        return self.output(self.run(s[:-1]), s[-1])
 
     def to_json_dict(self) -> dict:
         rows = []
@@ -245,7 +232,7 @@ def eval_limsup(u: NodeAutomaton, x: Branch) -> Dyadic:
 def minmax_value(u: NodeAutomaton, q: int) -> ExtValue:
     """min over infinite automaton runs from q of the max output visited."""
     table = graphs.min_sup_cycle(
-        range(u.num_states), ((o,) for o in u.declared_outputs()),
+        range(u.num_states), ((o,) for o in u.levels),
         lambda theta, p: [dst for dst, out in zip(u.steps[p], u.outputs[p])
                           if not theta[0] < out])
     return ExtValue.finite(table[q][0][0]) if q in table else POS_INF

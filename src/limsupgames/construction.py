@@ -209,28 +209,17 @@ def transducer(fam: GridLscFamily) -> LabelTransducer:
 class ConstructionState:
     """Per-prefix label cache.
 
-    Each nonempty prefix is labeled by one move of the family's label
-    transducer from its parent's state; the per-prefix states are kept, so
-    a prefix costs one move past its parent.  The root has no parent, so
-    each level's threshold interval reaches up to that level's infimum, and
-    level 0's infimum, the largest, is the root's label.
+    Each nonempty prefix is labeled by walking the family's label
+    transducer from the root's state 0; the last move's label is the
+    prefix's.  The root has no parent, so each level's threshold interval
+    reaches up to that level's infimum, and level 0's infimum, the
+    largest, is the root's label.
     """
 
     def __init__(self, fam: GridLscFamily):
         self.fam = fam
         self.cache: Dict[Prefix, Dyadic] = {}
         self._tr = transducer(fam)
-        self._runs: Dict[Prefix, int] = {(): 0}
-
-    def _run(self, s: Prefix) -> int:
-        k = len(s)
-        while s[:k] not in self._runs:
-            k -= 1
-        q = self._runs[s[:k]]
-        for i in range(k, len(s)):
-            q = self._tr.move(q, s[i])[1]
-            self._runs[s[:i + 1]] = q
-        return q
 
     def u(self, s: Prefix) -> Dyadic:
         got = self.cache.get(s)
@@ -238,7 +227,9 @@ class ConstructionState:
             if not s:
                 got = self.fam.node_inf(0, s).require_finite()
             else:
-                label, self._runs[s] = self._tr.move(self._run(s[:-1]), s[-1])
+                q = 0
+                for a in s:
+                    label, q = self._tr.move(q, a)
                 got = self._tr.ker.from_grid(label)
             self.cache[s] = got
         return got
@@ -348,8 +339,8 @@ def minimize_labeling(state: ConstructionState) -> NodeAutomaton:
     The labeling is the family's label transducer; every state a row meets
     is reachable, so the rows are expanded until they meet no new one, and
     read per letter through its joint letter class.  The letters are the
-    tree's alphabet 0..k-1, or on the naturals tree 0..K with K the largest
-    machine letter count, the last letter standing for the default class.
+    kernel's candidate letters (ker.letters); on the naturals tree the last
+    stands for the default class.
     Moore refinement then splits the states, first by their rows of labels
     and then by the blocks of their successors, until no block splits; the
     blocks are numbered in breadth-first order from the root's, letters in
@@ -360,14 +351,10 @@ def minimize_labeling(state: ConstructionState) -> NodeAutomaton:
     tr = transducer(state.fam)
     if tr.machine is not None:
         return tr.machine
-    tree = tr.ker.tree
-    if tree.all_naturals:
-        letters = range(max(u.num_letters for u in tr.ker.machines) + 1)
-    else:
-        letters = tree.alphabet
-        if letters != tuple(range(len(letters))):
-            raise ValueError(f"cannot minimize over the alphabet {letters}: "
-                             "machine letters are 0..k-1")
+    letters = tr.ker.letters
+    if letters != tuple(range(len(letters))):
+        raise ValueError(f"cannot minimize over the alphabet {letters}: "
+                         "machine letters are 0..k-1")
     for q, _ in enumerate(tr.states):  # rows append the states they meet
         tr.row(q)
     rows = tr.rows

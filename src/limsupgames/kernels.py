@@ -37,10 +37,12 @@ from .trees import TreeSpec
 MODES = ("max", "sum", "min")
 
 
-def joint_letter_representatives(machines, tree: TreeSpec) -> tuple:
-    """One tree letter per realizable tuple of per-machine letter classes."""
+def joint_letter_representatives(machines, tree: TreeSpec) -> Tuple[tuple, tuple]:
+    """(letters, reps): the candidate letters, the tree's alphabet or on the
+    naturals tree 0..K with K the largest machine letter count, and one of
+    them per realizable tuple of per-machine letter classes."""
     if tree.all_naturals:
-        cand = range(max(u.num_letters for u in machines) + 1)
+        cand = tuple(range(max(u.num_letters for u in machines) + 1))
     elif tree.alphabet is not None:
         cand = tree.alphabet
     else:
@@ -49,7 +51,7 @@ def joint_letter_representatives(machines, tree: TreeSpec) -> tuple:
     for a in cand:
         key = tuple(u.letter_class(a) for u in machines)
         reps.setdefault(key, a)
-    return tuple(sorted(reps.values()))
+    return cand, tuple(sorted(reps.values()))
 
 
 class ProductKernel:
@@ -70,7 +72,7 @@ class ProductKernel:
         self.tree = tree
         self.mode = mode
         self.dims = len(self.machines)
-        self.reps = joint_letter_representatives(self.machines, tree)
+        self.letters, self.reps = joint_letter_representatives(self.machines, tree)
         self.initial = tuple(u.initial for u in self.machines)
         self.grid_exponent = max(o.exp for u in self.machines for o in u.levels)
         self._all = tuple(range(self.dims))

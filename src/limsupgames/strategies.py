@@ -15,8 +15,7 @@ from .automata import NodeAutomaton, check_steps
 from .dyadic import Dyadic, as_dyadic, crowd_depth, half_pow
 from .games import (FiniteValueSet, StrategyFault, StrategyI, StrategyII,
                     TableStrategy)
-from .trees import (EventuallyPeriodicBranch, Prefix, PrefixView, TreeSpec,
-                    binary_tree)
+from .trees import EventuallyPeriodicBranch, PrefixView, TreeSpec, binary_tree
 
 
 class MachineResponder(TableStrategy, StrategyII, table=True):
@@ -58,24 +57,6 @@ class MachineResponder(TableStrategy, StrategyII, table=True):
 
 def strategy_ii_from_u(u: NodeAutomaton) -> MachineResponder:
     return MachineResponder(u)
-
-
-def u_from_strategy_ii(sII: StrategyII) -> Callable[[Prefix], Dyadic]:
-    """Node labeling read off a value strategy: u(s) is the value announced
-    after the letters of s.  Defined on nonempty prefixes; resets sII."""
-
-    def u(s: Prefix) -> Dyadic:
-        if not s:
-            raise ValueError("labeling from a strategy needs a nonempty prefix")
-        sII.reset()
-        v = None
-        for a in s:
-            v = sII.move(a)
-        if isinstance(v, tuple):
-            v = v[0]
-        return as_dyadic(v)
-
-    return u
 
 
 def ConstantII(value, covalue=None) -> MachineResponder:
@@ -362,45 +343,13 @@ def relabel_strategy(base: StrategyI, mapping: Dict[Dyadic, Dyadic]) -> Relabele
     return RelabeledI(base, mapping)
 
 
-class PairResponder(StrategyII):
-    """Runs one strategy for the function and one for its negation and
-    announces (value, -covalue), the two-sided certificate pair: the pair
-    of any parts that are not both machine responders."""
-
-    def __init__(self, sf: StrategyII, sg: StrategyII):
-        self.sf = sf
-        self.sg = sg
-        self.finite_state = sf.finite_state and sg.finite_state
-
-    def reset(self) -> None:
-        self.sf.reset()
-        self.sg.reset()
-
-    def move(self, letter: int):
-        v = self.sf.move(letter)
-        w = self.sg.move(letter)
-        try:
-            return (as_dyadic(v), -as_dyadic(w))
-        except (TypeError, ValueError):
-            # a part that answers a pair or a non-dyadic is II's fault
-            raise StrategyFault("II", f"parts {v!r}, {w!r} are not single dyadics") from None
-
-    def state_key(self):
-        return (self.sf.state_key(), self.sg.state_key())
-
-    def counters(self) -> Dict[str, int]:
-        return {**self.sf.counters(), **self.sg.counters()}
-
-
-def pair_strategies(sf: StrategyII, sg: StrategyII) -> StrategyII:
-    """II for the pair game from a strategy for the function and one for
-    its negation: one responder over two machines, else a PairResponder.
-    A machine part that answers pairs is refused."""
-    if type(sf) is type(sg) is MachineResponder and sf.w is sg.w is None:
-        return MachineResponder(sf.u, sg.u, negated=True)
-    if any(isinstance(s, MachineResponder) and s.w is not None for s in (sf, sg)):
-        raise ValueError("pair parts must answer single values, not pairs")
-    return PairResponder(sf, sg)
+def pair_strategies(sf: MachineResponder, sg: MachineResponder) -> MachineResponder:
+    """II for the pair game from a machine for the function and one for its
+    negation: one responder over both.  Any other part is refused."""
+    if not (type(sf) is type(sg) is MachineResponder and sf.w is sg.w is None):
+        raise ValueError("pair parts must be machine responders that answer "
+                         "single values")
+    return MachineResponder(sf.u, sg.u, negated=True)
 
 
 class IndicatorPayoff:

@@ -19,6 +19,12 @@ def constant_automaton(value) -> NodeAutomaton:
     return make_automaton(0, [[0, 0]], [[value, value]])
 
 
+def node_value(u, s):
+    """The label u(s) of a nonempty prefix: the output of the transition
+    that read its last letter."""
+    return u.output(u.run(s[:-1]), s[-1])
+
+
 def reference_suffix_key(x, pos):
     """EventuallyPeriodicBranch.suffix_key's formula, a fresh tuple a call."""
     if pos < len(x.stem):
@@ -36,7 +42,7 @@ def reference_lasso(u, x):
         (u.run(x.stem), 0),
         lambda key: (u.steps[key[0]][cls[key[1]]], (key[1] + 1) % len(cls)))
     outs = [u.outputs[q][cls[i]] for q, i in orbit]
-    stem = tuple(u.node_value(x.stem[:t + 1]) for t in range(len(x.stem)))
+    stem = tuple(node_value(u, x.stem[:t + 1]) for t in range(len(x.stem)))
     return (len(x.stem) + entry, len(orbit) - entry,
             stem + tuple(outs[:entry]), tuple(outs[entry:]))
 

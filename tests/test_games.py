@@ -11,6 +11,7 @@ from typing import Optional
 
 import pytest
 
+from conftest import node_value
 from limsupgames import games
 from limsupgames.cli import _emit_trace
 from limsupgames.corpus import (automaton_corpus, baire_pair_fixtures,
@@ -26,7 +27,7 @@ from limsupgames.games import (MAX_TRACE_ROUNDS, TABLE_TYPES,
 from limsupgames.strategies import (ConstantII, CopycatI, IndicatorPayoff,
                                      LetterFSM, MachineResponder, ValueFSM,
                                      copycat_strategy, pair_strategies,
-                                     strategy_ii_from_u, u_from_strategy_ii)
+                                     strategy_ii_from_u)
 from limsupgames.trees import (EventuallyPeriodicBranch, TreeSpec, binary_tree,
                                full_tree, nat_tree)
 
@@ -190,16 +191,12 @@ class _Pairs(StrategyII):
 
 
 @pytest.mark.parametrize("part", [_Half, _Pairs], ids=["float", "pair"])
-def test_a_pair_part_that_answers_no_single_dyadic_faults_player_ii(part):
-    # hand-written parts: what they answer shows only in play
-    kind = gamma_prime(binary_tree())
+def test_a_pair_part_that_is_no_machine_responder_is_refused(part):
+    # hand-written parts: what they answer is unknown until play, so the
+    # pair refuses them when it is built
     for sf, sg in ((part(), ConstantII(0)), (ConstantII(0), part())):
-        tr = play(kind, const_letter(), pair_strategies(sf, sg), 3)
-        assert tr.fault.blame == "II" and tr.fault.round_index == 0
-        assert "single dyadics" in tr.fault.detail and not tr.values
-        v = exact_verdict(kind, const_letter(), pair_strategies(sf, sg),
-                          lambda x: Dyadic(0))
-        assert v.outcome is Outcome.WIN_I and v.fault == tr.fault
+        with pytest.raises(ValueError, match="single values"):
+            pair_strategies(sf, sg)
 
 
 def row_by_row_outputs(rows):
@@ -661,14 +658,14 @@ def test_undecided_without_finite_state_claim():
 
 
 def test_labeling_from_responder_reads_machine_outputs():
+    # a machine responder's answer after s is its machine's label of s
     machines = automaton_corpus(31, 6, max_states=3)
     prefixes = [(0,), (1,), (0, 1), (1, 1, 0), (0, 0, 1, 0, 1, 1)]
     for m in machines:
-        ufun = u_from_strategy_ii(strategy_ii_from_u(m))
         for s in prefixes:
-            assert ufun(s) == m.node_value(s)
-    with pytest.raises(ValueError):
-        ufun(())
+            sII = strategy_ii_from_u(m)
+            assert [sII.move(a) for a in s] == \
+                [node_value(m, s[:t + 1]) for t in range(len(s))]
 
 
 def test_finite_value_set_nearest():

@@ -1,8 +1,8 @@
 """play and verify artifacts on committed configs, compared byte for byte.
 
 Each tests/golden/play/<name>.json holds one game: meager_dense and
-oscillation attacks against constants, copycat on the naturals tree, a
-random letter machine against a machine file, a lift in the restricted
+oscillation attacks against constants, copycat on the naturals tree, plain
+and relabeled, a random letter machine against a machine file, a lift in the restricted
 game, a JSON trace, two faults, and (names starting `verify-`) verdicts:
 a letter machine against a machine file and against a pair of machine
 files, copycat on the naturals tree, a fault in the restricted game, and

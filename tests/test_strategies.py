@@ -597,8 +597,9 @@ def test_pairs_of_table_players_are_table_players():
     table = pair_strategies(strategy_ii_from_u(u), ValueFSM([[0]], [1]))
     assert type(table) in TABLE_TYPES
     assert table.state_key() == (u.initial, 0)
-    looped = pair_strategies(strategy_ii_from_u(u), _NotATable(ConstantII(1).u))
-    assert type(looped) not in TABLE_TYPES and looped.finite_state
+    # a pair of anything else would be no table, so it is refused
+    with pytest.raises(ValueError, match="single values"):
+        pair_strategies(strategy_ii_from_u(u), _NotATable(ConstantII(1).u))
 
 
 def test_one_table_class_plays_player_ii():
@@ -609,8 +610,7 @@ def test_one_table_class_plays_player_ii():
 
 def test_a_machine_part_that_answers_pairs_is_refused():
     # a pair announces two single values: a part with a covalue machine, a
-    # pair among them, is a build error, where a hand-written part that
-    # answers a pair faults player II in play
+    # pair among them, is a build error
     single = ConstantII(0)
     for part in (ConstantII(0, 0), pair_fsm_corpus(3, 1)[0],
                  pair_strategies(ConstantII(0), ConstantII(1))):
