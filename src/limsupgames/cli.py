@@ -276,8 +276,9 @@ def _descriptor_kind(desc, who: str, keys: dict) -> str:
     return kind
 
 
-def build_strategy_i(desc: Optional[dict], cfg: ExperimentConfig) -> StrategyI:
-    kind = _descriptor_kind(desc, "player_i", _KEYS_I)
+def build_strategy_i(desc: Optional[dict], cfg: ExperimentConfig,
+                     who: str = "player_i") -> StrategyI:
+    kind = _descriptor_kind(desc, who, _KEYS_I)
     if kind == "copycat":
         return copycat_strategy()
     if kind == "approx_copycat":
@@ -293,13 +294,13 @@ def build_strategy_i(desc: Optional[dict], cfg: ExperimentConfig) -> StrategyI:
     if kind == "lift":
         if "base" not in desc or "restriction" not in desc:
             raise ConfigError("lift needs 'base' and 'restriction'")
-        base = build_strategy_i(desc["base"], cfg)
+        base = build_strategy_i(desc["base"], cfg, f"{who}.base")
         return lift_strategy(
             base, _value_set(desc["restriction"], "lift restriction"))
     if kind == "relabel":
         if "base" not in desc or "mapping" not in desc:
             raise ConfigError("relabel needs 'base' and 'mapping'")
-        base = build_strategy_i(desc["base"], cfg)
+        base = build_strategy_i(desc["base"], cfg, f"{who}.base")
         if not isinstance(desc["mapping"], dict):
             raise ConfigError("relabel mapping must be an object")
         mapping = {_dyadic(k, "relabel mapping"): _dyadic(v, "relabel mapping")
@@ -311,8 +312,9 @@ def build_strategy_i(desc: Optional[dict], cfg: ExperimentConfig) -> StrategyI:
     return letter_fsm(*_fsm_params(desc))  # random_fsm
 
 
-def build_strategy_ii(desc: Optional[dict], cfg: ExperimentConfig) -> StrategyII:
-    kind = _descriptor_kind(desc, "player_ii", _KEYS_II)
+def build_strategy_ii(desc: Optional[dict], cfg: ExperimentConfig,
+                      who: str = "player_ii") -> StrategyII:
+    kind = _descriptor_kind(desc, who, _KEYS_II)
     if kind == "from_u":
         return strategy_ii_from_u(resolve_automaton(desc, "from_u source"))
     if kind == "constant":
@@ -324,7 +326,8 @@ def build_strategy_ii(desc: Optional[dict], cfg: ExperimentConfig) -> StrategyII
     if kind == "pair":
         if "f" not in desc or "g" not in desc:
             raise ConfigError("pair needs 'f' and 'g' descriptors")
-        parts = [build_strategy_ii(desc[k], cfg) for k in ("f", "g")]
+        parts = [build_strategy_ii(desc[k], cfg, f"{who}.{k}")
+                 for k in ("f", "g")]
         try:
             return pair_strategies(*parts)
         except ValueError as e:
@@ -597,24 +600,14 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The argument parser: every command, or only `command` if it names one.
-
-    A command line that starts with a command name reaches no other
-    command's parser, so `entry` builds only that one.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, for the lines `_plain_args` refuses."""
     parser = argparse.ArgumentParser(
         prog="limsup-games",
         description="Exact simulation and verification of limsup-payoff "
                     "games on pruned trees.")
-    names = [command] if command in _COMMANDS else list(_COMMANDS)
-    # a narrowed usage line lists every command, as the full one does; the
-    # full parser keeps argparse's own metavar, which its errors name
-    sub = parser.add_subparsers(
-        dest="command", required=True,
-        metavar="{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None)
-    for name in names:
-        func, text, arguments = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (func, text, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
         for flag, kw in arguments:
             p.add_argument(flag, **kw)
@@ -622,14 +615,61 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _plain_args(argv) -> Optional[argparse.Namespace]:
+    """The namespace `build_parser()` makes of a plain line, else None.
+
+    A plain line is a command name, then exactly its positionals and its
+    required flags, and each flag at most once, spelled in full, with one
+    value that does not start with "-" and that the flag's type and
+    choices accept.  Any other line (help, usage, errors) goes to argparse,
+    whose set-up costs more than reading a plain line.
+    """
+    if not argv or type(argv[0]) is not str or argv[0] not in _COMMANDS:
+        return None
+    func, _, arguments = _COMMANDS[argv[0]]
+    kws, words, given = dict(arguments), [], {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if type(token) is not str:
+            return None
+        if token.startswith("-"):
+            value = next(tokens, None)
+            if (token in given or token not in kws
+                    or type(value) is not str or value.startswith("-")):
+                return None
+            given[token] = value
+        else:
+            words.append(token)
+    positionals = [flag for flag, _ in arguments if flag[0] != "-"]
+    if len(words) != len(positionals):
+        return None
+    given.update(zip(positionals, words))
+    args = argparse.Namespace(command=argv[0], func=func)
+    for flag, kw in arguments:
+        value = given.get(flag)
+        if value is None:
+            if kw.get("required"):
+                return None
+        else:
+            try:
+                value = kw.get("type", str)(value)
+            except ValueError:
+                return None
+            if value not in kw.get("choices", (value,)):
+                return None
+        setattr(args, flag.lstrip("-"), value)
+    return args
+
+
 def entry(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser(argv[0] if argv else None)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return int(e.code or 0)
+    args = _plain_args(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as e:
+            return int(e.code or 0)
     try:
         return args.func(args)
     except ConfigError as e:

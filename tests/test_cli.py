@@ -845,6 +845,35 @@ def test_unread_descriptor_keys_exit_two(tmp_path, capsys, config, named):
     assert err.startswith("error:") and all(n in err for n in named), err
 
 
+@pytest.mark.parametrize("config, message", [
+    ({"player_i": {**_COPYCAT, "cap": 3}},
+     "player_i kind 'copycat' does not read 'cap'"),
+    ({"player_i": {"kind": "relabel", "mapping": {}, "base": {
+        "kind": "lift", "restriction": ["0/2^0"],
+        "base": {**_COPYCAT, "cap": 3}}}},
+     "player_i.base.base kind 'copycat' does not read 'cap'"),
+    ({"game": "gamma_prime", "player_ii": {
+        "kind": "pair", "f": _CONST_II, "g": {
+            "kind": "pair", "f": _CONST_II, "g": {**_CONST_II, "covalu": 0}}}},
+     "player_ii.g.g kind 'constant' does not read 'covalu'"),
+    ({"player_ii": {"kind": "pair", "f": {"kind": "bogus"}, "g": _CONST_II}},
+     "unknown player_ii.f kind 'bogus'"),
+    ({"player_i": {"kind": "lift", "restriction": [], "base": [1]}},
+     "player_i.base needs a strategy descriptor with a 'kind'"),
+], ids=["top-level", "i-two-deep", "ii-two-deep", "ii-unknown-kind",
+        "i-not-a-descriptor"])
+def test_descriptor_errors_name_the_descriptor_path(tmp_path, capsys, config,
+                                                    message):
+    # a nested descriptor's error says where it sits; a top-level one
+    # reads as it always has
+    data = {"player_i": _FSM_I, "player_ii": _CONST_II, "horizon": 10,
+            **config}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert entry(["play", "--config", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 _SOURCE = {"automaton": letter_output_automaton().to_json_dict()}
 _ALGEBRA = {"kind": "algebra", "op": "max", "left": _SOURCE, "right": _SOURCE}
 _STAGES = {"stages": ["from-automaton", "construct_u"], "source": _SOURCE}
@@ -1056,27 +1085,106 @@ def _run(argv):
     return rc, out.getvalue(), err.getvalue()
 
 
-def test_narrowed_parser_writes_what_the_full_parser_writes(
-        tmp_path, monkeypatch):
+def _outcome(argv):
+    """(rc, stdout, stderr) of entry, or the exception it raises."""
+    try:
+        return _run(argv)
+    except TypeError as e:
+        return type(e), str(e)
+
+
+def _argparse(argv):
+    """vars() of what argparse reads from argv, or None if it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+_FLAGS = sorted({flag for _, _, arguments in cli._COMMANDS.values()
+                 for flag, _ in arguments if flag.startswith("-")})
+_VALUES = st.sampled_from(
+    ["3", " 4", "1_0", "٣", "0x3", "-1", "two", "", "csv", "json", "none",
+     "xml", "x.json", "stem=;cycle=0"]) | st.text(max_size=3)
+_TOKENS = st.sampled_from(
+    [*cli._COMMANDS, *_FLAGS, "--conf", "--hor", "--config=x.json",
+     "--horizon=3", "-", "--", "-h", "--help"]) | _VALUES
+
+
+@st.composite
+def _lines(draw):
+    """A command's positionals and some of its flags with values, shuffled,
+    sometimes with a token dropped or a stray token added."""
+    name = draw(st.sampled_from(list(cli._COMMANDS)))
+    line = []
+    for flag, kw in cli._COMMANDS[name][2]:
+        if not flag.startswith("-"):
+            line.append([draw(_VALUES)])
+        elif kw.get("required") or draw(st.booleans()):
+            values = st.sampled_from(kw.get("choices", ("3", "x")))
+            line.append([flag, draw(values | _VALUES)])
+    line = draw(st.permutations(line))
+    line = [token for pair in line for token in pair]
+    for _ in range(draw(st.sampled_from((0, 0, 0, 1, 2)))):
+        at = draw(st.integers(0, len(line)))
+        if line and draw(st.booleans()):
+            del line[min(at, len(line) - 1)]
+        else:
+            line.insert(at, draw(_TOKENS))
+    return [name, *line]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_lines() | st.lists(_TOKENS, max_size=6))
+@example(["construct", "--config", "x.json", "--out", ""])
+@example(["play", "--out", "o", "--trace", "json", "--config", "c", "--horizon",
+          " 7"])
+@example(["verify", "--config", "c", "--cap", "٣"])
+@example(["eval", "m.json", "stem=;cycle=0"])
+@example(["suite"])
+def test_plain_lines_read_as_argparse_reads_them(argv):
+    plain = cli._plain_args(argv)
+    if plain is not None:
+        assert vars(plain) == _argparse(argv)
+
+
+def test_refused_lines_write_what_argparse_writes(tmp_path, monkeypatch):
     machine = letter_file(tmp_path)
-    corpus = [[], ["-h"], ["bogus"], ["construct"],
-              ["construct", "--config", "x.json", "--cap", "3"],
-              ["construct", "--config", "x.json", "extra"],
-              ["eval", machine, "--", "-1"], ["eval", machine],
-              ["play", "--horizon", "two"], ["suite", "--seed", "x"]] + \
+    refused = [[], ["-h"], ["bogus"], ["constr"], ["construct"],
+               ["construct", "--config", "x.json", "--cap", "3"],
+               ["construct", "--config", "x.json", "extra"],
+               ["construct", "--config=x.json"],
+               ["construct", "--conf", "x.json"],
+               ["construct", "--config", "x.json", "--config", "y.json"],
+               ["construct", "--config", "-x.json"],
+               ["eval", machine, "--", "-1"], ["eval", machine],
+               ["play", "--horizon", "two"], ["suite", "--seed", "x"],
+               ["play", "--config", "x.json", "--trace", "xml"]] + \
         [[command, "-h"] for command in cli._COMMANDS]
-    narrowed = [_run(argv) for argv in corpus]
-    full = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
-    for argv, got in zip(corpus, narrowed):
-        assert got == _run(argv), argv
-        assert got[0] in (0, 2) and got[1] + got[2], argv
+    non_str = [[3], [None], [b"eval"], [["construct"]], ["construct", 3],
+               ["construct", "--config", None], ["eval", None, "x"],
+               ["eval", machine, b"x"], ["suite", "--seed", 3],
+               ["play", "--config", "x.json", "--trace", None]]
+    plain = [["eval", machine, "stem=;cycle=0,1"],
+             ["construct", "--config", str(tmp_path / "missing.json")]]
+    assert all(cli._plain_args(argv) is None for argv in refused + non_str)
+    assert all(cli._plain_args(argv) is not None for argv in plain)
+    corpus = refused + non_str + plain
+    got = [_outcome(argv) for argv in corpus]
+    monkeypatch.setattr(cli, "_plain_args", lambda argv: None)
+    for argv, outcome in zip(corpus, got):
+        assert outcome == _outcome(argv), argv
+    for argv, outcome in zip(refused, got):
+        assert outcome[0] in (0, 2) and outcome[1] + outcome[2], argv
     # argparse names the command argument by its metavar, if it has one
-    assert narrowed[0][2].endswith("required: command\n")
-    assert "argument command: invalid choice: 'bogus'" in narrowed[2][2]
+    assert got[0][2].endswith("required: command\n")
+    assert "argument command: invalid choice: 'bogus'" in got[2][2]
+    assert got[len(refused) + 3] == (TypeError, "unhashable type: 'list'")
 
 
-def test_a_command_builds_only_its_own_parser(tmp_path, capsys, monkeypatch):
+def test_only_refused_lines_build_the_parser(tmp_path, capsys, monkeypatch):
     built = []
     add = argparse._SubParsersAction.add_parser
 
@@ -1085,9 +1193,10 @@ def test_a_command_builds_only_its_own_parser(tmp_path, capsys, monkeypatch):
         return add(self, name, **kw)
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
-    assert entry(command_line(tmp_path, "construct")) == 0
-    assert built == ["construct"]
-    built.clear()
-    assert entry([]) == 2
+    argv = command_line(tmp_path, "construct")
+    assert entry(argv) == 0
+    assert built == []
+    assert entry(["construct", f"--config={argv[2]}"]) == 0
     assert built == ["eval", "play", "verify", "construct", "suite"]
+    assert entry([]) == 2
     assert "{eval,play,verify,construct,suite}" in capsys.readouterr().err

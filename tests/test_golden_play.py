@@ -2,13 +2,15 @@
 
 Each tests/golden/play/<name>.json holds one game: meager_dense and
 oscillation attacks against constants, copycat on the naturals tree, plain
-and relabeled, a random letter machine against a machine file, a lift in the restricted
-game, a JSON trace, two faults, and (names starting `verify-`) verdicts:
-a letter machine against a machine file and against a pair of machine
-files, copycat on the naturals tree, a fault in the restricted game, and
-an UndecidedAtHorizon at a small cap (exit 1).  <name>/ beside it holds the stdout, stderr and exit code of the
-command and every file it wrote.  Machine files are named relative to the
-golden directory.  A change that means to alter these artifacts
+and relabeled, approximate copycat with a search cap against a random
+value machine on the naturals tree, a random letter machine against a
+machine file, a lift in the restricted game, a JSON trace, two faults,
+and (names starting `verify-`) verdicts: a letter machine against a
+machine file and against a pair of machine files, copycat on the naturals
+tree, a fault in the restricted game, and an UndecidedAtHorizon at a small
+cap (exit 1).  <name>/ beside it holds the stdout, stderr and exit code of
+the command and every file it wrote.  Machine files are named relative to
+the golden directory.  A change that means to alter these artifacts
 regenerates them and says why.
 """
 

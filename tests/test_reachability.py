@@ -40,6 +40,8 @@ ALLOWED = {
                                       "test_cli and test_fuzz",
     "cli.ExperimentConfig.to_json_dict": "the config round trip, pinned by "
                                          "test_cli and test_fuzz",
+    "cli.build_parser": "argparse runs only for lines the plain parser "
+                        "refuses (help, usage, errors), pinned by test_cli",
     "cli.main": "`python -m limsupgames.cli`; the console script and the "
                 "probe call entry",
     "construction.branch_limsup": TRACER,
@@ -77,9 +79,6 @@ ALLOWED = {
                             "answers Dyadics",
     "games.gamma_restricted": "public game constructor, exported and pinned "
                               "by test_games; the CLI builds GameKind itself",
-    "strategies.ApproxCopycatI.counters": "reported by play for an "
-                                          "approx_copycat player, which no "
-                                          "golden plays",
     "trees.PrefixView.__iter__": "sequence protocol for attack callbacks "
                                  "that iterate the prefix",
     "trees.full_tree.<locals>.<lambda>": "TreeSpec.contains of a full "
