@@ -176,165 +176,169 @@ def resolve_kind(cfg: ExperimentConfig) -> GameKind:
     return GameKind(cfg.game, resolve_tree(cfg), restriction)
 
 
-def resolve_automaton(src: dict, what: str = "function source") -> NodeAutomaton:
-    if not isinstance(src, dict):
-        raise ConfigError(f"{what} must be an object")
-    if "automaton" in src and "file" in src:
-        raise ConfigError(f"{what} names both 'automaton' and 'file'")
+# lift, relabel and pair descriptors nest, and their builders recurse once
+# a level; a descriptor deeper than this is refused before it is built
+MAX_NESTING = 64
+
+# where a descriptor sits -> its kind -> (required keys, optional keys),
+# besides "kind".  A player descriptor names its kind; any other that
+# names none has the first kind of its place, except a pipeline, whose
+# kind is its shape: algebra when it has an "op", stages otherwise (a
+# pipeline payoff's kind 'pipeline' names no shape)
+_AUTOMATON = ((), ("automaton", "file"))
+_ALGEBRA = ("op", "left", "right")
+_FSM = (("states", "values", "seed"), ())
+_KEYS = {
+    "player_i": {"copycat": ((), ()), "approx_copycat": ((), ("cap",)),
+                 "meager_dense": ((), ()), "oscillation": ((), ()),
+                 "lift": (("base", "restriction"), ()),
+                 "relabel": (("base", "mapping"), ()), "random_fsm": _FSM},
+    "player_ii": {"from_u": _AUTOMATON,
+                  "constant": (("value",), ("covalue",)),
+                  "pair": (("f", "g"), ()), "random_fsm": _FSM},
+    "payoff": {"automaton": _AUTOMATON, "algebra": (_ALGEBRA, ()),
+               "indicator": ((), ()),
+               "pipeline": ((), _ALGEBRA + ("stages", "source"))},
+    "source": {"automaton": _AUTOMATON},
+    "pipeline": {"algebra": (_ALGEBRA, ("branch_corpus",)),
+                 "stages": (("stages", "source"), ("branch_corpus",))},
+    "branch_corpus": {"branch_corpus": (("max_stem", "max_cycle"), ())},
+}
+
+
+def _descriptor_kind(desc, who: str, place: str) -> str:
+    """The kind of the descriptor at path `who`, which sits at `place`.
+
+    Refuses a descriptor nested more than MAX_NESTING levels deep, one that
+    is not an object, an unknown kind, a missing key and a key its kind
+    never reads, and names `who` in each error.
+    """
+    if who.count(".") > MAX_NESTING:
+        raise ConfigError(f"{who} nests more than {MAX_NESTING} levels deep")
+    kinds = _KEYS[place]
+    if place.startswith("player") and not (isinstance(desc, dict)
+                                           and "kind" in desc):
+        raise ConfigError(f"{who} needs a strategy descriptor with a 'kind'")
+    if not isinstance(desc, dict):
+        raise ConfigError(f"{who} must be a JSON object")
+    if place == "pipeline" and desc.get("kind", "pipeline") == "pipeline":
+        kind = "algebra" if "op" in desc else "stages"
+    else:
+        kind = desc.get("kind", next(iter(kinds)))
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"unknown {who} kind {kind!r}")
+    required, optional = kinds[kind]
+    missing = ", ".join(repr(k) for k in required if k not in desc)
+    if missing:
+        raise ConfigError(f"{who} kind {kind!r} needs {missing}")
+    unread = set(desc) - {"kind", *required, *optional}
+    if unread:
+        raise ConfigError(f"{who} kind {kind!r} does not read "
+                          f"{', '.join(map(repr, sorted(unread)))}")
+    return kind
+
+
+def resolve_automaton(src, who: str, place: str = "source") -> NodeAutomaton:
+    """The machine of the automaton descriptor at path `who`, which sits at
+    `place`: inline under 'automaton' or in a 'file'."""
+    kind = _descriptor_kind(src, who, place)
+    if ("automaton" in src) == ("file" in src):
+        raise ConfigError(
+            f"{who} kind {kind!r} needs exactly one of 'automaton' and 'file'")
     if "automaton" in src:
         try:
             return NodeAutomaton.from_json_dict(src["automaton"])
         except (KeyError, TypeError, ValueError) as e:
-            raise ConfigError(f"malformed inline automaton: {e}") from None
-    if "file" in src:
-        try:
-            return NodeAutomaton.load(src["file"])
-        except (OSError, KeyError, TypeError, ValueError) as e:
-            raise ConfigError(
-                f"cannot load automaton {src['file']}: {e}") from None
-    raise ConfigError(f"{what} needs 'automaton' or 'file'")
+            raise ConfigError(f"{who}.automaton is malformed: {e}") from None
+    try:
+        return NodeAutomaton.load(src["file"])
+    except (OSError, KeyError, TypeError, ValueError) as e:
+        raise ConfigError(f"cannot load automaton {src['file']}: {e}") from None
 
 
-def resolve_algebra(src: dict, tree: TreeSpec, what: str) -> AlgebraFunction:
-    for key in ("op", "left", "right"):
-        if key not in src:
-            raise ConfigError(f"{what} needs {key!r}")
-    u1, u2 = resolve_automaton(src["left"]), resolve_automaton(src["right"])
+def resolve_algebra(src: dict, tree: TreeSpec, who: str) -> AlgebraFunction:
+    u1, u2 = (resolve_automaton(src[k], f"{who}.{k}") for k in ("left", "right"))
     try:
         return algebra(u1, u2, src["op"], tree)
     except ValueError as e:
-        raise ConfigError(str(e)) from None
+        raise ConfigError(f"{who}: {e}") from None
 
 
 def build_payoff(src: Optional[dict], tree: TreeSpec):
     if src is None:
         raise ConfigError("config has no payoff source")
-    kind = _descriptor_kind({"kind": "automaton", **src}, "payoff",
-                            _KEYS_PAYOFF)
-    for key in ("left", "right", "source"):
-        if isinstance(src.get(key), dict):
-            _descriptor_kind({"kind": "automaton", **src[key]},
-                             f"payoff {kind} {key}", _KEYS_SOURCE)
+    kind = _descriptor_kind(src, "payoff", "payoff")
     if kind == "automaton":
-        return resolve_automaton(src)
+        return resolve_automaton(src, "payoff", "payoff")
     if kind == "algebra":
-        return resolve_algebra(src, tree, "algebra source").machine
+        return resolve_algebra(src, tree, "payoff").machine
     if kind == "indicator":
         return IndicatorPayoff()
-    fam, _ = build_pipeline(src, tree)  # pipeline
+    fam, _ = build_pipeline(src, tree, "payoff")  # pipeline
     return minimize_labeling(ConstructionState(fam))
 
 
-def _fsm_params(desc: dict):
+def _fsm_params(desc: dict, who: str):
     """(rng, states, values) of a random_fsm descriptor."""
-    # a missing key reads as None, which both checks reject
-    states = _int(desc.get("states"), "random_fsm states", 1)
-    values = _dyadics(desc.get("values"), "random_fsm values")
-    seed = _int(desc.get("seed"), "random_fsm seed")
+    states = _int(desc["states"], f"{who}.states", 1)
+    values = _dyadics(desc["values"], f"{who}.values")
+    seed = _int(desc["seed"], f"{who}.seed")
     return rng_stream(seed, "random-fsm"), states, values
-
-
-# lift, relabel and pair descriptors nest, and their builders recurse once
-# a level; deeper nesting is refused before it can overflow the stack
-MAX_NESTING = 64
-
-
-def _check_nesting(desc, what: str) -> None:
-    layer = [desc]
-    for _ in range(MAX_NESTING + 1):
-        layer = [d[k] for d in layer if isinstance(d, dict)
-                 for k in ("base", "f", "g") if k in d]
-    if layer:
-        raise ConfigError(f"{what} nests more than {MAX_NESTING} levels deep")
-
-
-# descriptor kind -> the keys it reads besides "kind", per player and for
-# the payoff and its nested automaton sources (no kind means "automaton")
-_KEYS_I = {"copycat": (), "approx_copycat": ("cap",), "meager_dense": (),
-           "oscillation": (), "lift": ("base", "restriction"),
-           "relabel": ("base", "mapping"),
-           "random_fsm": ("states", "values", "seed")}
-_KEYS_II = {"from_u": ("automaton", "file"), "constant": ("value", "covalue"),
-            "pair": ("f", "g"), "random_fsm": _KEYS_I["random_fsm"]}
-_KEYS_SOURCE = {"automaton": ("automaton", "file")}
-_KEYS_PAYOFF = {**_KEYS_SOURCE, "algebra": ("op", "left", "right"),
-                "indicator": (),
-                "pipeline": ("op", "left", "right", "stages", "source")}
-
-
-def _descriptor_kind(desc, who: str, keys: dict) -> str:
-    """The descriptor's kind; refuses unknown kinds and keys it never reads."""
-    _check_nesting(desc, who)
-    if not isinstance(desc, dict) or "kind" not in desc:
-        raise ConfigError(f"{who} needs a strategy descriptor with a 'kind'")
-    kind = desc["kind"]
-    if not isinstance(kind, str) or kind not in keys:
-        raise ConfigError(f"unknown {who} kind {kind!r}")
-    unread = ", ".join(map(repr, sorted(set(desc) - {"kind", *keys[kind]})))
-    if unread:
-        raise ConfigError(f"{who} kind {kind!r} does not read {unread}")
-    return kind
 
 
 def build_strategy_i(desc: Optional[dict], cfg: ExperimentConfig,
                      who: str = "player_i") -> StrategyI:
-    kind = _descriptor_kind(desc, who, _KEYS_I)
+    kind = _descriptor_kind(desc, who, "player_i")
     if kind == "copycat":
         return copycat_strategy()
     if kind == "approx_copycat":
         cap = desc.get("cap")
         return approx_copycat(
-            search_cap=None if cap is None else _int(cap, "approx_copycat cap"))
+            search_cap=None if cap is None else _int(cap, f"{who}.cap"))
     if kind == "meager_dense":
         return strategy_i_meager_dense(eventually_zero_instance())
     if kind == "oscillation":
         if cfg.game != "gamma_prime":
-            raise ConfigError("oscillation plays only in game gamma_prime")
+            raise ConfigError(f"{who} oscillation plays only in game "
+                              "gamma_prime")
         return strategy_i_oscillation(indicator_oscillation_instance())
     if kind == "lift":
-        if "base" not in desc or "restriction" not in desc:
-            raise ConfigError("lift needs 'base' and 'restriction'")
         base = build_strategy_i(desc["base"], cfg, f"{who}.base")
         return lift_strategy(
-            base, _value_set(desc["restriction"], "lift restriction"))
+            base, _value_set(desc["restriction"], f"{who}.restriction"))
     if kind == "relabel":
-        if "base" not in desc or "mapping" not in desc:
-            raise ConfigError("relabel needs 'base' and 'mapping'")
         base = build_strategy_i(desc["base"], cfg, f"{who}.base")
+        what = f"{who}.mapping"
         if not isinstance(desc["mapping"], dict):
-            raise ConfigError("relabel mapping must be an object")
-        mapping = {_dyadic(k, "relabel mapping"): _dyadic(v, "relabel mapping")
+            raise ConfigError(f"{what} must be an object")
+        mapping = {_dyadic(k, what): _dyadic(v, what)
                    for k, v in desc["mapping"].items()}
         try:
             return relabel_strategy(base, mapping)
         except ValueError as e:
-            raise ConfigError(str(e)) from None
-    return letter_fsm(*_fsm_params(desc))  # random_fsm
+            raise ConfigError(f"{what}: {e}") from None
+    return letter_fsm(*_fsm_params(desc, who))  # random_fsm
 
 
 def build_strategy_ii(desc: Optional[dict], cfg: ExperimentConfig,
                       who: str = "player_ii") -> StrategyII:
-    kind = _descriptor_kind(desc, who, _KEYS_II)
+    kind = _descriptor_kind(desc, who, "player_ii")
     if kind == "from_u":
-        return strategy_ii_from_u(resolve_automaton(desc, "from_u source"))
+        return strategy_ii_from_u(resolve_automaton(desc, who, "player_ii"))
     if kind == "constant":
-        if "value" not in desc:
-            raise ConfigError("constant needs a 'value'")
         cov = desc.get("covalue")
-        return ConstantII(_dyadic(desc["value"], "constant value"),
-                          None if cov is None else _dyadic(cov, "constant covalue"))
+        return ConstantII(_dyadic(desc["value"], f"{who}.value"),
+                          None if cov is None else _dyadic(cov, f"{who}.covalue"))
     if kind == "pair":
-        if "f" not in desc or "g" not in desc:
-            raise ConfigError("pair needs 'f' and 'g' descriptors")
         parts = [build_strategy_ii(desc[k], cfg, f"{who}.{k}")
                  for k in ("f", "g")]
         try:
             return pair_strategies(*parts)
         except ValueError as e:
-            raise ConfigError(str(e)) from None
-    rng, states, values = _fsm_params(desc)  # random_fsm
+            raise ConfigError(f"{who}: {e}") from None
+    rng, states, values = _fsm_params(desc, who)  # random_fsm
     if not values:
-        raise ConfigError("random_fsm needs a nonempty value list")
+        raise ConfigError(f"{who}.values must be nonempty")
     return value_fsm(rng, states, lambda: rng.choice(values),
                      cfg.game == "gamma_prime")
 
@@ -426,10 +430,7 @@ def _emit_trace(trace, cfg: ExperimentConfig, side: dict) -> None:
 # subcommands
 
 def cmd_eval(args) -> int:
-    try:
-        u = NodeAutomaton.load(args.automaton)
-    except (OSError, KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"malformed automaton file: {e}") from None
+    u = resolve_automaton({"file": args.automaton}, "automaton")
     if not isinstance(args.branch, str):
         # argparse drops "--" tokens, so the text "--" after a "--" arrives
         # as an empty list
@@ -483,32 +484,21 @@ def cmd_verify(args) -> int:
     return 0 if verdict.exact else 1
 
 
-_STAGES = ("from-automaton", "discretize", "construct_u")
+# the stage lists a stage pipeline may declare
+_STAGES = (["from-automaton", "construct_u"],
+           ["from-automaton", "discretize", "construct_u"])
 
 
-def build_pipeline(pipe: dict, tree: TreeSpec):
-    """Resolve a pipeline spec to (family, target fn)."""
-    if "op" in pipe:
-        af = resolve_algebra(pipe, tree, "algebra pipeline")
+def build_pipeline(pipe: dict, tree: TreeSpec, who: str = "pipeline"):
+    """Resolve the pipeline at path `who` to (family, target fn)."""
+    if _descriptor_kind(pipe, who, "pipeline") == "algebra":
+        af = resolve_algebra(pipe, tree, who)
         return af.family, af.expected_on
-    stages = pipe.get("stages") or []
-    if not isinstance(stages, list):
-        raise ConfigError("pipeline stages must be a list")
-    if not stages:
-        raise ConfigError("empty pipeline: declare 'stages' or an algebra 'op'")
-    unknown = [s for s in stages if s not in _STAGES]
-    if unknown:
-        raise ConfigError(f"unknown pipeline stages: {', '.join(unknown)}")
-    order = [_STAGES.index(s) for s in stages]
-    if order != sorted(order) or len(set(order)) != len(order):
-        raise ConfigError(f"stages must follow the order {_STAGES}")
-    if "from-automaton" not in stages or "construct_u" not in stages:
-        raise ConfigError("stages must include from-automaton and construct_u")
-    if "source" not in pipe:
-        raise ConfigError("pipeline needs a 'source' automaton")
-    u = resolve_automaton(pipe["source"])
-    fam = family_from_automaton(u, tree)
-    if "discretize" in stages:
+    if pipe["stages"] not in _STAGES:
+        raise ConfigError(f"{who}.stages must be one of {_STAGES}")
+    fam = family_from_automaton(
+        resolve_automaton(pipe["source"], f"{who}.source"), tree)
+    if "discretize" in pipe["stages"]:
         fam = discretize(fam)
     return fam, None
 
@@ -517,14 +507,12 @@ def _declared_corpus(pipe: dict, tree: TreeSpec):
     alphabet = tree.alphabet if tree.alphabet is not None else (0, 1)
     decl = pipe.get("branch_corpus")
     if decl is not None:
+        who = "pipeline.branch_corpus"
+        _descriptor_kind(decl, who, "branch_corpus")
         # max_cycle 0 would leave the corpus empty
-        try:
-            ms = _int(decl["max_stem"], "branch_corpus max_stem")
-            mc = _int(decl["max_cycle"], "branch_corpus max_cycle", 1)
-        except (KeyError, TypeError):
-            raise ConfigError(
-                "branch_corpus needs integer max_stem and max_cycle") from None
-        return branch_corpus(ms, mc, alphabet)
+        return branch_corpus(_int(decl["max_stem"], f"{who}.max_stem"),
+                             _int(decl["max_cycle"], f"{who}.max_cycle", 1),
+                             alphabet)
     # default: every stem to depth 3 with each single-letter cycle
     return [EventuallyPeriodicBranch(s, (a,)) for n in range(4)
             for s in itertools.product(alphabet, repeat=n) for a in alphabet]

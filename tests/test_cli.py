@@ -860,8 +860,14 @@ def test_unread_descriptor_keys_exit_two(tmp_path, capsys, config, named):
      "unknown player_ii.f kind 'bogus'"),
     ({"player_i": {"kind": "lift", "restriction": [], "base": [1]}},
      "player_i.base needs a strategy descriptor with a 'kind'"),
+    ({"player_i": {"kind": "relabel", "mapping": {}, "base": {
+        "kind": "lift", "restriction": ["q"], "base": _COPYCAT}}},
+     "player_i.base.restriction: not a dyadic literal: 'q'"),
+    ({"player_ii": {"kind": "pair", "f": _CONST_II,
+                    "g": {**_FSM_I, "states": 0}}},
+     "player_ii.g.states must be an integer >= 1, got 0"),
 ], ids=["top-level", "i-two-deep", "ii-two-deep", "ii-unknown-kind",
-        "i-not-a-descriptor"])
+        "i-not-a-descriptor", "i-value-one-deep", "ii-value-one-deep"])
 def test_descriptor_errors_name_the_descriptor_path(tmp_path, capsys, config,
                                                     message):
     # a nested descriptor's error says where it sits; a top-level one
@@ -884,15 +890,15 @@ _STAGES = {"stages": ["from-automaton", "construct_u"], "source": _SOURCE}
     ({**_SOURCE, "stages": ["construct_u"]}, ("'automaton'", "'stages'")),
     ({**_ALGEBRA, "file": "u3.json"}, ("'algebra'", "'file'")),
     ({**_ALGEBRA, "right": {**_SOURCE, "kind": "indicator"}},
-     ("algebra right", "'indicator'")),
+     ("payoff.right", "'indicator'")),
     ({"kind": "indicator", "file": "u3.json"}, ("'indicator'", "'file'")),
     ({**_STAGES, "kind": "pipeline",
       "branch_corpus": {"max_stem": 1, "max_cycle": 1}},
      ("'pipeline'", "'branch_corpus'")),
     ({**_ALGEBRA, "kind": "pipeline", "left": {**_SOURCE, "letters": 2}},
-     ("pipeline left", "'letters'")),
+     ("payoff.left", "'letters'")),
     ({**_STAGES, "kind": "pipeline", "source": {**_SOURCE, "seed": 1}},
-     ("pipeline source", "'seed'")),
+     ("payoff.source", "'seed'")),
 ], ids=["automaton-op", "no-kind-stages", "algebra-file", "algebra-right-kind",
         "indicator-file", "pipeline-corpus", "pipeline-left-letters",
         "pipeline-source-seed"])
@@ -904,6 +910,53 @@ def test_unread_payoff_keys_exit_two(tmp_path, capsys, payoff, named):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "payoff" in err, err
     assert all(n in err for n in named), err
+
+
+_PIPE_ALGEBRA = {"op": "max", "left": _SOURCE, "right": _SOURCE}
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("construct", {"pipeline": {**_STAGES, "oops": 1}},
+     "pipeline kind 'stages' does not read 'oops'"),
+    ("construct", {"pipeline": {**_PIPE_ALGEBRA,
+                                "left": {**_SOURCE, "bogus": 1}}},
+     "pipeline.left kind 'automaton' does not read 'bogus'"),
+    ("construct", {"pipeline": {**_STAGES, "source": {**_SOURCE, "zzz": 1}}},
+     "pipeline.source kind 'automaton' does not read 'zzz'"),
+    ("construct", {"pipeline": {**_STAGES, "branch_corpus": {
+        "max_stem": 1, "max_cycle": 1, "x": 1}}},
+     "pipeline.branch_corpus kind 'branch_corpus' does not read 'x'"),
+    ("verify", {"payoff": {**_PIPE_ALGEBRA, "kind": "pipeline",
+                           "stages": ["bogus"], "source": 7}},
+     "payoff kind 'algebra' does not read 'source', 'stages'"),
+    ("play", {"player_i": {"kind": "lift", "base": _COPYCAT}},
+     "player_i kind 'lift' needs 'restriction'"),
+    ("play", {"player_ii": {"kind": "constant", "covalue": 0}},
+     "player_ii kind 'constant' needs 'value'"),
+    ("play", {"player_ii": {"kind": "pair", "f": _CONST_II}},
+     "player_ii kind 'pair' needs 'g'"),
+    ("construct", {"pipeline": {"op": "max", "left": _SOURCE}},
+     "pipeline kind 'algebra' needs 'right'"),
+    ("construct", {"pipeline": {"stages": _STAGES["stages"]}},
+     "pipeline kind 'stages' needs 'source'"),
+    ("construct", {"pipeline": {**_STAGES, "branch_corpus": {"max_stem": 1}}},
+     "pipeline.branch_corpus kind 'branch_corpus' needs 'max_cycle'"),
+    ("construct", {"pipeline": {**_STAGES, "kind": "stage"}},
+     "unknown pipeline kind 'stage'"),
+], ids=["pipeline-oops", "algebra-left-bogus", "stages-source-zzz",
+        "corpus-x", "payoff-pipeline-both-shapes", "lift-no-restriction",
+        "constant-no-value", "pair-no-g", "algebra-no-right",
+        "stages-no-source", "corpus-no-max-cycle", "pipeline-kind"])
+def test_construct_and_pipeline_payoffs_refuse_unread_keys(
+        tmp_path, capsys, command, config, message):
+    # construct's pipeline section, its sources and its corpus, and a
+    # pipeline payoff, are checked as every other descriptor is: before,
+    # the first five ran and exited 0 with the odd key unread
+    make = {"play": play_config, "verify": verify_config}.get(command,
+                                                              write_config)
+    cfg = make(tmp_path, **config)
+    assert entry([command, "--config", cfg]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_payoff_and_nested_sources_default_to_automaton():

@@ -174,3 +174,56 @@ def test_fuzzed_config_json_loads_or_exits_two(tmp_path_factory, data, command):
     assert rc in ((0, 1, 2) if command == "verify" else (0, 2)), (data, rc)
     if cfg is None or rc == 2:
         assert rc == 2 and err.startswith("error:"), (data, rc, err)
+
+
+SMALL = st.sampled_from([-1, 0, 1, 2, 1.5, True, "1", None])
+# every key some descriptor reads; a junk key is none of them
+READ = {"kind", "op", "left", "right", "stages", "source", "branch_corpus",
+        "automaton", "file", "max_stem", "max_cycle"}
+JUNK = st.text(min_size=1, max_size=4).filter(lambda k: k not in READ)
+
+
+@st.composite
+def pipelines(draw):
+    """A construct pipeline of either shape, perhaps with a branch corpus,
+    and the level one junk key went in at, or None."""
+    if draw(st.booleans()):
+        pipe = {"op": draw(field(["sum", "min", "max"])),
+                "left": {"automaton": MACHINE}, "right": {"file": "m.json"}}
+    else:
+        pipe = {"stages": draw(field([
+                    ["from-automaton", "construct_u"],
+                    ["from-automaton", "discretize", "construct_u"]])),
+                "source": draw(st.sampled_from([{"automaton": MACHINE},
+                                                {"file": "m.json"}]))}
+    if draw(st.booleans()):
+        pipe["branch_corpus"] = {"max_stem": draw(SMALL),
+                                 "max_cycle": draw(SMALL)}
+    level = draw(st.sampled_from(
+        [None, "pipeline"] + [k for k in ("left", "right", "source",
+                                          "branch_corpus") if k in pipe]))
+    if level is not None:
+        part = pipe if level == "pipeline" else pipe[level]
+        part[draw(JUNK)] = draw(JSON)
+    return pipe, level
+
+
+@settings(max_examples=150, deadline=None)
+@given(pipelines(), st.sampled_from(["binary", "nat"]))
+def test_fuzzed_pipelines_construct_or_exit_two(tmp_path_factory, drawn, tree):
+    pipe, junk_at = drawn
+    base = tmp_path_factory.getbasetemp()
+    (base / "m.json").write_text(json.dumps(MACHINE), encoding="utf-8")
+    path = base / "fuzz-pipeline.json"
+    path.write_text(json.dumps({"tree": tree, "pipeline": pipe}),
+                    encoding="utf-8")
+    # machine files resolve against the working directory
+    with contextlib.chdir(base):
+        rc, err = run_cli(["construct", "--config", str(path),
+                           "--out", str(base / "fuzz-out")])
+    assert rc in (0, 1, 2), (pipe, rc)
+    if rc == 2:
+        assert err.startswith("error:"), (pipe, err)
+    # a key no descriptor reads is refused at whatever level it sits
+    if junk_at is not None:
+        assert rc == 2, (pipe, junk_at)
