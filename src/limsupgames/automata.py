@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 
 from . import graphs
 from .dyadic import POS_INF, Dyadic, ExtValue, as_dyadic
-from .trees import Branch, Prefix
+from .trees import Branch
 
 DEFAULT_CLASS = "default"
 
@@ -100,12 +100,6 @@ class NodeAutomaton:
     def output(self, q: int, a: int) -> Dyadic:
         k = self.num_letters
         return self.outputs[q][a if a < k else k]
-
-    def run(self, s: Prefix) -> int:
-        q, k, steps = self.initial, self.num_letters, self.steps
-        for a in s:
-            q = steps[q][a if a < k else k]
-        return q
 
     def to_json_dict(self) -> dict:
         rows = []
@@ -191,23 +185,25 @@ class LassoSummary(NamedTuple):
 
 def _passes(u: NodeAutomaton, x: Branch):
     """x's cycle letter classes, the phase-0 states of the run along x to
-    their first repeat (orbit, entry), one cycle pass a step, and each
-    pass's top rank.  A phase-0 state repeats just when a (state, phase)
-    pair does, so the passes from orbit[entry:] see the recurring pairs."""
+    their first repeat (orbit, a dict from state to pass index, and entry),
+    one cycle pass a step, and each pass's top rank.  A phase-0 state
+    repeats just when a (state, phase) pair does, so the passes from
+    orbit[entry:] see the recurring pairs."""
     k, steps, ranks = u.num_letters, u.steps, u.ranks
-    cls, top = [a if a < k else k for a in x.cycle], []
-
-    def one_pass(q):
+    q = u.initial
+    for a in x.stem:
+        q = steps[q][a if a < k else k]
+    cls = [a if a < k else k for a in x.cycle]
+    orbit, top = {}, []
+    while q not in orbit:
+        orbit[q] = len(top)
         best = 0
         for c in cls:
             if ranks[q][c] > best:
                 best = ranks[q][c]
             q = steps[q][c]
-        top.append(best)  # first_repeat steps each orbit state once, in order
-        return q
-
-    orbit, entry = graphs.first_repeat(u.run(x.stem), one_pass)
-    return cls, orbit, entry, top
+        top.append(best)
+    return cls, orbit, orbit[q], top
 
 
 def lasso_summary(u: NodeAutomaton, x: Branch) -> LassoSummary:
@@ -222,11 +218,17 @@ def lasso_summary(u: NodeAutomaton, x: Branch) -> LassoSummary:
                         tuple(outputs[start:start + period]))
 
 
+def limsup_rank(u: NodeAutomaton, x: Branch) -> int:
+    """The index in u.levels of the limsup along x: the top rank of the
+    cycle passes."""
+    _, _, entry, top = _passes(u, x)
+    return max(top[entry:])
+
+
 def eval_limsup(u: NodeAutomaton, x: Branch) -> Dyadic:
     """limsup of the node labels along the branch, exactly: the output at
     the top rank of the cycle passes."""
-    _, orbit, entry, top = _passes(u, x)
-    return u.levels[max(top[entry:])]
+    return u.levels[limsup_rank(u, x)]
 
 
 def minmax_value(u: NodeAutomaton, q: int) -> ExtValue:

@@ -17,8 +17,8 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional, Tuple
 
 from .automata import NodeAutomaton, lasso_summary
-from .construction import (AlgebraFunction, ConstructionState, algebra,
-                           minimize_labeling, verify_construction)
+from .construction import (AlgebraFunction, ConstructionState, StateCapError,
+                           algebra, minimize_labeling, verify_construction)
 from .corpus import (DEFAULT_SEED, branch_corpus, letter_fsm, rng_stream,
                      value_fsm)
 from .dyadic import Dyadic, as_dyadic
@@ -663,6 +663,9 @@ def entry(argv=None) -> int:
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except StateCapError as e:
+        print(f"inconclusive: {e}", file=sys.stderr)
+        return 1
     except BrokenPipeError:
         return 0
 

@@ -23,7 +23,7 @@ from itertools import compress
 from operator import lt
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .automata import NodeAutomaton, eval_limsup, make_automaton
+from .automata import NodeAutomaton, eval_limsup, limsup_rank, make_automaton
 from .dyadic import Dyadic, NEG_INF
 from .families import GridLscFamily, discretize, family_from_kernel
 from .graphs import StabilizationCapError, first_repeat
@@ -31,10 +31,16 @@ from .kernels import ProductKernel
 from .trees import EventuallyPeriodicBranch, Prefix, TreeSpec, binary_tree
 
 ALGEBRA_OPS = ("sum", "min", "max")
+# the most label transducer states minimize_labeling meets before it gives up
+STATE_CAP = 200_000
 
 
 class InconclusiveLassoError(RuntimeError):
     """The labels along a branch showed no lasso within the cap."""
+
+
+class StateCapError(RuntimeError):
+    """The label transducer met more than STATE_CAP states."""
 
 
 def scan_bound(fam: GridLscFamily, s: Prefix) -> int:
@@ -344,7 +350,8 @@ def minimize_labeling(state: ConstructionState) -> NodeAutomaton:
     Moore refinement then splits the states, first by their rows of labels
     and then by the blocks of their successors, until no block splits; the
     blocks are numbered in breadth-first order from the root's, letters in
-    order.  A tree alphabet other than 0..k-1 raises ValueError.  The
+    order.  A tree alphabet other than 0..k-1 raises ValueError, and a
+    transducer that meets more than STATE_CAP states StateCapError.  The
     machine is kept on the transducer, so a family is minimized once and
     every reader gets the one machine object.
     """
@@ -357,6 +364,9 @@ def minimize_labeling(state: ConstructionState) -> NodeAutomaton:
                          "machine letters are 0..k-1")
     for q, _ in enumerate(tr.states):  # rows append the states they meet
         tr.row(q)
+        if len(tr.states) > STATE_CAP:
+            raise StateCapError(
+                f"label transducer passed {STATE_CAP} states")
     rows = tr.rows
     sig = {q: tuple(label for label, _ in row) for q, row in rows.items()}
     count = 0
@@ -393,26 +403,31 @@ def apply_op(op: str, a: Dyadic, b: Dyadic) -> Dyadic:
 
 
 class AlgebraFunction(NamedTuple):
-    """Constructed labeling representing op(f1, f2), with exact evaluation."""
+    """Constructed labeling representing op(f1, f2), with exact evaluation.
+
+    table[i][j] is op of the factors' levels i and j, so op of their
+    limsups along a branch is read off their limsup ranks."""
 
     op: str
     factors: Tuple[NodeAutomaton, NodeAutomaton]
     family: GridLscFamily
     state: ConstructionState
+    table: tuple
 
     @property
     def machine(self) -> NodeAutomaton:
         """The labeling's minimal machine, minimized on first use and then
         read off the transducer, so a branch check minimizes nothing."""
-        return transducer(self.family).machine or minimize_labeling(self.state)
+        return self.state._tr.machine or minimize_labeling(self.state)
 
     def value_on(self, x: EventuallyPeriodicBranch) -> Dyadic:
-        return eval_limsup(self.machine, x)
+        machine = self.machine
+        return machine.levels[limsup_rank(machine, x)]
 
     def expected_on(self, x: EventuallyPeriodicBranch) -> Dyadic:
         """op of the factor limsups along x, each on its own machine."""
         u1, u2 = self.factors
-        return apply_op(self.op, eval_limsup(u1, x), eval_limsup(u2, x))
+        return self.table[limsup_rank(u1, x)][limsup_rank(u2, x)]
 
 
 def algebra(u1: NodeAutomaton, u2: NodeAutomaton, op: str,
@@ -429,4 +444,6 @@ def algebra(u1: NodeAutomaton, u2: NodeAutomaton, op: str,
     raw = family_from_kernel(ProductKernel([u1, u2], tree, op),
                              label=f"algebra:{op}")
     fam = discretize(raw)
-    return AlgebraFunction(op, (u1, u2), fam, ConstructionState(fam))
+    table = tuple(tuple(apply_op(op, a, b) for b in u2.levels)
+                  for a in u1.levels)
+    return AlgebraFunction(op, (u1, u2), fam, ConstructionState(fam), table)

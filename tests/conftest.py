@@ -19,10 +19,18 @@ def constant_automaton(value) -> NodeAutomaton:
     return make_automaton(0, [[0, 0]], [[value, value]])
 
 
+def state_after(u, s):
+    """u's state after reading the prefix s."""
+    q = u.initial
+    for a in s:
+        q = u.step(q, a)
+    return q
+
+
 def node_value(u, s):
     """The label u(s) of a nonempty prefix: the output of the transition
     that read its last letter."""
-    return u.output(u.run(s[:-1]), s[-1])
+    return u.output(state_after(u, s[:-1]), s[-1])
 
 
 def reference_suffix_key(x, pos):
@@ -39,7 +47,7 @@ def reference_lasso(u, x):
     pass walk of eval_limsup and lasso_summary replaced."""
     cls = [u.letter_class(a) for a in x.cycle]
     orbit, entry = first_repeat(
-        (u.run(x.stem), 0),
+        (state_after(u, x.stem), 0),
         lambda key: (u.steps[key[0]][cls[key[1]]], (key[1] + 1) % len(cls)))
     outs = [u.outputs[q][cls[i]] for q, i in orbit]
     stem = tuple(node_value(u, x.stem[:t + 1]) for t in range(len(x.stem)))
@@ -57,7 +65,8 @@ def reference_expected(op, u1, u2, x):
         p1, p2, i = key
         return u1.steps[p1][c1[i]], u2.steps[p2][c2[i]], (i + 1) % len(c1)
 
-    orbit, entry = first_repeat((u1.run(x.stem), u2.run(x.stem), 0), step)
+    orbit, entry = first_repeat(
+        (state_after(u1, x.stem), state_after(u2, x.stem), 0), step)
     cyc = orbit[entry:]
     return apply_op(op, max(u1.outputs[p1][c1[i]] for p1, _, i in cyc),
                     max(u2.outputs[p2][c2[i]] for _, p2, i in cyc))

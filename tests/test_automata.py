@@ -5,11 +5,14 @@ import re
 import pytest
 
 from conftest import (constant_automaton, letter_output_automaton,
-                      reference_lasso)
-from limsupgames.automata import (NodeAutomaton, eval_limsup, lasso_summary,
-                                  make_automaton, minmax_value)
-from limsupgames.corpus import branch_corpus, random_automaton, rng_stream
+                      reference_lasso, state_after)
+from limsupgames.automata import (NodeAutomaton, _passes, eval_limsup,
+                                  lasso_summary, limsup_rank, make_automaton,
+                                  minmax_value)
+from limsupgames.corpus import (branch_corpus, random_automaton,
+                                random_dyadic, rng_stream)
 from limsupgames.dyadic import Dyadic
+from limsupgames.graphs import first_repeat
 from limsupgames.kernels import ProductKernel
 from limsupgames.trees import EventuallyPeriodicBranch, binary_tree
 
@@ -140,23 +143,64 @@ def test_lasso_summary_consistency():
                 cert.cycle_outputs
 
 
-def test_the_pass_walk_matches_the_state_phase_lasso():
-    # letters 0..3 against machines that read 0 apart: 1..3 share the
-    # default class; stems to 4 letters and cycles to 5
-    rng = rng_stream(31, "pass-walk")
+def _wide_machines(seed, count):
+    """Seeded machines of 1..64 states with three explicit letters and a
+    default class, with branches over letters 0..5 (3..5 read the default
+    class), stems to 6 letters and cycles to 12."""
+    rng = rng_stream(seed, "wide-machines")
 
     def word(lo, hi):
-        return tuple(rng.randrange(4) for _ in range(rng.randint(lo, hi)))
+        return tuple(rng.randrange(6) for _ in range(rng.randint(lo, hi)))
 
-    for _ in range(60):
-        u = random_automaton(rng, 5)
-        for _ in range(12):
-            x = EventuallyPeriodicBranch(word(0, 4), word(1, 5))
+    for _ in range(count):
+        n = rng.choice((rng.randint(1, 8), rng.randint(9, 64)))
+        u = make_automaton(
+            0, [[rng.randrange(n) for _ in range(4)] for _ in range(n)],
+            [[random_dyadic(rng, 4, 3) for _ in range(4)] for _ in range(n)])
+        yield u, [EventuallyPeriodicBranch(word(0, 6), word(1, 12))
+                  for _ in range(8)]
+
+
+def test_the_pass_walk_matches_the_state_phase_lasso():
+    for u, branches in _wide_machines(31, 80):
+        for x in branches:
             start, period, transient, cycle = reference_lasso(u, x)
             assert eval_limsup(u, x) == max(cycle), (u, x)
             cert = lasso_summary(u, x)
             assert cert == (start, period, transient, cycle), (u, x)
             assert cert.limsup == eval_limsup(u, x)
+
+
+def test_the_pass_orbit_is_first_repeat_over_one_pass():
+    for u, branches in _wide_machines(33, 60):
+        for x in branches:
+            cls, orbit, entry, top = _passes(u, x)
+            assert cls == [u.letter_class(a) for a in x.cycle]
+
+            def one_pass(q):
+                for c in cls:
+                    q = u.steps[q][c]
+                return q
+
+            want, want_entry = first_repeat(state_after(u, x.stem), one_pass)
+            assert (list(orbit), entry) == (want, want_entry), (u, x)
+            assert orbit == {q: i for i, q in enumerate(want)}
+            # each pass's top rank, read off the states it passes
+            for q, best in zip(want, top):
+                ranks = []
+                for c in cls:
+                    ranks.append(u.ranks[q][c])
+                    q = u.steps[q][c]
+                assert best == max(ranks), (u, x)
+            assert len(top) == len(want)
+
+
+def test_limsup_rank_indexes_eval_limsup_in_levels():
+    for u, branches in _wide_machines(34, 40):
+        for x in branches + BRANCHES[::11] + NAT_BRANCHES[::11]:
+            rank = limsup_rank(u, x)
+            assert type(rank) is int
+            assert u.levels[rank] == eval_limsup(u, x) == brute_limsup(u, x)
 
 
 def test_levels_and_ranks_index_the_outputs():

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import constant_automaton, letter_output_automaton
+from conftest import (constant_automaton, letter_output_automaton,
+                      state_after)
 from limsupgames import cli, construction
 from limsupgames.acceptance import CriterionResult
 from limsupgames.automata import NodeAutomaton, eval_limsup, make_automaton
@@ -624,6 +625,36 @@ def test_construct_algebra_values(tmp_path, capsys):
     assert got == {"1/2^0", "2/2^0"}
 
 
+_THREE = make_automaton(0, [[1, 0], [2, 1], [0, 2]],
+                        [[0, "1/2^1"], [1, "-1/2^2"], ["3/2^2", 0]])
+_CAPPED_ALGEBRA = {
+    "op": "max",
+    "left": {"automaton": letter_output_automaton().to_json_dict()},
+    "right": {"automaton": _THREE.to_json_dict()}}
+
+
+@pytest.mark.parametrize("command, config", [
+    ("construct", {"pipeline": _CAPPED_ALGEBRA}),
+    ("verify", {"payoff": {"kind": "algebra", **_CAPPED_ALGEBRA}}),
+    ("verify", {"payoff": {"kind": "pipeline",
+                           "stages": ["from-automaton", "discretize",
+                                      "construct_u"],
+                           "source": {"automaton": _THREE.to_json_dict()}}}),
+], ids=["construct-algebra", "verify-algebra", "verify-pipeline"])
+def test_a_transducer_past_the_state_cap_exits_one(tmp_path, capsys,
+                                                    monkeypatch, command,
+                                                    config):
+    # these labelings meet 42 and 29 transducer states; under a cap of 5
+    # minimization gives up, and the command says so in one line
+    monkeypatch.setattr(construction, "STATE_CAP", 5)
+    cfg = verify_config(tmp_path, **config)
+    out_dir = tmp_path / "out"
+    assert entry([command, "--config", cfg, "--out", str(out_dir)]) == 1
+    assert capsys.readouterr() == (
+        "", "inconclusive: label transducer passed 5 states\n")
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
 def test_construct_declared_corpus(tmp_path, capsys):
     machine = letter_output_automaton().to_json_dict()
     cfg = write_config(tmp_path, pipeline={
@@ -654,7 +685,7 @@ def test_construct_checks_the_machine_it_writes(tmp_path, capsys,
 
     def flipped(state):
         m = orig(state)
-        q, seen = m.run(x.stem), []
+        q, seen = state_after(m, x.stem), []
         while q not in seen:
             seen.append(q)
             q = m.step(q, 1)

@@ -374,6 +374,42 @@ def test_expected_on_is_the_op_of_the_factor_limsups(op):
                 op, eval_limsup(u1, x), eval_limsup(u2, x)), (u1, u2, x)
 
 
+def _grid_pair(rng, e1, e2):
+    """Seeded 1..3-state machines whose outputs are odd multiples of
+    2**-e1 and of 2**-e2: each factor sits on its own grid."""
+    def machine(e):
+        n = rng.randint(1, 3)
+        return make_automaton(
+            0, [[rng.randrange(n) for _ in range(2)] for _ in range(n)],
+            [[Dyadic(2 * rng.randint(-4, 4) + 1, e) for _ in range(2)]
+             for _ in range(n)])
+    return machine(e1), machine(e2)
+
+
+@pytest.mark.parametrize("op", ["sum", "min", "max"])
+def test_the_op_table_reads_factors_on_different_grids(op):
+    # expected_on reads op's table at the factors' limsup ranks; the
+    # reference walks both factors and applies op to their limsups
+    rng = rng_stream(44, "grid-pairs")
+    for e1, e2 in ((1, 3), (2, 1), (1, 2), (3, 1)):
+        u1, u2 = _grid_pair(rng, e1, e2)
+        f = algebra(u1, u2, op, TREE)
+        assert f.table == tuple(tuple(apply_op(op, a, b) for b in u2.levels)
+                                for a in u1.levels)
+        for x in branch_corpus(3, 3):
+            want = reference_expected(op, u1, u2, x)
+            assert f.expected_on(x) == want, (u1, u2, x)
+            assert f.value_on(x) == want, (u1, u2, x)
+        cells = {v for row in f.table for v in row}
+        if op == "sum":
+            # an odd multiple of 2**-e1 plus one of 2**-e2 is an odd
+            # multiple of 2**-max(e1, e2) when the grids differ, so no
+            # sum sits on the coarser factor's grid
+            assert all(v.exp == max(e1, e2) for v in cells), cells
+        else:
+            assert cells <= set(u1.levels) | set(u2.levels)
+
+
 def test_labels_are_grid_ints_until_they_leave_the_construction():
     u1, u2 = _wide_pairs(43, 1)[0]
     f = algebra(u1, u2, "sum", TREE)

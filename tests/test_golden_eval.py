@@ -3,8 +3,9 @@
 tests/golden/eval/cases.txt holds one case a line: its name, a machine file
 (relative to the golden directory) and a branch descriptor.  stdout/<name>.txt
 holds the command's output: the limsup, then the lasso's start, period and
-cycle outputs.  The cases cover a binary machine and one with two explicit
-letters, cycles of one to four letters and letters of the default class.
+cycle outputs.  The cases cover a binary machine, one with two explicit
+letters and a 24-state one with three, cycles of one to nine letters and
+letters of the default class.
 """
 
 import pathlib

@@ -32,7 +32,7 @@ RECORDS = {
     ConstructionReport: dict(rows=(CHECK,), label="algebra:sum",
                              machine="machine"),
     AlgebraFunction: dict(op="min", factors=("u1", "u2"), family="fam",
-                          state="state"),
+                          state="state", table=((Dyadic(0),),)),
     PairFixture: dict(table=((Dyadic(1), Dyadic(0)), (Dyadic(0), Dyadic(1))),
                       u_f="u_f", u_neg="u_neg"),
     FaultRecord: dict(blame="II", round_index=4, detail="left the tree"),
