@@ -503,8 +503,7 @@ def build_pipeline(pipe: dict, tree: TreeSpec, who: str = "pipeline"):
     return fam, None
 
 
-def _declared_corpus(pipe: dict, tree: TreeSpec):
-    alphabet = tree.alphabet if tree.alphabet is not None else (0, 1)
+def _declared_corpus(pipe: dict, alphabet: tuple):
     decl = pipe.get("branch_corpus")
     if decl is not None:
         who = "pipeline.branch_corpus"
@@ -524,7 +523,7 @@ def cmd_construct(args) -> int:
         raise ConfigError("construct needs a 'pipeline' section in the config")
     tree = resolve_tree(cfg)
     fam, target = build_pipeline(cfg.pipeline, tree)
-    corpus = _declared_corpus(cfg.pipeline, tree)
+    corpus = _declared_corpus(cfg.pipeline, fam.kernel.letters)
     _make_out_dir(cfg.out_dir)
     report = verify_construction(fam, corpus, target_fn=target)
     if cfg.out_dir is not None:

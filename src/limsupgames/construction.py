@@ -5,16 +5,17 @@ below every level's cylinder infimum (the persistent part), plus values
 caught between the parent's and the child's infimum at some level (the
 per-level part); empty threshold sets fall back to -length.  The limsup of
 the constructed labels along any branch recovers the family's limit
-function.  Every family is kernel-backed, and its labeling is a finite
-transducer (LabelTransducer) on numbered joint states and stair vectors:
-one memoized row per state holds each child's label and state.
-minimize_labeling refines its rows into the minimal machine, kept on it;
-that machine is the constructed function: verify_construction evaluates it
-exactly on eventually periodic branches, construct writes it, and algebra
-checks and pipeline payoffs read it.  construct_u is the generic level
-scan that the labels are checked against, and branch_limsup a reference
-walk of the transducer.  The sum/min/max algebra runs the same
-construction over joint kernels.
+function.  Every family is kernel-backed, and its labeling is one
+ConstructionState: a finite transducer on numbered joint states and stair
+vectors, one memoized row per state holding each child's label and state,
+with the prefix labels read off it.  minimize_labeling refines the rows
+into the minimal machine, kept on the state; that machine is the
+constructed function: verify_construction evaluates it exactly on
+eventually periodic branches, construct writes it, and algebra checks and
+pipeline payoffs read it.  construct_u is the generic level scan that the
+labels are checked against, and branch_limsup a reference walk of the
+transducer.  The sum/min/max algebra runs the same construction over joint
+kernels.
 """
 
 from __future__ import annotations
@@ -81,33 +82,41 @@ def _number(ids: dict, items: list, x) -> int:
     return got
 
 
-class LabelTransducer:
-    """The constructed labeling of a kernel family as a finite transducer.
+class ConstructionState:
+    """The constructed labeling of a kernel family, one object per labeling:
+    its transducer rows, its minimal machine and its prefix labels.
 
-    After a prefix of length L the state is (J, S): J the joint kernel
-    state, S the staircase summary.  The stair vector at level n < L is the
-    componentwise max of the grid outputs at positions n .. L-1; S holds
-    those at levels below E (exponent: the grid exponent on a discretized
-    family, else 0), then the distinct ones from E on, which are not
-    rounded.  So len(S) is L while L <= E, and read k is rounded iff k < E.
+    After a prefix of length L the transducer state is (J, S): J the joint
+    kernel state, S the staircase summary.  The stair vector at level n < L
+    is the componentwise max of the grid outputs at positions n .. L-1; S
+    holds those at levels below E (exponent: the grid exponent on a
+    discretized family, else 0), then the distinct ones from E on, which
+    are not rounded.  So len(S) is L while L <= E, and read k is rounded
+    iff k < E.
 
     Joint states and stair vectors are numbered as met (joints, vectors); a
     state is (joint id, vector ids), numbered in states from the root's 0.
     Per joint id its edge per joint letter class (ker.reps), its tail and
     its level reads, and per pair of vector ids their max, are asked of the
-    kernel once.  row(q), the one memo, is q's (label, successor) per
-    class; move(q, a) reads a's class in it.  A child's label is its
-    largest level read above the parent's at that level: stair values
-    below L, then tails, which settle within their entries.  The parent's
-    reads and their rounding are made once per row.  Like construct_u a
-    row raises AssertionError when a read exceeds the one before it.
-    Labels are grid ints; machine is the minimal machine once
-    minimize_labeling has built it.
+    kernel once.  row(q) is q's (label, successor) per class; move(q, a)
+    reads a's class in it.  A child's label is its largest level read above
+    the parent's at that level: stair values below L, then tails, which
+    settle within their entries.  The parent's reads and their rounding are
+    made once per row.  Like construct_u a row raises AssertionError when a
+    read exceeds the one before it.  Labels are grid ints; machine is the
+    minimal machine once minimize_labeling has built it.
+
+    u(s) labels a prefix as a Dyadic, kept in cache: the last move's label
+    from state 0.  The root has no parent, so each level's threshold
+    interval reaches up to that level's infimum, and level 0's infimum, the
+    largest, is the root's label.
     """
 
-    def __init__(self, ker: ProductKernel, discretized: bool):
-        self.ker = ker
-        self.exponent = ker.grid_exponent if discretized else 0
+    def __init__(self, fam: GridLscFamily):
+        self.fam = fam
+        self.ker = ker = fam.kernel
+        self.exponent = ker.grid_exponent if fam.discretized else 0
+        self.cache: Dict[Prefix, Dyadic] = {}
         # the joints, vectors and states met, and their numbers
         self.joints: List[tuple] = []
         self.vectors: List[tuple] = []
@@ -123,6 +132,19 @@ class LabelTransducer:
         _number(self._ids, self.states, (self._joint(ker.initial), ()))
         self.rows: Dict[int, tuple] = {}
         self.machine: Optional[NodeAutomaton] = None
+
+    def u(self, s: Prefix) -> Dyadic:
+        got = self.cache.get(s)
+        if got is None:
+            if not s:
+                got = self.fam.node_inf(0, s).require_finite()
+            else:
+                q = 0
+                for a in s:
+                    label, q = self.move(q, a)
+                got = self.ker.from_grid(label)
+            self.cache[s] = got
+        return got
 
     def _joint(self, J: tuple) -> int:
         j = _number(self._jids, self.joints, J)
@@ -198,53 +220,11 @@ class LabelTransducer:
         return self.row(q)[self.letter_class(a)]
 
 
-def transducer(fam: GridLscFamily) -> LabelTransducer:
-    """The family's label transducer, kept on its kernel.
-
-    Raw and discretized families share a kernel but not their labels, so
-    the kernel keeps one transducer per discretized flag.
-    """
-    ker = fam.kernel
-    got = ker.transducers.get(fam.discretized)
-    if got is None:
-        got = ker.transducers[fam.discretized] = LabelTransducer(
-            ker, fam.discretized)
-    return got
-
-
-class ConstructionState:
-    """Per-prefix label cache.
-
-    Each nonempty prefix is labeled by walking the family's label
-    transducer from the root's state 0; the last move's label is the
-    prefix's.  The root has no parent, so each level's threshold interval
-    reaches up to that level's infimum, and level 0's infimum, the
-    largest, is the root's label.
-    """
-
-    def __init__(self, fam: GridLscFamily):
-        self.fam = fam
-        self.cache: Dict[Prefix, Dyadic] = {}
-        self._tr = transducer(fam)
-
-    def u(self, s: Prefix) -> Dyadic:
-        got = self.cache.get(s)
-        if got is None:
-            if not s:
-                got = self.fam.node_inf(0, s).require_finite()
-            else:
-                q = 0
-                for a in s:
-                    label, q = self._tr.move(q, a)
-                got = self._tr.ker.from_grid(label)
-            self.cache[s] = got
-        return got
-
-
 def branch_limsup(fam: GridLscFamily, x: EventuallyPeriodicBranch,
                   cap: int = 4096) -> Tuple[Dyadic, dict]:
     """Exact limsup of the constructed labels along x, and audit info: the
-    tests' reference walk of the transducer, which no command runs.
+    tests' reference walk of a fresh ConstructionState, which no command
+    runs.
 
     The value is the largest label on the cycle of the (branch phase,
     transducer state) lasso; no repeat within cap + 1 steps raises
@@ -253,10 +233,10 @@ def branch_limsup(fam: GridLscFamily, x: EventuallyPeriodicBranch,
     max_scan, the largest scan_bound over the prefixes of lengths
     1 .. horizon, horizon = max(t0 + 4p + 16, 6p, 32) capped at cap.
     """
-    tr = transducer(fam)
+    state = ConstructionState(fam)
     letters = x.stem + x.cycle
     stem, end = len(x.stem), len(letters)
-    move = tr.move
+    move = state.move
     labels: List[int] = []
 
     def step(key):
@@ -271,8 +251,8 @@ def branch_limsup(fam: GridLscFamily, x: EventuallyPeriodicBranch,
     except StabilizationCapError:
         raise InconclusiveLassoError(
             f"no lasso along {x} within {cap} steps") from None
-    value = tr.ker.from_grid(max(labels[entry:]))
-    proj = [(t, tr.states[q][0]) for t, q in walk]
+    value = state.ker.from_grid(max(labels[entry:]))
+    proj = [(t, state.states[q][0]) for t, q in walk]
     proj.append(proj[entry])
     orbit, t0 = first_repeat(proj[0], dict(zip(proj, proj[1:])).__getitem__)
     p = len(orbit) - t0
@@ -280,10 +260,10 @@ def branch_limsup(fam: GridLscFamily, x: EventuallyPeriodicBranch,
     # a prefix's scan bound is max(L + tail_entry(J_L), L - 1 +
     # tail_entry(J_{L-1}), exponent), so the bounds up to the horizon peak
     # at the last length each orbit position takes
-    max_scan = tr.exponent
+    max_scan = state.exponent
     for i, (_, j) in enumerate(orbit):
         L = i if i < t0 else i + p * ((horizon - i) // p)
-        max_scan = max(max_scan, L + tr.ker.tail_entry(tr.joints[j]))
+        max_scan = max(max_scan, L + state.ker.tail_entry(state.joints[j]))
     info = {"lasso_start": t0, "period": p, "horizon": horizon,
             "max_scan": max_scan}
     return value, info
@@ -342,7 +322,7 @@ def verify_construction(fam: GridLscFamily,
 def minimize_labeling(state: ConstructionState) -> NodeAutomaton:
     """The minimal machine of a constructed labeling.
 
-    The labeling is the family's label transducer; every state a row meets
+    The labeling is the state's transducer; every state a row meets
     is reachable, so the rows are expanded until they meet no new one, and
     read per letter through its joint letter class.  The letters are the
     kernel's candidate letters (ker.letters); on the naturals tree the last
@@ -351,23 +331,22 @@ def minimize_labeling(state: ConstructionState) -> NodeAutomaton:
     and then by the blocks of their successors, until no block splits; the
     blocks are numbered in breadth-first order from the root's, letters in
     order.  A tree alphabet other than 0..k-1 raises ValueError, and a
-    transducer that meets more than STATE_CAP states StateCapError.  The
-    machine is kept on the transducer, so a family is minimized once and
-    every reader gets the one machine object.
+    state that meets more than STATE_CAP transducer states StateCapError.
+    The machine is kept on the state, so a state is minimized once and
+    every reader of it gets the one machine object.
     """
-    tr = transducer(state.fam)
-    if tr.machine is not None:
-        return tr.machine
-    letters = tr.ker.letters
+    if state.machine is not None:
+        return state.machine
+    letters = state.ker.letters
     if letters != tuple(range(len(letters))):
         raise ValueError(f"cannot minimize over the alphabet {letters}: "
                          "machine letters are 0..k-1")
-    for q, _ in enumerate(tr.states):  # rows append the states they meet
-        tr.row(q)
-        if len(tr.states) > STATE_CAP:
+    for q, _ in enumerate(state.states):  # rows append the states they meet
+        state.row(q)
+        if len(state.states) > STATE_CAP:
             raise StateCapError(
                 f"label transducer passed {STATE_CAP} states")
-    rows = tr.rows
+    rows = state.rows
     sig = {q: tuple(label for label, _ in row) for q, row in rows.items()}
     count = 0
     while True:
@@ -380,16 +359,16 @@ def minimize_labeling(state: ConstructionState) -> NodeAutomaton:
                for q, row in rows.items()}
     # any state of a block stands for it: their rows agree up to blocks
     rep = {b: q for q, b in block.items()}
-    cols = [tr.letter_class(a) for a in letters]
+    cols = [state.letter_class(a) for a in letters]
     number, order = {block[0]: 0}, [block[0]]
     steps: List[List[int]] = []
     outs: List[List[Dyadic]] = []
     for b in order:
         row = [rows[rep[b]][c] for c in cols]
         steps.append([_number(number, order, block[r]) for _, r in row])
-        outs.append([tr.ker.from_grid(label) for label, _ in row])
-    tr.machine = make_automaton(0, steps, outs)
-    return tr.machine
+        outs.append([state.ker.from_grid(label) for label, _ in row])
+    state.machine = make_automaton(0, steps, outs)
+    return state.machine
 
 
 def apply_op(op: str, a: Dyadic, b: Dyadic) -> Dyadic:
@@ -417,8 +396,8 @@ class AlgebraFunction(NamedTuple):
     @property
     def machine(self) -> NodeAutomaton:
         """The labeling's minimal machine, minimized on first use and then
-        read off the transducer, so a branch check minimizes nothing."""
-        return self.state._tr.machine or minimize_labeling(self.state)
+        read off the state, so a branch check minimizes nothing."""
+        return self.state.machine or minimize_labeling(self.state)
 
     def value_on(self, x: EventuallyPeriodicBranch) -> Dyadic:
         machine = self.machine

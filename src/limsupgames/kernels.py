@@ -13,7 +13,9 @@ is feasible from J when J has an infinite path under it, whatever the fixed
 parts.  One search, graphs.min_sup_cycle, tabulates every state's
 componentwise-minimal feasible vectors on first use: one joint table for
 modes sum and max, and one table per machine alone for the separable mode
-min and its tails.  With one machine the two are the same table.
+min and its tails.  With one machine the two are the same table.  Tables,
+edges and tails are memoized; value is not, as its readers keep the reads
+they repeat (a ConstructionState per joint state and stair vector).
 
 Every output of the machines lies on one grid 2**-E, E = grid_exponent, so
 the kernel works in plain ints on that grid: an int v stands for v / 2**E.
@@ -26,7 +28,6 @@ threshold falls below.
 from __future__ import annotations
 
 import itertools
-import math
 from operator import le
 from typing import Dict, Tuple
 
@@ -76,7 +77,6 @@ class ProductKernel:
         self.initial = tuple(u.initial for u in self.machines)
         self.grid_exponent = max(o.exp for u in self.machines for o in u.levels)
         self._all = tuple(range(self.dims))
-        self._value: Dict = {}
         self._edges: Dict = {}
         self._dyadics: Dict[int, Dyadic] = {}
         self._tails: Dict = {}
@@ -84,9 +84,6 @@ class ProductKernel:
         self._feasible: Dict[tuple, Dict[tuple, list]] = {}
         self._mtails: Dict = {}
         self._scores: Dict[tuple, Dict[tuple, int]] = {}
-        # the label transducers of the families over this kernel, one per
-        # discretized flag; construction.transducer fills it
-        self.transducers: Dict[bool, object] = {}
         # per machine, state and letter class: the output as a grid int
         self._tables = tuple(
             tuple(tuple(self.to_grid(o) for o in row) for row in u.outputs)
@@ -144,30 +141,24 @@ class ProductKernel:
 
         Fixed parts are grid ints; the floor stands for an empty part.
         """
-        key = (J, fixed)
-        got = self._value.get(key)
-        if got is None:
-            if self.mode == "min":
-                # separable: each machine over its own table
-                got = min(max(f, t) for i, (f, q) in enumerate(zip(fixed, J))
-                          for (t,) in self._table((i,))[(q,)])
-            else:
-                agg = sum if self.mode == "sum" else max
-                got = min(agg(map(max, fixed, t)) for t in self._table(self._all)[J])
-            self._value[key] = got
-        return got
+        if self.mode == "min":
+            # separable: each machine over its own table
+            return min(max(f, t) for i, (f, q) in enumerate(zip(fixed, J))
+                       for (t,) in self._table((i,))[(q,)])
+        agg = sum if self.mode == "sum" else max
+        return min(agg(map(max, fixed, t)) for t in self._table(self._all)[J])
 
     def _reach_tail(self, idx: tuple, J: tuple) -> Tuple[tuple, int]:
         # the tail of the machines at indices idx alone, from their states J
         ms = [self.machines[i] for i in idx]
         table = self._table(idx)
         agg = sum if self.mode == "sum" else max
-        # reach sets evolve deterministically, so they cycle within 2**states steps
+        # reach sets are nonempty and evolve deterministically, so they
+        # repeat within 2**states - 1 steps
         orbit, entry = first_repeat(
             frozenset([J]),
             lambda cur: frozenset(tuple(u.step(p, a) for u, p in zip(ms, P))
-                                  for P in cur for a in self.reps),
-            2 ** math.prod(u.num_states for u in ms))
+                                  for P in cur for a in self.reps))
         # a state scores its least objective over continuations, once
         score = self._scores.get(idx)
         if score is None:

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 from limsupgames.automata import NodeAutomaton, make_automaton
-from limsupgames.construction import apply_op, transducer
+from limsupgames.construction import ConstructionState, apply_op
 from limsupgames.dyadic import NEG_INF, Dyadic, ExtValue
 from limsupgames.graphs import first_repeat
 
@@ -74,12 +74,12 @@ def reference_expected(op, u1, u2, x):
 
 def branch_labels(fam, x, horizon: int) -> tuple:
     """Labels of the prefixes of x of lengths 1 .. horizon."""
-    tr = transducer(fam)
+    state = ConstructionState(fam)
     q = 0
     out = []
     for t in range(horizon):
-        label, q = tr.move(q, x.letter_at(t))
-        out.append(tr.ker.from_grid(label))
+        label, q = state.move(q, x.letter_at(t))
+        out.append(state.ker.from_grid(label))
     return tuple(out)
 
 

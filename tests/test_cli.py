@@ -603,6 +603,22 @@ def test_construct_on_naturals_writes_machine(tmp_path, capsys):
     assert out[1] == f"minimized to {machine.num_states} state(s)"
 
 
+def test_construct_on_naturals_reads_the_default_class(tmp_path, capsys):
+    # two explicit letters: the corpus runs over 0, 1 and the default
+    # class's first letter 2, so a wrong default column shows
+    u = make_automaton(0, [[0, 0, 0]], [[0, 1, 5]])
+    cfg = write_config(tmp_path, tree="nat", pipeline={
+        "stages": ["from-automaton", "discretize", "construct_u"],
+        "source": {"automaton": u.to_json_dict()}})
+    out_dir = tmp_path / "n"
+    assert entry(["construct", "--config", cfg, "--out", str(out_dir)]) == 0
+    assert capsys.readouterr().out.startswith(
+        "equal on all 120 corpus branches\n")
+    rows = json.loads((out_dir / "report.json").read_text())["rows"]
+    row = next(r for r in rows if r["branch"] == "stem=;cycle=2")
+    assert row["expected"] == row["got"] == "5/2^0"
+
+
 def test_construct_algebra_pipeline(tmp_path, capsys):
     cfg = write_config(tmp_path, pipeline={
         "op": "sum",
@@ -712,34 +728,39 @@ def test_construct_checks_the_machine_it_writes(tmp_path, capsys,
 
 
 def test_rows_algebra_checks_and_payoffs_read_one_machine(monkeypatch):
-    made = []
-    orig = construction.minimize_labeling
+    # every minimal machine is built by one make_automaton call
+    built = []
+    orig = construction.make_automaton
 
-    def recording(state):
-        made.append(orig(state))
-        return made[-1]
+    def recording(*args):
+        built.append(orig(*args))
+        return built[-1]
 
-    _bind_every(monkeypatch, orig, recording)
+    monkeypatch.setattr(construction, "make_automaton", recording)
     left, right = (u.to_json_dict() for u in (letter_output_automaton(),
                                               constant_automaton(Dyadic(1))))
     tree = cli.binary_tree()
     af = construction.algebra(*(NodeAutomaton.from_json_dict(u)
                                 for u in (left, right)), "sum", tree)
-    corpus = cli._declared_corpus({}, tree)
+    corpus = cli._declared_corpus({}, af.family.kernel.letters)
+    values = [af.value_on(x) for x in corpus]
+    # the state minimizes once, and its readers get that one object
+    assert len(built) == 1 and af.machine is built[0]
+    assert construction.minimize_labeling(af.state) is built[0]
+    assert len(built) == 1
+    # verify_construction labels the family on a state of its own
     report = construction.verify_construction(af.family, corpus,
                                               af.expected_on)
-    assert all(af.value_on(x) == r.got for x, r in zip(corpus, report.rows))
-    assert made == [report.machine] and af.machine is report.machine
+    assert len(built) == 2 and report.machine == af.machine
+    assert [r.got for r in report.rows] == values
     src = {"op": "sum", "left": {"automaton": left},
            "right": {"automaton": right}}
     for payoff in ({**src, "kind": "algebra"}, {**src, "kind": "pipeline"},
                    {"kind": "pipeline", "source": {"automaton": left},
                     "stages": ["from-automaton", "construct_u"]}):
+        before = len(built)
         machine = cli.build_payoff(payoff, tree)
-        assert machine is made[-1] and len(made) == 2
-        assert cli.build_payoff(payoff, tree) is not machine  # a new family
-        made[1:] = []
-    assert made[0] == cli.build_payoff({**src, "kind": "algebra"}, tree)
+        assert len(built) == before + 1 and built[-1] is machine
 
 
 def test_construct_rejects_bad_pipelines(tmp_path, capsys):

@@ -1,8 +1,10 @@
-"""Node labeling construction: threshold scans, the label transducer,
-branch limsups, the three-operation algebra, and machine minimization."""
+"""Node labeling construction: threshold scans, the construction state's
+transducer, branch limsups, the three-operation algebra, and machine
+minimization."""
 
 import itertools
 from itertools import groupby
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -12,10 +14,9 @@ from conftest import (branch_labels, constant_automaton,
                       letter_output_automaton, reference_expected)
 from limsupgames.automata import eval_limsup, lasso_summary, make_automaton
 from limsupgames.construction import (ALGEBRA_OPS, ConstructionState,
-                                       InconclusiveLassoError, LabelTransducer,
-                                       algebra, apply_op, branch_limsup,
-                                       construct_u, minimize_labeling,
-                                       scan_bound, transducer,
+                                       InconclusiveLassoError, algebra,
+                                       apply_op, branch_limsup, construct_u,
+                                       minimize_labeling, scan_bound,
                                        verify_construction)
 from limsupgames.corpus import (automaton_corpus, branch_corpus,
                                  random_automaton, random_dyadic, rng_stream)
@@ -272,7 +273,7 @@ def test_branch_limsup_cap_boundary():
     # admits it and a cap of n - 2 does not, with or without the audit
     fam = discretize(family_from_automaton(letter_output_automaton(), TREE))
     x = parse_branch("stem=0,1,0,1,1;cycle=1,0")
-    tr = transducer(fam)
+    tr = ConstructionState(fam)
     end = len(x.stem) + len(x.cycle)
     seen = set()
     t, q = 0, 0
@@ -416,7 +417,7 @@ def test_labels_are_grid_ints_until_they_leave_the_construction():
     for x in BRANCHES:
         assert type(f.value_on(x)) is Dyadic
         assert type(branch_limsup(f.family, x)[0]) is Dyadic
-    tr = transducer(f.family)
+    tr = f.state
     for q in range(len(tr.states)):
         assert all(type(tr.move(q, a)[0]) is int for a in (0, 1))
     for s in prefixes_to(3):
@@ -554,37 +555,72 @@ def check_kernel_value(rng, ker, tops_of, mode):
                 (mode, ker.machines, ker.tree.name, J, fixed)
 
 
+def kernel_oracle_groups():
+    """((rng, pairs), (rng, groups)): five pairs of 2-state machines on the
+    binary tree, then wider (tree, machines) groups: 3-state pairs, pairs
+    on the naturals (letters past every explicit column share the default
+    class), and three machines.  Each rng goes on to draw the fixed parts
+    of its machines' value checks."""
+    rng = rng_stream(28, "kernel-oracle")
+    machines = [u for u in (random_automaton(rng, 2, span=3, max_exp=2)
+                            for _ in range(40)) if u.num_states == 2]
+    pairs = list(zip(machines[:5], machines[5:10]))
+    wide = rng_stream(28, "kernel-oracle-wide")
+    threes = [wide_automaton(wide, 3, 2) for _ in range(8)]
+    groups = [(TREE, pair) for pair in zip(threes[::2], threes[1::2])]
+    groups += [(nat_tree(), (wide_automaton(wide, wide.randint(1, 3), w1),
+                             wide_automaton(wide, wide.randint(1, 3), w2)))
+               for w1, w2 in ((2, 3), (3, 4), (1, 3), (4, 2))]
+    groups += [(TREE, tuple(wide_automaton(wide, 2, 2) for _ in range(3)))
+               for _ in range(4)]
+    return (rng, pairs), (wide, groups)
+
+
+def oracle_letters(ker):
+    # on the naturals one letter beyond every column stands for the rest
+    if ker.tree.alphabet is not None:
+        return ker.reps
+    return range(max(u.num_letters for u in ker.machines) + 2)
+
+
 @pytest.mark.parametrize("mode", ["sum", "max", "min"])
 def test_kernel_value_matches_brute_lassos(mode):
     # an oracle apart from the kernel: enumerate lassos, add and compare in
     # Dyadic arithmetic, and convert the kernel's grid ints back to compare
-    rng = rng_stream(28, "kernel-oracle")
-    machines = [u for u in (random_automaton(rng, 2, span=3, max_exp=2)
-                            for _ in range(40)) if u.num_states == 2]
-    for u1, u2 in zip(machines[:5], machines[5:10]):
+    (rng, pairs), (wide, groups) = kernel_oracle_groups()
+    for u1, u2 in pairs:
         ker = ProductKernel([u1, u2], TREE, mode)
         # the word enumeration and the pair graph agree
         for J in itertools.product(range(2), range(2)):
             assert lasso_tops(ker, J) == pair_tops(ker, J, ker.reps)
         check_kernel_value(rng, ker, lambda J: lasso_tops(ker, J), mode)
-    # wider kernels against the pair graph: 3-state pairs, pairs on the
-    # naturals (letters past every explicit column share the default
-    # class), and three machines
-    rng = rng_stream(28, "kernel-oracle-wide")
-    threes = [wide_automaton(rng, 3, 2) for _ in range(8)]
-    groups = [(TREE, pair) for pair in zip(threes[::2], threes[1::2])]
-    groups += [(nat_tree(), (wide_automaton(rng, rng.randint(1, 3), w1),
-                             wide_automaton(rng, rng.randint(1, 3), w2)))
-               for w1, w2 in ((2, 3), (3, 4), (1, 3), (4, 2))]
-    groups += [(TREE, tuple(wide_automaton(rng, 2, 2) for _ in range(3)))
-               for _ in range(4)]
+    # wider kernels against the pair graph
     for tree, group in groups:
         ker = ProductKernel(group, tree, mode)
-        # on the naturals one letter beyond every column stands for the rest
-        letters = ker.reps if tree.alphabet is not None else range(
-            max(u.num_letters for u in group) + 2)
-        check_kernel_value(rng, ker, lambda J: pair_tops(ker, J, letters),
+        letters = oracle_letters(ker)
+        check_kernel_value(wide, ker, lambda J: pair_tops(ker, J, letters),
                            mode)
+
+
+@pytest.mark.parametrize("mode", ["sum", "max", "min"])
+def test_kernel_tails_match_brute_reach_sets(mode):
+    # tail_value(J, j) is the least objective over the lassos from the
+    # joint states that j letters reach from J, read off the pair graph
+    (_, pairs), (_, groups) = kernel_oracle_groups()
+    for tree, group in [(TREE, pair) for pair in pairs] + groups:
+        ker = ProductKernel(group, tree, mode)
+        letters = oracle_letters(ker)
+        least = {}
+        for J in itertools.product(*(range(u.num_states) for u in group)):
+            reach = {J}
+            for j in range(ker.tail_entry(J) + 4):
+                for K in reach - least.keys():
+                    least[K] = brute_value(mode, pair_tops(ker, K, letters),
+                                           (None,) * ker.dims)
+                assert ker.from_grid(ker.tail_value(J, j)) == min(
+                    least[K] for K in reach), (mode, group, tree.name, J, j)
+                reach = {tuple(u.step(q, a) for u, q in zip(group, K))
+                         for K in reach for a in letters}
 
 
 def segment_label(ker, E, J, S, a):
@@ -639,7 +675,7 @@ def test_rows_match_the_reference_segment_label():
     # every reachable state's row, class by class, and on the naturals
     # the moves on letters past every machine's declared ones
     for fam in _row_families():
-        tr = transducer(fam)
+        tr = ConstructionState(fam)
         ker, E = tr.ker, tr.exponent
 
         def decode(q):
@@ -668,7 +704,7 @@ def test_rows_match_the_reference_segment_label():
 def test_moves_refuse_letters_off_the_tree():
     # letter 1 has a class of its own, and letter 5 shares letter 2's
     u = make_automaton(0, [[0, 0, 0]], [[0, 1, 2]])
-    tr = transducer(family_from_automaton(u, full_tree((0, 2))))
+    tr = ConstructionState(family_from_automaton(u, full_tree((0, 2))))
     assert tr.move(0, 2)[0] == 2
     for a in (1, 5):
         with pytest.raises(ValueError, match=f"letter {a} "):
@@ -698,13 +734,18 @@ class _StubKernel:
         return 0
 
 
+def _stub_family(tail):
+    # the family fields a ConstructionState reads off a raw family
+    return SimpleNamespace(kernel=_StubKernel(tail), discretized=False)
+
+
 def test_rows_refuse_rising_level_reads():
     # the child's stair levels read 0; a tail of 0 keeps them
     # non-increasing, a tail of 5 rises past them at read 2, the first
     # tail read from the depth-one state
-    tr = LabelTransducer(_StubKernel(0), False)
+    tr = ConstructionState(_stub_family(0))
     assert tr.move(tr.move(0, 0)[1], 0)[0] == Dyadic(0)
-    tr = LabelTransducer(_StubKernel(5), False)
+    tr = ConstructionState(_stub_family(5))
     q = tr.move(0, 0)[1]
     with pytest.raises(AssertionError, match="non-increasing at level read 2"):
         tr.move(q, 0)
